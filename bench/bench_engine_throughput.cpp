@@ -60,9 +60,6 @@ int main(int argc, char** argv) {
   if (host_timing) {
     ex.force_serial("--host-timing wall-clocks runs; no core contention");
   }
-  // Workers for the --host-timing comparison run (0 on the CLI = 4).
-  const std::size_t cmp_workers =
-      ex.options().workers > 0 ? ex.options().workers : 4;
 
   const sim::Duration run_time =
       ex.smoke() ? sim::seconds(5) : sim::seconds(30);
@@ -115,8 +112,8 @@ int main(int argc, char** argv) {
     row.set("bytes_enc_per_sim_s", sim_s > 0 ? encoded / sim_s : 0);
     row.set("commits", r.min_committed());
     row.set("accepted", r.requests_accepted);
-    // Pipeline trajectory (deterministic, baseline-gated): speculation
-    // cache hits at replica/client decision points, metered re-verifies
+    // Cache trajectory (deterministic, baseline-gated): replica checks
+    // answered by the cluster's verdict memo, metered re-verifies
     // skipped by the verified-signature cache, and bytes the zero-copy
     // network path did not copy.
     row.set("spec_join_hits", r.prof.pipeline.join_hits);
@@ -128,29 +125,6 @@ int main(int argc, char** argv) {
       row.set("host_ms", host_ms);
       row.set("events_per_host_s",
               host_ms > 0 ? events / (host_ms / 1e3) : 0);
-      // Workers-enabled re-run of the identical configuration: same
-      // seed, same simulation — only where verifies physically execute
-      // changes. Columns compare serial vs pooled wall-clock and double
-      // as an in-bench determinism check.
-      ClusterConfig wcfg = cfg;
-      wcfg.tracer = nullptr;  // the slot already holds the serial run
-      wcfg.crypto_workers = cmp_workers;
-      harness::Cluster wcluster(wcfg);
-      const auto wstart = std::chrono::steady_clock::now();
-      const RunResult wr = wcluster.run_for(run_time);
-      const auto wend = std::chrono::steady_clock::now();
-      const double whost_ms =
-          std::chrono::duration<double, std::milli>(wend - wstart).count();
-      if (sum_sched_events(wr.prof) != events ||
-          sum_crypto(wr.prof, "verify") != verifies ||
-          wr.min_committed() != r.min_committed()) {
-        std::fprintf(stderr,
-                     "DETERMINISM MISMATCH: workers=%zu run diverged from "
-                     "serial run\n",
-                     cmp_workers);
-      }
-      row.set("host_ms_workers", whost_ms);
-      row.set("workers_speedup", whost_ms > 0 ? host_ms / whost_ms : 0);
     }
     return row;
   });

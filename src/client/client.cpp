@@ -165,25 +165,15 @@ void Client::on_deliver(NodeId, BytesView payload) {
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_crypto("client", "verify", "reply");
   }
-  // Join the speculative pipeline (kReply frames are speculated at
-  // transmit time); the energy/profiler charge above is unconditional,
-  // so accounting is identical whether the physical check ran here, on
-  // a worker, or for an earlier receiver of the same frame.
-  bool sig_ok;
+  // Each reply has exactly one verifier (its client), so it is checked
+  // directly rather than through the replicas' verdict memo.
   const Bytes preimage =
       aggregate
           ? smr::acceptance_preimage(rep->client, rep->req_id, rep->result)
           : m.preimage();
-  const auto check = [&] {
-    return aggregate ? cfg_.agg->verify_share(m.author, preimage, m.sig)
-                     : cfg_.keyring->verify(m.author, preimage, m.sig);
-  };
-  if (cfg_.pipeline != nullptr) {
-    sig_ok = cfg_.pipeline->join(
-        crypto::verify_key(m.author, preimage, m.sig), check);
-  } else {
-    sig_ok = check();
-  }
+  const bool sig_ok =
+      aggregate ? cfg_.agg->verify_share(m.author, preimage, m.sig)
+                : cfg_.keyring->verify(m.author, preimage, m.sig);
   if (!sig_ok) return;
 
   // The verified reply names the replier's current leader: steer the

@@ -15,7 +15,6 @@
 #include "src/client/stats.hpp"
 #include "src/client/workload.hpp"
 #include "src/crypto/signer.hpp"
-#include "src/crypto/workers.hpp"
 #include "src/energy/meter.hpp"
 #include "src/net/channel.hpp"
 #include "src/net/flood.hpp"
@@ -68,9 +67,6 @@ struct ClientConfig {
   /// Deterministic profiler (src/obs/prof.hpp): client-side crypto /
   /// codec counters and request sampling. Not owned; may be nullptr.
   prof::Profiler* profiler = nullptr;
-  /// Speculative verification pipeline (src/crypto/workers.hpp) used for
-  /// reply-signature verifies. Not owned; may be nullptr (verify inline).
-  crypto::VerifyPipeline* pipeline = nullptr;
   /// Tracer the sampled-request flow events go to. Not owned.
   obs::Tracer* tracer = nullptr;
 };

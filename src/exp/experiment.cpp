@@ -38,8 +38,6 @@ Options parse_cli(int argc, char** argv, std::uint64_t default_seed) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
       o.threads = static_cast<std::size_t>(parse_u64(arg, need_value(i, arg)));
-    } else if (arg == "--workers") {
-      o.workers = static_cast<std::size_t>(parse_u64(arg, need_value(i, arg)));
     } else if (arg == "--smoke") {
       o.smoke = true;
     } else if (arg == "--seed") {
@@ -59,7 +57,7 @@ Options parse_cli(int argc, char** argv, std::uint64_t default_seed) {
       o.write_json = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--threads N] [--workers N] [--smoke] [--seed S]\n"
+          "usage: %s [--threads N] [--smoke] [--seed S]\n"
           "          [--json-out PATH] [--csv-out PATH] [--no-json]\n"
           "          [--prom-out PATH] [--trace-out PATH]\n"
           "          [--trace-requests K]\n",
@@ -88,9 +86,8 @@ Experiment::Experiment(std::string name, std::string paper_ref, int argc,
   std::printf("================================================================\n");
   // Thread count is execution detail, not data: stderr only, so stdout
   // stays byte-identical across --threads values.
-  std::fprintf(stderr, "[%s] threads=%zu workers=%zu seed=%llu\n",
-               name_.c_str(), threads(), opts_.workers,
-               static_cast<unsigned long long>(opts_.seed));
+  std::fprintf(stderr, "[%s] threads=%zu seed=%llu\n", name_.c_str(),
+               threads(), static_cast<unsigned long long>(opts_.seed));
 }
 
 std::size_t Experiment::threads() const {
@@ -137,7 +134,6 @@ Report& Experiment::run(std::string section, const Grid& grid,
 
   RunnerOptions ro;
   ro.threads = threads();
-  ro.workers = opts_.workers;
   ro.seed = opts_.seed;
   ro.smoke = opts_.smoke;
   ro.trace_requests = opts_.trace_requests;

@@ -11,10 +11,6 @@
 //
 // Shared flags (every bench accepts them):
 //   --threads N    worker threads for the run matrix (default: min(8, cores))
-//   --workers N    crypto verification workers per cluster (default 0 =
-//                  inline pipeline). Speculative signature checks run on
-//                  N pool threads; results join in scheduler event
-//                  order, so all outputs stay byte-identical to N=0.
 //   --smoke        trimmed-down grids/durations for CI smoke runs
 //   --seed S       base seed; each run derives its own via sim::derive_seed
 //   --json-out P   metrics file path (default: BENCH_<name>.json in cwd)
@@ -46,7 +42,6 @@ namespace eesmr::exp {
 
 struct Options {
   std::size_t threads = 0;  ///< 0 = default_threads()
-  std::size_t workers = 0;  ///< crypto pipeline workers per cluster
   bool smoke = false;
   std::uint64_t seed = 1;
   std::string json_out;     ///< empty = BENCH_<name>.json

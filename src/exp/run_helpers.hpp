@@ -23,7 +23,6 @@ namespace eesmr::exp {
 inline void prepare(const RunContext& ctx, harness::ClusterConfig& cfg) {
   cfg.tracer = ctx.tracer;
   cfg.trace_requests = ctx.trace_requests;
-  cfg.crypto_workers = ctx.workers;
 }
 
 /// Snapshot a finished run into this run's registry slot (no-op without

@@ -30,7 +30,6 @@ std::vector<MetricRow> run_matrix(const Grid& grid, const RunFn& fn,
     ctx.seed = sim::derive_seed(opts.seed, i);
     ctx.smoke = opts.smoke;
     ctx.trace_requests = opts.trace_requests;
-    ctx.workers = opts.workers;
     ctx.grid = &grid;
     ctx.axis = grid.indices(i);
     if (opts.artifacts != nullptr) {

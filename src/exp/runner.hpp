@@ -46,10 +46,6 @@ struct RunContext {
   /// --trace-requests: client requests to sample per run for flow-event
   /// causal tracing (exp::prepare wires it into the ClusterConfig).
   std::size_t trace_requests = 0;
-  /// --workers: crypto pipeline workers per cluster (exp::prepare wires
-  /// it into ClusterConfig::crypto_workers). Outputs are byte-identical
-  /// at any value; only host wall-clock changes.
-  std::size_t workers = 0;
 
   /// Value index of the named axis for this run.
   [[nodiscard]] std::size_t at(std::string_view axis_name) const {
@@ -68,7 +64,6 @@ struct RunnerOptions {
   std::uint64_t seed = 1;     ///< base seed; each run derives its own
   bool smoke = false;
   std::size_t trace_requests = 0;  ///< per-run sampled requests (flows)
-  std::size_t workers = 0;    ///< crypto pipeline workers per cluster
   /// When non-null, resized to grid.size(); RunContext::registry /
   /// ::tracer point into slot i for run i (gated by the two flags). The
   /// runner also auto-registers every scalar metric column of each

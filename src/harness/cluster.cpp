@@ -241,13 +241,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     agg_ = crypto::AggKeyring::simulated(total, cfg_.seed);
   }
 
-  // Speculative crypto pipeline: workers verify transmitted signatures
-  // off the sim thread; replicas/clients join results at their normal
-  // (deterministic) decision points. Always present — at crypto_workers
-  // == 0 it still memoizes each frame's verify across its n receivers.
-  pipeline_ = std::make_unique<crypto::VerifyPipeline>(cfg_.crypto_workers);
-  install_speculation_hook();
-
   correct_.assign(world, true);
   counted_.assign(world, true);
   // Clients are mains-powered workload generators: correct but never
@@ -319,7 +312,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   prof_.set_request_samples(cfg_.trace_requests);
   prof_.set_host_timing(cfg_.host_timing);
   base.profiler = &prof_;
-  base.pipeline = pipeline_.get();
+  base.memo = &memo_;
   // Subset submission needs the replica request stream in unicast mode:
   // only the contacted replicas hear a request, so the first to pool it
   // forwards to the leader (otherwise a subset missing the leader would
@@ -479,7 +472,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       cc.submit = cfg_.client_submit;
       cc.leader_hints = cfg_.client_leader_hints;
       cc.profiler = &prof_;
-      cc.pipeline = pipeline_.get();
       cc.tracer = cfg_.tracer;
       if (cc.submit.kind ==
               net::DisseminationPolicy::Kind::kTargetedSubset &&
@@ -513,74 +505,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     net_->set_node_online(ls.node, false);
     replicas_.at(ls.node)->set_online(false);
   }
-}
-
-void Cluster::install_speculation_hook() {
-  net_->set_transmit_hook([this](BytesView frame) {
-    // Runs on the sim thread, in scheduler event order, once per
-    // transmit call (re-forwards included; the pipeline dedups by key).
-    // Parse the flood frame header (origin u32, seq u64, dest u32,
-    // flags u8, stream u8) and try the payload as an smr::Msg. Frames
-    // that are not Msgs (or are malformed) are simply not speculated.
-    smr::Msg m;
-    try {
-      Reader r(frame);
-      r.u32();  // origin
-      r.u64();  // seq
-      r.u32();  // dest
-      r.u8();   // flags
-      r.u8();   // stream
-      m = smr::Msg::decode(r.raw_view(r.remaining()));
-    } catch (const SerdeError&) {
-      return;
-    }
-    // Only outer-signature-verified types are worth speculating:
-    // kRequest carries the client's inner ClientRequest signature (a
-    // different preimage) and the outer kCheckpoint Msg is unsigned
-    // (receivers verify the inner CheckpointMsg attestation instead).
-    if (m.type == smr::MsgType::kRequest ||
-        m.type == smr::MsgType::kCheckpoint || m.sig.empty()) {
-      return;
-    }
-    // Under the aggregate scheme, certificate-bound types and kReply
-    // carry 48-byte shares, not directory signatures — and a reply
-    // share covers the acceptance preimage (client, req_id, result),
-    // not the Msg preimage. Speculating the wrong check would poison
-    // every receiver's pipeline join with a cached `false`.
-    const bool aggregate =
-        cfg_.cert_scheme == smr::CertScheme::kAggregate &&
-        (smr::certificate_bound(m.type) ||
-         m.type == smr::MsgType::kReply);
-    Bytes preimage;
-    if (aggregate && m.type == smr::MsgType::kReply) {
-      const auto rep = smr::ClientReply::decode(m.data);
-      if (!rep.has_value()) return;
-      preimage = smr::acceptance_preimage(rep->client, rep->req_id,
-                                          rep->result);
-    } else {
-      preimage = m.preimage();
-    }
-    std::string key = crypto::verify_key(m.author, preimage, m.sig);
-    // The closure owns its inputs (it may run on a worker thread after
-    // this frame is gone) and is pure: Keyring::verify and
-    // AggKeyring::verify_share are const and charge nothing.
-    // Energy/profiler accounting stays at the join.
-    if (aggregate) {
-      pipeline_->speculate(
-          std::move(key),
-          [agg = agg_, author = m.author, preimage = std::move(preimage),
-           sig = std::move(m.sig)] {
-            return agg->verify_share(author, preimage, sig);
-          });
-    } else {
-      pipeline_->speculate(
-          std::move(key),
-          [kr = keyring_, author = m.author, preimage = std::move(preimage),
-           sig = std::move(m.sig)] {
-            return kr->verify(author, preimage, sig);
-          });
-    }
-  });
 }
 
 protocol::EesmrReplica& Cluster::eesmr(NodeId id) {
@@ -854,19 +778,12 @@ RunResult Cluster::snapshot() const {
   // scheduler is the one component that does not hold a profiler ref).
   out.prof = prof_.snapshot();
   out.prof.sched_events = sched_.fired_by_kind();
-  // Pipeline / zero-copy counters: gathered here like sched_events (the
-  // pipeline and the network do not hold profiler refs). All fields are
-  // functions of sim events only — identical at any --workers N.
+  // Verification-cache / zero-copy counters: gathered here like
+  // sched_events (the memo and the network do not hold profiler refs).
   {
     prof::Snapshot::Pipeline pl;
-    const crypto::PipelineStats& ps = pipeline_->stats();
-    pl.speculated = ps.speculated;
-    pl.join_hits = ps.join_hits;
-    pl.join_misses = ps.join_misses;
-    pl.wasted = ps.wasted;
-    pl.batches = ps.batches;
-    pl.batch_items = ps.batch_items;
-    pl.batch_fallbacks = ps.batch_fallbacks;
+    pl.join_hits = memo_.hits();
+    pl.wasted = memo_.wasted();
     pl.bytes_copy_saved = net_->bytes_copy_saved();
     for (const auto& r : replicas_) pl.sig_cache_hits += r->sig_cache_hits();
     out.prof.pipeline = pl;

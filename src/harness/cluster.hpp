@@ -12,7 +12,7 @@
 #include "src/baselines/sync_hotstuff.hpp"
 #include "src/baselines/trusted_baseline.hpp"
 #include "src/client/client.hpp"
-#include "src/crypto/workers.hpp"
+#include "src/crypto/verify_memo.hpp"
 #include "src/eesmr/eesmr.hpp"
 #include "src/harness/checkers.hpp"
 #include "src/harness/metrics.hpp"
@@ -171,11 +171,7 @@ struct ClusterConfig {
   /// benches must force serial execution, like micro_crypto).
   bool host_timing = false;
 
-  // -- parallel crypto pipeline (src/crypto/workers.hpp) ------------------------
-  /// Verification worker threads for the speculative crypto pipeline.
-  /// 0 = inline lazy pipeline (no threads; speculation still memoizes
-  /// cross-node verifies). Any value yields byte-identical outputs: the
-  /// pool moves physical execution off the sim thread, never decisions.
+  /// Unused; still assigned by perfbench/perfbench.cpp.
   std::size_t crypto_workers = 0;
 };
 
@@ -240,18 +236,13 @@ class Cluster {
   /// chain has not committed — the LivenessChecker's workload input.
   [[nodiscard]] bool load_pending() const;
 
-  /// Install the transmit-time speculation hook on net_ (parses flood
-  /// frames, registers eligible outer-signature verifies with pipeline_).
-  void install_speculation_hook();
-
   ClusterConfig cfg_;
   sim::Scheduler sched_;
   sim::Duration delta_ = 0;
   std::vector<energy::Meter> meters_;
   std::unique_ptr<net::Network> net_;
-  /// Speculative verification pipeline shared by all replicas and
-  /// clients (always present; workers come from cfg_.crypto_workers).
-  std::unique_ptr<crypto::VerifyPipeline> pipeline_;
+  /// Signature-verdict memo shared by all replicas.
+  crypto::VerifyMemo memo_;
   std::shared_ptr<crypto::Keyring> keyring_;
   std::shared_ptr<crypto::AggKeyring> agg_;
   std::vector<std::unique_ptr<smr::ReplicaBase>> replicas_;

@@ -137,7 +137,6 @@ void Network::transmit_edge(const HyperEdge& edge, const SharedBytes& frame,
 
 void Network::transmit(NodeId from, const SharedBytes& frame,
                        energy::Stream stream) {
-  if (transmit_hook_) transmit_hook_(view_of(frame));
   for (std::size_t idx : graph_.out_edges(from)) {
     const HyperEdge& edge = graph_.edges()[idx];
     // Skip edges whose receivers are all non-relay leaves: broadcasts
@@ -159,7 +158,6 @@ void Network::transmit(NodeId from, const SharedBytes& frame,
 void Network::transmit_on(NodeId from,
                           const std::vector<std::size_t>& edge_sel,
                           const SharedBytes& frame, energy::Stream stream) {
-  if (transmit_hook_) transmit_hook_(view_of(frame));
   const auto& out = graph_.out_edges(from);
   for (std::size_t pos : edge_sel) {
     transmit_edge(graph_.edges()[out.at(pos)], frame, stream);
@@ -169,7 +167,6 @@ void Network::transmit_on(NodeId from,
 void Network::transmit_towards(NodeId from, NodeId dest,
                                const SharedBytes& frame,
                                energy::Stream stream) {
-  if (transmit_hook_) transmit_hook_(view_of(frame));
   const std::size_t mine = hops(from, dest);
   for (std::size_t idx : graph_.out_edges(from)) {
     const HyperEdge& edge = graph_.edges()[idx];

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -161,15 +160,6 @@ class Network {
     transmit_towards(from, dest, share_bytes(frame), stream);
   }
 
-  /// Observe every frame as it enters the fabric, on the sim thread, in
-  /// event order, before any delivery of it is scheduled. Installed by
-  /// the harness to speculate signature verifications while the frame is
-  /// in simulated flight (crypto::VerifyPipeline). Re-forwarded frames
-  /// fire the hook again; observers are expected to dedup.
-  void set_transmit_hook(std::function<void(BytesView)> hook) {
-    transmit_hook_ = std::move(hook);
-  }
-
   [[nodiscard]] const Hypergraph& graph() const { return graph_; }
   [[nodiscard]] const TransportConfig& config() const { return config_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
@@ -210,8 +200,6 @@ class Network {
   std::vector<bool> relay_;
   std::vector<bool> online_;
   std::vector<std::vector<std::size_t>> hop_matrix_;
-
-  std::function<void(BytesView)> transmit_hook_;
 
   std::uint64_t transmissions_ = 0;
   std::uint64_t deliveries_ = 0;

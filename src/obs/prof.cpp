@@ -40,28 +40,14 @@ void Snapshot::to_registry(obs::Registry& reg, const obs::Labels& base) const {
   reg.set_counter("eesmr_prof_early_drops_total",
                   "Known-bad flood frames rejected before a metered verify",
                   base, static_cast<double>(early_drops));
-  // Pipeline families only when a cluster run recorded them, so
-  // hand-built snapshots keep their exposition unchanged. Deterministic
-  // at any --workers N by construction.
+  // Cache families only when a cluster run recorded them, so hand-built
+  // snapshots keep their exposition unchanged.
   if (pipeline.any()) {
-    const std::pair<const char*, std::uint64_t> spec[] = {
-        {"speculated", pipeline.speculated},
-        {"join_hit", pipeline.join_hits},
-        {"join_miss", pipeline.join_misses},
-        {"wasted", pipeline.wasted}};
-    for (const auto& [event, v] : spec) {
-      reg.set_counter("eesmr_prof_spec_verify_total",
-                      "Speculative verification pipeline events "
-                      "(identical at any --workers N)",
-                      with({{"event", event}}), static_cast<double>(v));
-    }
-    const std::pair<const char*, std::uint64_t> batch[] = {
-        {"batches", pipeline.batches},
-        {"items", pipeline.batch_items},
-        {"fallbacks", pipeline.batch_fallbacks}};
-    for (const auto& [event, v] : batch) {
-      reg.set_counter("eesmr_prof_batch_verify_total",
-                      "Certificate-tally batch verification events",
+    const std::pair<const char*, std::uint64_t> memo[] = {
+        {"hit", pipeline.join_hits}, {"wasted", pipeline.wasted}};
+    for (const auto& [event, v] : memo) {
+      reg.set_counter("eesmr_prof_verify_memo_total",
+                      "Signature-verdict memo events",
                       with({{"event", event}}), static_cast<double>(v));
     }
     reg.set_counter("eesmr_prof_sig_cache_hits_total",

@@ -59,25 +59,16 @@ struct Snapshot {
   /// Garbage-signature frames rejected before a metered verify.
   std::uint64_t early_drops = 0;
 
-  /// Parallel-crypto-pipeline and zero-copy counters. Every field is a
-  /// function of sim-thread events only, so the values are identical at
-  /// any `--workers N` (the pool moves physical execution, never
-  /// decisions). Absorbed at snapshot time from crypto::VerifyPipeline,
-  /// the replicas' verified-signature caches and net::Network.
+  /// Verification-cache and zero-copy counters, absorbed at snapshot
+  /// time from the cluster's crypto::VerifyMemo, the replicas'
+  /// verified-signature caches and net::Network.
   struct Pipeline {
-    std::uint64_t speculated = 0;       ///< verifications registered at transmit
-    std::uint64_t join_hits = 0;        ///< decision points served by the cache
-    std::uint64_t join_misses = 0;      ///< decision points that ran + published
-    std::uint64_t wasted = 0;           ///< speculations evicted without a join
-    std::uint64_t batches = 0;          ///< certificate-tally batch verifies
-    std::uint64_t batch_items = 0;      ///< signatures across all batches
-    std::uint64_t batch_fallbacks = 0;  ///< batches with a forged signature
+    std::uint64_t join_hits = 0;        ///< checks answered by the verdict memo
+    std::uint64_t wasted = 0;           ///< memo entries evicted without a hit
     std::uint64_t sig_cache_hits = 0;   ///< metered tally re-verifies skipped
     std::uint64_t bytes_copy_saved = 0; ///< frame/payload bytes not copied
     [[nodiscard]] bool any() const {
-      return speculated != 0 || join_hits != 0 || join_misses != 0 ||
-             wasted != 0 || batches != 0 || batch_items != 0 ||
-             batch_fallbacks != 0 || sig_cache_hits != 0 ||
+      return join_hits != 0 || wasted != 0 || sig_cache_hits != 0 ||
              bytes_copy_saved != 0;
     }
   };
@@ -119,8 +110,8 @@ class Profiler {
     snap_.sched_events = std::move(ev);
   }
 
-  /// Replace the pipeline/zero-copy counters (absorbed once, at snapshot
-  /// time, from the cluster's VerifyPipeline, replicas and Network).
+  /// Replace the verification-cache/zero-copy counters (absorbed once, at
+  /// snapshot time, from the cluster's VerifyMemo, replicas and Network).
   void set_pipeline_counters(Snapshot::Pipeline p) { snap_.pipeline = p; }
 
   // -- host wall-clock scopes (opt-in) ----------------------------------------

@@ -251,28 +251,12 @@ bool ReplicaBase::verify_msg(const Msg& m) {
     // Share check: priced as a one-signer aggregate verification.
     charge(energy::Category::kVerify, energy::agg_verify_energy_mj(1));
     prof_crypto("verify", site_of(m.type));
-    if (cfg_.pipeline != nullptr) {
-      ok = cfg_.pipeline->join(
-          crypto::verify_key(m.author, preimage, m.sig),
-          [&] { return cfg_.agg->verify_share(m.author, preimage, m.sig); });
-    } else {
-      ok = cfg_.agg->verify_share(m.author, preimage, m.sig);
-    }
+    ok = memo_verify(m.author, preimage, m.sig, /*share=*/true);
   } else {
     charge(energy::Category::kVerify,
            energy::verify_energy_mj(cfg_.keyring->scheme()));
     prof_crypto("verify", site_of(m.type));
-    if (cfg_.pipeline != nullptr) {
-      // Resolve through the pipeline: a frame speculated at transmit time
-      // (or verified by this node via an earlier join) is a cache hit and
-      // costs no host-side crypto here. The metered charge above is the
-      // simulation's energy model and is unchanged either way.
-      ok = cfg_.pipeline->join(
-          crypto::verify_key(m.author, preimage, m.sig),
-          [&] { return cfg_.keyring->verify(m.author, preimage, m.sig); });
-    } else {
-      ok = cfg_.keyring->verify(m.author, preimage, m.sig);
-    }
+    ok = memo_verify(m.author, preimage, m.sig);
   }
   if (ok && cfg_.verified_cache && certificate_bound(m.type)) {
     sig_verified_.emplace(sig_digest(m.author, preimage, m.sig),
@@ -281,53 +265,23 @@ bool ReplicaBase::verify_msg(const Msg& m) {
   return ok;
 }
 
+bool ReplicaBase::memo_verify(NodeId author, BytesView preimage,
+                              BytesView sig, bool share) {
+  const auto verify = [&] {
+    return share ? cfg_.agg->verify_share(author, preimage, sig)
+                 : cfg_.keyring->verify(author, preimage, sig);
+  };
+  return cfg_.memo != nullptr ? cfg_.memo->check(author, preimage, sig, verify)
+                              : verify();
+}
+
 bool ReplicaBase::check_sigs(
     const Bytes& preimage, const std::vector<std::pair<NodeId, Bytes>>& sigs,
     const std::vector<std::size_t>& idx) {
-  if (cfg_.pipeline == nullptr) {
-    for (std::size_t i : idx) {
-      if (!cfg_.keyring->verify(sigs[i].first, preimage, sigs[i].second)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  // Split into checks the speculation cache already answers (the
-  // original vote frames carried the same (author, preimage, sig)
-  // triples) and a residue worth batching across the pool.
-  std::vector<std::size_t> unknown;
-  bool all_ok = true;
   for (std::size_t i : idx) {
-    bool r = false;
-    if (cfg_.pipeline->try_join(
-            crypto::verify_key(sigs[i].first, preimage, sigs[i].second),
-            &r)) {
-      all_ok = all_ok && r;
-    } else {
-      unknown.push_back(i);
-    }
+    if (!memo_verify(sigs[i].first, preimage, sigs[i].second)) return false;
   }
-  if (!unknown.empty()) {
-    std::vector<crypto::VerifyFn> fns;
-    fns.reserve(unknown.size());
-    for (std::size_t i : unknown) {
-      fns.push_back([this, &preimage, &sigs, i] {
-        return cfg_.keyring->verify(sigs[i].first, preimage, sigs[i].second);
-      });
-    }
-    // Batch with fallback-to-individual: the per-item verdicts pinpoint
-    // any forged signature, so a failed batch degrades to exactly the
-    // serial path's per-signature decision, not a retry.
-    const std::vector<char> verdicts = cfg_.pipeline->verify_batch(fns);
-    for (std::size_t j = 0; j < unknown.size(); ++j) {
-      const std::size_t i = unknown[j];
-      cfg_.pipeline->publish(
-          crypto::verify_key(sigs[i].first, preimage, sigs[i].second),
-          verdicts[j] != 0);
-      all_ok = all_ok && verdicts[j] != 0;
-    }
-  }
-  return all_ok;
+  return true;
 }
 
 crypto::Sha256Digest ReplicaBase::agg_cert_digest(
@@ -431,7 +385,7 @@ bool ReplicaBase::verify_qc(const QuorumCert& qc, std::size_t quorum_size) {
     uncached.push_back(i);
   }
   // Validity (mirrors QuorumCert::verify): count, distinct authors, then
-  // the not-yet-verified signatures, batched at this natural fan-in.
+  // the not-yet-verified signatures.
   if (qc.sigs.size() < quorum_size) return false;
   std::set<NodeId> authors;
   for (const auto& [author, sig] : qc.sigs) {
@@ -603,13 +557,7 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
             charge(energy::Category::kVerify,
                    energy::verify_energy_mj(cfg_.keyring->scheme()));
             prof_crypto("verify", "request");
-            if (cfg_.pipeline != nullptr) {
-              valid = cfg_.pipeline->join(
-                  crypto::verify_key(req->client, req->preimage(), req->sig),
-                  [&] { return req->verify(*cfg_.keyring); });
-            } else {
-              valid = req->verify(*cfg_.keyring);
-            }
+            valid = memo_verify(req->client, req->preimage(), req->sig);
           }
         }
         if (!valid) {
@@ -815,27 +763,12 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
     // Share-signed attestation (folds into the checkpoint certificate).
     charge(energy::Category::kVerify, energy::agg_verify_energy_mj(1));
     prof_crypto("verify", "checkpoint");
-    if (cfg_.pipeline != nullptr) {
-      ok = cfg_.pipeline->join(crypto::verify_key(msg.author, preimage,
-                                                  cp.sig),
-                               [&] {
-                                 return cfg_.agg->verify_share(
-                                     msg.author, preimage, cp.sig);
-                               });
-    } else {
-      ok = cfg_.agg->verify_share(msg.author, preimage, cp.sig);
-    }
+    ok = memo_verify(msg.author, preimage, cp.sig, /*share=*/true);
   } else {
     charge(energy::Category::kVerify,
            energy::verify_energy_mj(cfg_.keyring->scheme()));
     prof_crypto("verify", "checkpoint");
-    if (cfg_.pipeline != nullptr) {
-      ok = cfg_.pipeline->join(
-          crypto::verify_key(msg.author, preimage, cp.sig),
-          [&] { return cfg_.keyring->verify(msg.author, preimage, cp.sig); });
-    } else {
-      ok = cfg_.keyring->verify(msg.author, preimage, cp.sig);
-    }
+    ok = memo_verify(msg.author, preimage, cp.sig);
   }
   if (!ok) return;
   // Remember the attestation: a checkpoint certificate tallied later
@@ -1205,17 +1138,9 @@ void ReplicaBase::handle_request(const Msg& m) {
   charge(energy::Category::kVerify,
          energy::verify_energy_mj(cfg_.keyring->scheme()));
   prof_crypto("verify", "request");
-  bool sig_ok;
-  if (cfg_.pipeline != nullptr) {
-    // Every replica pools the same flooded request: one physical check
-    // of the embedded client signature serves the whole cluster.
-    sig_ok = cfg_.pipeline->join(
-        crypto::verify_key(req->client, req->preimage(), req->sig),
-        [&] { return req->verify(*cfg_.keyring); });
-  } else {
-    sig_ok = req->verify(*cfg_.keyring);
-  }
-  if (!sig_ok) {
+  // Every replica pools the same flooded request: the memo lets one
+  // physical check of the embedded client signature serve the cluster.
+  if (!memo_verify(req->client, req->preimage(), req->sig)) {
     ++bad_sigs_[req->client];
     return;
   }

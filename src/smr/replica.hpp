@@ -14,7 +14,7 @@
 #include "src/checkpoint/checkpoint.hpp"
 #include "src/common/serde.hpp"
 #include "src/crypto/sha256.hpp"
-#include "src/crypto/workers.hpp"
+#include "src/crypto/verify_memo.hpp"
 #include "src/energy/cost_model.hpp"
 #include "src/energy/meter.hpp"
 #include "src/net/channel.hpp"
@@ -81,12 +81,10 @@ struct ReplicaConfig {
   /// checkpoint certificate tally on this node.
   bool verified_cache = true;
 
-  /// Shared speculative verification pipeline (crypto::VerifyPipeline,
-  /// one per cluster). Not owned; nullptr keeps every verification
-  /// inline. Changes where signature checks physically execute, never
-  /// their results or the energy accounting — outputs are byte-identical
-  /// with or without it, at any worker count.
-  crypto::VerifyPipeline* pipeline = nullptr;
+  /// Cluster-wide verdict memo (one per cluster). Not owned; nullptr
+  /// verifies every signature physically. Saves host time only: verdicts
+  /// and energy accounting are the same with or without it.
+  crypto::VerifyMemo* memo = nullptr;
 
   // -- checkpointing & admission control (src/checkpoint/) -------------------
   /// Committed commands per stable checkpoint (0 = checkpointing off).
@@ -448,11 +446,14 @@ class ReplicaBase : public net::FloodClient {
                                      std::uint64_t gen, BytesView agg_sig,
                                      std::size_t quorum_size,
                                      const char* site);
-  /// Check the signatures of `sigs` selected by `idx` over `preimage`,
-  /// resolving through the pipeline's speculation cache first and
-  /// batch-verifying the residue across the worker pool. Serial
-  /// fallback without a pipeline. Pure of energy accounting — callers
-  /// charge before deciding what still needs checking.
+  /// Verify `sig` by `author` over `preimage` through cfg_.memo: a
+  /// directory signature, or an aggregate-scheme share when `share`.
+  /// Pure of energy accounting — callers charge the modeled verify.
+  [[nodiscard]] bool memo_verify(NodeId author, BytesView preimage,
+                                 BytesView sig, bool share = false);
+  /// Check the signatures of `sigs` selected by `idx` over `preimage`.
+  /// Pure of energy accounting — callers charge before deciding what
+  /// still needs checking.
   [[nodiscard]] bool check_sigs(
       const Bytes& preimage,
       const std::vector<std::pair<NodeId, Bytes>>& sigs,

@@ -2,7 +2,7 @@
 // BLS aggregate layer (src/crypto/agg.hpp), its certificate wire forms,
 // and the scheme's end-to-end equivalence guarantees — an aggregate-
 // scheme cluster commits byte-identical chains to an individual-scheme
-// one, at any worker count, while its vote-class wire bytes shrink.
+// one, while its vote-class wire bytes shrink.
 #include <gtest/gtest.h>
 
 #include "src/checkpoint/checkpoint.hpp"
@@ -293,15 +293,14 @@ TEST(AcceptanceCert, FoldVerifyAndTamperRejection) {
 // ---------------------------------------------------------------------------
 
 harness::RunResult run_scheme(harness::Protocol protocol,
-                              smr::CertScheme scheme, std::size_t workers,
-                              std::size_t n = 4, std::size_t f = 1,
+                              smr::CertScheme scheme, std::size_t n = 4,
+                              std::size_t f = 1,
                               std::uint64_t checkpoint_interval = 4) {
   harness::ClusterConfig cfg;
   cfg.protocol = protocol;
   cfg.n = n;
   cfg.f = f;
   cfg.cert_scheme = scheme;
-  cfg.crypto_workers = workers;
   cfg.clients = 1;
   cfg.workload.max_requests = 12;
   cfg.checkpoint_interval = checkpoint_interval;
@@ -320,9 +319,9 @@ TEST(AggregateScheme, CommitChainsByteIdenticalToIndividual) {
        {harness::Protocol::kEesmr, harness::Protocol::kSyncHotStuff,
         harness::Protocol::kPbft, harness::Protocol::kMinBft}) {
     const harness::RunResult ind =
-        run_scheme(p, smr::CertScheme::kIndividual, 0, 4, 1, 0);
+        run_scheme(p, smr::CertScheme::kIndividual, 4, 1, 0);
     const harness::RunResult agg =
-        run_scheme(p, smr::CertScheme::kAggregate, 0, 4, 1, 0);
+        run_scheme(p, smr::CertScheme::kAggregate, 4, 1, 0);
     ASSERT_GE(agg.min_committed(), 8u) << harness::protocol_name(p);
     ASSERT_EQ(ind.logs.size(), agg.logs.size()) << harness::protocol_name(p);
     for (std::size_t i = 0; i < ind.logs.size(); ++i) {
@@ -338,25 +337,6 @@ TEST(AggregateScheme, CommitChainsByteIdenticalToIndividual) {
   }
 }
 
-TEST(AggregateScheme, ByteIdenticalAtAnyWorkerCount) {
-  // The crypto pipeline moves physical verification off the sim thread,
-  // never decisions: worker count must not change a single byte on the
-  // wire or in the chain.
-  const harness::RunResult w0 =
-      run_scheme(harness::Protocol::kEesmr, smr::CertScheme::kAggregate, 0);
-  const harness::RunResult w3 =
-      run_scheme(harness::Protocol::kEesmr, smr::CertScheme::kAggregate, 3);
-  EXPECT_EQ(w0.bytes_transmitted, w3.bytes_transmitted);
-  EXPECT_EQ(w0.transmissions, w3.transmissions);
-  ASSERT_EQ(w0.logs.size(), w3.logs.size());
-  for (std::size_t i = 0; i < w0.logs.size(); ++i) {
-    ASSERT_EQ(w0.logs[i].size(), w3.logs[i].size());
-    for (std::size_t b = 0; b < w0.logs[i].size(); ++b) {
-      EXPECT_EQ(w0.logs[i][b].encode(), w3.logs[i][b].encode());
-    }
-  }
-}
-
 TEST(AggregateScheme, CollectorStabilizesCheckpointsWithO1Certs) {
   // Aggregate scheme: checkpoint shares route to the height's rotating
   // collector, which floods one {bitset, aggregate} certificate. Every
@@ -364,9 +344,9 @@ TEST(AggregateScheme, CollectorStabilizesCheckpointsWithO1Certs) {
   // checkpoint stream must carry far fewer bytes than the share flood
   // of the individual scheme.
   const harness::RunResult ind = run_scheme(
-      harness::Protocol::kSyncHotStuff, smr::CertScheme::kIndividual, 0);
+      harness::Protocol::kSyncHotStuff, smr::CertScheme::kIndividual);
   const harness::RunResult agg = run_scheme(
-      harness::Protocol::kSyncHotStuff, smr::CertScheme::kAggregate, 0);
+      harness::Protocol::kSyncHotStuff, smr::CertScheme::kAggregate);
   for (const harness::ReplicaFootprint& fp : agg.footprints) {
     EXPECT_GT(fp.checkpoints_taken, 0u);
     EXPECT_GT(fp.stable_height, 0u);  // certs reached everyone
@@ -381,9 +361,9 @@ TEST(AggregateScheme, ShrinksVoteStreamBytes) {
   // stream (share-signed votes) and every certificate shipped inside
   // proposals shrink accordingly.
   const harness::RunResult ind = run_scheme(
-      harness::Protocol::kSyncHotStuff, smr::CertScheme::kIndividual, 0, 7, 3);
+      harness::Protocol::kSyncHotStuff, smr::CertScheme::kIndividual, 7, 3);
   const harness::RunResult agg = run_scheme(
-      harness::Protocol::kSyncHotStuff, smr::CertScheme::kAggregate, 0, 7, 3);
+      harness::Protocol::kSyncHotStuff, smr::CertScheme::kAggregate, 7, 3);
   const auto ind_votes = ind.stream_totals(energy::Stream::kVote);
   const auto agg_votes = agg.stream_totals(energy::Stream::kVote);
   EXPECT_LT(agg_votes.bytes_sent, ind_votes.bytes_sent);

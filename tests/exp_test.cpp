@@ -1,5 +1,6 @@
 // Experiment-engine tests: deterministic-parallel execution (same seed
-// => byte-identical Report JSON at --threads 1/4/8), grid expansion
+// => byte-identical Report JSON at --threads 1/4/8, and byte-identical
+// Prometheus exposition and Chrome trace at --threads 1/4), grid expansion
 // order, per-run seed derivation, the ordered-JSON layer, and the
 // RunResult serialization round-trip.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/experiment.hpp"
@@ -15,6 +17,8 @@
 #include "src/exp/record.hpp"
 #include "src/exp/run_helpers.hpp"
 #include "src/harness/cluster.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sim/rng.hpp"
 
 namespace eesmr {
@@ -164,6 +168,64 @@ TEST(Runner, ByteIdenticalReportAcrossThreadCounts) {
   }
   // And the CSV view too.
   EXPECT_EQ(run_cluster_grid(4).to_csv(), run_cluster_grid(1).to_csv());
+}
+
+/// Run a 3-protocol client grid through the runner at `threads` and
+/// return the exact artifacts --prom-out / --trace-out would serialize.
+std::pair<std::string, std::string> run_artifact_grid(std::size_t threads) {
+  Grid grid;
+  grid.axis("protocol", {"EESMR", "SyncHS", "MinBFT"});
+  RunnerOptions ro;
+  ro.threads = threads;
+  ro.seed = 404;
+  ro.trace_requests = 2;
+  std::vector<exp::RunArtifacts> slots;
+  ro.artifacts = &slots;
+  ro.collect_registry = true;
+  ro.collect_trace = true;
+  (void)exp::run_matrix(grid, [&](const RunContext& c) {
+    ClusterConfig cfg;
+    const std::string proto = c.label("protocol");
+    // MinBFT runs at n = 2f+1 with attested-counter ordering, which must
+    // hold in exact delivery order on any runner thread.
+    cfg.protocol = proto == "EESMR"    ? harness::Protocol::kEesmr
+                   : proto == "SyncHS" ? harness::Protocol::kSyncHotStuff
+                                       : harness::Protocol::kMinBft;
+    cfg.n = proto == "MinBFT" ? 3 : 4;
+    cfg.f = 1;
+    cfg.seed = c.seed;
+    cfg.clients = 2;
+    cfg.checkpoint_interval = 8;
+    cfg.workload.mode = client::WorkloadSpec::Mode::kClosedLoop;
+    cfg.workload.outstanding = 2;
+    exp::prepare(c, cfg);
+    const RunResult r = exp::run_steady(c, cfg, 12);
+    MetricRow row;
+    row.set("commits", r.min_committed());
+    row.set("spec_join_hits", r.prof.pipeline.join_hits);
+    row.set("bytes_copy_saved", r.prof.pipeline.bytes_copy_saved);
+    return row;
+  }, ro);
+
+  std::string prom;
+  Json events = Json::array();
+  int pid = 1;
+  for (exp::RunArtifacts& s : slots) {
+    prom += s.registry.text();
+    pid = s.tracer.append_chrome(events, pid, "run ");
+  }
+  return {prom, obs::Tracer::chrome_document(std::move(events)).pretty()};
+}
+
+TEST(Runner, ArtifactsByteIdenticalAcrossThreadCounts) {
+  const auto [prom1, trace1] = run_artifact_grid(1);
+  // The verdict-memo and zero-copy families export on every cluster run.
+  EXPECT_NE(prom1.find("eesmr_prof_verify_memo_total"), std::string::npos);
+  EXPECT_NE(prom1.find("eesmr_prof_bytes_copy_saved_total"),
+            std::string::npos);
+  const auto [prom4, trace4] = run_artifact_grid(4);
+  EXPECT_EQ(prom4, prom1);
+  EXPECT_EQ(trace4, trace1);
 }
 
 TEST(Runner, ResultsCommitInGridOrderRegardlessOfFinishOrder) {

@@ -29,9 +29,7 @@ for src in "$repo_dir"/bench/*.cpp; do
     extra=(--prom-out "$out_dir/BENCH_$name.prom"
            --trace-out "$out_dir/BENCH_$name.trace")
   fi
-  # --workers 2 exercises the parallel crypto pipeline; its outputs are
-  # byte-identical to --workers 0, so the baselines stay serial-valid.
-  "$build_dir/bench_$name" --smoke --threads 2 --workers 2 \
+  "$build_dir/bench_$name" --smoke --threads 2 \
     --json-out "$out_dir/BENCH_$name.json" "${extra[@]}" >/dev/null
   echo "ok: $name"
 done
