@@ -9,16 +9,13 @@ namespace eesmr::baselines {
 
 using smr::Block;
 using smr::BlockHash;
+using smr::hkey;
 using smr::Msg;
 using smr::MsgType;
 using trusted::Attestation;
 using trusted::AttestationTracker;
 
 namespace {
-std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
-
 /// Counter gap beyond which a receiver stops holding back and re-baselines
 /// (deep lag after a crash; see AttestationTracker::set_max_gap).
 constexpr std::uint64_t kMaxCounterGap = 64;

@@ -9,15 +9,12 @@ namespace eesmr::baselines {
 
 using smr::Block;
 using smr::BlockHash;
+using smr::hkey;
 using smr::Msg;
 using smr::MsgType;
 using smr::QuorumCert;
 
 namespace {
-std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
-
 /// PBFT's vote quorum is 2f+1 (of n=3f+1); default it into the shared
 /// config slot unless the harness overrode it.
 smr::ReplicaConfig pbft_config(smr::ReplicaConfig cfg) {

@@ -9,15 +9,10 @@ namespace eesmr::baselines {
 
 using smr::Block;
 using smr::BlockHash;
+using smr::hkey;
 using smr::Msg;
 using smr::MsgType;
 using smr::QuorumCert;
-
-namespace {
-std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
-}  // namespace
 
 SyncHsReplica::SyncHsReplica(net::Network& net, smr::ReplicaConfig cfg,
                              SyncHsOptions opts, SyncHsByzantineConfig byz,

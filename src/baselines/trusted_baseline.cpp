@@ -6,6 +6,7 @@
 namespace eesmr::baselines {
 
 using smr::Block;
+using smr::BlockHash;
 using smr::Command;
 using smr::Msg;
 using smr::MsgType;
@@ -69,8 +70,7 @@ void TrustedController::order_round() {
                 pending_.begin() + static_cast<std::ptrdiff_t>(take));
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(take));
-  (void)hash_block(b);
-  tip_ = b.hash();
+  tip_ = hash_block(b);
   store_.add(b);
   ++blocks_ordered_;
 
@@ -119,10 +119,10 @@ void TrustedBaselineReplica::handle(NodeId from, const Msg& msg) {
   } catch (const SerdeError&) {
     return;
   }
-  (void)hash_block(b);
+  const BlockHash h = hash_block(b);
   if (!integrate_block(b, controller_)) return;
   // The control node is trusted: commit immediately.
-  commit_chain(b.hash());
+  commit_chain(h);
 }
 
 }  // namespace eesmr::baselines

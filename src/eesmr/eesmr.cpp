@@ -9,15 +9,12 @@ namespace eesmr::protocol {
 
 using smr::Block;
 using smr::BlockHash;
+using smr::hkey;
 using smr::Msg;
 using smr::MsgType;
 using smr::QuorumCert;
 
 namespace {
-std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
-
 /// Round gap beyond which try_accept re-anchors on a live proposal
 /// instead of buffering (deep-lag catch-up without checkpoints). Kept
 /// above any gap ordinary pipelining or within-Δ reordering can produce
@@ -105,7 +102,7 @@ void EesmrReplica::propose_block(std::uint64_t round) {
   // "Also executed by the leader").
   store_.add(b);
   record_proposal_hash(round, h, prop);
-  try_accept(prop, cfg_.id);
+  try_accept(prop, b, h, cfg_.id);
 }
 
 void EesmrReplica::handle_propose(NodeId from, const Msg& msg) {
@@ -140,10 +137,11 @@ void EesmrReplica::handle_propose(NodeId from, const Msg& msg) {
   (void)integrate_block(b, from);
   // Equivocation detection covers *any* round of the view (line 220).
   record_proposal_hash(msg.round, h, msg);
-  try_accept(msg, from);
+  try_accept(msg, b, h, from);
 }
 
-void EesmrReplica::try_accept(const Msg& msg, NodeId origin) {
+void EesmrReplica::try_accept(const Msg& msg, const Block& b,
+                              const BlockHash& h, NodeId origin) {
   if (phase_ == Phase::kBootstrap1 || phase_ == Phase::kBootstrap2) {
     // Steady proposals of the new view can overtake the bootstrap
     // epilogue; keep them for steady-state entry.
@@ -163,19 +161,12 @@ void EesmrReplica::try_accept(const Msg& msg, NodeId origin) {
       // buffer/chain-sync path: in-order delivery stays untouched.)
       if (msg.round > accepted_round_ + 1 + kFastForwardMinGap &&
           commit_timers_.size() < opts_.pipeline) {
-        Block ff;
-        try {
-          ff = Block::decode(msg.data);
-        } catch (const SerdeError&) {
-          return;
-        }
-        const BlockHash ffh = ff.hash();
-        if (!integrate_block(ff, origin)) {
+        if (!integrate_block(b, origin)) {
           retry_.push_back(msg);  // chain sync fetches the gap
           return;
         }
-        if (store_.extends(ffh, b_lck_)) {
-          accept_proposal(ff, ffh);
+        if (store_.extends(h, b_lck_)) {
+          accept_proposal(b, h);
           return;
         }
       }
@@ -189,8 +180,6 @@ void EesmrReplica::try_accept(const Msg& msg, NodeId origin) {
     buffer_future(msg);
     return;
   }
-  Block b = Block::decode(msg.data);
-  const BlockHash h = b.hash();
   if (!integrate_block(b, origin)) {
     retry_.push_back(msg);  // chain sync in flight; retried on connect
     return;

@@ -103,7 +103,9 @@ class EesmrReplica final : public smr::ReplicaBase {
   void enter_steady_round(std::uint64_t round);
   void propose_block(std::uint64_t round);
   void handle_propose(NodeId from, const smr::Msg& msg);
-  void try_accept(const smr::Msg& msg, NodeId origin);
+  /// `b` and `h` are msg's decoded block and its charged digest.
+  void try_accept(const smr::Msg& msg, const smr::Block& b,
+                  const smr::BlockHash& h, NodeId origin);
   void accept_proposal(const smr::Block& block, const smr::BlockHash& h);
 
   // -- blame / equivocation -----------------------------------------------------

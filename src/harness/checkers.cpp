@@ -14,8 +14,9 @@ std::uint64_t SafetyChecker::observe(NodeId node,
       log.begin(), log.end(),
       [&](const smr::Block& b) { return b.height <= frontier; });
   for (; it != log.end(); ++it) {
-    const auto [slot, fresh] = canon_.try_emplace(it->height, it->hash());
-    if (!fresh && slot->second != it->hash()) {
+    const smr::BlockHash h = it->hash();  // memoized: no SHA-256 here
+    const auto [slot, fresh] = canon_.try_emplace(it->height, h);
+    if (!fresh && slot->second != h) {
       ++violations_;
       ++fresh_violations;
     }

@@ -1,5 +1,7 @@
 #include "src/smr/block.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "src/common/serde.hpp"
@@ -37,7 +39,24 @@ Block Block::decode(BytesView data) {
   return b;
 }
 
-BlockHash Block::hash() const { return crypto::sha256(encode()); }
+std::size_t Block::encoded_size() const {
+  // Length-prefixed parent, height/view/round, proposer, command count,
+  // then each length-prefixed command.
+  std::size_t size = 4 + parent.size() + 3 * 8 + 4 + 4;
+  for (const Command& c : cmds) size += 4 + c.data.size();
+  return size;
+}
+
+BlockHash Block::hash() const {
+  if (!hashed_) {
+    digest_ = crypto::Sha256::hash(encode());
+    hashed_ = true;
+  } else {
+    assert(digest_ == crypto::Sha256::hash(encode()) &&
+           "block modified after it was hashed");
+  }
+  return BlockHash(digest_.begin(), digest_.end());
+}
 
 std::size_t Block::payload_bytes() const {
   std::size_t total = 0;
@@ -49,6 +68,7 @@ const Block& genesis_block() {
   static const Block g = [] {
     Block b;
     b.parent = Bytes(32, 0);
+    (void)b.hash();  // memoize before any thread can share the block
     return b;
   }();
   return g;

@@ -6,7 +6,9 @@
 // and height is the recursive parent-count (genesis = 0).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/bytes.hpp"
@@ -24,6 +26,11 @@ struct Command {
 /// SHA-256 block identifier.
 using BlockHash = Bytes;  // 32 bytes
 
+/// Map key for a block digest: its bytes as a std::string.
+inline std::string hkey(const BlockHash& h) {
+  return std::string(h.begin(), h.end());
+}
+
 struct Block {
   BlockHash parent;             ///< hash of the parent block (zeros: none)
   std::uint64_t height = 0;     ///< genesis = 0
@@ -34,17 +41,32 @@ struct Block {
 
   [[nodiscard]] Bytes encode() const;
   static Block decode(BytesView data);
+  /// encode().size(), without encoding.
+  [[nodiscard]] std::size_t encoded_size() const;
 
-  /// SHA-256 over the canonical encoding.
+  /// SHA-256 over the canonical encoding. Computed on the first call and
+  /// carried by copies, so a block must not be modified once hashed
+  /// (builds without NDEBUG assert that the carried digest is current).
   [[nodiscard]] BlockHash hash() const;
 
   /// Total payload bytes across commands.
   [[nodiscard]] std::size_t payload_bytes() const;
 
-  friend bool operator==(const Block&, const Block&) = default;
+  /// Compares the wire fields; the memoized digest is not part of a
+  /// block's value.
+  friend bool operator==(const Block& a, const Block& b) {
+    return a.parent == b.parent && a.height == b.height &&
+           a.view == b.view && a.round == b.round &&
+           a.proposer == b.proposer && a.cmds == b.cmds;
+  }
+
+ private:
+  mutable std::array<std::uint8_t, 32> digest_{};
+  mutable bool hashed_ = false;
 };
 
 /// The well-known genesis block G (height 0, no parent, no commands).
+/// Its digest is memoized at initialization, so threads may share it.
 const Block& genesis_block();
 const BlockHash& genesis_hash();
 

@@ -51,6 +51,7 @@ class BlockStore {
   [[nodiscard]] const Block* get(const BlockHash& h) const;
 
   /// True iff `descendant` equals `ancestor` or transitively extends it.
+  /// Ancestry queries walk parent links by map key and never hash.
   [[nodiscard]] bool extends(const BlockHash& descendant,
                              const BlockHash& ancestor) const;
 
@@ -66,15 +67,9 @@ class BlockStore {
   [[nodiscard]] std::size_t orphan_count() const { return orphans_.size(); }
 
  private:
-  struct Key {
-    std::string bytes;  // hash as map key
-  };
+  /// Keyed by hkey(block.hash()).
   std::unordered_map<std::string, Block> blocks_;
   std::unordered_map<std::string, Block> orphans_;
-
-  static std::string key(const BlockHash& h) {
-    return std::string(h.begin(), h.end());
-  }
 };
 
 }  // namespace eesmr::smr

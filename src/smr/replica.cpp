@@ -10,9 +10,6 @@
 namespace eesmr::smr {
 
 namespace {
-std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
 /// Cap on blocks per SyncResponse (a Byzantine peer can request often;
 /// the per-response size must stay bounded).
 constexpr std::size_t kMaxSyncBlocks = 64;
@@ -176,7 +173,8 @@ void ReplicaBase::prof_flow_block(const char* name, const Block& b,
                                   energy::Stream s, std::size_t frame_bytes) {
   prof::Profiler* p = cfg_.profiler;
   if (p == nullptr || !p->tracing_requests() || b.cmds.empty()) return;
-  auto cached = prof_block_cache_.find(hkey(b.hash()));
+  const auto key = std::make_pair(b.height, hkey(b.hash()));
+  auto cached = prof_block_cache_.find(key);
   if (cached == prof_block_cache_.end()) {
     std::vector<std::pair<NodeId, std::uint64_t>> sampled;
     for (const Command& cmd : b.cmds) {
@@ -185,8 +183,7 @@ void ReplicaBase::prof_flow_block(const char* name, const Block& b,
         sampled.push_back({req->client, req->req_id});
       }
     }
-    cached = prof_block_cache_.emplace(hkey(b.hash()), std::move(sampled))
-                 .first;
+    cached = prof_block_cache_.emplace(key, std::move(sampled)).first;
   }
   for (const auto& [client, req_id] : cached->second) {
     prof_flow(name, client, req_id);
@@ -431,10 +428,9 @@ bool ReplicaBase::verify_checkpoint_cert(
 }
 
 BlockHash ReplicaBase::hash_block(const Block& b) {
-  const Bytes enc = b.encode();
-  charge(energy::Category::kHash, energy::hash_energy_mj(enc.size()));
+  charge(energy::Category::kHash, energy::hash_energy_mj(b.encoded_size()));
   prof_crypto("hash", "block");
-  return crypto::sha256(enc);
+  return b.hash();
 }
 
 void ReplicaBase::broadcast(const Msg& m) {
@@ -899,6 +895,10 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
   // state for a truncated block" from "side state for a block that has
   // not arrived yet" by looking the block up while it is still here.
   on_low_water(*root);
+  // The flow-hook cache entries of the truncated blocks go with them.
+  prof_block_cache_.erase(
+      prof_block_cache_.begin(),
+      prof_block_cache_.lower_bound({root->height, std::string()}));
   store_.truncate_below(cert.id.block);
   sync_requested_.clear();  // pending ancestry below the mark is moot
 }
@@ -1056,6 +1056,7 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   committed_blocks_ = cert.id.height;  // one block per height since genesis
   committed_.clear();
   committed_.insert(hkey(cert.id.block));
+  prof_block_cache_.clear();
   log_.clear();
   results_.clear();
   executed_.clear();

@@ -161,6 +161,10 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] std::size_t executed_entries() const {
     return executed_.size();
   }
+  /// Blocks in the request-flow hook cache (bounded by checkpoint GC).
+  [[nodiscard]] std::size_t prof_block_cache_entries() const {
+    return prof_block_cache_.size();
+  }
   /// Completed snapshot catch-ups and the duration of the latest one.
   [[nodiscard]] std::uint64_t state_transfers() const {
     return state_transfers_;
@@ -586,9 +590,11 @@ class ReplicaBase : public net::FloodClient {
   std::map<NodeId, std::uint64_t> flood_seen_;
   std::uint64_t early_drops_ = 0;
 
-  /// Sampled requests per block (keyed by block hash), so vote/commit
-  /// flow hooks do not re-decode every command on every call.
-  std::map<std::string, std::vector<std::pair<NodeId, std::uint64_t>>>
+  /// Sampled requests per block, keyed by (height, hkey(digest)), so
+  /// vote/commit flow hooks do not re-decode every command on every call.
+  /// Entries below the low-water mark are dropped with their blocks.
+  std::map<std::pair<std::uint64_t, std::string>,
+           std::vector<std::pair<NodeId, std::uint64_t>>>
       prof_block_cache_;
 
   checkpoint::CheckpointManager ckpt_;

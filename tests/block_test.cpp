@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/serde.hpp"
+#include "src/crypto/sha256.hpp"
 #include "src/smr/chain.hpp"
 #include "src/smr/mempool.hpp"
 
@@ -50,6 +51,50 @@ TEST(Block, HashBindsEveryField) {
     EXPECT_NE(b.hash(), base.hash());
   }
 }
+
+TEST(Block, DecodedAndCopiedBlocksCarryTheFreshDigest) {
+  Block b = make_child(genesis_block(), 3, "cmd-a");
+  b.cmds.push_back(Command{Bytes(40, 7)});
+  const Bytes fresh = crypto::sha256(b.encode());
+  const Block decoded = Block::decode(b.encode());
+  EXPECT_EQ(decoded.hash(), fresh);
+  const Block copy = decoded;  // carries the memoized digest
+  EXPECT_EQ(copy.hash(), fresh);
+  Block assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.hash(), fresh);
+  EXPECT_EQ(b.hash(), fresh);
+}
+
+TEST(Block, EqualityIgnoresTheMemoizedDigest) {
+  const Block b = make_child(genesis_block(), 3, "x");
+  const Block unhashed = b;  // copied before b is hashed
+  (void)b.hash();
+  EXPECT_EQ(b, unhashed);
+  EXPECT_EQ(unhashed, b);
+  Block other = unhashed;
+  other.round = 4;
+  EXPECT_FALSE(other == b);
+}
+
+TEST(Block, EncodedSizeMatchesEncoding) {
+  Block b = make_child(genesis_block(), 3, "cmd");
+  b.cmds.push_back(Command{Bytes{}});
+  b.cmds.push_back(Command{Bytes(300, 1)});
+  EXPECT_EQ(b.encoded_size(), b.encode().size());
+  EXPECT_EQ(genesis_block().encoded_size(), genesis_block().encode().size());
+}
+
+#ifndef NDEBUG
+// Debug builds recompute the digest on every memo hit: a block modified
+// after hashing (its memo now stale) fails the assertion.
+TEST(BlockDeathTest, ModifiedAfterHashingAsserts) {
+  Block b = make_child(genesis_block(), 3, "x");
+  (void)b.hash();
+  b.round = 4;
+  EXPECT_DEATH((void)b.hash(), "modified after it was hashed");
+}
+#endif
 
 TEST(Block, PayloadBytes) {
   Block b = make_child(genesis_block(), 3, "12345");
@@ -137,6 +182,79 @@ TEST(BlockStore, ChainBetween) {
   EXPECT_EQ(chain[0], b2);
   EXPECT_EQ(chain[1], b3);
   EXPECT_TRUE(store.chain_between(b1.hash(), b1.hash()).empty());
+}
+
+// Ancestry by walking parents and hashing each block afresh: the
+// answers BlockStore's key-based walks must reproduce.
+bool reference_extends(const BlockStore& store, const BlockHash& desc,
+                       const BlockHash& anc) {
+  const Block* a = store.get(anc);
+  if (a == nullptr) return false;
+  for (const Block* cur = store.get(desc); cur != nullptr;
+       cur = store.get(cur->parent)) {
+    if (crypto::sha256(cur->encode()) == anc) return true;
+    if (cur->height <= a->height) return false;
+  }
+  return false;
+}
+
+TEST(BlockStore, KeyWalksMatchHashingReferenceOnForkedChain) {
+  BlockStore store;
+  std::vector<BlockHash> main{genesis_hash()};
+  std::vector<BlockHash> fork;  // branches off main at height 500
+  Block tip = genesis_block();
+  Block fork_tip;
+  for (std::uint64_t h = 1; h <= 1000; ++h) {
+    tip = make_child(tip, h, "m" + std::to_string(h));
+    ASSERT_TRUE(store.add(Block::decode(tip.encode())));
+    main.push_back(tip.hash());
+    if (h == 500) fork_tip = tip;
+  }
+  for (std::uint64_t h = 501; h <= 700; ++h) {
+    fork_tip = make_child(fork_tip, h, "f" + std::to_string(h));
+    ASSERT_TRUE(store.add(fork_tip));
+    fork.push_back(fork_tip.hash());
+  }
+  ASSERT_EQ(store.size(), 1201u);
+
+  std::vector<BlockHash> probes;
+  for (std::size_t i = 0; i < main.size(); i += 37) probes.push_back(main[i]);
+  for (std::size_t i = 0; i < fork.size(); i += 23) probes.push_back(fork[i]);
+  probes.push_back(main[499]);
+  probes.push_back(main[500]);
+  probes.push_back(main[501]);
+  probes.push_back(main.back());
+  probes.push_back(fork.front());
+  probes.push_back(fork.back());
+  probes.push_back(Bytes(32, 0xee));  // unknown
+
+  std::size_t extending = 0;
+  for (const BlockHash& a : probes) {
+    for (const BlockHash& b : probes) {
+      const bool ext = reference_extends(store, a, b);
+      ASSERT_EQ(store.extends(a, b), ext);
+      ASSERT_EQ(store.conflicts(a, b),
+                !ext && !reference_extends(store, b, a));
+      if (!ext) continue;
+      ++extending;
+      if (!store.contains(a)) continue;
+      const std::vector<Block> chain = store.chain_between(a, b);
+      const Block* lo = store.get(b);
+      ASSERT_EQ(chain.size(), store.get(a)->height - lo->height);
+      BlockHash parent = b;
+      for (const Block& c : chain) {
+        ASSERT_EQ(c.parent, parent);
+        parent = crypto::sha256(c.encode());
+      }
+      if (!chain.empty()) {
+        ASSERT_EQ(parent, a);
+      }
+    }
+  }
+  EXPECT_GT(extending, probes.size());  // beyond the reflexive pairs
+  EXPECT_TRUE(store.conflicts(main.back(), fork.back()));
+  EXPECT_TRUE(store.extends(fork.back(), main[500]));
+  EXPECT_FALSE(store.extends(fork.back(), main[501]));
 }
 
 TEST(BlockStore, ChainBetweenRejectsNonAncestor) {

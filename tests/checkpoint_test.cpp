@@ -261,6 +261,43 @@ TEST(CheckpointCluster, DedupSetsGarbageCollected) {
   EXPECT_LT(gc.max_dedup_entries(), nogc.max_dedup_entries() / 2);
 }
 
+TEST(CheckpointCluster, FlowHookCacheBoundedByBlockStore) {
+  // Request tracing caches the sampled requests of every block carrying
+  // commands. Checkpoint truncation must drop those entries with their
+  // blocks, and a state transfer must clear them, so the cache never
+  // outgrows the block store. Replica 3 joins late and recovers by
+  // state transfer.
+  ClusterConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  cfg.batch_size = 4;
+  cfg.clients = 2;
+  cfg.workload.mode = client::WorkloadSpec::Mode::kClosedLoop;
+  cfg.workload.outstanding = 4;
+  cfg.checkpoint_interval = 16;
+  cfg.client_retry = sim::milliseconds(500);
+  cfg.late_starts.push_back({3, sim::seconds(5)});
+  cfg.trace_requests = 8;
+  cfg.seed = 23;
+  Cluster cluster(cfg);
+  std::size_t max_entries = 0;
+  RunResult r;
+  for (int slice = 0; slice < 120; ++slice) {
+    r = cluster.run_for(sim::milliseconds(250));
+    for (NodeId i = 0; i < 4; ++i) {
+      const smr::ReplicaBase& rep = cluster.replica(i);
+      ASSERT_LE(rep.prof_block_cache_entries(), rep.store().size())
+          << "node " << i << " slice " << slice;
+      max_entries = std::max(max_entries, rep.prof_block_cache_entries());
+    }
+  }
+  ASSERT_TRUE(r.safety_ok());
+  EXPECT_GE(r.footprints[3].state_transfers, 1u);
+  EXPECT_GT(max_entries, 0u);
+  // Far more blocks were committed than any cache ever held.
+  EXPECT_GT(r.max_committed(), 2 * max_entries);
+}
+
 TEST(CheckpointCluster, LateJoinerCatchesUpViaStateTransfer) {
   // Replica 3 is off the air for the first 5 simulated seconds while the
   // others commit client requests past several checkpoints. Once online
