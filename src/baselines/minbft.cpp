@@ -9,7 +9,6 @@ namespace eesmr::baselines {
 
 using smr::Block;
 using smr::BlockHash;
-using smr::hkey;
 using smr::Msg;
 using smr::MsgType;
 using trusted::Attestation;
@@ -30,8 +29,7 @@ MinBftReplica::MinBftReplica(net::Network& net, smr::ReplicaConfig cfg,
                              MinBftByzantineConfig byz, energy::Meter* meter)
     : ReplicaBase(net, std::move(cfg), meter),
       byz_(byz),
-      counter_(cfg_.keyring, cfg_.id,
-               cfg_.meter_crypto ? meter : nullptr, cfg_.profiler),
+      counter_(cfg_.keyring, cfg_.id, meter, cfg_.profiler),
       progress_timer_(sched_),
       gap_timer_(sched_) {
   tracker_.set_max_gap(kMaxCounterGap);
@@ -207,9 +205,8 @@ void MinBftReplica::handle_propose(NodeId from, const Msg& msg) {
   }
   const BlockHash h = hash_block(b);
   if (att.digest != h) return;  // UI must bind exactly this block
-  if (!trusted::verify_attestation(
-          *cfg_.keyring, att, cfg_.meter_crypto ? meter_ : nullptr,
-          cfg_.profiler, "proposal")) {
+  if (!trusted::verify_attestation(*cfg_.keyring, att, meter_,
+                                   cfg_.profiler, "proposal")) {
     return;
   }
   if (!admit_attested(from, msg, att)) return;
@@ -250,7 +247,7 @@ void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
   // The primary's attested prepare counts as its commit.
   tally_commit(att.node, h);
   if (att.node == cfg_.id) return;  // the primary does not send kCommit
-  if (!commit_sent_.insert(hkey(h)).second) return;
+  if (!commit_sent_.insert(h).second) return;
   if (tracing()) {
     trace_begin("block", "block", b.height,
                 {{"round", exp::Json(b.round)}, {"view", exp::Json(b.view)}});
@@ -282,9 +279,8 @@ void MinBftReplica::handle_commit_msg(NodeId from, const Msg& msg) {
     return;
   }
   if (att.digest != h || att.node >= cfg_.n) return;
-  if (!trusted::verify_attestation(
-          *cfg_.keyring, att, cfg_.meter_crypto ? meter_ : nullptr,
-          cfg_.profiler, "vote")) {
+  if (!trusted::verify_attestation(*cfg_.keyring, att, meter_,
+                                   cfg_.profiler, "vote")) {
     return;
   }
   if (!admit_attested(from, msg, att)) return;
@@ -297,14 +293,14 @@ void MinBftReplica::handle_commit_msg(NodeId from, const Msg& msg) {
 }
 
 void MinBftReplica::tally_commit(NodeId author, const BlockHash& h) {
-  auto& authors = commit_authors_[hkey(h)];
+  auto& authors = commit_authors_[h];
   if (!authors.insert(author).second) return;
   if (authors.size() >= quorum()) try_commit(h);
 }
 
 void MinBftReplica::try_commit(const BlockHash& h) {
   if (!store_.contains(h) || !store_.extends(h, committed_tip())) {
-    pending_commit_.insert(hkey(h));
+    pending_commit_.insert(h);
     return;
   }
   const Block* b = store_.get(h);
@@ -408,10 +404,8 @@ void MinBftReplica::send_view_change(std::uint64_t target) {
   vc.author = cfg_.id;
   vc.data = w.take();
   vc.sig = cfg_.keyring->signer(cfg_.id).sign(vc.preimage());
-  if (meter_ != nullptr && cfg_.meter_crypto) {
-    meter_->charge(energy::Category::kSign,
-                   energy::sign_energy_mj(cfg_.keyring->scheme()));
-  }
+  charge(energy::Category::kSign,
+         energy::sign_energy_mj(cfg_.keyring->scheme()));
   prof_crypto("sign", "view_change");
   broadcast(vc);
   handle_view_change(vc);
@@ -458,10 +452,8 @@ void MinBftReplica::maybe_announce_new_view(std::uint64_t target) {
   nv.author = cfg_.id;
   nv.data = w.take();
   nv.sig = cfg_.keyring->signer(cfg_.id).sign(nv.preimage());
-  if (meter_ != nullptr && cfg_.meter_crypto) {
-    meter_->charge(energy::Category::kSign,
-                   energy::sign_energy_mj(cfg_.keyring->scheme()));
-  }
+  charge(energy::Category::kSign,
+         energy::sign_energy_mj(cfg_.keyring->scheme()));
   prof_crypto("sign", "view_change");
   broadcast(nv);
   if (have_chosen) {
@@ -531,14 +523,13 @@ void MinBftReplica::on_chain_connected(const Block& block) {
   retry.swap(retry_);
   for (const Msg& m : retry) handle(m.author, m);
   const BlockHash h = block.hash();
-  if (pending_commit_.erase(hkey(h)) > 0) try_commit(h);
+  if (pending_commit_.erase(h) > 0) try_commit(h);
 }
 
 void MinBftReplica::on_low_water(const Block& root) {
   seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
   for (auto it = commit_authors_.begin(); it != commit_authors_.end();) {
-    const BlockHash h(it->first.begin(), it->first.end());
-    const Block* b = store_.get(h);
+    const Block* b = store_.get(it->first);
     if (b != nullptr && b->height <= root.height) {
       commit_sent_.erase(it->first);
       pending_commit_.erase(it->first);

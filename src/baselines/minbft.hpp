@@ -125,9 +125,9 @@ class MinBftReplica final : public smr::ReplicaBase {
   std::map<std::uint64_t, smr::BlockHash> seen_;
   /// Attested acceptances per block hash (distinct authors; the
   /// primary's prepare counts as its commit).
-  std::map<std::string, std::set<NodeId>> commit_authors_;
-  std::set<std::string> commit_sent_;
-  std::set<std::string> pending_commit_;
+  std::map<smr::BlockHash, std::set<NodeId>> commit_authors_;
+  std::set<smr::BlockHash> commit_sent_;
+  std::set<smr::BlockHash> pending_commit_;
 
   /// Latest accepted primary block (what view changes report).
   smr::BlockHash accepted_tip_;

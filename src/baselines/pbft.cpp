@@ -9,7 +9,6 @@ namespace eesmr::baselines {
 
 using smr::Block;
 using smr::BlockHash;
-using smr::hkey;
 using smr::Msg;
 using smr::MsgType;
 using smr::QuorumCert;
@@ -165,7 +164,7 @@ void PbftReplica::handle_propose(NodeId from, const Msg& msg) {
   }
   // The pre-prepare must extend the committed branch.
   if (!store_.extends(h, committed_tip())) return;
-  if (!prepare_sent_.insert(hkey(h)).second) return;
+  if (!prepare_sent_.insert(h).second) return;
   if (tracing()) {
     trace_begin("block", "block", b.height,
                 {{"round", exp::Json(b.round)}, {"view", exp::Json(b.view)}});
@@ -182,7 +181,7 @@ void PbftReplica::handle_prepare(const Msg& msg) {
     if (msg.view > v_cur_) buffer_future(msg);
     return;
   }
-  auto& bucket = prepares_[hkey(msg.data)];
+  auto& bucket = prepares_[msg.data];
   for (const Msg& m : bucket) {
     if (m.author == msg.author) return;
   }
@@ -198,7 +197,7 @@ void PbftReplica::on_prepared(const BlockHash& h, const Block& b) {
   if (b.height > prepared_height_) {
     prepared_tip_ = h;
     prepared_height_ = b.height;
-    auto& bucket = prepares_[hkey(h)];
+    auto& bucket = prepares_[h];
     prepared_cert_ = make_cert(std::vector<Msg>(
         bucket.begin(), bucket.begin() + static_cast<std::ptrdiff_t>(
                                              std::min(bucket.size(),
@@ -206,7 +205,7 @@ void PbftReplica::on_prepared(const BlockHash& h, const Block& b) {
   }
   trace_instant("commit", "certify", {{"height", exp::Json(b.height)}});
   prof_flow_block("certify", b, energy::Stream::kVote, 0);
-  if (!commit_sent_.insert(hkey(h)).second) return;
+  if (!commit_sent_.insert(h).second) return;
   Msg commit = make_msg(MsgType::kCommit, b.height, h);
   broadcast(commit);
   handle_commit(commit);  // count own commit
@@ -217,7 +216,7 @@ void PbftReplica::handle_commit(const Msg& msg) {
     if (msg.view > v_cur_) buffer_future(msg);
     return;
   }
-  auto& bucket = commits_[hkey(msg.data)];
+  auto& bucket = commits_[msg.data];
   for (const Msg& m : bucket) {
     if (m.author == msg.author) return;
   }
@@ -229,7 +228,7 @@ void PbftReplica::try_commit(const BlockHash& h) {
   if (!store_.contains(h) || !store_.extends(h, committed_tip())) {
     // Quorum reached before the chain connected (catch-up): finish when
     // sync delivers the ancestry.
-    pending_commit_.insert(hkey(h));
+    pending_commit_.insert(h);
     return;
   }
   commit_chain(h);
@@ -292,10 +291,8 @@ void PbftReplica::send_view_change(std::uint64_t target) {
   vc.author = cfg_.id;
   vc.data = ps.encode();
   vc.sig = cfg_.keyring->signer(cfg_.id).sign(vc.preimage());
-  if (meter_ != nullptr && cfg_.meter_crypto) {
-    meter_->charge(energy::Category::kSign,
-                   energy::sign_energy_mj(cfg_.keyring->scheme()));
-  }
+  charge(energy::Category::kSign,
+         energy::sign_energy_mj(cfg_.keyring->scheme()));
   prof_crypto("sign", "view_change");
   broadcast(vc);
   handle_view_change(vc);
@@ -343,10 +340,8 @@ void PbftReplica::maybe_announce_new_view(std::uint64_t target) {
   nv.author = cfg_.id;
   nv.data = chosen.encode();
   nv.sig = cfg_.keyring->signer(cfg_.id).sign(nv.preimage());
-  if (meter_ != nullptr && cfg_.meter_crypto) {
-    meter_->charge(energy::Category::kSign,
-                   energy::sign_energy_mj(cfg_.keyring->scheme()));
-  }
+  charge(energy::Category::kSign,
+         energy::sign_energy_mj(cfg_.keyring->scheme()));
   prof_crypto("sign", "view_change");
   broadcast(nv);
   if (chosen.has_prepared) {
@@ -421,21 +416,20 @@ void PbftReplica::on_chain_connected(const Block& block) {
   for (const Msg& m : retry) handle(m.author, m);
   // A prepare quorum that was waiting for this block.
   const BlockHash h = block.hash();
-  const auto pit = prepares_.find(hkey(h));
+  const auto pit = prepares_.find(h);
   if (pit != prepares_.end() && pit->second.size() >= quorum() &&
-      commit_sent_.count(hkey(h)) == 0) {
+      commit_sent_.count(h) == 0) {
     on_prepared(h, block);
   }
-  if (pending_commit_.erase(hkey(h)) > 0) try_commit(h);
+  if (pending_commit_.erase(h) > 0) try_commit(h);
 }
 
 void PbftReplica::on_low_water(const Block& root) {
   seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
-  auto prune = [&](std::map<std::string, std::vector<Msg>>& tallies,
-                   std::set<std::string>& sent) {
+  auto prune = [&](std::map<BlockHash, std::vector<Msg>>& tallies,
+                   std::set<BlockHash>& sent) {
     for (auto it = tallies.begin(); it != tallies.end();) {
-      const BlockHash h(it->first.begin(), it->first.end());
-      const Block* b = store_.get(h);
+      const Block* b = store_.get(it->first);
       if (b != nullptr && b->height <= root.height) {
         sent.erase(it->first);
         pending_commit_.erase(it->first);

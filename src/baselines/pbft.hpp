@@ -89,14 +89,14 @@ class PbftReplica final : public smr::ReplicaBase {
   /// detection; two conflicting pre-prepares trigger a view change).
   std::map<std::uint64_t, smr::BlockHash> seen_;
   /// kPrepare messages per block hash (distinct authors).
-  std::map<std::string, std::vector<smr::Msg>> prepares_;
-  std::set<std::string> prepare_sent_;  ///< hashes we broadcast kPrepare for
+  std::map<smr::BlockHash, std::vector<smr::Msg>> prepares_;
+  std::set<smr::BlockHash> prepare_sent_;  ///< hashes we broadcast kPrepare for
   /// kCommit messages per block hash (distinct authors).
-  std::map<std::string, std::vector<smr::Msg>> commits_;
-  std::set<std::string> commit_sent_;
+  std::map<smr::BlockHash, std::vector<smr::Msg>> commits_;
+  std::set<smr::BlockHash> commit_sent_;
   /// Commit quorums reached before the block connected (drained by
   /// on_chain_connected).
-  std::set<std::string> pending_commit_;
+  std::set<smr::BlockHash> pending_commit_;
 
   /// Highest prepared block + its 2f+1-prepare certificate (what view
   /// changes carry forward).

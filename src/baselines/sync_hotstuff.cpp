@@ -9,7 +9,6 @@ namespace eesmr::baselines {
 
 using smr::Block;
 using smr::BlockHash;
-using smr::hkey;
 using smr::Msg;
 using smr::MsgType;
 using smr::QuorumCert;
@@ -166,7 +165,7 @@ void SyncHsReplica::handle_propose(NodeId from, const Msg& msg) {
   // At most one vote per height per view: an equivocation window must
   // not arm 2Δ commits for two conflicting siblings.
   if (!voted_height_.try_emplace(b.height, h).second) return;
-  if (!voted_.insert(hkey(h)).second) return;
+  if (!voted_.insert(h).second) return;
   vote_for(b, h);
 }
 
@@ -191,7 +190,7 @@ void SyncHsReplica::vote_for(const Block& block, const BlockHash& h) {
     const auto id =
         sched_.after(2 * cfg_.delta, "commit_timer",
                      [this, h] { commit_timeout(h); });
-    commit_timers_[hkey(h)] = id;
+    commit_timers_[h] = id;
   }
 }
 
@@ -200,7 +199,7 @@ void SyncHsReplica::handle_vote(const Msg& msg) {
     if (msg.view > v_cur_) buffer_future(msg);
     return;
   }
-  auto& bucket = votes_[hkey(msg.data)];
+  auto& bucket = votes_[msg.data];
   for (const Msg& m : bucket) {
     if (m.author == msg.author) return;
   }
@@ -209,7 +208,7 @@ void SyncHsReplica::handle_vote(const Msg& msg) {
   if (opts_.optimistic_fast_path && bucket.size() == optimistic_quorum() &&
       !commits_disabled_ && store_.contains(msg.data)) {
     // OptSync responsive commit: ⌊3n/4⌋+1 votes commit immediately.
-    const auto timer = commit_timers_.find(hkey(msg.data));
+    const auto timer = commit_timers_.find(msg.data);
     if (timer != commit_timers_.end()) {
       sched_.cancel(timer->second);
       commit_timers_.erase(timer);
@@ -227,8 +226,8 @@ void SyncHsReplica::certify(const BlockHash& h) {
   certified_tip_ = h;
   certified_height_ = b->height;
   tip_cert_ = make_cert(std::vector<Msg>(
-      votes_[hkey(h)].begin(),
-      votes_[hkey(h)].begin() + static_cast<std::ptrdiff_t>(quorum())));
+      votes_[h].begin(),
+      votes_[h].begin() + static_cast<std::ptrdiff_t>(quorum())));
   if (proposer_for(b->round + 1) == cfg_.id && phase_ == Phase::kSteady &&
       !crashed_) {
     propose(b->round + 1);
@@ -236,7 +235,7 @@ void SyncHsReplica::certify(const BlockHash& h) {
 }
 
 void SyncHsReplica::commit_timeout(const BlockHash& h) {
-  commit_timers_.erase(hkey(h));
+  commit_timers_.erase(h);
   if (commits_disabled_) return;
   // An offline replica (crash/recover, chase-the-leader) must not commit
   // on a timer armed before it went down: equivocation evidence or a view
@@ -432,8 +431,7 @@ void SyncHsReplica::on_low_water(const Block& root) {
   voted_height_.erase(voted_height_.begin(),
                       voted_height_.upper_bound(root.height));
   for (auto it = votes_.begin(); it != votes_.end();) {
-    const BlockHash h(it->first.begin(), it->first.end());
-    const Block* b = store_.get(h);
+    const Block* b = store_.get(it->first);
     if (b != nullptr && b->height <= root.height) {
       voted_.erase(it->first);
       it = votes_.erase(it);

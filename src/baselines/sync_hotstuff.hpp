@@ -115,15 +115,15 @@ class SyncHsReplica final : public smr::ReplicaBase {
   /// First proposal hash per height (equivocation detection).
   std::map<std::uint64_t, std::pair<smr::BlockHash, smr::Msg>> seen_;
   /// Votes per block hash.
-  std::map<std::string, std::vector<smr::Msg>> votes_;
-  std::set<std::string> voted_;  ///< block hashes we voted for
+  std::map<smr::BlockHash, std::vector<smr::Msg>> votes_;
+  std::set<smr::BlockHash> voted_;  ///< block hashes we voted for
   /// First vote per height in the current view (cleared on view entry):
   /// an equivocating leader must not extract two votes — and two armed
   /// 2Δ commits — for conflicting same-height siblings from one node.
   std::map<std::uint64_t, smr::BlockHash> voted_height_;
 
   sim::Timer blame_timer_;
-  std::map<std::string, sim::EventId> commit_timers_;
+  std::map<smr::BlockHash, sim::EventId> commit_timers_;
 
   std::vector<smr::Msg> blame_msgs_;
   std::set<NodeId> blamers_;

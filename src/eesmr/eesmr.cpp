@@ -9,7 +9,6 @@ namespace eesmr::protocol {
 
 using smr::Block;
 using smr::BlockHash;
-using smr::hkey;
 using smr::Msg;
 using smr::MsgType;
 using smr::QuorumCert;
@@ -229,11 +228,11 @@ void EesmrReplica::arm_commit_timer(const BlockHash& h) {
   const auto id =
       sched_.after(4 * cfg_.delta, "commit_timer",
                    [this, h] { commit_timeout(h); });
-  commit_timers_[hkey(h)] = id;
+  commit_timers_[h] = id;
 }
 
 void EesmrReplica::commit_timeout(const BlockHash& h) {
-  commit_timers_.erase(hkey(h));
+  commit_timers_.erase(h);
   // An offline replica (crash/recover, chase-the-leader) must not commit
   // on a timer armed before it went down: equivocation evidence or a view
   // change may have passed it by, so the commit could be a private fork.
@@ -300,10 +299,8 @@ void EesmrReplica::send_blame() {
   blame.round = 0;
   blame.author = cfg_.id;
   blame.sig = cfg_.keyring->signer(cfg_.id).sign(blame.preimage());
-  if (meter_ != nullptr && cfg_.meter_crypto) {
-    meter_->charge(energy::Category::kSign,
-                   energy::sign_energy_mj(cfg_.keyring->scheme()));
-  }
+  charge(energy::Category::kSign,
+         energy::sign_energy_mj(cfg_.keyring->scheme()));
   prof_crypto("sign", "view_change");
   broadcast(blame);
   handle_blame(blame);  // count our own blame

@@ -169,7 +169,7 @@ class EesmrReplica final : public smr::ReplicaBase {
   std::map<std::uint64_t, std::pair<smr::BlockHash, smr::Msg>> seen_;
 
   sim::Timer blame_timer_;
-  std::map<std::string, sim::EventId> commit_timers_;
+  std::map<smr::BlockHash, sim::EventId> commit_timers_;
 
   /// Signed blames per view, for views >= v_cur_ (evidence for blame
   /// escalation and cross-view joins; stale views are pruned on entry).

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "src/common/bytes.hpp"
@@ -26,10 +28,18 @@ struct Command {
 /// SHA-256 block identifier.
 using BlockHash = Bytes;  // 32 bytes
 
-/// Map key for a block digest: its bytes as a std::string.
-inline std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
+/// Hasher for unordered containers keyed by BlockHash. It hashes the
+/// bytes as a std::string_view, which yields the same value as
+/// std::hash<std::string> on the same bytes: a table keyed this way
+/// iterates in the same order as one keyed by the digest as a string,
+/// and that order reaches protocol actions (orphan adoption, the
+/// deepest-orphan tie-break).
+struct BlockHashHasher {
+  std::size_t operator()(const BlockHash& h) const noexcept {
+    return std::hash<std::string_view>{}(std::string_view(
+        reinterpret_cast<const char*>(h.data()), h.size()));
+  }
+};
 
 struct Block {
   BlockHash parent;             ///< hash of the parent block (zeros: none)

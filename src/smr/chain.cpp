@@ -7,13 +7,13 @@ namespace eesmr::smr {
 
 BlockStore::BlockStore() {
   const Block& g = genesis_block();
-  blocks_.emplace(hkey(g.hash()), g);
+  blocks_.emplace(g.hash(), g);
 }
 
 bool BlockStore::add(const Block& block) {
-  const std::string k = hkey(block.hash());
+  const BlockHash k = block.hash();
   if (blocks_.count(k) > 0) return true;
-  const auto parent = blocks_.find(hkey(block.parent));
+  const auto parent = blocks_.find(block.parent);
   if (parent == blocks_.end()) return false;
   if (block.height != parent->second.height + 1) {
     throw std::invalid_argument("BlockStore::add: height mismatch");
@@ -23,11 +23,11 @@ bool BlockStore::add(const Block& block) {
 }
 
 void BlockStore::add_orphan(const Block& block) {
-  orphans_.emplace(hkey(block.hash()), block);
+  orphans_.emplace(block.hash(), block);
 }
 
 void BlockStore::adopt_root(const Block& block) {
-  blocks_.insert_or_assign(hkey(block.hash()), block);
+  blocks_.insert_or_assign(block.hash(), block);
 }
 
 void BlockStore::truncate_below(const BlockHash& root) {
@@ -66,7 +66,7 @@ std::vector<Block> BlockStore::adopt_orphans() {
   while (progress) {
     progress = false;
     for (auto it = orphans_.begin(); it != orphans_.end();) {
-      if (blocks_.count(hkey(it->second.parent)) > 0) {
+      if (blocks_.count(it->second.parent) > 0) {
         if (add(it->second)) adopted.push_back(it->second);
         it = orphans_.erase(it);
         progress = true;
@@ -79,24 +79,24 @@ std::vector<Block> BlockStore::adopt_orphans() {
 }
 
 bool BlockStore::contains(const BlockHash& h) const {
-  return blocks_.count(hkey(h)) > 0;
+  return blocks_.count(h) > 0;
 }
 
 const Block* BlockStore::get(const BlockHash& h) const {
-  const auto it = blocks_.find(hkey(h));
+  const auto it = blocks_.find(h);
   return it == blocks_.end() ? nullptr : &it->second;
 }
 
 bool BlockStore::extends(const BlockHash& descendant,
                          const BlockHash& ancestor) const {
   // Keys are digests, so iterator identity is digest equality.
-  const auto anc = blocks_.find(hkey(ancestor));
+  const auto anc = blocks_.find(ancestor);
   if (anc == blocks_.end()) return false;
-  auto cur = blocks_.find(hkey(descendant));
+  auto cur = blocks_.find(descendant);
   while (cur != blocks_.end()) {
     if (cur == anc) return true;
     if (cur->second.height <= anc->second.height) return false;
-    cur = blocks_.find(hkey(cur->second.parent));
+    cur = blocks_.find(cur->second.parent);
   }
   return false;
 }
@@ -108,14 +108,14 @@ bool BlockStore::conflicts(const BlockHash& a, const BlockHash& b) const {
 std::vector<Block> BlockStore::chain_between(const BlockHash& h,
                                              const BlockHash& until) const {
   std::vector<Block> out;
-  const auto stop = blocks_.find(hkey(until));
-  auto cur = blocks_.find(hkey(h));
+  const auto stop = blocks_.find(until);
+  auto cur = blocks_.find(h);
   while (cur != blocks_.end() && cur != stop) {
     out.push_back(cur->second);
     if (cur->second.height == 0) {
       throw std::invalid_argument("chain_between: `until` not an ancestor");
     }
-    cur = blocks_.find(hkey(cur->second.parent));
+    cur = blocks_.find(cur->second.parent);
   }
   if (cur == blocks_.end()) {
     throw std::invalid_argument("chain_between: broken chain");

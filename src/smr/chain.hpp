@@ -5,7 +5,6 @@
 
 #include <map>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -67,9 +66,9 @@ class BlockStore {
   [[nodiscard]] std::size_t orphan_count() const { return orphans_.size(); }
 
  private:
-  /// Keyed by hkey(block.hash()).
-  std::unordered_map<std::string, Block> blocks_;
-  std::unordered_map<std::string, Block> orphans_;
+  /// Keyed by block.hash().
+  std::unordered_map<BlockHash, Block, BlockHashHasher> blocks_;
+  std::unordered_map<BlockHash, Block, BlockHashHasher> orphans_;
 };
 
 }  // namespace eesmr::smr

@@ -113,7 +113,7 @@ ReplicaBase::ReplicaBase(net::Network& net, ReplicaConfig cfg,
 }
 
 void ReplicaBase::charge(energy::Category cat, double mj) {
-  if (meter_ != nullptr && cfg_.meter_crypto) meter_->charge(cat, mj);
+  if (meter_ != nullptr) meter_->charge(cat, mj);
 }
 
 void ReplicaBase::trace_instant(const char* cat, std::string name,
@@ -173,7 +173,7 @@ void ReplicaBase::prof_flow_block(const char* name, const Block& b,
                                   energy::Stream s, std::size_t frame_bytes) {
   prof::Profiler* p = cfg_.profiler;
   if (p == nullptr || !p->tracing_requests() || b.cmds.empty()) return;
-  const auto key = std::make_pair(b.height, hkey(b.hash()));
+  const auto key = std::make_pair(b.height, b.hash());
   auto cached = prof_block_cache_.find(key);
   if (cached == prof_block_cache_.end()) {
     std::vector<std::pair<NodeId, std::uint64_t>> sampled;
@@ -272,10 +272,36 @@ bool ReplicaBase::memo_verify(NodeId author, BytesView preimage,
                               : verify();
 }
 
-bool ReplicaBase::check_sigs(
+bool ReplicaBase::verify_individual_cert(
     const Bytes& preimage, const std::vector<std::pair<NodeId, Bytes>>& sigs,
-    const std::vector<std::size_t>& idx) {
-  for (std::size_t i : idx) {
+    std::size_t quorum_size, const char* site) {
+  // Accounting first, before any validity check can return: one metered
+  // verification per contained signature — minus the signatures this
+  // node already verified individually when the votes arrived, which
+  // the verified-signature cache answers for free at tally time.
+  std::vector<std::size_t> uncached;
+  uncached.reserve(sigs.size());
+  for (std::size_t i = 0; i < sigs.size(); ++i) {
+    if (cfg_.verified_cache &&
+        sig_verified_.count(sig_digest(sigs[i].first, preimage,
+                                       sigs[i].second)) > 0) {
+      ++sig_cache_hits_;
+      continue;
+    }
+    charge(energy::Category::kVerify,
+           energy::verify_energy_mj(cfg_.keyring->scheme()));
+    prof_crypto("verify", site);
+    uncached.push_back(i);
+  }
+  // Validity: count, replica and distinct authors, then the
+  // not-yet-verified signatures.
+  if (sigs.size() < quorum_size) return false;
+  std::set<NodeId> authors;
+  for (const auto& [author, sig] : sigs) {
+    if (author >= cfg_.n) return false;
+    if (!authors.insert(author).second) return false;  // duplicate author
+  }
+  for (std::size_t i : uncached) {
     if (!memo_verify(sigs[i].first, preimage, sigs[i].second)) return false;
   }
   return true;
@@ -362,33 +388,7 @@ bool ReplicaBase::verify_qc(const QuorumCert& qc, std::size_t quorum_size) {
     // signatures — an individual-form cert cannot be honest.
     return false;
   }
-  const Bytes preimage = qc.preimage();
-  // Accounting first, exactly as the serial path charged: one metered
-  // verification per contained signature — minus the signatures this
-  // node already verified individually when the votes arrived, which
-  // the verified-signature cache answers for free at tally time.
-  std::vector<std::size_t> uncached;
-  uncached.reserve(qc.sigs.size());
-  for (std::size_t i = 0; i < qc.sigs.size(); ++i) {
-    if (cfg_.verified_cache &&
-        sig_verified_.count(sig_digest(qc.sigs[i].first, preimage,
-                                       qc.sigs[i].second)) > 0) {
-      ++sig_cache_hits_;
-      continue;
-    }
-    charge(energy::Category::kVerify,
-           energy::verify_energy_mj(cfg_.keyring->scheme()));
-    prof_crypto("verify", "vote");
-    uncached.push_back(i);
-  }
-  // Validity (mirrors QuorumCert::verify): count, distinct authors, then
-  // the not-yet-verified signatures.
-  if (qc.sigs.size() < quorum_size) return false;
-  std::set<NodeId> authors;
-  for (const auto& [author, sig] : qc.sigs) {
-    if (!authors.insert(author).second) return false;  // duplicate author
-  }
-  return check_sigs(preimage, qc.sigs, uncached);
+  return verify_individual_cert(qc.preimage(), qc.sigs, quorum_size, "vote");
 }
 
 bool ReplicaBase::verify_checkpoint_cert(
@@ -400,31 +400,10 @@ bool ReplicaBase::verify_checkpoint_cert(
                            cert.agg_sig, cfg_.f + 1, "checkpoint");
   }
   if (aggregate_certs()) return false;
-  const Bytes preimage = cert.id.preimage();
-  std::vector<std::size_t> uncached;
-  uncached.reserve(cert.sigs.size());
-  for (std::size_t i = 0; i < cert.sigs.size(); ++i) {
-    if (cfg_.verified_cache &&
-        sig_verified_.count(sig_digest(cert.sigs[i].first, preimage,
-                                       cert.sigs[i].second)) > 0) {
-      ++sig_cache_hits_;
-      continue;
-    }
-    charge(energy::Category::kVerify,
-           energy::verify_energy_mj(cfg_.keyring->scheme()));
-    prof_crypto("verify", "checkpoint");
-    uncached.push_back(i);
-  }
   // Checkpoint quorum is always f+1 (one correct attester suffices),
-  // independent of the protocol's vote quorum (cfg_.quorum). Validity
-  // mirrors CheckpointCert::verify: only replicas attest state.
-  if (cert.sigs.size() < cfg_.f + 1) return false;
-  std::set<NodeId> authors;
-  for (const auto& [author, sig] : cert.sigs) {
-    if (author >= cfg_.n) return false;
-    if (!authors.insert(author).second) return false;
-  }
-  return check_sigs(preimage, cert.sigs, uncached);
+  // independent of the protocol's vote quorum (cfg_.quorum).
+  return verify_individual_cert(cert.id.preimage(), cert.sigs, cfg_.f + 1,
+                                "checkpoint");
 }
 
 BlockHash ReplicaBase::hash_block(const Block& b) {
@@ -461,7 +440,7 @@ bool ReplicaBase::integrate_block(const Block& block, NodeId origin) {
   if (store_.add(block)) return true;
   store_.add_orphan(block);
   // Request the missing ancestry once per parent hash.
-  if (sync_requested_.insert(hkey(block.parent)).second) {
+  if (sync_requested_.insert(block.parent).second) {
     if (sync_started_ == 0) sync_started_ = sched_.now();
     Msg req = make_msg(MsgType::kSyncRequest, r_cur_, block.parent);
     send(origin, req);
@@ -473,7 +452,7 @@ void ReplicaBase::on_chain_connected(const Block&) {}
 
 void ReplicaBase::commit_chain(const BlockHash& h) {
   const prof::Scope scope(cfg_.profiler, "replica.commit_chain");
-  if (committed_.count(hkey(h)) > 0 || h == genesis_hash()) return;
+  if (committed_.count(h) > 0 || h == genesis_hash()) return;
   const Block* target = store_.get(h);
   if (target == nullptr) {
     // After checkpoint truncation an unknown hash can name a block at or
@@ -494,7 +473,7 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
   for (const Block& b : store_.chain_between(h, committed_tip_)) {
     log_.push_back(b);
     ++committed_blocks_;
-    committed_.insert(hkey(b.hash()));
+    committed_.insert(b.hash());
     mempool_.remove_committed(b);
     for (const Command& cmd : b.cmds) {
       // Committed membership-policy command: collect it; the active
@@ -874,7 +853,7 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
   std::size_t cmds_cut = 0;
   while (cut < log_.size() && log_[cut].height <= lwm_height_) {
     const Block& old = log_[cut];
-    committed_.erase(hkey(old.hash()));
+    committed_.erase(old.hash());
     cmds_cut += old.cmds.size();
     for (const Command& c : old.cmds) {
       if (ClientRequest::decode(c.data).has_value()) {
@@ -896,9 +875,10 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
   // not arrived yet" by looking the block up while it is still here.
   on_low_water(*root);
   // The flow-hook cache entries of the truncated blocks go with them.
-  prof_block_cache_.erase(
-      prof_block_cache_.begin(),
-      prof_block_cache_.lower_bound({root->height, std::string()}));
+  const auto kept = std::find_if(
+      prof_block_cache_.begin(), prof_block_cache_.end(),
+      [&](const auto& e) { return e.first.first >= root->height; });
+  prof_block_cache_.erase(prof_block_cache_.begin(), kept);
   store_.truncate_below(cert.id.block);
   sync_requested_.clear();  // pending ancestry below the mark is moot
 }
@@ -1055,7 +1035,7 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   committed_height_ = cert.id.height;
   committed_blocks_ = cert.id.height;  // one block per height since genesis
   committed_.clear();
-  committed_.insert(hkey(cert.id.block));
+  committed_.insert(cert.id.block);
   prof_block_cache_.clear();
   log_.clear();
   results_.clear();
@@ -1318,7 +1298,7 @@ void ReplicaBase::handle_sync(NodeId from, const Msg& msg) {
   // state transfer take over.
   const auto deepest = store_.deepest_orphan();
   if (deepest.has_value() && !store_.contains(deepest->parent) &&
-      sync_requested_.insert(hkey(deepest->parent)).second) {
+      sync_requested_.insert(deepest->parent).second) {
     if (sync_started_ == 0) sync_started_ = sched_.now();
     Msg req = make_msg(MsgType::kSyncRequest, r_cur_, deepest->parent);
     send(from, req);

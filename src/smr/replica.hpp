@@ -47,8 +47,6 @@ struct ReplicaConfig {
   std::size_t batch_size = 1;
   std::size_t cmd_bytes = 16;
   std::shared_ptr<crypto::Keyring> keyring;
-  /// Charge sign/verify/hash energy to the meter (on by default).
-  bool meter_crypto = true;
 
   /// Certificate wire scheme: individual (author, signature) pairs, or
   /// signer-bitset + one aggregate signature (O(1) certs). Under
@@ -276,6 +274,8 @@ class ReplicaBase : public net::FloodClient {
 
  protected:
   // -- crypto with energy metering ------------------------------------------------
+  /// Charge `mj` of `cat` energy to the meter, if there is one.
+  void charge(energy::Category cat, double mj);
   /// Build and sign a message in the current view.
   Msg make_msg(MsgType type, std::uint64_t round, Bytes data);
   /// Verify a message signature (drops author range errors too).
@@ -418,7 +418,6 @@ class ReplicaBase : public net::FloodClient {
 
  private:
   void handle_sync(NodeId from, const Msg& msg);
-  void charge(energy::Category cat, double mj);
   /// Is `id` a signer of the current or a recent (windowed) generation?
   /// Gates vote-class traffic once membership has changed: a departed
   /// member's votes stop counting, modulo certificates still in flight
@@ -455,13 +454,16 @@ class ReplicaBase : public net::FloodClient {
   /// Pure of energy accounting — callers charge the modeled verify.
   [[nodiscard]] bool memo_verify(NodeId author, BytesView preimage,
                                  BytesView sig, bool share = false);
-  /// Check the signatures of `sigs` selected by `idx` over `preimage`.
-  /// Pure of energy accounting — callers charge before deciding what
-  /// still needs checking.
-  [[nodiscard]] bool check_sigs(
+  /// Individual-form cert validity shared by verify_qc /
+  /// verify_checkpoint_cert. Charges one metered verification per
+  /// signature the verified-signature cache does not answer, then checks
+  /// the count against `quorum_size`, that every author is a replica
+  /// (the keyring also holds client keys) and distinct, and last the
+  /// uncached signatures over `preimage`.
+  [[nodiscard]] bool verify_individual_cert(
       const Bytes& preimage,
       const std::vector<std::pair<NodeId, Bytes>>& sigs,
-      const std::vector<std::size_t>& idx);
+      std::size_t quorum_size, const char* site);
   /// Unicast-style request streams only: hand a freshly pooled request
   /// on to the current leader so it gets proposed.
   void maybe_forward_request(const Msg& m);
@@ -504,10 +506,10 @@ class ReplicaBase : public net::FloodClient {
 
   std::vector<Block> log_;
   std::uint64_t committed_blocks_ = 0;  ///< total ever (incl. truncated)
-  std::set<std::string> committed_;     // retained block hashes as strings
+  std::set<BlockHash> committed_;       // retained block hashes
   BlockHash committed_tip_;
   std::uint64_t committed_height_ = 0;
-  std::set<std::string> sync_requested_;
+  std::set<BlockHash> sync_requested_;
   /// When the current chain-sync episode began (0 = none outstanding);
   /// the recovery clock for snapshot pushes answering a sync request.
   sim::SimTime sync_started_ = 0;
@@ -590,10 +592,10 @@ class ReplicaBase : public net::FloodClient {
   std::map<NodeId, std::uint64_t> flood_seen_;
   std::uint64_t early_drops_ = 0;
 
-  /// Sampled requests per block, keyed by (height, hkey(digest)), so
+  /// Sampled requests per block, keyed by (height, digest), so
   /// vote/commit flow hooks do not re-decode every command on every call.
   /// Entries below the low-water mark are dropped with their blocks.
-  std::map<std::pair<std::uint64_t, std::string>,
+  std::map<std::pair<std::uint64_t, BlockHash>,
            std::vector<std::pair<NodeId, std::uint64_t>>>
       prof_block_cache_;
 

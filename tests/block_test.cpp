@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+#include <unordered_map>
+
 #include "src/common/serde.hpp"
 #include "src/crypto/sha256.hpp"
 #include "src/smr/chain.hpp"
@@ -265,6 +270,79 @@ TEST(BlockStore, ChainBetweenRejectsNonAncestor) {
   store.add(fork);
   EXPECT_THROW(store.chain_between(b1.hash(), fork.hash()),
                std::invalid_argument);
+}
+
+// -- Block identity as a container key --------------------------------------------
+
+/// Digests that straddle the signed/unsigned boundary of a char (bytes
+/// >= 0x80), share prefixes or differ in length, plus real block digests.
+std::vector<BlockHash> key_probes() {
+  std::vector<BlockHash> keys = {
+      genesis_hash(), Bytes(32, 0x00), Bytes(32, 0x7f), Bytes(32, 0x80),
+      Bytes(32, 0xff), Bytes(31, 0x80), Bytes{}};
+  BlockHash mixed(32, 0x80);
+  mixed[31] = 0x01;
+  keys.push_back(mixed);
+  mixed[0] = 0x7f;
+  keys.push_back(mixed);
+  Block tip = genesis_block();
+  for (std::uint64_t h = 1; h <= 200; ++h) {
+    tip = make_child(tip, h, "k" + std::to_string(h));
+    keys.push_back(tip.hash());
+  }
+  return keys;
+}
+
+std::string as_string(const BlockHash& h) {
+  return std::string(h.begin(), h.end());
+}
+
+TEST(BlockHashKey, HasherMatchesStringHash) {
+  for (const BlockHash& h : key_probes()) {
+    EXPECT_EQ(BlockHashHasher{}(h), std::hash<std::string>{}(as_string(h)));
+  }
+}
+
+TEST(BlockHashKey, OrderedMapIteratesLikeStringKeys) {
+  std::map<BlockHash, int> by_digest;
+  std::map<std::string, int> by_string;
+  int i = 0;
+  for (const BlockHash& h : key_probes()) {
+    by_digest.emplace(h, i);
+    by_string.emplace(as_string(h), i);
+    ++i;
+  }
+  ASSERT_EQ(by_digest.size(), by_string.size());
+  auto s = by_string.begin();
+  for (const auto& [h, v] : by_digest) {
+    EXPECT_EQ(as_string(h), s->first);
+    EXPECT_EQ(v, s->second);
+    ++s;
+  }
+}
+
+TEST(BlockHashKey, UnorderedMapIteratesLikeStringKeys) {
+  // BlockStore's orphan adoption and deepest-orphan tie-break follow the
+  // iteration order of its hash tables; the same insertions and erasures
+  // must visit keys in the same order as string-keyed tables did.
+  std::unordered_map<BlockHash, int, BlockHashHasher> by_digest;
+  std::unordered_map<std::string, int> by_string;
+  const std::vector<BlockHash> keys = key_probes();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    by_digest.emplace(keys[i], static_cast<int>(i));
+    by_string.emplace(as_string(keys[i]), static_cast<int>(i));
+    if (i % 7 == 3) {
+      by_digest.erase(keys[i / 2]);
+      by_string.erase(as_string(keys[i / 2]));
+    }
+  }
+  ASSERT_EQ(by_digest.size(), by_string.size());
+  auto s = by_string.begin();
+  for (const auto& [h, v] : by_digest) {
+    EXPECT_EQ(as_string(h), s->first);
+    EXPECT_EQ(v, s->second);
+    ++s;
+  }
 }
 
 // -- Mempool ----------------------------------------------------------------------

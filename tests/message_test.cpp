@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/net/network.hpp"
+#include "src/sim/scheduler.hpp"
+#include "src/smr/replica.hpp"
+
 namespace eesmr::smr {
 namespace {
 
@@ -129,6 +133,39 @@ TEST(QuorumCert, VerifyRejectsWrongAttribution) {
   QuorumCert qc = QuorumCert::combine(msgs);
   qc.sigs[0].first = 2;
   EXPECT_FALSE(qc.verify(*ring(), 2));
+}
+
+/// A do-nothing replica that exposes ReplicaBase's certificate check.
+class QcProbe final : public ReplicaBase {
+ public:
+  using ReplicaBase::ReplicaBase;
+  using ReplicaBase::verify_qc;
+  void start() override {}
+
+ protected:
+  void handle(NodeId, const Msg&) override {}
+};
+
+TEST(ReplicaVerifyQc, RejectsClientKeyedSignature) {
+  // n = 4 replicas; the keyring's fifth key (id 4) belongs to a client,
+  // as in a cluster whose key directory also covers its clients.
+  sim::Scheduler sched;
+  net::Network net(sched, net::Hypergraph::full_mesh(4), {}, nullptr);
+  ReplicaConfig cfg;
+  cfg.id = 0;
+  cfg.n = 4;
+  cfg.f = 1;
+  cfg.keyring = ring();
+  QcProbe replica(net, cfg, nullptr);
+
+  const Bytes block(32, 0xab);
+  const Msg vote1 = signed_msg(1, MsgType::kVote, 2, block);
+  const Msg vote2 = signed_msg(2, MsgType::kVote, 2, block);
+  const Msg client = signed_msg(4, MsgType::kVote, 2, block);
+  EXPECT_TRUE(replica.verify_qc(QuorumCert::combine({vote1, vote2}), 2));
+  // Both signatures are valid over the same preimage, but a client is
+  // not a replica and its signature must not count toward a quorum.
+  EXPECT_FALSE(replica.verify_qc(QuorumCert::combine({vote1, client}), 2));
 }
 
 TEST(MsgTypeNames, AllNamed) {
