@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     cfg.eesmr.equivocation_fast_path = c.label("fast_path") == "on";
     cfg.seed = c.seed;
     const exp::ViewChangeCost vc = exp::view_change_cost(
-        c, cfg, {1, protocol::ByzantineMode::kEquivocate, 4}, 2,
+        c, cfg, {1, smr::ByzantineMode::kEquivocate, 4}, 2,
         ex.smoke() ? 4 : 6);
     exp::MetricRow row;
     row.set("vc_surcharge_total_mj", vc.total_mj);
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     cfg.f = 2;
     cfg.k = 3;
     cfg.eesmr.cmds_in_bootstrap = c.label("cmds_in_bootstrap") == "on";
-    cfg.faults = {{1, protocol::ByzantineMode::kCrash, 4}};
+    cfg.faults = {{1, smr::ByzantineMode::kCrash, 4}};
     cfg.seed = c.seed;
     exp::prepare(c, cfg);
     Cluster cluster(cfg);

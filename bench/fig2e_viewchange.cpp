@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
     // compares like against like.
     cfg.seed = sim::derive_seed(ex.seed(), c.at("f"));
     if (c.label("scenario") == "equivocate") {
-      cfg.faults.push_back({1, protocol::ByzantineMode::kEquivocate, 4});
+      cfg.faults.push_back({1, smr::ByzantineMode::kEquivocate, 4});
     } else if (c.label("scenario") == "no_progress") {
-      cfg.faults.push_back({1, protocol::ByzantineMode::kCrash, 4});
+      cfg.faults.push_back({1, smr::ByzantineMode::kCrash, 4});
     }
     const RunResult r = exp::run_steady(c, cfg, blocks);
     exp::MetricRow row;

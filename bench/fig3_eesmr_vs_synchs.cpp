@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     // axis, not the flat run index).
     cfg.seed = sim::derive_seed(ex.seed(), c.at("f"));
     if (c.label("scenario") == "crash_vc") {
-      cfg.faults.push_back({1, protocol::ByzantineMode::kCrash, 4});
+      cfg.faults.push_back({1, smr::ByzantineMode::kCrash, 4});
     }
     const RunResult r = exp::run_steady(c, cfg, blocks);
     exp::MetricRow row;

@@ -89,10 +89,10 @@ int main(int argc, char** argv) {
     shs.protocol = Protocol::kSyncHotStuff;
     const std::size_t vc_blocks = ex.smoke() ? 4 : 6;
     const exp::ViewChangeCost ee_vc = exp::view_change_cost(
-        c, ee, {1, protocol::ByzantineMode::kCrash, 4}, 2, vc_blocks,
+        c, ee, {1, smr::ByzantineMode::kCrash, 4}, 2, vc_blocks,
         {{"protocol", "eesmr"}});
     const exp::ViewChangeCost shs_vc = exp::view_change_cost(
-        c, shs, {1, protocol::ByzantineMode::kCrash, 4}, 2, vc_blocks,
+        c, shs, {1, smr::ByzantineMode::kCrash, 4}, 2, vc_blocks,
         {{"protocol", "sync_hotstuff"}});
     const double per_block_gain =
         exp::run_steady(c, shs, blocks, {{"protocol", "sync_hotstuff"}})

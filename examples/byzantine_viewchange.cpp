@@ -16,7 +16,7 @@ int main() {
   cfg.f = 2;
   cfg.medium = energy::Medium::kBle;
   // Node 1 leads view 1 and will propose two blocks in round 5.
-  cfg.faults = {{1, protocol::ByzantineMode::kEquivocate, 5}};
+  cfg.faults = {{1, smr::ByzantineMode::kEquivocate, 5}};
 
   Cluster cluster(cfg);
   cluster.start();

@@ -230,7 +230,7 @@ void apply_attack(harness::ClusterConfig& cfg, AttackKind attack) {
       return;
     case AttackKind::kCrash:
       for (NodeId i = 1; i <= f; ++i) {
-        cfg.faults.push_back({i, protocol::ByzantineMode::kCrash, 5});
+        cfg.faults.push_back({i, smr::ByzantineMode::kCrash, 5});
       }
       return;
     case AttackKind::kCrashRecover: {
@@ -257,13 +257,13 @@ void apply_attack(harness::ClusterConfig& cfg, AttackKind attack) {
     }
     case AttackKind::kEquivocate:
       for (NodeId i = 1; i <= f; ++i) {
-        cfg.faults.push_back({i, protocol::ByzantineMode::kEquivocate, 5});
+        cfg.faults.push_back({i, smr::ByzantineMode::kEquivocate, 5});
       }
       return;
     case AttackKind::kEquivocateSelective:
       for (NodeId i = 1; i <= f; ++i) {
         cfg.faults.push_back(
-            {i, protocol::ByzantineMode::kEquivocateSelective, 5});
+            {i, smr::ByzantineMode::kEquivocateSelective, 5});
       }
       return;
     case AttackKind::kWithholdProposals:
@@ -344,7 +344,7 @@ void apply_attack(harness::ClusterConfig& cfg, AttackKind attack) {
       }
       cfg.membership_events.push_back(swap);
       for (NodeId i = 1; i <= f; ++i) {
-        cfg.faults.push_back({i, protocol::ByzantineMode::kEquivocate, 5});
+        cfg.faults.push_back({i, smr::ByzantineMode::kEquivocate, 5});
       }
       AdversarySpec::CrashRecover cr;
       cr.node = joiner;

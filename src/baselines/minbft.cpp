@@ -26,7 +26,7 @@ constexpr std::size_t kMaxHoldback = 1024;
 }  // namespace
 
 MinBftReplica::MinBftReplica(net::Network& net, smr::ReplicaConfig cfg,
-                             MinBftByzantineConfig byz, energy::Meter* meter)
+                             smr::ByzantineConfig byz, energy::Meter* meter)
     : ReplicaBase(net, std::move(cfg), meter),
       byz_(byz),
       counter_(cfg_.keyring, cfg_.id, meter, cfg_.profiler),
@@ -68,8 +68,8 @@ void MinBftReplica::propose() {
   const Block* parent = store_.get(parent_hash);
   if (parent == nullptr) return;
   const std::uint64_t height = parent->height + 1;
-  if (byz_.mode == MinBftByzantineMode::kCrash && byz_.trigger_height != 0 &&
-      height >= byz_.trigger_height) {
+  if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger != 0 &&
+      height >= byz_.trigger) {
     crashed_ = true;
     progress_timer_.cancel();
     router().set_forwarding(false);
@@ -93,12 +93,7 @@ void MinBftReplica::propose() {
     Writer w;
     w.bytes(b.encode());
     w.bytes(att.encode());
-    Msg prop;
-    prop.type = MsgType::kPropose;
-    prop.view = v_cur_;
-    prop.round = b.height;
-    prop.author = cfg_.id;
-    prop.data = w.take();
+    const Msg prop = unsigned_msg(MsgType::kPropose, b.height, w.take());
     broadcast(prop);
     prof_flow_block("propose", b, energy::Stream::kProposal,
                     prop.encode().size());
@@ -112,8 +107,7 @@ void MinBftReplica::propose() {
     handle_propose(cfg_.id, prop);
   };
 
-  if (byz_.mode == MinBftByzantineMode::kEquivocate &&
-      height == byz_.trigger_height) {
+  if (byz_.equivocates() && height == byz_.trigger) {
     // Counter reuse is structurally impossible: the two conflicting
     // blocks necessarily occupy successive counter values, so every
     // correct receiver sees them in the same order and rejects the
@@ -236,7 +230,7 @@ void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
     return;
   }
   if (!integrate_block(b, from)) {
-    retry_.push_back(msg);
+    retry_on_connect(msg);
     return;
   }
   if (!store_.extends(h, committed_tip())) return;
@@ -257,12 +251,7 @@ void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
   Writer w;
   w.bytes(h);
   w.bytes(own.encode());
-  Msg commit;
-  commit.type = MsgType::kCommit;
-  commit.view = v_cur_;
-  commit.round = b.height;
-  commit.author = cfg_.id;
-  commit.data = w.take();
+  const Msg commit = unsigned_msg(MsgType::kCommit, b.height, w.take());
   prof_flow_block("vote", b, energy::Stream::kVote, commit.encode().size());
   broadcast(commit);
   tally_commit(cfg_.id, h);
@@ -397,16 +386,7 @@ void MinBftReplica::send_view_change(std::uint64_t target) {
   const Block* tip = store_.get(accepted_tip_);
   w.boolean(tip != nullptr);
   if (tip != nullptr) w.bytes(tip->encode());
-  Msg vc;
-  vc.type = MsgType::kViewChange;
-  vc.view = vc_target_;
-  vc.round = 0;
-  vc.author = cfg_.id;
-  vc.data = w.take();
-  vc.sig = cfg_.keyring->signer(cfg_.id).sign(vc.preimage());
-  charge(energy::Category::kSign,
-         energy::sign_energy_mj(cfg_.keyring->scheme()));
-  prof_crypto("sign", "view_change");
+  const Msg vc = make_msg(MsgType::kViewChange, vc_target_, 0, w.take());
   broadcast(vc);
   handle_view_change(vc);
   reset_progress_timer(10 * cfg_.delta);
@@ -445,17 +425,7 @@ void MinBftReplica::maybe_announce_new_view(std::uint64_t target) {
   Writer w;
   w.boolean(have_chosen);
   if (have_chosen) w.bytes(chosen.encode());
-  Msg nv;
-  nv.type = MsgType::kNewView;
-  nv.view = target;
-  nv.round = 0;
-  nv.author = cfg_.id;
-  nv.data = w.take();
-  nv.sig = cfg_.keyring->signer(cfg_.id).sign(nv.preimage());
-  charge(energy::Category::kSign,
-         energy::sign_energy_mj(cfg_.keyring->scheme()));
-  prof_crypto("sign", "view_change");
-  broadcast(nv);
+  broadcast(make_msg(MsgType::kNewView, target, 0, w.take()));
   if (have_chosen) {
     store_.add(chosen);
     if (chosen.height > accepted_height_ &&
@@ -501,27 +471,10 @@ void MinBftReplica::enter_view(std::uint64_t view) {
 }
 
 // ---------------------------------------------------------------------------
-// Helpers
+// Chain, checkpoint and membership hooks
 // ---------------------------------------------------------------------------
 
-void MinBftReplica::buffer_future(const Msg& msg) {
-  if (future_.size() > 4096) return;
-  future_.push_back(msg);
-}
-
-void MinBftReplica::drain_buffered() {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  std::vector<Msg> pending;
-  pending.swap(future_);
-  for (const Msg& m : retry) handle(m.author, m);
-  for (const Msg& m : pending) handle(m.author, m);
-}
-
 void MinBftReplica::on_chain_connected(const Block& block) {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  for (const Msg& m : retry) handle(m.author, m);
   const BlockHash h = block.hash();
   if (pending_commit_.erase(h) > 0) try_commit(h);
 }

@@ -17,7 +17,7 @@
 // A block commits on f+1 attested acceptances (the primary's prepare
 // counting as its commit).
 //
-// View change is timeout-driven: ordinarily-signed kViewChange for v+1
+// View change is timeout-driven: a signed (not attested) kViewChange for v+1
 // carries the sender's latest accepted block; f+1 of them let the new
 // primary announce kNewView and re-propose from the highest reported
 // block. Checkpoints, state transfer, chain sync and the client path are
@@ -34,25 +34,12 @@
 
 namespace eesmr::baselines {
 
-/// Byzantine behaviours mirroring the EESMR fault experiments. Note that
-/// equivocation here is "two blocks at successive counter values" — the
-/// TrustedCounter API makes counter reuse structurally impossible.
-enum class MinBftByzantineMode { kHonest, kCrash, kEquivocate };
-
-struct MinBftByzantineConfig {
-  MinBftByzantineMode mode = MinBftByzantineMode::kHonest;
-  std::uint64_t trigger_height = 0;
-};
-
 class MinBftReplica final : public smr::ReplicaBase {
  public:
   MinBftReplica(net::Network& net, smr::ReplicaConfig cfg,
-                MinBftByzantineConfig byz, energy::Meter* meter);
+                smr::ByzantineConfig byz, energy::Meter* meter);
 
   void start() override;
-
-  [[nodiscard]] std::uint64_t view_changes() const { return v_cur_ - 1; }
-  [[nodiscard]] bool crashed() const { return crashed_; }
   /// Trusted-component observability.
   [[nodiscard]] const trusted::TrustedCounter& counter() const {
     return counter_;
@@ -106,10 +93,8 @@ class MinBftReplica final : public smr::ReplicaBase {
   void enter_view(std::uint64_t view);
 
   void reset_progress_timer(sim::Duration d);
-  void buffer_future(const smr::Msg& msg);
-  void drain_buffered();
 
-  MinBftByzantineConfig byz_;
+  smr::ByzantineConfig byz_;
   Phase phase_ = Phase::kSteady;
   bool started_ = false;
   bool crashed_ = false;
@@ -125,9 +110,9 @@ class MinBftReplica final : public smr::ReplicaBase {
   std::map<std::uint64_t, smr::BlockHash> seen_;
   /// Attested acceptances per block hash (distinct authors; the
   /// primary's prepare counts as its commit).
-  std::map<smr::BlockHash, std::set<NodeId>> commit_authors_;
-  std::set<smr::BlockHash> commit_sent_;
-  std::set<smr::BlockHash> pending_commit_;
+  smr::BlockHashMap<std::set<NodeId>> commit_authors_;
+  smr::BlockHashSet commit_sent_;
+  smr::BlockHashSet pending_commit_;
 
   /// Latest accepted primary block (what view changes report).
   smr::BlockHash accepted_tip_;
@@ -139,9 +124,6 @@ class MinBftReplica final : public smr::ReplicaBase {
   std::uint64_t vc_target_ = 0;
   std::map<std::uint64_t, std::map<NodeId, smr::Msg>> vc_msgs_;
   std::set<std::uint64_t> nv_sent_;
-
-  std::vector<smr::Msg> future_;
-  std::vector<smr::Msg> retry_;
 };
 
 }  // namespace eesmr::baselines

@@ -51,7 +51,7 @@ struct PreparedState {
 }  // namespace
 
 PbftReplica::PbftReplica(net::Network& net, smr::ReplicaConfig cfg,
-                         PbftByzantineConfig byz, energy::Meter* meter)
+                         smr::ByzantineConfig byz, energy::Meter* meter)
     : ReplicaBase(net, pbft_config(std::move(cfg)), meter),
       byz_(byz),
       progress_timer_(sched_) {
@@ -88,8 +88,8 @@ void PbftReplica::propose() {
   const Block* parent = store_.get(parent_hash);
   if (parent == nullptr) return;
   const std::uint64_t height = parent->height + 1;
-  if (byz_.mode == PbftByzantineMode::kCrash && byz_.trigger_height != 0 &&
-      height >= byz_.trigger_height) {
+  if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger != 0 &&
+      height >= byz_.trigger) {
     crashed_ = true;
     progress_timer_.cancel();
     router().set_forwarding(false);
@@ -122,8 +122,7 @@ void PbftReplica::propose() {
     handle_propose(cfg_.id, prop);
   };
 
-  if (byz_.mode == PbftByzantineMode::kEquivocate &&
-      height == byz_.trigger_height) {
+  if (byz_.equivocates() && height == byz_.trigger) {
     send_proposal(build("equivocation-A"));
     send_proposal(build("equivocation-B"));
     return;
@@ -159,7 +158,7 @@ void PbftReplica::handle_propose(NodeId from, const Msg& msg) {
   }
 
   if (!integrate_block(b, from)) {
-    retry_.push_back(msg);
+    retry_on_connect(msg);
     return;
   }
   // The pre-prepare must extend the committed branch.
@@ -284,16 +283,7 @@ void PbftReplica::send_view_change(std::uint64_t target) {
       ps.block = *b;
     }
   }
-  Msg vc;
-  vc.type = MsgType::kViewChange;
-  vc.view = vc_target_;
-  vc.round = 0;
-  vc.author = cfg_.id;
-  vc.data = ps.encode();
-  vc.sig = cfg_.keyring->signer(cfg_.id).sign(vc.preimage());
-  charge(energy::Category::kSign,
-         energy::sign_energy_mj(cfg_.keyring->scheme()));
-  prof_crypto("sign", "view_change");
+  const Msg vc = make_msg(MsgType::kViewChange, vc_target_, 0, ps.encode());
   broadcast(vc);
   handle_view_change(vc);
   reset_progress_timer(10 * cfg_.delta);
@@ -333,17 +323,7 @@ void PbftReplica::maybe_announce_new_view(std::uint64_t target) {
     best = ps.block.height;
     chosen = ps;
   }
-  Msg nv;
-  nv.type = MsgType::kNewView;
-  nv.view = target;
-  nv.round = 0;
-  nv.author = cfg_.id;
-  nv.data = chosen.encode();
-  nv.sig = cfg_.keyring->signer(cfg_.id).sign(nv.preimage());
-  charge(energy::Category::kSign,
-         energy::sign_energy_mj(cfg_.keyring->scheme()));
-  prof_crypto("sign", "view_change");
-  broadcast(nv);
+  broadcast(make_msg(MsgType::kNewView, target, 0, chosen.encode()));
   if (chosen.has_prepared) {
     store_.add(chosen.block);
     if (chosen.block.height > prepared_height_) {
@@ -393,27 +373,10 @@ void PbftReplica::enter_view(std::uint64_t view) {
 }
 
 // ---------------------------------------------------------------------------
-// Helpers
+// Chain and checkpoint hooks
 // ---------------------------------------------------------------------------
 
-void PbftReplica::buffer_future(const Msg& msg) {
-  if (future_.size() > 4096) return;
-  future_.push_back(msg);
-}
-
-void PbftReplica::drain_buffered() {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  std::vector<Msg> pending;
-  pending.swap(future_);
-  for (const Msg& m : retry) handle(m.author, m);
-  for (const Msg& m : pending) handle(m.author, m);
-}
-
 void PbftReplica::on_chain_connected(const Block& block) {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  for (const Msg& m : retry) handle(m.author, m);
   // A prepare quorum that was waiting for this block.
   const BlockHash h = block.hash();
   const auto pit = prepares_.find(h);
@@ -426,8 +389,8 @@ void PbftReplica::on_chain_connected(const Block& block) {
 
 void PbftReplica::on_low_water(const Block& root) {
   seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
-  auto prune = [&](std::map<BlockHash, std::vector<Msg>>& tallies,
-                   std::set<BlockHash>& sent) {
+  auto prune = [&](smr::BlockHashMap<std::vector<Msg>>& tallies,
+                   smr::BlockHashSet& sent) {
     for (auto it = tallies.begin(); it != tallies.end();) {
       const Block* b = store_.get(it->first);
       if (b != nullptr && b->height <= root.height) {

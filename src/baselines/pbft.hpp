@@ -30,23 +30,12 @@
 
 namespace eesmr::baselines {
 
-/// Byzantine behaviours mirroring the EESMR fault experiments.
-enum class PbftByzantineMode { kHonest, kCrash, kEquivocate };
-
-struct PbftByzantineConfig {
-  PbftByzantineMode mode = PbftByzantineMode::kHonest;
-  std::uint64_t trigger_height = 0;
-};
-
 class PbftReplica final : public smr::ReplicaBase {
  public:
   PbftReplica(net::Network& net, smr::ReplicaConfig cfg,
-              PbftByzantineConfig byz, energy::Meter* meter);
+              smr::ByzantineConfig byz, energy::Meter* meter);
 
   void start() override;
-
-  [[nodiscard]] std::uint64_t view_changes() const { return v_cur_ - 1; }
-  [[nodiscard]] bool crashed() const { return crashed_; }
 
  protected:
   void handle(NodeId from, const smr::Msg& msg) override;
@@ -74,13 +63,11 @@ class PbftReplica final : public smr::ReplicaBase {
   void enter_view(std::uint64_t view);
 
   void reset_progress_timer(sim::Duration d);
-  void buffer_future(const smr::Msg& msg);
-  void drain_buffered();
   /// The block new proposals extend: the highest prepared block on the
   /// committed branch, else the committed tip.
   [[nodiscard]] smr::BlockHash proposal_parent() const;
 
-  PbftByzantineConfig byz_;
+  smr::ByzantineConfig byz_;
   Phase phase_ = Phase::kSteady;
   bool started_ = false;
   bool crashed_ = false;
@@ -89,14 +76,14 @@ class PbftReplica final : public smr::ReplicaBase {
   /// detection; two conflicting pre-prepares trigger a view change).
   std::map<std::uint64_t, smr::BlockHash> seen_;
   /// kPrepare messages per block hash (distinct authors).
-  std::map<smr::BlockHash, std::vector<smr::Msg>> prepares_;
-  std::set<smr::BlockHash> prepare_sent_;  ///< hashes we broadcast kPrepare for
+  smr::BlockHashMap<std::vector<smr::Msg>> prepares_;
+  smr::BlockHashSet prepare_sent_;  ///< hashes we broadcast kPrepare for
   /// kCommit messages per block hash (distinct authors).
-  std::map<smr::BlockHash, std::vector<smr::Msg>> commits_;
-  std::set<smr::BlockHash> commit_sent_;
+  smr::BlockHashMap<std::vector<smr::Msg>> commits_;
+  smr::BlockHashSet commit_sent_;
   /// Commit quorums reached before the block connected (drained by
   /// on_chain_connected).
-  std::set<smr::BlockHash> pending_commit_;
+  smr::BlockHashSet pending_commit_;
 
   /// Highest prepared block + its 2f+1-prepare certificate (what view
   /// changes carry forward).
@@ -109,9 +96,6 @@ class PbftReplica final : public smr::ReplicaBase {
   /// kViewChange messages per target view per author.
   std::map<std::uint64_t, std::map<NodeId, smr::Msg>> vc_msgs_;
   std::set<std::uint64_t> nv_sent_;  ///< views we announced kNewView for
-
-  std::vector<smr::Msg> future_;
-  std::vector<smr::Msg> retry_;
 };
 
 }  // namespace eesmr::baselines

@@ -14,7 +14,7 @@ using smr::MsgType;
 using smr::QuorumCert;
 
 SyncHsReplica::SyncHsReplica(net::Network& net, smr::ReplicaConfig cfg,
-                             SyncHsOptions opts, SyncHsByzantineConfig byz,
+                             SyncHsOptions opts, smr::ByzantineConfig byz,
                              energy::Meter* meter)
     : ReplicaBase(net, std::move(cfg), meter),
       opts_(opts),
@@ -55,8 +55,8 @@ void SyncHsReplica::start() {
 
 void SyncHsReplica::propose(std::uint64_t height) {
   if (crashed_ || phase_ != Phase::kSteady) return;
-  if (byz_.mode == SyncHsByzantineMode::kCrash &&
-      byz_.trigger_height != 0 && height >= byz_.trigger_height) {
+  if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger != 0 &&
+      height >= byz_.trigger) {
     crashed_ = true;
     blame_timer_.cancel();
     cancel_commit_timers();
@@ -96,8 +96,7 @@ void SyncHsReplica::propose(std::uint64_t height) {
     handle_propose(cfg_.id, prop);
   };
 
-  if (byz_.mode == SyncHsByzantineMode::kEquivocate &&
-      height == byz_.trigger_height) {
+  if (byz_.equivocates() && height == byz_.trigger) {
     send_proposal(build("equivocation-A"));
     send_proposal(build("equivocation-B"));
     return;
@@ -143,7 +142,7 @@ void SyncHsReplica::handle_propose(NodeId from, const Msg& msg) {
   // The certificate must certify the parent.
   if (parent_cert.data != b.parent || !cert_valid(parent_cert)) return;
   if (!integrate_block(b, from)) {
-    retry_.push_back(msg);
+    retry_on_connect(msg);
     return;
   }
   // Vote for proposals whose certified parent is at least as high as the
@@ -331,7 +330,7 @@ void SyncHsReplica::handle_status(const Msg& msg) {
     return;
   }
   if (!cert_valid(qc)) return;
-  const std::uint64_t h = qc_block_height(qc);
+  const std::uint64_t h = store_.height_of(qc.data);
   if (h > certified_height_ && store_.contains(qc.data)) {
     certified_tip_ = qc.data;
     certified_height_ = h;
@@ -372,7 +371,7 @@ void SyncHsReplica::enter_new_view() {
 }
 
 void SyncHsReplica::leader_propose_new_view() {
-  if (byz_.mode == SyncHsByzantineMode::kCrash && byz_.trigger_height == 0) {
+  if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger == 0) {
     crashed_ = true;
     router().set_forwarding(false);
     return;
@@ -393,31 +392,6 @@ bool SyncHsReplica::cert_valid(const QuorumCert& qc) {
   if (qc.data == smr::genesis_hash() && qc.sigs.empty()) return true;
   if (qc.type != MsgType::kVote) return false;
   return verify_qc(qc, quorum());
-}
-
-std::uint64_t SyncHsReplica::qc_block_height(const QuorumCert& qc) const {
-  const Block* b = store_.get(qc.data);
-  return b == nullptr ? 0 : b->height;
-}
-
-void SyncHsReplica::buffer_future(const Msg& msg) {
-  if (future_.size() > 4096) return;
-  future_.push_back(msg);
-}
-
-void SyncHsReplica::drain_buffered() {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  std::vector<Msg> pending;
-  pending.swap(future_);
-  for (const Msg& m : retry) handle(m.author, m);
-  for (const Msg& m : pending) handle(m.author, m);
-}
-
-void SyncHsReplica::on_chain_connected(const Block&) {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  for (const Msg& m : retry) handle(m.author, m);
 }
 
 void SyncHsReplica::on_low_water(const Block& root) {

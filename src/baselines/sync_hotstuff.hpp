@@ -38,26 +38,16 @@ struct SyncHsOptions {
   bool rotating_leader = false;
 };
 
-/// Byzantine behaviours mirroring the EESMR fault experiments.
-enum class SyncHsByzantineMode { kHonest, kCrash, kEquivocate };
-
-struct SyncHsByzantineConfig {
-  SyncHsByzantineMode mode = SyncHsByzantineMode::kHonest;
-  std::uint64_t trigger_height = 0;
-};
-
 class SyncHsReplica final : public smr::ReplicaBase {
  public:
   SyncHsReplica(net::Network& net, smr::ReplicaConfig cfg, SyncHsOptions opts,
-                SyncHsByzantineConfig byz, energy::Meter* meter);
+                smr::ByzantineConfig byz, energy::Meter* meter);
 
   void start() override;
 
-  [[nodiscard]] std::uint64_t view_changes() const { return v_cur_ - 1; }
   [[nodiscard]] std::size_t optimistic_quorum() const {
     return 3 * cfg_.n / 4 + 1;
   }
-  [[nodiscard]] bool crashed() const { return crashed_; }
   /// Proposer of a given height (rotating mode) or the view leader.
   [[nodiscard]] NodeId proposer_for(std::uint64_t height) const {
     if (opts_.rotating_leader) {
@@ -68,7 +58,6 @@ class SyncHsReplica final : public smr::ReplicaBase {
 
  protected:
   void handle(NodeId from, const smr::Msg& msg) override;
-  void on_chain_connected(const smr::Block& block) override;
   void on_low_water(const smr::Block& root) override;
   void on_state_transfer(const smr::Block& root) override;
   void on_restart() override;
@@ -95,13 +84,10 @@ class SyncHsReplica final : public smr::ReplicaBase {
 
   void reset_blame_timer(sim::Duration d);
   void cancel_commit_timers();
-  void buffer_future(const smr::Msg& msg);
-  void drain_buffered();
   [[nodiscard]] bool cert_valid(const smr::QuorumCert& qc);
-  [[nodiscard]] std::uint64_t qc_block_height(const smr::QuorumCert& qc) const;
 
   SyncHsOptions opts_;
-  SyncHsByzantineConfig byz_;
+  smr::ByzantineConfig byz_;
   Phase phase_ = Phase::kSteady;
   bool started_ = false;
   bool crashed_ = false;
@@ -115,15 +101,15 @@ class SyncHsReplica final : public smr::ReplicaBase {
   /// First proposal hash per height (equivocation detection).
   std::map<std::uint64_t, std::pair<smr::BlockHash, smr::Msg>> seen_;
   /// Votes per block hash.
-  std::map<smr::BlockHash, std::vector<smr::Msg>> votes_;
-  std::set<smr::BlockHash> voted_;  ///< block hashes we voted for
+  smr::BlockHashMap<std::vector<smr::Msg>> votes_;
+  smr::BlockHashSet voted_;  ///< block hashes we voted for
   /// First vote per height in the current view (cleared on view entry):
   /// an equivocating leader must not extract two votes — and two armed
   /// 2Δ commits — for conflicting same-height siblings from one node.
   std::map<std::uint64_t, smr::BlockHash> voted_height_;
 
   sim::Timer blame_timer_;
-  std::map<smr::BlockHash, sim::EventId> commit_timers_;
+  smr::BlockHashMap<sim::EventId> commit_timers_;
 
   std::vector<smr::Msg> blame_msgs_;
   std::set<NodeId> blamers_;
@@ -131,9 +117,6 @@ class SyncHsReplica final : public smr::ReplicaBase {
 
   std::map<NodeId, smr::QuorumCert> status_;
   bool nv_proposed_ = false;
-
-  std::vector<smr::Msg> future_;
-  std::vector<smr::Msg> retry_;
 };
 
 }  // namespace eesmr::baselines

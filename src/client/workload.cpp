@@ -54,7 +54,10 @@ class KvGen final : public CommandGen {
       : spec_(spec), rng_(seed), zipf_(spec.kv_keys, spec.kv_zipf) {}
 
   Bytes next() override {
-    const std::string key = "k" + std::to_string(zipf_.sample(rng_));
+    // Appended rather than `"k" + std::to_string(...)`, which draws a
+    // GCC 12 -O3 -Wrestrict false positive.
+    std::string key = "k";
+    key += std::to_string(zipf_.sample(rng_));
     if (rng_.uniform() < spec_.kv_read_fraction) {
       return to_bytes("get " + key);
     }

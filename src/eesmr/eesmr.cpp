@@ -22,7 +22,7 @@ constexpr std::uint64_t kFastForwardMinGap = 4;
 }  // namespace
 
 EesmrReplica::EesmrReplica(net::Network& net, smr::ReplicaConfig cfg,
-                           EesmrOptions opts, ByzantineConfig byz,
+                           EesmrOptions opts, smr::ByzantineConfig byz,
                            energy::Meter* meter)
     : ReplicaBase(net, std::move(cfg), meter),
       opts_(opts),
@@ -61,17 +61,15 @@ void EesmrReplica::enter_steady_round(std::uint64_t round) {
 
 void EesmrReplica::propose_block(std::uint64_t round) {
   if (crashed_ || phase_ != Phase::kSteady) return;
-  if (byz_.mode == ByzantineMode::kCrash && byz_.trigger_round >= 3 &&
-      round >= byz_.trigger_round) {
+  if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger >= 3 &&
+      round >= byz_.trigger) {
     crashed_ = true;
     blame_timer_.cancel();
     cancel_commit_timers();
     router().set_forwarding(false);
     return;
   }
-  if ((byz_.mode == ByzantineMode::kEquivocate ||
-       byz_.mode == ByzantineMode::kEquivocateSelective) &&
-      round == byz_.trigger_round) {
+  if (byz_.equivocates() && round == byz_.trigger) {
     byzantine_equivocate(round);
     return;
   }
@@ -161,7 +159,7 @@ void EesmrReplica::try_accept(const Msg& msg, const Block& b,
       if (msg.round > accepted_round_ + 1 + kFastForwardMinGap &&
           commit_timers_.size() < opts_.pipeline) {
         if (!integrate_block(b, origin)) {
-          retry_.push_back(msg);  // chain sync fetches the gap
+          retry_on_connect(msg);  // chain sync fetches the gap
           return;
         }
         if (store_.extends(h, b_lck_)) {
@@ -180,7 +178,7 @@ void EesmrReplica::try_accept(const Msg& msg, const Block& b,
     return;
   }
   if (!integrate_block(b, origin)) {
-    retry_.push_back(msg);  // chain sync in flight; retried on connect
+    retry_on_connect(msg);  // chain sync in flight; retried on connect
     return;
   }
   // LockCompare (line 121): in the steady state only a block extending
@@ -293,15 +291,7 @@ void EesmrReplica::send_blame() {
   ++blames_sent_;
   trace_instant("view", "blame", {{"view", exp::Json(v_cur_)},
                                   {"target", exp::Json(target)}});
-  Msg blame;
-  blame.type = MsgType::kBlame;
-  blame.view = target;
-  blame.round = 0;
-  blame.author = cfg_.id;
-  blame.sig = cfg_.keyring->signer(cfg_.id).sign(blame.preimage());
-  charge(energy::Category::kSign,
-         energy::sign_energy_mj(cfg_.keyring->scheme()));
-  prof_crypto("sign", "view_change");
+  const Msg blame = make_msg(MsgType::kBlame, target, 0, {});
   broadcast(blame);
   handle_blame(blame);  // count our own blame
   reset_blame_timer(8 * cfg_.delta);
@@ -501,7 +491,7 @@ void EesmrReplica::handle_certify(const Msg& msg) {
                   {{"view", exp::Json(v_cur_)},
                    {"height", exp::Json(commit_qc_height_)}});
     const QuorumCert qc = make_cert(certify_msgs_);
-    const std::uint64_t h = qc_block_height(qc);
+    const std::uint64_t h = store_.height_of(qc.data);
     if (h >= commit_qc_height_) {
       commit_qc_ = qc;
       commit_qc_height_ = h;
@@ -524,7 +514,7 @@ void EesmrReplica::handle_commit_qc(const Msg& msg) {
   if (!is_commit_qc_valid(qc)) return;
   // Lines 248-250: adopt longer certificates that do not conflict with
   // our lock.
-  const std::uint64_t height = qc_block_height(qc);
+  const std::uint64_t height = store_.height_of(qc.data);
   if (height <= commit_qc_height_) return;
   if (!store_.contains(qc.data)) return;
   if (store_.conflicts(qc.data, b_lck_)) return;
@@ -614,7 +604,7 @@ void EesmrReplica::handle_status(const Msg& msg) {
 }
 
 void EesmrReplica::leader_propose_new_view() {
-  if (byz_.mode == ByzantineMode::kCrash && byz_.trigger_round <= 2) {
+  if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger <= 2) {
     // A Byzantine new leader that stalls the bootstrap.
     crashed_ = true;
     blame_timer_.cancel();
@@ -627,7 +617,8 @@ void EesmrReplica::leader_propose_new_view() {
                                                     status_.end());
   std::sort(chosen.begin(), chosen.end(),
             [this](const auto& a, const auto& b) {
-              return qc_block_height(a.second) > qc_block_height(b.second);
+              return store_.height_of(a.second.data) >
+                     store_.height_of(b.second.data);
             });
   chosen.resize(std::min(chosen.size(), quorum()));
   const QuorumCert& highest = chosen.front().second;
@@ -690,7 +681,7 @@ void EesmrReplica::handle_new_view_proposal(NodeId from, const Msg& msg) {
   const QuorumCert* highest_qc = nullptr;
   for (const QuorumCert& qc : status) {
     if (!is_commit_qc_valid(qc)) return;
-    const std::uint64_t h = qc_block_height(qc);
+    const std::uint64_t h = store_.height_of(qc.data);
     if (highest_qc == nullptr || h > highest) {
       highest = h;
       highest_qc = &qc;
@@ -703,7 +694,7 @@ void EesmrReplica::handle_new_view_proposal(NodeId from, const Msg& msg) {
   record_proposal_hash(1, h1, msg);
   if (phase_ != Phase::kBootstrap1) return;  // an equivocation proof fired
   if (!integrate_block(b1, from)) {
-    retry_.push_back(msg);
+    retry_on_connect(msg);
     return;
   }
 
@@ -780,31 +771,6 @@ bool EesmrReplica::is_commit_qc_valid(const QuorumCert& qc) {
   return verify_qc(qc, quorum());
 }
 
-std::uint64_t EesmrReplica::qc_block_height(const QuorumCert& qc) const {
-  const Block* b = store_.get(qc.data);
-  return b == nullptr ? 0 : b->height;
-}
-
-void EesmrReplica::buffer_future(const Msg& msg) {
-  if (future_.size() > 4096) return;  // bound Byzantine memory pressure
-  future_.push_back(msg);
-}
-
-void EesmrReplica::drain_buffered() {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  std::vector<Msg> pending;
-  pending.swap(future_);
-  for (const Msg& m : retry) handle(m.author, m);
-  for (const Msg& m : pending) handle(m.author, m);
-}
-
-void EesmrReplica::on_chain_connected(const Block&) {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  for (const Msg& m : retry) handle(m.author, m);
-}
-
 void EesmrReplica::on_low_water(const Block& root) {
   // Rounds at or below the checkpointed block are final on f+1 replicas:
   // an equivocation proof for them can no longer matter, so the per-round
@@ -859,7 +825,7 @@ void EesmrReplica::byzantine_equivocate(std::uint64_t round) {
   b.cmds = {smr::Command{to_bytes(std::string("equivocation-B"))}};
   Msg ma = make_msg(MsgType::kPropose, round, a.encode());
   Msg mb = make_msg(MsgType::kPropose, round, b.encode());
-  if (byz_.mode == ByzantineMode::kEquivocate) {
+  if (byz_.mode == smr::ByzantineMode::kEquivocate) {
     broadcast(ma);
     broadcast(mb);
     return;

@@ -45,44 +45,22 @@ struct EesmrOptions {
   std::size_t checkpoint_interval = 0;
 };
 
-/// Byzantine behaviours used by the evaluation (§5.6, Fig 2e / Fig 3).
-enum class ByzantineMode {
-  kHonest,
-  /// Stop participating entirely at the trigger round (no-progress VC
-  /// when this node is the leader).
-  kCrash,
-  /// Propose two conflicting blocks in the trigger round (flooded to
-  /// everyone) — the equivocation VC scenario.
-  kEquivocate,
-  /// Equivocate, but transmit each conflicting proposal on only half of
-  /// the outgoing edges; detection then relies on honest re-broadcast.
-  kEquivocateSelective,
-};
-
-struct ByzantineConfig {
-  ByzantineMode mode = ByzantineMode::kHonest;
-  std::uint64_t trigger_round = 0;  ///< steady-state round to act in
-};
-
 class EesmrReplica final : public smr::ReplicaBase {
  public:
   EesmrReplica(net::Network& net, smr::ReplicaConfig cfg, EesmrOptions opts,
-               ByzantineConfig byz, energy::Meter* meter);
+               smr::ByzantineConfig byz, energy::Meter* meter);
 
   void start() override;
 
   // -- observability ---------------------------------------------------------
-  [[nodiscard]] std::uint64_t view_changes() const { return v_cur_ - 1; }
   [[nodiscard]] const smr::BlockHash& locked_block() const { return b_lck_; }
   [[nodiscard]] std::uint64_t equivocations_detected() const {
     return equivocations_detected_;
   }
   [[nodiscard]] std::uint64_t blames_sent() const { return blames_sent_; }
-  [[nodiscard]] bool crashed() const { return crashed_; }
 
  protected:
   void handle(NodeId from, const smr::Msg& msg) override;
-  void on_chain_connected(const smr::Block& block) override;
   void on_low_water(const smr::Block& root) override;
   void on_state_transfer(const smr::Block& root) override;
   void on_restart() override;
@@ -144,14 +122,11 @@ class EesmrReplica final : public smr::ReplicaBase {
 
   // -- helpers ----------------------------------------------------------------------
   [[nodiscard]] bool is_commit_qc_valid(const smr::QuorumCert& qc);
-  [[nodiscard]] std::uint64_t qc_block_height(const smr::QuorumCert& qc) const;
   void reset_blame_timer(sim::Duration d);
-  void buffer_future(const smr::Msg& msg);
-  void drain_buffered();
   void byzantine_equivocate(std::uint64_t round);
 
   EesmrOptions opts_;
-  ByzantineConfig byz_;
+  smr::ByzantineConfig byz_;
   Phase phase_ = Phase::kSteady;
   bool started_ = false;
   bool crashed_ = false;
@@ -169,7 +144,7 @@ class EesmrReplica final : public smr::ReplicaBase {
   std::map<std::uint64_t, std::pair<smr::BlockHash, smr::Msg>> seen_;
 
   sim::Timer blame_timer_;
-  std::map<smr::BlockHash, sim::EventId> commit_timers_;
+  smr::BlockHashMap<sim::EventId> commit_timers_;
 
   /// Signed blames per view, for views >= v_cur_ (evidence for blame
   /// escalation and cross-view joins; stale views are pruned on entry).
@@ -191,9 +166,6 @@ class EesmrReplica final : public smr::ReplicaBase {
   std::optional<smr::Block> nv_block_;
   std::vector<smr::Msg> nv_votes_;
   bool round2_sent_ = false;
-
-  std::vector<smr::Msg> future_;
-  std::vector<smr::Msg> retry_;
 
   std::uint64_t equivocations_detected_ = 0;
   std::uint64_t blames_sent_ = 0;

@@ -260,7 +260,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     correct_[total + cfg_.clients + bi] = false;
   }
   for (const FaultSpec& fs : cfg_.faults) {
-    if (fs.mode != protocol::ByzantineMode::kHonest) {
+    if (fs.byz.mode != smr::ByzantineMode::kHonest) {
       correct_.at(fs.node) = false;
     }
   }
@@ -326,12 +326,9 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   }
 
   auto fault_for = [&](NodeId id) {
-    protocol::ByzantineConfig byz;
+    smr::ByzantineConfig byz;
     for (const FaultSpec& fs : cfg_.faults) {
-      if (fs.node == id) {
-        byz.mode = fs.mode;
-        byz.trigger_round = fs.trigger_round;
-      }
+      if (fs.node == id) byz = fs.byz;
     }
     return byz;
   };
@@ -349,60 +346,18 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       case Protocol::kOptSync: {
         baselines::SyncHsOptions so = cfg_.synchs;
         so.optimistic_fast_path = cfg_.protocol == Protocol::kOptSync;
-        baselines::SyncHsByzantineConfig sbyz;
-        const protocol::ByzantineConfig byz = fault_for(i);
-        switch (byz.mode) {
-          case protocol::ByzantineMode::kHonest:
-            sbyz.mode = baselines::SyncHsByzantineMode::kHonest;
-            break;
-          case protocol::ByzantineMode::kCrash:
-            sbyz.mode = baselines::SyncHsByzantineMode::kCrash;
-            break;
-          default:
-            sbyz.mode = baselines::SyncHsByzantineMode::kEquivocate;
-            break;
-        }
-        sbyz.trigger_height = byz.trigger_round;
         replicas_.push_back(std::make_unique<baselines::SyncHsReplica>(
-            *net_, rc, so, sbyz, &meters_[i]));
+            *net_, rc, so, fault_for(i), &meters_[i]));
         break;
       }
       case Protocol::kPbft: {
-        baselines::PbftByzantineConfig pbyz;
-        const protocol::ByzantineConfig byz = fault_for(i);
-        switch (byz.mode) {
-          case protocol::ByzantineMode::kHonest:
-            pbyz.mode = baselines::PbftByzantineMode::kHonest;
-            break;
-          case protocol::ByzantineMode::kCrash:
-            pbyz.mode = baselines::PbftByzantineMode::kCrash;
-            break;
-          default:
-            pbyz.mode = baselines::PbftByzantineMode::kEquivocate;
-            break;
-        }
-        pbyz.trigger_height = byz.trigger_round;
         replicas_.push_back(std::make_unique<baselines::PbftReplica>(
-            *net_, rc, pbyz, &meters_[i]));
+            *net_, rc, fault_for(i), &meters_[i]));
         break;
       }
       case Protocol::kMinBft: {
-        baselines::MinBftByzantineConfig mbyz;
-        const protocol::ByzantineConfig byz = fault_for(i);
-        switch (byz.mode) {
-          case protocol::ByzantineMode::kHonest:
-            mbyz.mode = baselines::MinBftByzantineMode::kHonest;
-            break;
-          case protocol::ByzantineMode::kCrash:
-            mbyz.mode = baselines::MinBftByzantineMode::kCrash;
-            break;
-          default:
-            mbyz.mode = baselines::MinBftByzantineMode::kEquivocate;
-            break;
-        }
-        mbyz.trigger_height = byz.trigger_round;
         replicas_.push_back(std::make_unique<baselines::MinBftReplica>(
-            *net_, rc, mbyz, &meters_[i]));
+            *net_, rc, fault_for(i), &meters_[i]));
         break;
       }
       case Protocol::kTrustedBaseline: {

@@ -43,11 +43,10 @@ enum class Protocol {
 
 const char* protocol_name(Protocol p);
 
+/// Scripted Byzantine behaviour of replica `node`.
 struct FaultSpec {
   NodeId node = 0;
-  protocol::ByzantineMode mode = protocol::ByzantineMode::kHonest;
-  /// Steady-state round (EESMR) / height (Sync HotStuff) to act at.
-  std::uint64_t trigger_round = 0;
+  smr::ByzantineConfig byz;
 };
 
 struct ClusterConfig {

@@ -10,6 +10,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <set>
 #include <string_view>
 #include <vector>
 
@@ -28,6 +30,11 @@ struct Command {
 /// SHA-256 block identifier.
 using BlockHash = Bytes;  // 32 bytes
 
+/// The digest's bytes as a std::string_view (no copy).
+inline std::string_view hash_view(const BlockHash& h) {
+  return {reinterpret_cast<const char*>(h.data()), h.size()};
+}
+
 /// Hasher for unordered containers keyed by BlockHash. It hashes the
 /// bytes as a std::string_view, which yields the same value as
 /// std::hash<std::string> on the same bytes: a table keyed this way
@@ -36,10 +43,22 @@ using BlockHash = Bytes;  // 32 bytes
 /// deepest-orphan tie-break).
 struct BlockHashHasher {
   std::size_t operator()(const BlockHash& h) const noexcept {
-    return std::hash<std::string_view>{}(std::string_view(
-        reinterpret_cast<const char*>(h.data()), h.size()));
+    return std::hash<std::string_view>{}(hash_view(h));
   }
 };
+
+/// Ordering for ordered containers keyed by BlockHash: compares the bytes
+/// as std::string_view, which orders exactly like std::vector's
+/// operator< (unsigned bytes, shorter prefix first) without the GCC 12
+/// -O3 -Wstringop-overread false positives that operator<=> draws.
+struct BlockHashLess {
+  bool operator()(const BlockHash& a, const BlockHash& b) const noexcept {
+    return hash_view(a) < hash_view(b);
+  }
+};
+template <class V>
+using BlockHashMap = std::map<BlockHash, V, BlockHashLess>;
+using BlockHashSet = std::set<BlockHash, BlockHashLess>;
 
 struct Block {
   BlockHash parent;             ///< hash of the parent block (zeros: none)

@@ -48,6 +48,11 @@ class BlockStore {
 
   [[nodiscard]] bool contains(const BlockHash& h) const;
   [[nodiscard]] const Block* get(const BlockHash& h) const;
+  /// Height of a stored block; 0 for an unknown one.
+  [[nodiscard]] std::uint64_t height_of(const BlockHash& h) const {
+    const Block* b = get(h);
+    return b == nullptr ? 0 : b->height;
+  }
 
   /// True iff `descendant` equals `ancestor` or transitively extends it.
   /// Ancestry queries walk parent links by map key and never hash.

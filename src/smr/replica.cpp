@@ -173,9 +173,9 @@ void ReplicaBase::prof_flow_block(const char* name, const Block& b,
                                   energy::Stream s, std::size_t frame_bytes) {
   prof::Profiler* p = cfg_.profiler;
   if (p == nullptr || !p->tracing_requests() || b.cmds.empty()) return;
-  const auto key = std::make_pair(b.height, b.hash());
-  auto cached = prof_block_cache_.find(key);
-  if (cached == prof_block_cache_.end()) {
+  auto& at_height = prof_block_cache_[b.height];
+  auto cached = at_height.find(b.hash());
+  if (cached == at_height.end()) {
     std::vector<std::pair<NodeId, std::uint64_t>> sampled;
     for (const Command& cmd : b.cmds) {
       const auto req = ClientRequest::decode(cmd.data);
@@ -183,7 +183,7 @@ void ReplicaBase::prof_flow_block(const char* name, const Block& b,
         sampled.push_back({req->client, req->req_id});
       }
     }
-    cached = prof_block_cache_.emplace(key, std::move(sampled)).first;
+    cached = at_height.emplace(b.hash(), std::move(sampled)).first;
   }
   for (const auto& [client, req_id] : cached->second) {
     prof_flow(name, client, req_id);
@@ -201,25 +201,29 @@ void ReplicaBase::prof_flow_hash(const char* name, const BlockHash& h,
   if (b != nullptr) prof_flow_block(name, *b, s, frame_bytes);
 }
 
-Msg ReplicaBase::make_msg(MsgType type, std::uint64_t round, Bytes data) {
-  Msg m;
-  m.type = type;
-  m.view = v_cur_;
-  m.round = round;
-  m.author = cfg_.id;
-  m.data = std::move(data);
-  if (aggregate_certs() && certificate_bound(type)) {
-    // Vote-class signatures are 48-byte aggregate-scheme shares, so the
-    // certificates they fold into stay O(1) on the wire.
-    m.sig = cfg_.agg->share(cfg_.id, m.preimage());
-    charge(energy::Category::kSign, energy::agg_sign_energy_mj());
-  } else {
-    m.sig = cfg_.keyring->signer(cfg_.id).sign(m.preimage());
-    charge(energy::Category::kSign,
-           energy::sign_energy_mj(cfg_.keyring->scheme()));
-  }
-  prof_crypto("sign", site_of(type));
+Msg ReplicaBase::make_msg(MsgType type, std::uint64_t view,
+                          std::uint64_t round, Bytes data) {
+  Msg m = unsigned_msg(type, round, std::move(data));
+  m.view = view;
+  // Vote-class signatures are 48-byte aggregate-scheme shares, so the
+  // certificates they fold into stay O(1) on the wire.
+  m.sig = sign_preimage(m.preimage(),
+                        aggregate_certs() && certificate_bound(type),
+                        site_of(type));
   return m;
+}
+
+Bytes ReplicaBase::sign_preimage(BytesView preimage, bool share,
+                                 const char* site, bool metered) {
+  Bytes sig = share ? cfg_.agg->share(cfg_.id, preimage)
+                    : cfg_.keyring->signer(cfg_.id).sign(preimage);
+  if (metered) {
+    charge(energy::Category::kSign,
+           share ? energy::agg_sign_energy_mj()
+                 : energy::sign_energy_mj(cfg_.keyring->scheme()));
+    prof_crypto("sign", site);
+  }
+  return sig;
 }
 
 bool ReplicaBase::recent_signer(NodeId id) const {
@@ -243,18 +247,10 @@ bool ReplicaBase::verify_msg(const Msg& m) {
     return false;
   }
   const Bytes preimage = m.preimage();
-  bool ok;
-  if (aggregate_certs() && certificate_bound(m.type)) {
-    // Share check: priced as a one-signer aggregate verification.
-    charge(energy::Category::kVerify, energy::agg_verify_energy_mj(1));
-    prof_crypto("verify", site_of(m.type));
-    ok = memo_verify(m.author, preimage, m.sig, /*share=*/true);
-  } else {
-    charge(energy::Category::kVerify,
-           energy::verify_energy_mj(cfg_.keyring->scheme()));
-    prof_crypto("verify", site_of(m.type));
-    ok = memo_verify(m.author, preimage, m.sig);
-  }
+  const bool ok =
+      verify_metered(m.author, preimage, m.sig,
+                     aggregate_certs() && certificate_bound(m.type),
+                     site_of(m.type));
   if (ok && cfg_.verified_cache && certificate_bound(m.type)) {
     sig_verified_.emplace(sig_digest(m.author, preimage, m.sig),
                           committed_height_);
@@ -270,6 +266,16 @@ bool ReplicaBase::memo_verify(NodeId author, BytesView preimage,
   };
   return cfg_.memo != nullptr ? cfg_.memo->check(author, preimage, sig, verify)
                               : verify();
+}
+
+bool ReplicaBase::verify_metered(NodeId author, BytesView preimage,
+                                 BytesView sig, bool share, const char* site) {
+  // A share check is priced as a one-signer aggregate verification.
+  charge(energy::Category::kVerify,
+         share ? energy::agg_verify_energy_mj(1)
+               : energy::verify_energy_mj(cfg_.keyring->scheme()));
+  prof_crypto("verify", site);
+  return memo_verify(author, preimage, sig, share);
 }
 
 bool ReplicaBase::verify_individual_cert(
@@ -412,8 +418,7 @@ BlockHash ReplicaBase::hash_block(const Block& b) {
   return b.hash();
 }
 
-void ReplicaBase::broadcast(const Msg& m) {
-  if (outbound_ != nullptr && !outbound_->allow(m, kNoNode)) return;
+const Bytes& ReplicaBase::encode_wire(const Msg& m) {
   wire_writer_.clear();  // reuse the allocation across encodes
   m.encode_into(wire_writer_);
   const Bytes& wire = wire_writer_.buffer();
@@ -421,19 +426,17 @@ void ReplicaBase::broadcast(const Msg& m) {
     cfg_.profiler->count_codec("replica", "encode", stream_of(m.type),
                                wire.size());
   }
-  channel(stream_of(m.type)).disseminate(wire);
+  return wire;
+}
+
+void ReplicaBase::broadcast(const Msg& m) {
+  if (outbound_ != nullptr && !outbound_->allow(m, kNoNode)) return;
+  channel(stream_of(m.type)).disseminate(encode_wire(m));
 }
 
 void ReplicaBase::send(NodeId to, const Msg& m) {
   if (outbound_ != nullptr && !outbound_->allow(m, to)) return;
-  wire_writer_.clear();
-  m.encode_into(wire_writer_);
-  const Bytes& wire = wire_writer_.buffer();
-  if (cfg_.profiler != nullptr) {
-    cfg_.profiler->count_codec("replica", "encode", stream_of(m.type),
-                               wire.size());
-  }
-  channel(stream_of(m.type)).send_to(to, wire);
+  channel(stream_of(m.type)).send_to(to, encode_wire(m));
 }
 
 bool ReplicaBase::integrate_block(const Block& block, NodeId origin) {
@@ -449,6 +452,29 @@ bool ReplicaBase::integrate_block(const Block& block, NodeId origin) {
 }
 
 void ReplicaBase::on_chain_connected(const Block&) {}
+
+void ReplicaBase::connect_orphans() {
+  for (const Block& connected : store_.adopt_orphans()) {
+    std::vector<Msg> retry;
+    retry.swap(retry_);
+    for (const Msg& m : retry) handle(m.author, m);
+    on_chain_connected(connected);
+  }
+}
+
+void ReplicaBase::buffer_future(const Msg& msg) {
+  if (future_.size() > 4096) return;  // bound Byzantine memory pressure
+  future_.push_back(msg);
+}
+
+void ReplicaBase::drain_buffered() {
+  std::vector<Msg> retry;
+  retry.swap(retry_);
+  std::vector<Msg> pending;
+  pending.swap(future_);
+  for (const Msg& m : retry) handle(m.author, m);
+  for (const Msg& m : pending) handle(m.author, m);
+}
 
 void ReplicaBase::commit_chain(const BlockHash& h) {
   const prof::Scope scope(cfg_.profiler, "replica.commit_chain");
@@ -529,10 +555,8 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
             verified_.erase(vit);
             ++verified_hits_;
           } else {
-            charge(energy::Category::kVerify,
-                   energy::verify_energy_mj(cfg_.keyring->scheme()));
-            prof_crypto("verify", "request");
-            valid = memo_verify(req->client, req->preimage(), req->sig);
+            valid = verify_metered(req->client, req->preimage(), req->sig,
+                                   /*share=*/false, "request");
           }
         }
         if (!valid) {
@@ -670,26 +694,13 @@ void ReplicaBase::maybe_checkpoint(const Block& b) {
   // stays internally consistent). f+1 matching attestations are needed
   // for stability, so honest nodes can never stabilize the forgery.
   if (forge_ckpt_) cp.id.digest[0] ^= 0xFF;
-  if (aggregate_certs()) {
-    cp.sig = cfg_.agg->share(cfg_.id, cp.id.preimage());
-    charge(energy::Category::kSign, energy::agg_sign_energy_mj());
-  } else {
-    cp.sig = cfg_.keyring->signer(cfg_.id).sign(cp.id.preimage());
-    charge(energy::Category::kSign,
-           energy::sign_energy_mj(cfg_.keyring->scheme()));
-  }
-  prof_crypto("sign", "checkpoint");
+  cp.sig = sign_preimage(cp.id.preimage(), aggregate_certs(), "checkpoint");
   ckpt_.record_local(id, std::move(bytes), b);
 
   // The flooded message carries the dedicated checkpoint signature; the
   // outer Msg is unsigned (receivers verify the inner signature, which
   // is the one certificates collect), so one checkpoint costs one sign.
-  Msg m;
-  m.type = MsgType::kCheckpoint;
-  m.view = v_cur_;
-  m.round = r_cur_;
-  m.author = cfg_.id;
-  m.data = cp.encode();
+  const Msg m = unsigned_msg(MsgType::kCheckpoint, r_cur_, cp.encode());
   const NodeId collector =
       aggregate_certs() ? checkpoint_collector(id.height) : kNoNode;
   if (aggregate_certs()) {
@@ -708,12 +719,10 @@ void ReplicaBase::maybe_checkpoint(const Block& b) {
   // Aggregate scheme: only the collector tallies — everyone else learns
   // stability from its certificate.
   if (aggregate_certs() && collector != cfg_.id) return;
-  Bytes own_sig = cp.sig;
-  if (forge_ckpt_) {
-    own_sig = aggregate_certs()
-                  ? cfg_.agg->share(cfg_.id, id.preimage())
-                  : cfg_.keyring->signer(cfg_.id).sign(id.preimage());
-  }
+  const Bytes own_sig =
+      forge_ckpt_ ? sign_preimage(id.preimage(), aggregate_certs(),
+                                  "checkpoint", /*metered=*/false)
+                  : cp.sig;
   if (const auto cert = ckpt_.add_signature(cfg_.id, id, own_sig)) {
     on_stable_checkpoint(*cert);
     broadcast_checkpoint_cert(*cert);
@@ -733,19 +742,12 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   }
   if (cp.id.height <= ckpt_.stable_height()) return;
   const Bytes preimage = cp.id.preimage();
-  bool ok;
-  if (aggregate_certs()) {
-    // Share-signed attestation (folds into the checkpoint certificate).
-    charge(energy::Category::kVerify, energy::agg_verify_energy_mj(1));
-    prof_crypto("verify", "checkpoint");
-    ok = memo_verify(msg.author, preimage, cp.sig, /*share=*/true);
-  } else {
-    charge(energy::Category::kVerify,
-           energy::verify_energy_mj(cfg_.keyring->scheme()));
-    prof_crypto("verify", "checkpoint");
-    ok = memo_verify(msg.author, preimage, cp.sig);
+  // Aggregate scheme: a share-signed attestation (it folds into the
+  // checkpoint certificate).
+  if (!verify_metered(msg.author, preimage, cp.sig, aggregate_certs(),
+                      "checkpoint")) {
+    return;
   }
-  if (!ok) return;
   // Remember the attestation: a checkpoint certificate tallied later
   // (state transfer, snapshot push) re-carries this exact signature.
   if (cfg_.verified_cache) {
@@ -773,13 +775,7 @@ void ReplicaBase::broadcast_checkpoint_cert(
       cfg_.n, generation_for_signers(cert.signer_list()));
   charge(energy::Category::kSign,
          energy::agg_combine_energy_mj(cert.sigs.size()));
-  Msg m;
-  m.type = MsgType::kCheckpointCert;
-  m.view = v_cur_;
-  m.round = r_cur_;
-  m.author = cfg_.id;
-  m.data = agg.encode();
-  broadcast(m);
+  broadcast(unsigned_msg(MsgType::kCheckpointCert, r_cur_, agg.encode()));
 }
 
 void ReplicaBase::handle_checkpoint_cert(const Msg& msg) {
@@ -875,10 +871,8 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
   // not arrived yet" by looking the block up while it is still here.
   on_low_water(*root);
   // The flow-hook cache entries of the truncated blocks go with them.
-  const auto kept = std::find_if(
-      prof_block_cache_.begin(), prof_block_cache_.end(),
-      [&](const auto& e) { return e.first.first >= root->height; });
-  prof_block_cache_.erase(prof_block_cache_.begin(), kept);
+  prof_block_cache_.erase(prof_block_cache_.begin(),
+                          prof_block_cache_.lower_bound(root->height));
   store_.truncate_below(cert.id.block);
   sync_requested_.clear();  // pending ancestry below the mark is moot
 }
@@ -1068,9 +1062,7 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
 
   on_state_transfer(root);
   // Buffered blocks above the checkpoint may connect now.
-  for (const Block& connected : store_.adopt_orphans()) {
-    on_chain_connected(connected);
-  }
+  connect_orphans();
 }
 
 // ---------------------------------------------------------------------------
@@ -1116,12 +1108,10 @@ void ReplicaBase::handle_request(const Msg& m) {
       }
     }
   }
-  charge(energy::Category::kVerify,
-         energy::verify_energy_mj(cfg_.keyring->scheme()));
-  prof_crypto("verify", "request");
   // Every replica pools the same flooded request: the memo lets one
   // physical check of the embedded client signature serve the cluster.
-  if (!memo_verify(req->client, req->preimage(), req->sig)) {
+  if (!verify_metered(req->client, req->preimage(), req->sig,
+                      /*share=*/false, "request")) {
     ++bad_sigs_[req->client];
     return;
   }
@@ -1170,23 +1160,15 @@ void ReplicaBase::reply_to_client(const ClientRequest& req,
   // Leader hint for TargetedSubset clients: rides under the reply
   // signature, so lying is confined to the f Byzantine repliers.
   rep.leader = leader_of(v_cur_);
-  Msg m;
-  if (aggregate_certs()) {
-    // Share over the acceptance preimage (client, req_id, result) — not
-    // the Msg preimage — so the client can fold its f+1 matching replies
-    // into one O(1) transferable acceptance certificate.
-    m.type = MsgType::kReply;
-    m.view = v_cur_;
-    m.round = r_cur_;
-    m.author = cfg_.id;
-    m.data = rep.encode();
-    m.sig = cfg_.agg->share(
-        cfg_.id, acceptance_preimage(req.client, req.req_id, result));
-    charge(energy::Category::kSign, energy::agg_sign_energy_mj());
-    prof_crypto("sign", "reply");
-  } else {
-    m = make_msg(MsgType::kReply, r_cur_, rep.encode());
-  }
+  Msg m = unsigned_msg(MsgType::kReply, r_cur_, rep.encode());
+  // Aggregate scheme: a share over the acceptance preimage (client,
+  // req_id, result) — not the Msg preimage — so the client can fold its
+  // f+1 matching replies into one O(1) transferable acceptance
+  // certificate.
+  m.sig = sign_preimage(
+      aggregate_certs() ? acceptance_preimage(req.client, req.req_id, result)
+                        : m.preimage(),
+      aggregate_certs(), "reply");
   if (cfg_.profiler != nullptr &&
       cfg_.profiler->is_sampled(req.client, req.req_id)) {
     prof_flow("reply", req.client, req.req_id);
@@ -1289,9 +1271,7 @@ void ReplicaBase::handle_sync(NodeId from, const Msg& msg) {
   } catch (const SerdeError&) {
     return;
   }
-  for (const Block& connected : store_.adopt_orphans()) {
-    on_chain_connected(connected);
-  }
+  connect_orphans();
   // Backward sync: a response can land entirely above our frontier (a
   // deep gap after a crash). Walk further down the ancestry of the
   // deepest orphan until the chains meet — or a stable checkpoint makes

@@ -106,6 +106,33 @@ struct ReplicaConfig {
   prof::Profiler* profiler = nullptr;
 };
 
+/// Scripted Byzantine behaviour of one replica in the fault experiments
+/// (§5.6, Fig 2e / Fig 3). Every protocol takes this one config.
+enum class ByzantineMode {
+  kHonest,
+  /// Stop participating entirely at the trigger (no-progress view change
+  /// when this node leads).
+  kCrash,
+  /// Propose two conflicting blocks at the trigger, flooded to everyone:
+  /// the equivocation view-change scenario.
+  kEquivocate,
+  /// Equivocate, but send one conflicting proposal on the first out-edge
+  /// only; detection then relies on honest re-broadcast. EESMR only: the
+  /// baselines treat it as kEquivocate.
+  kEquivocateSelective,
+};
+
+struct ByzantineConfig {
+  ByzantineMode mode = ByzantineMode::kHonest;
+  /// Steady-state round (EESMR) or block height (baselines) to act at.
+  std::uint64_t trigger = 0;
+
+  [[nodiscard]] bool equivocates() const {
+    return mode == ByzantineMode::kEquivocate ||
+           mode == ByzantineMode::kEquivocateSelective;
+  }
+};
+
 /// Byzantine outbound interception (src/adversary): consulted for every
 /// outgoing protocol message of a replica it is installed on. Returning
 /// false withholds the message — it was built and signed (that energy is
@@ -161,7 +188,9 @@ class ReplicaBase : public net::FloodClient {
   }
   /// Blocks in the request-flow hook cache (bounded by checkpoint GC).
   [[nodiscard]] std::size_t prof_block_cache_entries() const {
-    return prof_block_cache_.size();
+    std::size_t n = 0;
+    for (const auto& [height, blocks] : prof_block_cache_) n += blocks.size();
+    return n;
   }
   /// Completed snapshot catch-ups and the duration of the latest one.
   [[nodiscard]] std::uint64_t state_transfers() const {
@@ -276,8 +305,27 @@ class ReplicaBase : public net::FloodClient {
   // -- crypto with energy metering ------------------------------------------------
   /// Charge `mj` of `cat` energy to the meter, if there is one.
   void charge(energy::Category cat, double mj);
+  /// An unsigned message from this replica in the current view, for
+  /// types authenticated by an embedded signature or attestation.
+  [[nodiscard]] Msg unsigned_msg(MsgType type, std::uint64_t round,
+                                 Bytes data) const {
+    Msg m;
+    m.type = type;
+    m.view = v_cur_;
+    m.round = round;
+    m.author = cfg_.id;
+    m.data = std::move(data);
+    return m;
+  }
   /// Build and sign a message in the current view.
-  Msg make_msg(MsgType type, std::uint64_t round, Bytes data);
+  Msg make_msg(MsgType type, std::uint64_t round, Bytes data) {
+    return make_msg(type, v_cur_, round, std::move(data));
+  }
+  /// Build and sign a message in `view` (view-change traffic names the
+  /// view it moves to). Under the aggregate scheme certificate-bound
+  /// types carry shares, so they fold into certificates.
+  Msg make_msg(MsgType type, std::uint64_t view, std::uint64_t round,
+               Bytes data);
   /// Verify a message signature (drops author range errors too).
   [[nodiscard]] bool verify_msg(const Msg& m);
   [[nodiscard]] bool verify_qc(const QuorumCert& qc, std::size_t quorum_size);
@@ -317,12 +365,24 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] net::FloodRouter& router() { return router_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
 
+  // -- out-of-order messages -------------------------------------------------------
+  /// Park a message for a view this replica has not entered yet (bounded
+  /// against Byzantine memory pressure).
+  void buffer_future(const Msg& msg);
+  /// Park a message whose block waits on chain sync: re-dispatched just
+  /// before the next on_chain_connected().
+  void retry_on_connect(const Msg& msg) { retry_.push_back(msg); }
+  /// Re-dispatch every parked message through handle(): the chain-sync
+  /// retries first, then the future-view messages.
+  void drain_buffered();
+
   // -- chain handling --------------------------------------------------------------
   /// Add `block` to the store. If the parent is unknown, stash it as an
   /// orphan and request ancestors from `origin` (chain synchronization).
   /// Returns true when the block is connected.
   bool integrate_block(const Block& block, NodeId origin);
-  /// Called when a previously-orphaned block becomes connected.
+  /// Called when a previously-orphaned block becomes connected, after
+  /// the chain-sync retries were re-dispatched.
   virtual void on_chain_connected(const Block& block);
 
   /// Commit `h` and all its uncommitted ancestors (Algorithm 2 line 280).
@@ -454,6 +514,22 @@ class ReplicaBase : public net::FloodClient {
   /// Pure of energy accounting — callers charge the modeled verify.
   [[nodiscard]] bool memo_verify(NodeId author, BytesView preimage,
                                  BytesView sig, bool share = false);
+  /// memo_verify plus the modeled verify charge (a one-signer aggregate
+  /// check for a share) and one prof_crypto("verify", site).
+  [[nodiscard]] bool verify_metered(NodeId author, BytesView preimage,
+                                    BytesView sig, bool share,
+                                    const char* site);
+  /// This replica's signature over `preimage`: an aggregate-scheme share
+  /// when `share`, else its directory signature. Charges the modeled
+  /// sign and counts it at `site` unless `metered` is false.
+  [[nodiscard]] Bytes sign_preimage(BytesView preimage, bool share,
+                                    const char* site, bool metered = true);
+  /// Encode `m` into wire_writer_ and count the bytes against `m`'s
+  /// stream (broadcast/send).
+  const Bytes& encode_wire(const Msg& m);
+  /// Adopt the orphans the store can now connect; each is announced to
+  /// on_chain_connected() after the parked retries are re-dispatched.
+  void connect_orphans();
   /// Individual-form cert validity shared by verify_qc /
   /// verify_checkpoint_cert. Charges one metered verification per
   /// signature the verified-signature cache does not answer, then checks
@@ -506,10 +582,10 @@ class ReplicaBase : public net::FloodClient {
 
   std::vector<Block> log_;
   std::uint64_t committed_blocks_ = 0;  ///< total ever (incl. truncated)
-  std::set<BlockHash> committed_;       // retained block hashes
+  BlockHashSet committed_;  // retained block hashes
   BlockHash committed_tip_;
   std::uint64_t committed_height_ = 0;
-  std::set<BlockHash> sync_requested_;
+  BlockHashSet sync_requested_;
   /// When the current chain-sync episode began (0 = none outstanding);
   /// the recovery clock for snapshot pushes answering a sync request.
   sim::SimTime sync_started_ = 0;
@@ -592,12 +668,16 @@ class ReplicaBase : public net::FloodClient {
   std::map<NodeId, std::uint64_t> flood_seen_;
   std::uint64_t early_drops_ = 0;
 
-  /// Sampled requests per block, keyed by (height, digest), so
+  /// Sampled requests per block, keyed by height then digest, so
   /// vote/commit flow hooks do not re-decode every command on every call.
-  /// Entries below the low-water mark are dropped with their blocks.
-  std::map<std::pair<std::uint64_t, BlockHash>,
-           std::vector<std::pair<NodeId, std::uint64_t>>>
+  /// Heights below the low-water mark are dropped with their blocks.
+  std::map<std::uint64_t,
+           BlockHashMap<std::vector<std::pair<NodeId, std::uint64_t>>>>
       prof_block_cache_;
+
+  /// Messages parked by buffer_future() / retry_on_connect().
+  std::vector<Msg> future_;
+  std::vector<Msg> retry_;
 
   checkpoint::CheckpointManager ckpt_;
   std::uint64_t executed_cmds_ = 0;  ///< cumulative committed commands

@@ -5,6 +5,8 @@
 // one, while its vote-class wire bytes shrink.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/checkpoint/checkpoint.hpp"
 #include "src/common/serde.hpp"
 #include "src/crypto/agg.hpp"
@@ -292,10 +294,11 @@ TEST(AcceptanceCert, FoldVerifyAndTamperRejection) {
 // End-to-end scheme equivalence
 // ---------------------------------------------------------------------------
 
-harness::RunResult run_scheme(harness::Protocol protocol,
-                              smr::CertScheme scheme, std::size_t n = 4,
-                              std::size_t f = 1,
-                              std::uint64_t checkpoint_interval = 4) {
+harness::RunResult run_scheme(
+    harness::Protocol protocol, smr::CertScheme scheme, std::size_t n = 4,
+    std::size_t f = 1, std::uint64_t checkpoint_interval = 4,
+    std::optional<harness::FaultSpec> fault = std::nullopt,
+    std::uint64_t commits = 8) {
   harness::ClusterConfig cfg;
   cfg.protocol = protocol;
   cfg.n = n;
@@ -305,8 +308,9 @@ harness::RunResult run_scheme(harness::Protocol protocol,
   cfg.workload.max_requests = 12;
   cfg.checkpoint_interval = checkpoint_interval;
   cfg.seed = 77;
+  if (fault.has_value()) cfg.faults.push_back(*fault);
   harness::Cluster cluster(cfg);
-  return cluster.run_until_commits(8, sim::seconds(120));
+  return cluster.run_until_commits(commits, sim::seconds(120));
 }
 
 TEST(AggregateScheme, CommitChainsByteIdenticalToIndividual) {
@@ -334,6 +338,30 @@ TEST(AggregateScheme, CommitChainsByteIdenticalToIndividual) {
     }
     EXPECT_TRUE(agg.safety_ok()) << harness::protocol_name(p);
     EXPECT_GT(agg.acceptance_certs, 0u) << harness::protocol_name(p);
+  }
+}
+
+TEST(AggregateScheme, CrashedLeaderViewChangeRecoversUnderBothSchemes) {
+  // Node 1 leads view 1 and crashes at trigger 5. View-change traffic
+  // (blames, view-change and new-view messages) is certificate-bound, so
+  // under the aggregate scheme it must be share-signed like votes, or
+  // every receiver rejects it and the cluster stalls in view 1.
+  for (const harness::Protocol p :
+       {harness::Protocol::kEesmr, harness::Protocol::kSyncHotStuff,
+        harness::Protocol::kPbft, harness::Protocol::kMinBft}) {
+    for (const smr::CertScheme scheme :
+         {smr::CertScheme::kIndividual, smr::CertScheme::kAggregate}) {
+      const harness::RunResult r =
+          run_scheme(p, scheme, 4, 1, 4,
+                     harness::FaultSpec{1, {smr::ByzantineMode::kCrash, 5}},
+                     20);
+      const char* name = scheme == smr::CertScheme::kAggregate
+                             ? "aggregate"
+                             : "individual";
+      EXPECT_GE(r.min_committed(), 20u)
+          << harness::protocol_name(p) << " " << name;
+      EXPECT_TRUE(r.safety_ok()) << harness::protocol_name(p) << " " << name;
+    }
   }
 }
 

@@ -6,7 +6,7 @@
 namespace eesmr::harness {
 namespace {
 
-using protocol::ByzantineMode;
+using smr::ByzantineMode;
 
 ClusterConfig shs_config(std::size_t n, std::size_t f) {
   ClusterConfig cfg;

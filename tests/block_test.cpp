@@ -304,20 +304,29 @@ TEST(BlockHashKey, HasherMatchesStringHash) {
 }
 
 TEST(BlockHashKey, OrderedMapIteratesLikeStringKeys) {
-  std::map<BlockHash, int> by_digest;
+  // BlockHashLess must order exactly like the byte vector's operator<
+  // (and so like string keys): ordered-container iteration reaches
+  // protocol actions.
+  std::map<BlockHash, int> by_vector;
+  BlockHashMap<int> by_digest;
   std::map<std::string, int> by_string;
   int i = 0;
   for (const BlockHash& h : key_probes()) {
+    by_vector.emplace(h, i);
     by_digest.emplace(h, i);
     by_string.emplace(as_string(h), i);
     ++i;
   }
   ASSERT_EQ(by_digest.size(), by_string.size());
+  ASSERT_EQ(by_digest.size(), by_vector.size());
   auto s = by_string.begin();
-  for (const auto& [h, v] : by_digest) {
+  auto v = by_vector.begin();
+  for (const auto& [h, val] : by_digest) {
     EXPECT_EQ(as_string(h), s->first);
-    EXPECT_EQ(v, s->second);
+    EXPECT_EQ(val, s->second);
+    EXPECT_EQ(h, v->first);
     ++s;
+    ++v;
   }
 }
 

@@ -201,8 +201,8 @@ TEST(ClusterClients, CrashedReplicaDoesNotBlockAcceptance) {
   cfg.workload.max_requests = 4;
   harness::FaultSpec fault;
   fault.node = 3;  // not the initial leader
-  fault.mode = protocol::ByzantineMode::kCrash;
-  fault.trigger_round = 3;
+  fault.byz.mode = smr::ByzantineMode::kCrash;
+  fault.byz.trigger = 3;
   cfg.faults.push_back(fault);
   Cluster cluster(cfg);
   const RunResult r = cluster.run_until_accepted(4, sim::seconds(300));

@@ -104,7 +104,7 @@ TEST(CrossCheck, ViewChangeSurchargeMatchesPsiVDirection) {
     const double honest_mj =
         honest.run_until_commits(6, sim::seconds(600)).total_energy_mj();
     ClusterConfig faulty_cfg = honest_cfg;
-    faulty_cfg.faults = {{1, protocol::ByzantineMode::kCrash, 4}};
+    faulty_cfg.faults = {{1, smr::ByzantineMode::kCrash, 4}};
     Cluster faulty(faulty_cfg);
     const double faulty_mj =
         faulty.run_until_commits(6, sim::seconds(600)).total_energy_mj();

@@ -80,7 +80,7 @@ TEST(Dissemination, EesmrVoteChannelSweepSurvivesAViewChange) {
     cfg.k = 0;
     cfg.seed = 5;
     cfg.faults.push_back(
-        {1, protocol::ByzantineMode::kCrash, 5});  // leader of view 1
+        {1, smr::ByzantineMode::kCrash, 5});  // leader of view 1
     if (unicast) {
       cfg.channels[Stream::kVote] = DisseminationPolicy::routed_unicast();
       cfg.channels[Stream::kControl] = DisseminationPolicy::routed_unicast();
@@ -187,7 +187,7 @@ TEST(Dissemination, LeaderHintsCutWastedSubmissionsAcrossAViewChange) {
   base.client_submit = DisseminationPolicy::targeted_subset(1, 0);
   // Leader of view 1 (replica 1) crashes in steady state; the cluster
   // view-changes to replica 2 and keeps ordering.
-  base.faults.push_back({1, protocol::ByzantineMode::kCrash, 6});
+  base.faults.push_back({1, smr::ByzantineMode::kCrash, 6});
 
   ClusterConfig with_hints = base;  // default: client_leader_hints = true
   ClusterConfig without = base;

@@ -9,7 +9,7 @@
 namespace eesmr::harness {
 namespace {
 
-using protocol::ByzantineMode;
+using smr::ByzantineMode;
 
 ClusterConfig base_config(std::size_t n, std::size_t f) {
   ClusterConfig cfg;
