@@ -82,20 +82,20 @@ Bytes agg_node_secret(std::uint64_t seed, NodeId id) {
 std::shared_ptr<AggKeyring> AggKeyring::simulated(std::size_t n,
                                                   std::uint64_t seed) {
   auto kr = std::shared_ptr<AggKeyring>(new AggKeyring());
-  kr->secrets_.reserve(n);
+  kr->keys_.reserve(n);
   for (NodeId id = 0; id < n; ++id) {
-    kr->secrets_.push_back(agg_node_secret(seed, id));
+    kr->keys_.emplace_back(agg_node_secret(seed, id));
   }
   return kr;
 }
 
 Bytes AggKeyring::share(NodeId id, BytesView msg) const {
-  if (id >= secrets_.size()) {
+  if (id >= keys_.size()) {
     throw std::out_of_range("AggKeyring::share: id out of range");
   }
   // 48-byte share: HMAC(secret, msg) followed by the first 16 bytes of
   // its re-hash. Deterministic, bound to (node, msg), full wire width.
-  const Sha256Digest mac = hmac_sha256(secrets_[id], msg);
+  const Sha256Digest mac = keys_[id].mac(msg);
   const Sha256Digest ext = Sha256::hash(mac);
   Bytes out(kAggSignatureBytes);
   std::copy(mac.begin(), mac.end(), out.begin());
@@ -104,7 +104,7 @@ Bytes AggKeyring::share(NodeId id, BytesView msg) const {
 }
 
 bool AggKeyring::verify_share(NodeId id, BytesView msg, BytesView sig) const {
-  if (id >= secrets_.size() || sig.size() != kAggSignatureBytes) return false;
+  if (id >= keys_.size() || sig.size() != kAggSignatureBytes) return false;
   return mac_equal(share(id, msg), sig);
 }
 
@@ -115,7 +115,7 @@ bool AggKeyring::verify_aggregate(const SignerBitset& signers, BytesView msg,
   Bytes expect = empty_aggregate();
   for (NodeId id = 0; id < signers.size(); ++id) {
     if (!signers.test(id)) continue;
-    if (id >= secrets_.size()) return false;
+    if (id >= keys_.size()) return false;
     fold_into(expect, share(id, msg));
   }
   return mac_equal(expect, agg);

@@ -28,6 +28,7 @@
 
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
+#include "src/crypto/hmac.hpp"
 
 namespace eesmr {
 class Writer;
@@ -94,11 +95,11 @@ class AggKeyring {
   /// cancels it (the structural duplicate-signer defence).
   static void fold_into(Bytes& acc, BytesView share);
 
-  [[nodiscard]] std::size_t size() const { return secrets_.size(); }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
 
  private:
   AggKeyring() = default;
-  std::vector<Bytes> secrets_;
+  std::vector<HmacSha256Key> keys_;  ///< One per node.
 };
 
 }  // namespace eesmr::crypto

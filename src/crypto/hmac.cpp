@@ -4,12 +4,12 @@
 
 namespace eesmr::crypto {
 
-Sha256Digest hmac_sha256(BytesView key, BytesView msg) {
+HmacSha256Key::HmacSha256Key(BytesView key) {
   std::uint8_t k[64] = {0};
   if (key.size() > 64) {
     const Sha256Digest kd = Sha256::hash(key);
     std::memcpy(k, kd.data(), kd.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(k, key.data(), key.size());
   }
 
@@ -19,16 +19,22 @@ Sha256Digest hmac_sha256(BytesView key, BytesView msg) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
+  inner_.update(BytesView(ipad, 64));
+  outer_.update(BytesView(opad, 64));
+}
 
-  Sha256 inner;
-  inner.update(BytesView(ipad, 64));
+Sha256Digest HmacSha256Key::mac(BytesView msg) const {
+  Sha256 inner = inner_;
   inner.update(msg);
   const Sha256Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(BytesView(opad, 64));
+  Sha256 outer = outer_;
   outer.update(BytesView(inner_digest.data(), inner_digest.size()));
   return outer.finish();
+}
+
+Sha256Digest hmac_sha256(BytesView key, BytesView msg) {
+  return HmacSha256Key(key).mac(msg);
 }
 
 Bytes hmac(BytesView key, BytesView msg) {

@@ -1,5 +1,6 @@
-// HMAC-SHA256 (RFC 2104), used as the paper's MAC scheme and as the
-// deterministic-nonce PRF for ECDSA.
+// HMAC-SHA256 (RFC 2104), used as the paper's MAC scheme, under every
+// simulated signature and aggregate share, and as the deterministic-nonce
+// PRF for ECDSA.
 #pragma once
 
 #include "src/common/bytes.hpp"
@@ -7,7 +8,22 @@
 
 namespace eesmr::crypto {
 
-/// HMAC-SHA256(key, msg) -> 32 bytes.
+/// An HMAC-SHA256 key with its (key ^ ipad) and (key ^ opad) blocks
+/// already absorbed, so each MAC skips those two compressions: a message
+/// of up to 55 bytes costs 2 compressions instead of 4.
+class HmacSha256Key {
+ public:
+  explicit HmacSha256Key(BytesView key);
+
+  /// HMAC-SHA256(key, msg).
+  [[nodiscard]] Sha256Digest mac(BytesView msg) const;
+
+ private:
+  Sha256 inner_;  ///< After absorbing key ^ ipad.
+  Sha256 outer_;  ///< After absorbing key ^ opad.
+};
+
+/// HMAC-SHA256(key, msg) -> 32 bytes, for a key used once.
 Sha256Digest hmac_sha256(BytesView key, BytesView msg);
 
 /// Same, as an owned buffer.

@@ -1,5 +1,6 @@
 #include "src/crypto/signer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -64,24 +65,27 @@ std::size_t rsa_bits_of(SchemeId id) {
 
 class HmacSigner final : public Signer {
  public:
-  explicit HmacSigner(Bytes key) : key_(std::move(key)) {}
-  Bytes sign(BytesView msg) const override { return hmac(key_, msg); }
-  SchemeId scheme() const override { return SchemeId::kHmacSha256; }
-
- private:
-  Bytes key_;
-};
-
-class HmacVerifier final : public Verifier {
- public:
-  explicit HmacVerifier(Bytes key) : key_(std::move(key)) {}
-  bool verify(BytesView msg, BytesView sig) const override {
-    return mac_equal(hmac(key_, msg), sig);
+  explicit HmacSigner(BytesView key) : key_(key) {}
+  Bytes sign(BytesView msg) const override {
+    const Sha256Digest mac = key_.mac(msg);
+    return Bytes(mac.begin(), mac.end());
   }
   SchemeId scheme() const override { return SchemeId::kHmacSha256; }
 
  private:
-  Bytes key_;
+  HmacSha256Key key_;
+};
+
+class HmacVerifier final : public Verifier {
+ public:
+  explicit HmacVerifier(BytesView key) : key_(key) {}
+  bool verify(BytesView msg, BytesView sig) const override {
+    return mac_equal(key_.mac(msg), sig);
+  }
+  SchemeId scheme() const override { return SchemeId::kHmacSha256; }
+
+ private:
+  HmacSha256Key key_;
 };
 
 class RsaSignerImpl final : public Signer {
@@ -136,40 +140,44 @@ class EcdsaVerifierImpl final : public Verifier {
   EcdsaPublicKey key_;
 };
 
-// Keyed-hash stand-in: sign = HMAC(secret, msg) truncated/padded to the
-// emulated scheme's wire size. Secure inside one trusted process because
-// only honest simulation code can reach another node's secret.
+// Keyed-hash stand-in: sign = HMAC(secret, msg) truncated/padded with
+// 0xee to the emulated scheme's wire size. Secure inside one trusted
+// process because only honest simulation code can reach another node's
+// secret.
+Bytes sim_tag(const HmacSha256Key& key, BytesView msg, std::size_t width) {
+  const Sha256Digest mac = key.mac(msg);
+  Bytes tag(width, 0xee);
+  std::copy_n(mac.begin(), std::min(width, mac.size()), tag.begin());
+  return tag;
+}
+
 class SimSigner final : public Signer {
  public:
-  SimSigner(SchemeId emulated, Bytes secret)
-      : emulated_(emulated), secret_(std::move(secret)) {}
+  SimSigner(SchemeId emulated, BytesView secret)
+      : emulated_(emulated), key_(secret) {}
   Bytes sign(BytesView msg) const override {
-    Bytes tag = hmac(secret_, msg);
-    tag.resize(scheme_info(emulated_).signature_bytes, 0xee);
-    return tag;
+    return sim_tag(key_, msg, scheme_info(emulated_).signature_bytes);
   }
   SchemeId scheme() const override { return emulated_; }
 
  private:
   SchemeId emulated_;
-  Bytes secret_;
+  HmacSha256Key key_;
 };
 
 class SimVerifier final : public Verifier {
  public:
-  SimVerifier(SchemeId emulated, Bytes secret)
-      : emulated_(emulated), secret_(std::move(secret)) {}
+  SimVerifier(SchemeId emulated, BytesView secret)
+      : emulated_(emulated), key_(secret) {}
   bool verify(BytesView msg, BytesView sig) const override {
     if (sig.size() != scheme_info(emulated_).signature_bytes) return false;
-    Bytes tag = hmac(secret_, msg);
-    tag.resize(sig.size(), 0xee);
-    return mac_equal(tag, sig);
+    return mac_equal(sim_tag(key_, msg, sig.size()), sig);
   }
   SchemeId scheme() const override { return emulated_; }
 
  private:
   SchemeId emulated_;
-  Bytes secret_;
+  HmacSha256Key key_;
 };
 
 Bytes node_secret(std::uint64_t seed, NodeId id) {

@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "src/checkpoint/checkpoint.hpp"
+#include "src/common/hex.hpp"
 #include "src/common/serde.hpp"
 #include "src/crypto/agg.hpp"
 #include "src/energy/cost_model.hpp"
@@ -80,6 +81,18 @@ TEST(AggKeyring, ShareBindsNodeAndMessage) {
   Bytes bad = sig;
   bad[0] ^= 0x01;
   EXPECT_FALSE(agg->verify_share(1, msg, bad));                  // forged
+}
+
+// Wire bytes of one 48-byte share, pinned so the keyed-hash
+// implementation can change without moving a single certificate byte.
+TEST(AggKeyring, ShareIsPinned) {
+  const auto kr = AggKeyring::simulated(4, 7);
+  const Bytes msg = to_bytes("eesmr/pinned-wire-bytes");
+  const Bytes share = kr->share(2, msg);
+  EXPECT_EQ(hex_encode(share),
+            "51c96306ff70e2b56caa469ee2d9e9b671c52b3309296159c28cd93afa41484c"
+            "0bba97d0d3968a8e4143880bfe94d79c");
+  EXPECT_TRUE(kr->verify_share(2, msg, share));
 }
 
 TEST(AggKeyring, DeterministicInSeed) {

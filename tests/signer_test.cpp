@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/hex.hpp"
+
 namespace eesmr::crypto {
 namespace {
 
@@ -27,6 +29,19 @@ TEST(Keyring, SimulatedSignVerify) {
   EXPECT_EQ(sig.size(), 128u);  // emulates RSA-1024 wire size
   EXPECT_TRUE(ring->verify(0, msg, sig));
   EXPECT_TRUE(ring->is_simulated());
+}
+
+// Wire bytes of one simulated RSA-1024 signature: the 32-byte HMAC
+// followed by 96 bytes of 0xee padding. Pinned so the keyed-hash
+// implementation can change without moving a single signature byte.
+TEST(Keyring, SimulatedTagIsPinned) {
+  auto ring = Keyring::simulated(SchemeId::kRsa1024, 4, 7);
+  const Bytes msg = to_bytes(std::string("eesmr/pinned-wire-bytes"));
+  const Bytes sig = ring->signer(1).sign(msg);
+  EXPECT_EQ(hex_encode(sig),
+            "51625aa983767d7e15e6790853cc39c26419f4c3c8fa6973cba79754cdf84e93" +
+                std::string(192, 'e'));
+  EXPECT_TRUE(ring->verify(1, msg, sig));
 }
 
 TEST(Keyring, SimulatedRejectsWrongSigner) {
