@@ -51,6 +51,16 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, ExactBlockBoundaryPadding) {
+  // 55, 56 and 64 byte messages exercise all padding branches.
+  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u}) {
+    const Bytes msg(len, 'q');
+    Sha256 a;
+    a.update(msg);
+    EXPECT_EQ(a.finish(), Sha256::hash(msg)) << "len=" << len;
+  }
+}
+
 TEST(Sha256, ResetAllowsReuse) {
   Sha256 ctx;
   ctx.update(to_bytes(std::string("garbage")));
