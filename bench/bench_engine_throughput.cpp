@@ -8,11 +8,6 @@
 // tools/bench_diff: a PR that silently doubles the events or bytes the
 // engine burns per commit shows up as a trajectory regression, not as
 // an unexplained wall-clock slowdown three PRs later.
-//
-// --host-timing additionally wall-clocks each run on this machine
-// (sim-events per host second). Opt-in and serial-forced because host
-// timing is nondeterministic; those columns never enter the baseline.
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -56,10 +51,6 @@ int main(int argc, char** argv) {
                      "simulator engine throughput trajectory (profiler "
                      "counters per simulated second)",
                      argc, argv, /*default_seed=*/11);
-  const bool host_timing = ex.flag("--host-timing");
-  if (host_timing) {
-    ex.force_serial("--host-timing wall-clocks runs; no core contention");
-  }
 
   const sim::Duration run_time =
       ex.smoke() ? sim::seconds(5) : sim::seconds(30);
@@ -81,7 +72,6 @@ int main(int argc, char** argv) {
     cfg.seed = c.seed;
     cfg.batch_size = 16;
     cfg.clients = 2;
-    cfg.host_timing = host_timing;
     if (c.label("load") == "closed_w4") {
       cfg.workload.mode = client::WorkloadSpec::Mode::kClosedLoop;
       cfg.workload.outstanding = 4;
@@ -92,9 +82,7 @@ int main(int argc, char** argv) {
     exp::prepare(c, cfg);
 
     harness::Cluster cluster(cfg);
-    const auto start = std::chrono::steady_clock::now();
     const RunResult r = cluster.run_for(run_time);
-    const auto end = std::chrono::steady_clock::now();
     exp::observe(c, r);
     if (!r.safety_ok()) std::fprintf(stderr, "SAFETY VIOLATION\n");
 
@@ -119,20 +107,12 @@ int main(int argc, char** argv) {
     row.set("spec_join_hits", r.prof.pipeline.join_hits);
     row.set("sig_cache_hits", r.prof.pipeline.sig_cache_hits);
     row.set("bytes_copy_saved", r.prof.pipeline.bytes_copy_saved);
-    if (host_timing) {
-      const double host_ms =
-          std::chrono::duration<double, std::milli>(end - start).count();
-      row.set("host_ms", host_ms);
-      row.set("events_per_host_s",
-              host_ms > 0 ? events / (host_ms / 1e3) : 0);
-    }
     return row;
   });
   rep.print_table(1);
 
   ex.note("deterministic engine-throughput trajectory: scheduler events, "
           "metered verifies and encoded bytes per simulated second "
-          "(baseline-gated); --host-timing adds this machine's "
-          "sim-events per wall-clock second");
+          "(baseline-gated)");
   return ex.finish();
 }

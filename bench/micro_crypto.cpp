@@ -95,33 +95,6 @@ std::vector<Primitive> primitives() {
                   (void)rng;
                   (void)ecdsa_verify(kp.pub, message(), sig);
                 }});
-  ps.push_back({"rsa1024_batch8_verify",
-                energy::batch_verify_energy_mj(SchemeId::kRsa1024, 8), 6,
-                [](sim::Rng& rng) {
-                  static const RsaKeyPair kp = [&] {
-                    sim::Rng r(1);
-                    return rsa_generate(1024, r);
-                  }();
-                  static const Bytes sig = rsa_sign(kp.priv, message());
-                  (void)rng;
-                  for (int i = 0; i < 8; ++i) {
-                    (void)rsa_verify(kp.pub, message(), sig);
-                  }
-                }});
-  ps.push_back({"ecdsa_p256_batch8_verify",
-                energy::batch_verify_energy_mj(SchemeId::kEcdsaSecp256r1, 8),
-                1,
-                [](sim::Rng& rng) {
-                  static const EcdsaKeyPair kp = [&] {
-                    sim::Rng r(2);
-                    return ecdsa_generate(CurveId::kSecp256r1, r);
-                  }();
-                  static const Bytes sig = ecdsa_sign(kp.priv, message());
-                  (void)rng;
-                  for (int i = 0; i < 8; ++i) {
-                    (void)ecdsa_verify(kp.pub, message(), sig);
-                  }
-                }});
   ps.push_back({"bigint_modexp_2048", 0.0, 20, [](sim::Rng& rng) {
                   static const BigInt m = [] {
                     sim::Rng r(3);

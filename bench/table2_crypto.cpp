@@ -95,15 +95,6 @@ int main(int argc, char** argv) {
     exp::MetricRow row;
     row.set("sign_j", energy::sign_energy_mj(scheme) / 1000.0);
     row.set("verify_j", energy::verify_energy_mj(scheme) / 1000.0);
-    // Batch verification at a typical f+1 certificate tally (k = 8):
-    // total and amortized per-signature cost under the analytic batch
-    // model (ECDSA amortizes shared point arithmetic; RSA and HMAC
-    // barely improve — the ordering argument the pipeline exploits).
-    constexpr std::size_t kBatch = 8;
-    const double batch_j = energy::batch_verify_energy_mj(scheme, kBatch) /
-                           1000.0;
-    row.set("batch8_verify_j", batch_j);
-    row.set("batch8_per_sig_j", batch_j / static_cast<double>(kBatch));
     if (host_timing) {
       const Bytes msg = to_bytes(std::string("Table-2 measurement payload"));
       sim::Rng rng(c.seed);

@@ -17,8 +17,8 @@ using smr::MsgType;
 
 TrustedController::TrustedController(net::Network& net,
                                      smr::ReplicaConfig cfg,
-                                     energy::Meter* meter, bool dedup)
-    : ReplicaBase(net, std::move(cfg), meter), dedup_(dedup) {
+                                     energy::Meter* meter)
+    : ReplicaBase(net, std::move(cfg), meter) {
   tip_ = smr::genesis_hash();
   // The control node answers point-to-point; it never floods.
   router().set_forwarding(false);
@@ -33,16 +33,14 @@ void TrustedController::handle(NodeId /*from*/, const Msg& msg) {
     const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count; ++i) {
       Command cmd{r.bytes()};
-      if (dedup_) {
-        // A flooded client request reaches every CPS node and each one
-        // ships it up: order the first copy only. (client, req_id)
-        // names the operation; untagged commands pass through.
-        const auto req = smr::ClientRequest::decode(cmd.data);
-        if (req.has_value() && !seen_requests_[req->client].insert(req->req_id)) {
-          ++dedup_skipped_;
-          dedup_bytes_ += cmd.data.size();
-          continue;
-        }
+      // A flooded client request reaches every CPS node and each one
+      // ships it up: order the first copy only. (client, req_id) names
+      // the operation; untagged commands pass through.
+      const auto req = smr::ClientRequest::decode(cmd.data);
+      if (req.has_value() && !seen_requests_[req->client].insert(req->req_id)) {
+        ++dedup_skipped_;
+        dedup_bytes_ += cmd.data.size();
+        continue;
       }
       pending_.push_back(std::move(cmd));
     }
@@ -72,7 +70,6 @@ void TrustedController::order_round() {
                  pending_.begin() + static_cast<std::ptrdiff_t>(take));
   tip_ = hash_block(b);
   store_.add(b);
-  ++blocks_ordered_;
 
   Msg ordered = make_msg(MsgType::kOrdered, b.height, b.encode());
   // Unicast to every CPS node (no cellular multicast exists).

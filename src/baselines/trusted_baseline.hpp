@@ -22,22 +22,19 @@ namespace eesmr::baselines {
 /// Deployed as node id n in an (n+1)-node star topology.
 class TrustedController final : public smr::ReplicaBase {
  public:
-  /// `dedup`: order each flooded client request once, not once per
-  /// submitting CPS node. Every node pools a flooded request and ships
-  /// it up in its next kSubmit batch, so without dedup the controller
-  /// orders up to n copies — each copy costing a downlink slot in an
-  /// ordered block that every CPS node pays to receive (exactly-once
-  /// execution absorbs the duplicates, but only after the radio energy
-  /// is spent). Keyed by (client, req_id); untagged synthetic commands
-  /// are never deduplicated (distinct operations by definition).
+  /// Orders each flooded client request once, not once per submitting
+  /// CPS node. Every node pools a flooded request and ships it up in its
+  /// next kSubmit batch, so without dedup the controller would order up
+  /// to n copies — each copy costing a downlink slot in an ordered block
+  /// that every CPS node pays to receive (exactly-once execution absorbs
+  /// the duplicates, but only after the radio energy is spent). Keyed by
+  /// (client, req_id); untagged synthetic commands are never
+  /// deduplicated (distinct operations by definition).
   TrustedController(net::Network& net, smr::ReplicaConfig cfg,
-                    energy::Meter* meter, bool dedup = true);
+                    energy::Meter* meter);
 
   void start() override;
 
-  [[nodiscard]] std::uint64_t blocks_ordered() const {
-    return blocks_ordered_;
-  }
   /// Duplicate request orderings skipped thanks to dedup, and the
   /// command bytes they would have re-shipped in ordered blocks.
   [[nodiscard]] std::uint64_t dedup_orderings_saved() const {
@@ -67,8 +64,6 @@ class TrustedController final : public smr::ReplicaBase {
   std::uint64_t tip_height_ = 0;
   std::vector<smr::Command> pending_;
   bool round_timer_armed_ = false;
-  std::uint64_t blocks_ordered_ = 0;
-  bool dedup_;
   /// Tagged requests already accepted for ordering (pending or ordered),
   /// compacted per client into a contiguous watermark + sparse tail over
   /// req_ids (clients issue ascending ids from 1, so the prefix folds

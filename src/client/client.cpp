@@ -177,8 +177,10 @@ void Client::on_deliver(NodeId, BytesView payload) {
   if (!sig_ok) return;
 
   // The verified reply names the replier's current leader: steer the
-  // next submissions there (TargetedSubset only; see Channel::prefer).
-  if (cfg_.leader_hints && rep->leader != kNoNode) {
+  // next submissions there, so they reach the leader directly instead of
+  // relying on blind rotation + replica forwarding (TargetedSubset only;
+  // see Channel::prefer).
+  if (rep->leader != kNoNode) {
     channel_->prefer(rep->leader);
   }
 

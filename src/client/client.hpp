@@ -57,12 +57,6 @@ struct ClientConfig {
   /// replica-side unicast request stream so the contacted replica
   /// forwards to the leader.
   net::DisseminationPolicy submit;
-  /// Learn the current leader from verified reply metadata and aim the
-  /// TargetedSubset cursor there, so subsequent submissions reach the
-  /// leader directly instead of relying on blind rotation + replica
-  /// forwarding. Ignored under flood submission (the leader always
-  /// hears a flood anyway).
-  bool leader_hints = true;
 
   /// Deterministic profiler (src/obs/prof.hpp): client-side crypto /
   /// codec counters and request sampling. Not owned; may be nullptr.
@@ -97,10 +91,6 @@ class Client final : public net::FloodClient {
   /// Leader hints from reply metadata that re-aimed the subset cursor.
   [[nodiscard]] std::uint64_t leader_hints_applied() const {
     return channel_->hints_applied();
-  }
-  /// The typed request channel this client submits through.
-  [[nodiscard]] const net::Channel& request_channel() const {
-    return *channel_;
   }
   [[nodiscard]] std::size_t outstanding() const { return pending_.size(); }
   [[nodiscard]] const LatencyHistogram& latencies() const { return latency_; }

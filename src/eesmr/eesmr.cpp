@@ -288,7 +288,6 @@ void EesmrReplica::send_blame() {
     }
     blamed_ = true;
   }
-  ++blames_sent_;
   trace_instant("view", "blame", {{"view", exp::Json(v_cur_)},
                                   {"target", exp::Json(target)}});
   const Msg blame = make_msg(MsgType::kBlame, target, 0, {});
@@ -409,7 +408,6 @@ void EesmrReplica::handle_equiv_proof(const Msg& msg) {
   }
   if (!blamed_) {
     blamed_ = true;
-    ++blames_sent_;
     Msg blame = make_msg(MsgType::kBlame, 0, {});
     broadcast(blame);
     handle_blame(blame);

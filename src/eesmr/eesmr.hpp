@@ -53,11 +53,9 @@ class EesmrReplica final : public smr::ReplicaBase {
   void start() override;
 
   // -- observability ---------------------------------------------------------
-  [[nodiscard]] const smr::BlockHash& locked_block() const { return b_lck_; }
   [[nodiscard]] std::uint64_t equivocations_detected() const {
     return equivocations_detected_;
   }
-  [[nodiscard]] std::uint64_t blames_sent() const { return blames_sent_; }
 
  protected:
   void handle(NodeId from, const smr::Msg& msg) override;
@@ -168,7 +166,6 @@ class EesmrReplica final : public smr::ReplicaBase {
   bool round2_sent_ = false;
 
   std::uint64_t equivocations_detected_ = 0;
-  std::uint64_t blames_sent_ = 0;
 };
 
 }  // namespace eesmr::protocol

@@ -127,37 +127,6 @@ double verify_energy_mj(crypto::SchemeId scheme) {
   return kSigCosts[static_cast<std::size_t>(scheme)].verify_j * 1e3;
 }
 
-double batch_verify_energy_mj(crypto::SchemeId scheme, std::size_t k) {
-  if (k == 0) return 0.0;
-  // Marginal-cost fraction of the first verify. ECDSA batches well
-  // (shared point arithmetic across the combined equation, as in
-  // Bernstein et al.'s batch Ed25519 numbers, ~0.55 marginal); RSA's
-  // cheap e=65537 exponentiation leaves little to share (~0.9); a MAC
-  // check is a flat hash either way (1.0 — batching buys nothing).
-  double marginal = 1.0;
-  switch (scheme) {
-    case crypto::SchemeId::kEcdsaBp160r1:
-    case crypto::SchemeId::kEcdsaBp256r1:
-    case crypto::SchemeId::kEcdsaSecp192r1:
-    case crypto::SchemeId::kEcdsaSecp192k1:
-    case crypto::SchemeId::kEcdsaSecp224r1:
-    case crypto::SchemeId::kEcdsaSecp256r1:
-    case crypto::SchemeId::kEcdsaSecp256k1:
-      marginal = 0.55;
-      break;
-    case crypto::SchemeId::kRsa1024:
-    case crypto::SchemeId::kRsa1260:
-    case crypto::SchemeId::kRsa2048:
-      marginal = 0.9;
-      break;
-    case crypto::SchemeId::kHmacSha256:
-      marginal = 1.0;
-      break;
-  }
-  const double first = verify_energy_mj(scheme);
-  return first * (1.0 + marginal * static_cast<double>(k - 1));
-}
-
 // BLS12-381 on a Cortex-M-class device, scaled to the Table-2 envelope:
 // one G1 scalar multiplication (share), one pairing, one G1/G2 addition.
 constexpr double kAggShareMj = 2100.0;   // ~1.3x an ECDSA-P256 sign

@@ -39,14 +39,6 @@ double sign_energy_mj(crypto::SchemeId scheme);
 /// Energy (mJ) to verify one signature under `scheme`.
 double verify_energy_mj(crypto::SchemeId scheme);
 
-/// Energy (mJ) to verify a batch of `k` signatures under `scheme` in one
-/// pass. Analytic estimate layered on Table 2's per-verify cost: batch
-/// verification amortizes the shared modular/point arithmetic, so the
-/// marginal verify costs a scheme-dependent fraction of the first
-/// (ECDSA-style curves batch well; RSA barely; symmetric schemes not at
-/// all). k == 0 costs nothing; k == 1 equals verify_energy_mj.
-double batch_verify_energy_mj(crypto::SchemeId scheme, std::size_t k);
-
 // -- Aggregate (BLS-style) certificate costs (src/crypto/agg) ----------------
 // Pairing-based aggregates trade CPU for radio: a G1 share costs about a
 // scalar multiplication, verifying an aggregate costs two pairings plus a

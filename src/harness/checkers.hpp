@@ -28,9 +28,6 @@ class SafetyChecker {
   std::uint64_t observe(NodeId node, const std::vector<smr::Block>& log);
 
   [[nodiscard]] std::uint64_t violations() const { return violations_; }
-  [[nodiscard]] std::uint64_t heights_tracked() const {
-    return canon_.size();
-  }
 
   /// Drop canonical entries below `height` (the cluster-wide stable
   /// checkpoint frontier): every honest log is truncated there already,

@@ -303,7 +303,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   base.mempool_capacity = cfg_.mempool_capacity;
   base.client_pending_cap = cfg_.client_pending_cap;
   base.channels = cfg_.channels;
-  base.verified_cache = cfg_.verified_cache;
   base.tracer = cfg_.tracer;
   // The run's deterministic profiler: every replica and client reports
   // crypto/codec counts into it; sampled requests get flow events.
@@ -365,7 +364,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
           // The control node's energy is not counted (mains-powered).
           counted_[i] = false;
           replicas_.push_back(std::make_unique<baselines::TrustedController>(
-              *net_, rc, &meters_[i], cfg_.trusted_dedup));
+              *net_, rc, &meters_[i]));
         } else {
           replicas_.push_back(
               std::make_unique<baselines::TrustedBaselineReplica>(
@@ -425,7 +424,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       cc.seed = cfg_.seed + 7919 * (ci + 1);
       cc.retry_after = cfg_.client_retry;
       cc.submit = cfg_.client_submit;
-      cc.leader_hints = cfg_.client_leader_hints;
       cc.profiler = &prof_;
       cc.tracer = cfg_.tracer;
       if (cc.submit.kind ==

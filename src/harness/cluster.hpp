@@ -118,17 +118,6 @@ struct ClusterConfig {
   /// 4Δ-derived default, and the replica request stream is switched to
   /// RoutedUnicast so contacted replicas forward to the leader.
   net::DisseminationPolicy client_submit;
-  /// Replica-side verified-bytes cache (skip commit-time request
-  /// signature re-verification for pool-time-verified bytes).
-  bool verified_cache = true;
-  /// Clients learn the current leader from verified reply metadata and
-  /// aim the TargetedSubset submission cursor there (no effect under
-  /// flood submission).
-  bool client_leader_hints = true;
-  /// Trusted baseline only: the controller orders each flooded client
-  /// request once instead of once per submitting CPS node; skipped
-  /// orderings / bytes are reported in RunResult.
-  bool trusted_dedup = true;
 
   // -- checkpointing / admission control (src/checkpoint/) ---------------------
   /// Committed commands per stable checkpoint (0 = off). Enables log
@@ -167,7 +156,7 @@ struct ClusterConfig {
   /// per-request energy attribution in the profiler snapshot).
   std::size_t trace_requests = 0;
   /// Enable host wall-clock prof::Scope timing (non-deterministic;
-  /// benches must force serial execution, like micro_crypto).
+  /// perfbench's traced runs set it).
   bool host_timing = false;
 
   /// Unused; still assigned by perfbench/perfbench.cpp.
@@ -212,15 +201,6 @@ class Cluster {
   }
   /// End-to-end Δ derived from the topology (hop bound × diameter + 1).
   [[nodiscard]] sim::Duration delta() const { return delta_; }
-
-  /// In-run conformance oracles (always on; ticked every few hop delays
-  /// while the run loops and once more at snapshot time).
-  [[nodiscard]] const SafetyChecker& safety_checker() const {
-    return safety_;
-  }
-  [[nodiscard]] const LivenessChecker& liveness_checker() const {
-    return liveness_;
-  }
   /// The run's deterministic profiler (always on; see src/obs/prof.hpp).
   [[nodiscard]] prof::Profiler& profiler() { return prof_; }
 

@@ -98,7 +98,6 @@ class FloodRouter final : public PacketSink {
   /// Sparse dedup entries currently held across all origins (the bounded
   /// part of the seen-window state; watermarks are O(origins)).
   [[nodiscard]] std::size_t dedup_tail_entries() const;
-  [[nodiscard]] std::size_t dedup_origins() const { return seen_.size(); }
 
   /// Per-node wire overhead added by the router framing.
   static constexpr std::size_t kFrameOverhead = 4 + 8 + 4 + 1 + 1;

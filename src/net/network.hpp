@@ -121,9 +121,6 @@ class Network {
   /// relay simply loses the frames it would have forwarded, exactly like
   /// a crashed node under the flood assumption.
   void set_node_online(NodeId node, bool online);
-  [[nodiscard]] bool node_online(NodeId node) const {
-    return online_.at(node);
-  }
 
   /// Transmit `frame` on every outgoing hyper-edge of `from` that has
   /// at least one relay receiver (broadcast = flood fabric; edges to

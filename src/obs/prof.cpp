@@ -64,7 +64,7 @@ void Snapshot::to_registry(obs::Registry& reg, const obs::Labels& base) const {
   for (const auto& [label, s] : host_scopes) {
     reg.set_counter("eesmr_prof_host_scope_calls_total",
                     "Host wall-clock scope invocations (only with "
-                    "--host-timing)",
+                    "host timing on)",
                     with({{"label", label}}), static_cast<double>(s.count));
     const double mean = s.count == 0 ? 0.0 : s.total_ms / static_cast<double>(
                                                               s.count);
@@ -73,7 +73,7 @@ void Snapshot::to_registry(obs::Registry& reg, const obs::Labels& base) const {
     for (const auto& [stat, v] : stats) {
       reg.set_gauge("eesmr_prof_host_scope_ms",
                     "Host wall-clock per scope label (only with "
-                    "--host-timing)",
+                    "host timing on)",
                     with({{"label", label}, {"stat", stat}}), v);
     }
   }

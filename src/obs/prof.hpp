@@ -9,9 +9,9 @@
 //    Pure functions of the simulation, so they are byte-identical at any
 //    `--threads N` and diffable by tools/bench_diff.
 //  - Opt-in host wall-clock scopes (RAII prof::Scope) aggregated into
-//    count/min/mean/max per label. Behind `--host-timing` (benches must
-//    force_serial, like micro_crypto); when disabled a Scope never reads
-//    the clock and the snapshot exports no host families at all.
+//    count/min/mean/max per label. Behind ClusterConfig::host_timing
+//    (perfbench's traced runs); when disabled a Scope never reads the
+//    clock and the snapshot exports no host families at all.
 //  - Request-scoped causal tracing: sample the first K client requests
 //    (`--trace-requests K`), stitch their lifecycle (submit -> pooled ->
 //    propose -> vote/certify -> commit -> accept) as Chrome flow events
@@ -103,16 +103,6 @@ class Profiler {
   void count_codec(const char* component, const char* dir, energy::Stream s,
                    std::size_t bytes);
   void count_early_drop() { ++snap_.early_drops; }
-
-  /// Replace the per-kind scheduler event counts (absorbed once, at
-  /// snapshot time, from Scheduler::fired_by_kind()).
-  void set_sched_events(std::vector<std::pair<std::string, std::uint64_t>> ev) {
-    snap_.sched_events = std::move(ev);
-  }
-
-  /// Replace the verification-cache/zero-copy counters (absorbed once, at
-  /// snapshot time, from the cluster's VerifyMemo, replicas and Network).
-  void set_pipeline_counters(Snapshot::Pipeline p) { snap_.pipeline = p; }
 
   // -- host wall-clock scopes (opt-in) ----------------------------------------
   void set_host_timing(bool on) { host_timing_ = on; }

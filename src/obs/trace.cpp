@@ -15,77 +15,52 @@ std::uint32_t Tracer::open_epoch(const std::string& label) {
   return epoch_;
 }
 
-void Tracer::push(TraceEvent ev) {
-  if (trace_.enabled()) {
-    std::string line = ev.name;
-    if (ev.ph == 'b') line += " begin";
-    if (ev.ph == 'e') line += " end";
-    if (ev.ph == 's') line += " flow-begin";
-    if (ev.ph == 't') line += " flow-step";
-    if (ev.ph == 'f') line += " flow-end";
-    if (ev.ph == 'b' || ev.ph == 'n' || ev.ph == 'e' || ev.ph == 's' ||
-        ev.ph == 't' || ev.ph == 'f') {
-      line += " #" + std::to_string(ev.id);
-    }
-    for (const auto& [k, v] : ev.args) line += " " + k + "=" + v.dump();
-    trace_.emit(ev.ts, sim::TraceLevel::kDebug,
-                sim::TraceCtx{ev.node, ev.cat}, line);
-  }
-  events_.push_back(std::move(ev));
-}
-
 void Tracer::instant(sim::SimTime ts, std::int64_t node, const char* cat,
                      std::string name, Args args) {
-  push(TraceEvent{ts, node, epoch_, 'i', 0, 0, std::move(name), cat,
-                  std::move(args)});
+  events_.push_back(TraceEvent{ts, node, epoch_, 'i', 0, 0, std::move(name),
+                               cat, std::move(args)});
 }
 
 void Tracer::async_begin(sim::SimTime ts, std::int64_t node, const char* cat,
                          std::string name, std::uint64_t id, Args args) {
-  push(TraceEvent{ts, node, epoch_, 'b', id, 0, std::move(name), cat,
-                  std::move(args)});
-}
-
-void Tracer::async_instant(sim::SimTime ts, std::int64_t node, const char* cat,
-                           std::string name, std::uint64_t id, Args args) {
-  push(TraceEvent{ts, node, epoch_, 'n', id, 0, std::move(name), cat,
-                  std::move(args)});
+  events_.push_back(TraceEvent{ts, node, epoch_, 'b', id, 0, std::move(name),
+                               cat, std::move(args)});
 }
 
 void Tracer::async_end(sim::SimTime ts, std::int64_t node, const char* cat,
                        std::string name, std::uint64_t id, Args args) {
-  push(TraceEvent{ts, node, epoch_, 'e', id, 0, std::move(name), cat,
-                  std::move(args)});
+  events_.push_back(TraceEvent{ts, node, epoch_, 'e', id, 0, std::move(name),
+                               cat, std::move(args)});
 }
 
 void Tracer::complete(sim::SimTime ts, std::int64_t node, const char* cat,
                       std::string name, sim::SimTime dur, Args args) {
-  push(TraceEvent{ts, node, epoch_, 'X', 0, dur, std::move(name), cat,
-                  std::move(args)});
+  events_.push_back(TraceEvent{ts, node, epoch_, 'X', 0, dur, std::move(name),
+                               cat, std::move(args)});
 }
 
 void Tracer::counter(sim::SimTime ts, std::int64_t node, const char* cat,
                      std::string name, Args args) {
-  push(TraceEvent{ts, node, epoch_, 'C', 0, 0, std::move(name), cat,
-                  std::move(args)});
+  events_.push_back(TraceEvent{ts, node, epoch_, 'C', 0, 0, std::move(name),
+                               cat, std::move(args)});
 }
 
 void Tracer::flow_begin(sim::SimTime ts, std::int64_t node, const char* cat,
                         std::string name, std::uint64_t id, Args args) {
-  push(TraceEvent{ts, node, epoch_, 's', id, 0, std::move(name), cat,
-                  std::move(args)});
+  events_.push_back(TraceEvent{ts, node, epoch_, 's', id, 0, std::move(name),
+                               cat, std::move(args)});
 }
 
 void Tracer::flow_step(sim::SimTime ts, std::int64_t node, const char* cat,
                        std::string name, std::uint64_t id, Args args) {
-  push(TraceEvent{ts, node, epoch_, 't', id, 0, std::move(name), cat,
-                  std::move(args)});
+  events_.push_back(TraceEvent{ts, node, epoch_, 't', id, 0, std::move(name),
+                               cat, std::move(args)});
 }
 
 void Tracer::flow_end(sim::SimTime ts, std::int64_t node, const char* cat,
                       std::string name, std::uint64_t id, Args args) {
-  push(TraceEvent{ts, node, epoch_, 'f', id, 0, std::move(name), cat,
-                  std::move(args)});
+  events_.push_back(TraceEvent{ts, node, epoch_, 'f', id, 0, std::move(name),
+                               cat, std::move(args)});
 }
 
 void Tracer::clear() {

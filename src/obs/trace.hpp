@@ -1,13 +1,11 @@
-// Structured event/span layer over sim::Trace, exported as Chrome
-// trace-event JSON (openable in Perfetto / chrome://tracing).
+// Structured event/span layer, exported as Chrome trace-event JSON
+// (openable in Perfetto / chrome://tracing).
 //
 // The commit path (propose -> vote -> certify -> commit), view changes,
 // checkpoints, state transfers and injected faults emit typed events
 // here. Each Cluster opens one *epoch* (one Chrome "process"); nodes map
 // to Chrome threads; block and view-change lifetimes are async spans
-// keyed by height / view number. Every event is simultaneously mirrored
-// through the owned sim::Trace as a human-readable line, so attaching
-// Trace::stderr_sink() gives a live textual feed of the same stream.
+// keyed by height / view number.
 //
 // SimTime is already integer microseconds — exactly Chrome's `ts` unit —
 // so timestamps pass through untouched.
@@ -20,12 +18,11 @@
 
 #include "src/exp/json.hpp"
 #include "src/sim/time.hpp"
-#include "src/sim/trace.hpp"
 
 namespace eesmr::obs {
 
 /// One Chrome trace event. `ph` is the Chrome phase: 'i' instant,
-/// 'b'/'n'/'e' async begin/instant/end, 'X' complete (with `dur`),
+/// 'b'/'e' async begin/end, 'X' complete (with `dur`),
 /// 'C' counter, 's'/'t'/'f' flow start/step/end.
 struct TraceEvent {
   sim::SimTime ts = 0;
@@ -52,8 +49,6 @@ class Tracer {
                std::string name, Args args = {});
   void async_begin(sim::SimTime ts, std::int64_t node, const char* cat,
                    std::string name, std::uint64_t id, Args args = {});
-  void async_instant(sim::SimTime ts, std::int64_t node, const char* cat,
-                     std::string name, std::uint64_t id, Args args = {});
   void async_end(sim::SimTime ts, std::int64_t node, const char* cat,
                  std::string name, std::uint64_t id, Args args = {});
 
@@ -84,10 +79,6 @@ class Tracer {
   [[nodiscard]] bool empty() const { return events_.empty(); }
   void clear();
 
-  /// The mirroring text trace; attach sim::Trace::stderr_sink() (or any
-  /// sink) to see events as lines while they happen.
-  [[nodiscard]] sim::Trace& text_trace() { return trace_; }
-
   /// Append this tracer's events to a Chrome traceEvents array. Each
   /// epoch becomes one Chrome process starting at pid `first_pid`, named
   /// "<prefix><epoch label>" via process_name metadata. Returns the next
@@ -99,13 +90,10 @@ class Tracer {
   static exp::Json chrome_document(exp::Json trace_events);
 
  private:
-  void push(TraceEvent ev);
-
   std::vector<TraceEvent> events_;
   std::vector<std::string> epoch_labels_{""};
   std::uint32_t epoch_ = 0;
   bool epoch0_claimed_ = false;
-  sim::Trace trace_;
 };
 
 }  // namespace eesmr::obs

@@ -39,7 +39,6 @@ class Mempool {
   /// committed, or the queue is at capacity (counted in dropped()).
   bool submit(Command cmd);
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Fresh commands rejected because the queue was full (duplicates are
   /// not drops — the command is already queued or committed).

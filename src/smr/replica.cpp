@@ -132,14 +132,6 @@ void ReplicaBase::trace_begin(const char* cat, std::string name,
   }
 }
 
-void ReplicaBase::trace_mark(const char* cat, std::string name,
-                             std::uint64_t id, obs::Tracer::Args args) {
-  if (cfg_.tracer != nullptr) {
-    cfg_.tracer->async_instant(sched_.now(), cfg_.id, cat, std::move(name), id,
-                               std::move(args));
-  }
-}
-
 void ReplicaBase::trace_end(const char* cat, std::string name,
                             std::uint64_t id, obs::Tracer::Args args) {
   if (cfg_.tracer != nullptr) {
@@ -193,14 +185,6 @@ void ReplicaBase::prof_flow_block(const char* name, const Block& b,
   }
 }
 
-void ReplicaBase::prof_flow_hash(const char* name, const BlockHash& h,
-                                 energy::Stream s, std::size_t frame_bytes) {
-  prof::Profiler* p = cfg_.profiler;
-  if (p == nullptr || !p->tracing_requests()) return;
-  const Block* b = store_.get(h);
-  if (b != nullptr) prof_flow_block(name, *b, s, frame_bytes);
-}
-
 Msg ReplicaBase::make_msg(MsgType type, std::uint64_t view,
                           std::uint64_t round, Bytes data) {
   Msg m = unsigned_msg(type, round, std::move(data));
@@ -251,7 +235,7 @@ bool ReplicaBase::verify_msg(const Msg& m) {
       verify_metered(m.author, preimage, m.sig,
                      aggregate_certs() && certificate_bound(m.type),
                      site_of(m.type));
-  if (ok && cfg_.verified_cache && certificate_bound(m.type)) {
+  if (ok && certificate_bound(m.type)) {
     sig_verified_.emplace(sig_digest(m.author, preimage, m.sig),
                           committed_height_);
   }
@@ -288,8 +272,7 @@ bool ReplicaBase::verify_individual_cert(
   std::vector<std::size_t> uncached;
   uncached.reserve(sigs.size());
   for (std::size_t i = 0; i < sigs.size(); ++i) {
-    if (cfg_.verified_cache &&
-        sig_verified_.count(sig_digest(sigs[i].first, preimage,
+    if (sig_verified_.count(sig_digest(sigs[i].first, preimage,
                                        sigs[i].second)) > 0) {
       ++sig_cache_hits_;
       continue;
@@ -357,7 +340,7 @@ bool ReplicaBase::verify_agg_cert(BytesView preimage,
   // Whole-certificate cache: an aggregate is one pairing-based check, so
   // the cache keys the (preimage, signers, aggregate) triple as a unit.
   const auto digest = agg_cert_digest(preimage, signers, agg_sig);
-  if (cfg_.verified_cache && sig_verified_.count(digest) > 0) {
+  if (sig_verified_.count(digest) > 0) {
     ++sig_cache_hits_;
     return true;
   }
@@ -365,7 +348,7 @@ bool ReplicaBase::verify_agg_cert(BytesView preimage,
          energy::agg_verify_energy_mj(signers.count()));
   prof_crypto("verify", site);
   if (!cfg_.agg->verify_aggregate(signers, preimage, agg_sig)) return false;
-  if (cfg_.verified_cache) sig_verified_.emplace(digest, committed_height_);
+  sig_verified_.emplace(digest, committed_height_);
   return true;
 }
 
@@ -750,10 +733,8 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   }
   // Remember the attestation: a checkpoint certificate tallied later
   // (state transfer, snapshot push) re-carries this exact signature.
-  if (cfg_.verified_cache) {
-    sig_verified_.emplace(sig_digest(msg.author, preimage, cp.sig),
-                          committed_height_);
-  }
+  sig_verified_.emplace(sig_digest(msg.author, preimage, cp.sig),
+                        committed_height_);
   if (const auto cert = ckpt_.add_signature(msg.author, cp.id, cp.sig)) {
     on_stable_checkpoint(*cert);
     broadcast_checkpoint_cert(*cert);
@@ -1128,9 +1109,7 @@ void ReplicaBase::handle_request(const Msg& m) {
     // The signature in these exact bytes just verified; remember the
     // digest so the commit path can skip the re-check (single-use,
     // lwm-GC'd).
-    if (cfg_.verified_cache) {
-      verified_.emplace(crypto::Sha256::hash(m.data), committed_height_);
-    }
+    verified_.emplace(crypto::Sha256::hash(m.data), committed_height_);
     maybe_forward_request(m);
   }
 }

@@ -70,15 +70,6 @@ struct ReplicaConfig {
   /// submission that missed the leader still gets ordered.
   net::ChannelPolicies channels;
 
-  /// Remember request signatures verified at pool time and skip the
-  /// commit-time re-verification (halves the honest-path kVerify cost).
-  /// Entries are single-use and GC'd as the low-water mark advances.
-  /// Also gates the verified-signature cache: vote and checkpoint
-  /// signatures verified individually on arrival are never re-verified
-  /// (or re-charged) when the same signature surfaces inside a quorum /
-  /// checkpoint certificate tally on this node.
-  bool verified_cache = true;
-
   /// Cluster-wide verdict memo (one per cluster). Not owned; nullptr
   /// verifies every signature physically. Saves host time only: verdicts
   /// and energy accounting are the same with or without it.
@@ -165,7 +156,6 @@ class ReplicaBase : public net::FloodClient {
     return committed_blocks_;
   }
   [[nodiscard]] std::uint64_t current_view() const { return v_cur_; }
-  [[nodiscard]] std::uint64_t current_round() const { return r_cur_; }
   [[nodiscard]] const BlockStore& store() const { return store_; }
   [[nodiscard]] Mempool& mempool() { return mempool_; }
   [[nodiscard]] const Mempool& mempool() const { return mempool_; }
@@ -203,19 +193,13 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] std::uint64_t requests_rejected() const {
     return client_cap_drops_;
   }
-  /// Pool-time-verified request entries currently cached / commit-time
-  /// re-verifications skipped thanks to the cache.
-  [[nodiscard]] std::size_t verified_cache_entries() const {
-    return verified_.size();
-  }
+  /// Commit-time request re-verifications skipped because the same bytes
+  /// passed the pool-time check.
   [[nodiscard]] std::uint64_t verified_cache_hits() const {
     return verified_hits_;
   }
-  /// Verified-signature cache (votes / checkpoint attestations): live
-  /// entries and metered re-verifications skipped at certificate tallies.
-  [[nodiscard]] std::size_t sig_cache_entries() const {
-    return sig_verified_.size();
-  }
+  /// Verified-signature cache (votes / checkpoint attestations): metered
+  /// re-verifications skipped at certificate tallies.
   [[nodiscard]] std::uint64_t sig_cache_hits() const {
     return sig_cache_hits_;
   }
@@ -441,8 +425,6 @@ class ReplicaBase : public net::FloodClient {
                      obs::Tracer::Args args = {});
   void trace_begin(const char* cat, std::string name, std::uint64_t id,
                    obs::Tracer::Args args = {});
-  void trace_mark(const char* cat, std::string name, std::uint64_t id,
-                  obs::Tracer::Args args = {});
   void trace_end(const char* cat, std::string name, std::uint64_t id,
                  obs::Tracer::Args args = {});
 
@@ -458,10 +440,6 @@ class ReplicaBase : public net::FloodClient {
   /// `frame_bytes` frame on stream `s` (frame_bytes 0 = flow step only).
   void prof_flow_block(const char* name, const Block& b, energy::Stream s,
                        std::size_t frame_bytes);
-  /// Same, for call sites that only hold the block hash (vote/certify);
-  /// resolves through the store and is a no-op for unknown blocks.
-  void prof_flow_hash(const char* name, const BlockHash& h, energy::Stream s,
-                      std::size_t frame_bytes);
 
   sim::Scheduler& sched_;
   net::FloodRouter router_;

@@ -94,7 +94,6 @@ AttestationTracker::Verdict AttestationTracker::observe(
   PerSender& s = senders_[att.node];
   if (att.counter > s.last && s.rebase_pending) {
     s.rebase_pending = false;
-    ++rebased_;
     s.last = att.counter;
     s.digests.emplace(att.counter, att.digest);
     return Verdict::kAccept;

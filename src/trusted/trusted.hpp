@@ -131,8 +131,6 @@ class AttestationTracker {
   void rebase(NodeId node);
   /// Rebases still pending (armed but not yet consumed by an arrival).
   [[nodiscard]] std::uint64_t rebases_pending() const;
-  /// Rebases consumed by a baseline-adopting arrival.
-  [[nodiscard]] std::uint64_t rebases_applied() const { return rebased_; }
 
   /// Abandon waiting for values below `counter` from `node`: adopt
   /// counter-1 as the new frontier so `counter` itself becomes the next
@@ -172,7 +170,6 @@ class AttestationTracker {
   std::uint64_t replays_ = 0;
   std::uint64_t reuse_ = 0;
   std::uint64_t gap_skips_ = 0;
-  std::uint64_t rebased_ = 0;
 };
 
 }  // namespace eesmr::trusted

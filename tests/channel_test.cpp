@@ -1,6 +1,6 @@
 // Typed-channel tests: dissemination policies, per-stream energy
-// attribution, TargetedSubset failover, and the bounded flood-dedup
-// window.
+// attribution, TargetedSubset leader hints and failover, and the
+// bounded flood-dedup window.
 #include <gtest/gtest.h>
 
 #include "src/net/channel.hpp"
@@ -104,6 +104,45 @@ TEST(Channel, TargetedSubsetContactsOnlyTheCurrentSubset) {
   EXPECT_EQ(fx.recorders[1].delivered.size(), 1u);
   EXPECT_TRUE(fx.recorders[2].delivered.empty());
   EXPECT_TRUE(fx.recorders[3].delivered.empty());
+}
+
+// -- leader hints -------------------------------------------------------------
+
+TEST(Channel, PreferReaimsTheTargetedSubsetAtAListedTarget) {
+  Fixture fx(Hypergraph::full_mesh(5));
+  auto ch = fx.open(4, Stream::kRequest,
+                    DisseminationPolicy::targeted_subset(1, 0));
+  ch->prefer(0);  // already the first target: nothing moves
+  EXPECT_EQ(ch->hints_applied(), 0u);
+  ch->prefer(2);
+  EXPECT_EQ(ch->cursor(), 2u);
+  EXPECT_EQ(ch->hints_applied(), 1u);
+  ch->prefer(2);  // repeating the hint counts nothing
+  EXPECT_EQ(ch->hints_applied(), 1u);
+  ch->prefer(4);  // the owner is not one of its own targets
+  ch->prefer(9);  // nor is a node outside the cluster
+  EXPECT_EQ(ch->cursor(), 2u);
+  EXPECT_EQ(ch->hints_applied(), 1u);
+
+  ch->disseminate(payload());
+  fx.sched.run();
+  for (NodeId i = 0; i < 4; ++i) {
+    EXPECT_EQ(fx.recorders[i].delivered.size(), i == 2 ? 1u : 0u)
+        << "node " << i;
+  }
+}
+
+TEST(Channel, PreferIsANoOpUnderFlood) {
+  Fixture fx(Hypergraph::full_mesh(4));
+  auto ch = fx.open(3, Stream::kRequest, DisseminationPolicy{});
+  ch->prefer(1);
+  EXPECT_EQ(ch->cursor(), 0u);
+  EXPECT_EQ(ch->hints_applied(), 0u);
+  ch->disseminate(payload());
+  fx.sched.run();
+  for (NodeId i = 0; i < 3; ++i) {
+    EXPECT_EQ(fx.recorders[i].delivered.size(), 1u) << "node " << i;
+  }
 }
 
 // -- failover -----------------------------------------------------------------

@@ -223,17 +223,15 @@ TEST(BleModel, UnicastWinsEventuallyForHugePayloads) {
 // -- verified-bytes and verified-signature caches -----------------------------
 
 TEST(VerifiedCache, HalvesHonestPathRequestVerifications) {
-  // Honest-path requests used to pay two metered signature checks per
+  // Honest-path requests would pay two metered signature checks per
   // replica: pool time (handle_request) and commit time. The
   // verified-bytes cache skips the commit-time re-check for bytes the
-  // replica already verified at pool time. Sync HotStuff vote
-  // certificates also re-carry signatures the replica checked when the
-  // individual votes arrived; the verified-signature cache makes each
-  // such tally check free (sig_cache_hits). The caches change no message
-  // traffic, so the two runs are event-identical and the kVerify op
-  // delta isolates exactly the skipped re-verifications: one per request
-  // per replica (the request share of kVerify halves), plus the tally
-  // hits.
+  // replica already verified at pool time, so every replica answers
+  // exactly one cache hit per committed request (the request share of
+  // kVerify halves). Sync HotStuff vote certificates also re-carry
+  // signatures the replica checked when the individual votes arrived;
+  // the verified-signature cache makes each such tally check free
+  // (sig_cache_hits).
   struct Input {
     harness::Protocol protocol;
     std::uint64_t seed;
@@ -241,50 +239,31 @@ TEST(VerifiedCache, HalvesHonestPathRequestVerifications) {
   for (const Input in : {Input{harness::Protocol::kEesmr, 17},
                          Input{harness::Protocol::kSyncHotStuff, 23}}) {
     SCOPED_TRACE(harness::protocol_name(in.protocol));
-    harness::ClusterConfig base;
-    base.protocol = in.protocol;
-    base.n = 4;
-    base.f = 1;
-    base.seed = in.seed;
-    base.clients = 2;
-    base.workload.mode = client::WorkloadSpec::Mode::kClosedLoop;
-    base.workload.outstanding = 1;
-    base.workload.max_requests = 10;
+    harness::ClusterConfig cfg;
+    cfg.protocol = in.protocol;
+    cfg.n = 4;
+    cfg.f = 1;
+    cfg.seed = in.seed;
+    cfg.clients = 2;
+    cfg.workload.mode = client::WorkloadSpec::Mode::kClosedLoop;
+    cfg.workload.outstanding = 1;
+    cfg.workload.max_requests = 10;
 
-    const auto run = [](harness::ClusterConfig cfg) {
-      harness::Cluster cluster(cfg);
-      (void)cluster.run_until_accepted(20, sim::seconds(1000));
-      // Quiesce so every replica finishes committing the tail requests.
-      return cluster.run_for(sim::seconds(2));
-    };
-    harness::ClusterConfig with = base;
-    with.verified_cache = true;
-    harness::ClusterConfig without = base;
-    without.verified_cache = false;
-    const harness::RunResult a = run(with);
-    const harness::RunResult b = run(without);
-    ASSERT_EQ(a.requests_accepted, 20u);
-    ASSERT_EQ(b.requests_accepted, 20u);
+    harness::Cluster cluster(cfg);
+    (void)cluster.run_until_accepted(20, sim::seconds(1000));
+    // Quiesce so every replica finishes committing the tail requests.
+    const harness::RunResult r = cluster.run_for(sim::seconds(2));
+    ASSERT_EQ(r.requests_accepted, 20u);
+    EXPECT_TRUE(r.safety_ok());
 
-    const auto verify_ops = [&](const harness::RunResult& r) {
-      std::uint64_t ops = 0;
-      for (std::size_t i = 0; i < base.n; ++i) {
-        ops += r.meters[i].ops(Category::kVerify);
-      }
-      return ops;
-    };
-    const std::uint64_t cached = verify_ops(a);
-    const std::uint64_t uncached = verify_ops(b);
-    const std::uint64_t tally_hits = a.prof.pipeline.sig_cache_hits;
-    if (in.protocol == harness::Protocol::kSyncHotStuff) {
-      EXPECT_GT(tally_hits, 0u);
+    std::uint64_t request_hits = 0;
+    for (NodeId i = 0; i < cfg.n; ++i) {
+      request_hits += cluster.replica(i).verified_cache_hits();
     }
-    EXPECT_EQ(b.prof.pipeline.sig_cache_hits, 0u);
-    EXPECT_EQ(uncached - cached, 20u * base.n + tally_hits);
-    // And the caches must not change what gets committed.
-    EXPECT_TRUE(a.safety_ok());
-    EXPECT_TRUE(b.safety_ok());
-    EXPECT_EQ(a.min_committed(), b.min_committed());
+    EXPECT_EQ(request_hits, 20u * cfg.n);
+    if (in.protocol == harness::Protocol::kSyncHotStuff) {
+      EXPECT_GT(r.prof.pipeline.sig_cache_hits, 0u);
+    }
   }
 }
 

@@ -369,23 +369,6 @@ TEST(Trace, ChromeDocumentIsValid) {
   }
 }
 
-TEST(Trace, TextMirrorFeedsSink) {
-  obs::Tracer tracer;
-  std::vector<std::string> lines;
-  tracer.text_trace().set_sink([&](sim::SimTime, sim::TraceLevel,
-                                   const sim::TraceCtx& ctx,
-                                   const std::string& msg) {
-    lines.push_back(std::string(ctx.cat ? ctx.cat : "?") + ": " + msg);
-  });
-  traced_run(tracer, 5, harness::Protocol::kEesmr);
-  ASSERT_FALSE(lines.empty());
-  bool saw_commit = false;
-  for (const std::string& l : lines) {
-    if (l.rfind("commit: commit", 0) == 0) saw_commit = true;
-  }
-  EXPECT_TRUE(saw_commit);
-}
-
 TEST(Trace, EpochZeroIsClaimedByFirstOpen) {
   obs::Tracer tracer;
   EXPECT_EQ(tracer.open_epoch("first"), 0u);   // claims the implicit epoch
