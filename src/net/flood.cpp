@@ -8,33 +8,50 @@ namespace eesmr::net {
 
 bool FloodRouter::SeenWindow::insert(std::uint64_t seq) {
   if (seq <= watermark) return false;
-  if (!tail.insert(seq).second) return false;
+  // tail[head] > watermark + 1 always holds after folding, so the next
+  // in-order seq is never a duplicate and needs no tail entry.
+  if (seq == watermark + 1) {
+    ++watermark;
+  } else if (head == tail.size() || seq > tail.back()) {
+    tail.push_back(seq);
+  } else {
+    const auto it = std::lower_bound(
+        tail.begin() + static_cast<std::ptrdiff_t>(head), tail.end(), seq);
+    if (*it == seq) return false;
+    tail.insert(it, seq);
+  }
   // Fold the now-contiguous prefix into the watermark.
-  while (!tail.empty() && *tail.begin() == watermark + 1) {
-    tail.erase(tail.begin());
+  while (head < tail.size() && tail[head] == watermark + 1) {
+    ++head;
     ++watermark;
   }
   // Persistent gaps (seqs the origin spent on frames never routed through
   // this node) would pin the tail forever; force the window forward.
-  while (tail.size() > kMaxTail) {
-    watermark = *tail.begin();
-    tail.erase(tail.begin());
-    while (!tail.empty() && *tail.begin() <= watermark + 1) {
-      watermark = std::max(watermark, *tail.begin());
-      tail.erase(tail.begin());
+  while (tail_size() > kMaxTail) {
+    watermark = tail[head++];
+    while (head < tail.size() && tail[head] == watermark + 1) {
+      ++head;
+      ++watermark;
     }
+  }
+  if (head == tail.size()) {
+    tail.clear();
+    head = 0;
+  } else if (head >= kMaxTail) {
+    tail.erase(tail.begin(), tail.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
   }
   return true;
 }
 
 FloodRouter::FloodRouter(Network& net, NodeId self, FloodClient* client)
-    : net_(net), self_(self), client_(client) {
+    : net_(net), self_(self), client_(client), seen_(net.graph().n()) {
   net_.attach(self, this);
 }
 
 std::size_t FloodRouter::dedup_tail_entries() const {
   std::size_t total = 0;
-  for (const auto& [origin, window] : seen_) total += window.tail_size();
+  for (const SeenWindow& window : seen_) total += window.tail_size();
   return total;
 }
 
@@ -107,6 +124,11 @@ void FloodRouter::on_packet(NodeId link_sender, const SharedBytes& frame) {
   } catch (const SerdeError&) {
     return;  // malformed frame: drop
   }
+  // A frame naming a node outside the graph is malformed: dropping it
+  // here keeps forged origins out of the dedup state and unknown dests
+  // away from the routing table.
+  const std::size_t n = net_.graph().n();
+  if (origin >= n || (dest != kNoNode && dest >= n)) return;
   if (origin == self_) return;  // our own flood echoing back
   if (!seen_[origin].insert(seq)) return;  // duplicate
   const auto stream =

@@ -19,8 +19,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
@@ -48,16 +47,22 @@ class FloodRouter final : public PacketSink {
   /// Force-compaction can mark a never-seen seq as seen; under bounded
   /// synchrony any frame that old has long been delivered or dropped, so
   /// the window only needs to cover the in-flight reordering horizon.
+  ///
+  /// The tail is a sorted vector whose live entries start at `head`:
+  /// in-order arrivals append (or fold straight into the watermark), and
+  /// folding only advances `head`, so the common case never allocates.
+  /// The consumed prefix is erased once `head` reaches kMaxTail.
   struct SeenWindow {
     std::uint64_t watermark = 0;
-    std::set<std::uint64_t> tail;
+    std::vector<std::uint64_t> tail;
+    std::size_t head = 0;
 
     /// Largest tail kept before force-compacting the oldest gap away.
     static constexpr std::size_t kMaxTail = 512;
 
     /// Record `seq`; returns true when it was not seen before.
     bool insert(std::uint64_t seq);
-    [[nodiscard]] std::size_t tail_size() const { return tail.size(); }
+    [[nodiscard]] std::size_t tail_size() const { return tail.size() - head; }
   };
 
   FloodRouter(Network& net, NodeId self, FloodClient* client);
@@ -114,7 +119,8 @@ class FloodRouter final : public PacketSink {
   FloodClient* client_;
   std::uint64_t next_seq_ = 1;
   bool forwarding_ = true;
-  std::unordered_map<NodeId, SeenWindow> seen_;
+  /// Dedup window per origin, indexed by NodeId (sized to the graph).
+  std::vector<SeenWindow> seen_;
   /// Reused frame encoder: clear() keeps the allocation, so framing does
   /// one right-sized copy into the shared buffer instead of re-growing a
   /// fresh Writer per frame.

@@ -122,17 +122,39 @@ void Network::transmit_edge(const HyperEdge& edge, const SharedBytes& frame,
       sim::Duration d = policy_->delay(edge.sender, to, frame_size);
       d = std::clamp<sim::Duration>(d, 1, config_.hop_bound) + fv.extra_delay;
       ++deliveries_;
-      // The delivery captures a refcount on the immutable frame instead
-      // of the former per-delivery to_bytes copy.
+      // The delivery holds a refcount on the immutable frame instead of
+      // the former per-delivery to_bytes copy.
       bytes_copy_saved_ += frame_size;
-      // Re-check at delivery time: the receiver may have gone offline
-      // while the frame was in flight.
-      sched_.after(d, "net_deliver",
-                   [this, sink, to, from = edge.sender, frame] {
-        if (online_[to]) sink->on_packet(from, frame);
-      });
+      std::uint32_t slot = free_in_flight_;
+      if (slot != kNoSlot) {
+        free_in_flight_ = in_flight_[slot].next_free;
+      } else {
+        slot = static_cast<std::uint32_t>(in_flight_.size());
+        in_flight_.emplace_back();
+      }
+      InFlight& f = in_flight_[slot];
+      f.sink = sink;
+      f.to = to;
+      f.from = edge.sender;
+      f.frame = frame;
+      sched_.after(d, "net_deliver", [this, slot] { deliver(slot); });
     }
   }
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Free the slot before the sink runs: it may transmit, which reuses
+  // slots and can grow in_flight_.
+  InFlight& f = in_flight_[slot];
+  PacketSink* sink = f.sink;
+  const NodeId to = f.to;
+  const NodeId from = f.from;
+  const SharedBytes frame = std::move(f.frame);
+  f.next_free = free_in_flight_;
+  free_in_flight_ = slot;
+  // Re-check at delivery time: the receiver may have gone offline while
+  // the frame was in flight.
+  if (online_[to]) sink->on_packet(from, frame);
 }
 
 void Network::transmit(NodeId from, const SharedBytes& frame,

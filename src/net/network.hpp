@@ -186,6 +186,19 @@ class Network {
   void charge_energy(const HyperEdge& edge, std::size_t bytes,
                      energy::Stream stream);
   void recompute_hops();
+  void deliver(std::uint32_t slot);
+
+  /// A scheduled delivery. The scheduler event captures only (this,
+  /// slot), which std::function stores inline, so delivering a frame
+  /// allocates nothing once the table has grown to the in-flight peak.
+  struct InFlight {
+    PacketSink* sink = nullptr;
+    NodeId to = 0;
+    NodeId from = 0;
+    SharedBytes frame;
+    std::uint32_t next_free = 0;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   sim::Scheduler& sched_;
   Hypergraph graph_;
@@ -197,6 +210,8 @@ class Network {
   std::vector<bool> relay_;
   std::vector<bool> online_;
   std::vector<std::vector<std::size_t>> hop_matrix_;
+  std::vector<InFlight> in_flight_;
+  std::uint32_t free_in_flight_ = kNoSlot;
 
   std::uint64_t transmissions_ = 0;
   std::uint64_t deliveries_ = 0;

@@ -99,12 +99,24 @@ void Snapshot::to_registry(obs::Registry& reg, const obs::Labels& base) const {
 
 void Profiler::count_crypto(const char* component, const char* op,
                             const char* site) {
-  ++snap_.crypto_ops[{component, op, site}];
+  for (CryptoTally& t : crypto_tallies_) {
+    if (t.site == site && t.op == op && t.component == component) {
+      ++t.count;
+      return;
+    }
+  }
+  crypto_tallies_.push_back({component, op, site, 1});
 }
 
 void Profiler::count_codec(const char* component, const char* dir,
                            energy::Stream s, std::size_t bytes) {
-  snap_.codec_bytes[{component, dir, energy::stream_name(s)}] += bytes;
+  for (CodecTally& t : codec_tallies_) {
+    if (t.stream == s && t.dir == dir && t.component == component) {
+      t.bytes += bytes;
+      return;
+    }
+  }
+  codec_tallies_.push_back({component, dir, s, bytes});
 }
 
 void Profiler::record_scope(const char* label, double ms) {
@@ -146,6 +158,13 @@ void Profiler::attribute(std::uint64_t client, std::uint64_t req_id,
 
 Snapshot Profiler::snapshot() const {
   Snapshot out = snap_;
+  for (const CryptoTally& t : crypto_tallies_) {
+    out.crypto_ops[{t.component, t.op, t.site}] += t.count;
+  }
+  for (const CodecTally& t : codec_tallies_) {
+    out.codec_bytes[{t.component, t.dir, energy::stream_name(t.stream)}] +=
+        t.bytes;
+  }
   out.requests.reserve(sample_order_.size());
   for (const auto& key : sample_order_) {
     Snapshot::RequestEnergy r;

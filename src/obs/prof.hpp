@@ -140,7 +140,26 @@ class Profiler {
   [[nodiscard]] Snapshot snapshot() const;
 
  private:
+  /// Per-call-site tallies keyed by the callers' literal pointers,
+  /// scanned linearly (a few dozen distinct sites). snapshot() merges
+  /// them by value into the string-keyed maps, so the same text passed
+  /// through different pointers still yields one row.
+  struct CryptoTally {
+    const char* component;
+    const char* op;
+    const char* site;
+    std::uint64_t count;
+  };
+  struct CodecTally {
+    const char* component;
+    const char* dir;
+    energy::Stream stream;
+    std::uint64_t bytes;
+  };
+
   Snapshot snap_;
+  std::vector<CryptoTally> crypto_tallies_;
+  std::vector<CodecTally> codec_tallies_;
   bool host_timing_ = false;
   std::size_t samples_target_ = 0;
   energy::Medium medium_ = energy::Medium::kWifi;

@@ -8,16 +8,16 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/time.hpp"
 
 namespace eesmr::sim {
 
-/// Opaque handle for a scheduled event; used to cancel timers.
+/// Opaque handle for a scheduled event; used to cancel timers. Packs the
+/// event's slot (low 32 bits) and that slot's generation (high 32 bits),
+/// so a handle outlived by its event never matches the slot's next user.
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
 
@@ -50,8 +50,8 @@ class Scheduler {
   /// even if the queue drains earlier.
   std::size_t run_until(SimTime until);
 
-  [[nodiscard]] bool empty() const { return live_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return live_.size(); }
+  [[nodiscard]] bool empty() const { return pending_ == 0; }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::size_t processed() const { return processed_; }
 
   /// Events fired so far, by kind tag, sorted by kind name (tags merged
@@ -61,33 +61,48 @@ class Scheduler {
   fired_by_kind() const;
 
  private:
-  struct Event {
+  /// Heap entry: 24 bytes, ordered by (when, seq). A key whose gen no
+  /// longer matches its slot's belongs to a cancelled event and is
+  /// skipped when it reaches the top (lazy deletion).
+  struct Key {
     SimTime when;
-    EventId id;
-    const char* kind;
-    std::function<void()> fn;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;  // FIFO among same-time events
+      return a.seq > b.seq;  // FIFO among same-time events
     }
   };
+  /// Callback storage, recycled through a free list. kind is nullptr
+  /// while the slot is free; gen is bumped every time it is freed.
+  struct Slot {
+    std::function<void()> fn;
+    const char* kind = nullptr;
+    std::uint32_t gen = 1;
+    std::uint32_t next_free = 0;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
+  /// Pop cancelled keys off the top of the heap.
+  void drop_stale();
+  void release(std::uint32_t slot);
   bool fire_next();
   void count_fired(const char* kind);
 
   SimTime now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::size_t processed_ = 0;
+  std::size_t pending_ = 0;
   /// Fired-event counts per kind tag. Scanned linearly by pointer
   /// identity first (a handful of distinct literals), falling back to a
   /// string compare for same-text tags from different TUs.
   std::vector<std::pair<const char*, std::uint64_t>> fired_kinds_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  /// Ids scheduled but not yet fired or cancelled. Cancelled entries stay
-  /// in queue_ (lazy deletion) and are skipped when popped.
-  std::unordered_set<EventId> live_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_slot_ = kNoSlot;
 };
 
 /// RAII-style named timer owned by protocol code: start/reset/cancel a
@@ -109,9 +124,14 @@ class Timer {
   [[nodiscard]] SimTime deadline() const { return deadline_; }
 
  private:
+  void fire();
+
   Scheduler* sched_;
   EventId id_ = kInvalidEvent;
   SimTime deadline_ = 0;
+  /// The armed callback. The scheduled event captures only `this`, so a
+  /// re-arm with a small callback allocates nothing.
+  std::function<void()> fn_;
 };
 
 }  // namespace eesmr::sim

@@ -3,6 +3,9 @@
 // bounded flood-dedup window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "src/net/channel.hpp"
 #include "src/net/flood.hpp"
 
@@ -304,6 +307,75 @@ TEST(SeenWindow, AdversarialDuplicationAndReorderingStaysExactAndBounded) {
   // sparse tail, but never past the force-compaction cap — the bound is
   // O(window), independent of the 50k-seq load.
   EXPECT_LE(max_tail, FloodRouter::SeenWindow::kMaxTail);
+}
+
+/// The std::set window SeenWindow replaced, kept verbatim as the
+/// reference its verdicts must match.
+struct ReferenceSeenWindow {
+  std::uint64_t watermark = 0;
+  std::set<std::uint64_t> tail;
+
+  bool insert(std::uint64_t seq) {
+    if (seq <= watermark) return false;
+    if (!tail.insert(seq).second) return false;
+    while (!tail.empty() && *tail.begin() == watermark + 1) {
+      tail.erase(tail.begin());
+      ++watermark;
+    }
+    while (tail.size() > FloodRouter::SeenWindow::kMaxTail) {
+      watermark = *tail.begin();
+      tail.erase(tail.begin());
+      while (!tail.empty() && *tail.begin() <= watermark + 1) {
+        watermark = std::max(watermark, *tail.begin());
+        tail.erase(tail.begin());
+      }
+    }
+    return true;
+  }
+};
+
+TEST(SeenWindow, MatchesTheSetReferenceOnMixedStreams) {
+  // Seeded arrival streams mixing in-order delivery, reordering within a
+  // per-seed horizon (up to 1,500 in flight), duplicates, stale seqs,
+  // far-ahead seqs (up to +100,000) and skip gaps (seqs the origin spent
+  // on frames this node never sees). After every insert the window must
+  // give the reference's verdict, watermark and tail size.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sim::Rng rng(0x5eed0000 + seed);
+    const std::size_t horizon = seed == 1 ? 1 : 1 + rng.below(1500);
+    const std::uint64_t gap_pct = rng.below(15);        // skip-gap rate
+    const std::uint64_t far_per_mille = rng.below(12);  // far-ahead rate
+    FloodRouter::SeenWindow w;
+    ReferenceSeenWindow ref;
+    std::vector<std::uint64_t> in_flight;
+    std::uint64_t next = 1;
+    for (int step = 0; step < 250000; ++step) {
+      const std::uint64_t roll = rng.below(1000);
+      std::uint64_t seq;
+      if (roll < 850) {
+        if (rng.below(100) < gap_pct) next += 1 + rng.below(32);
+        in_flight.push_back(next++);
+        if (rng.below(8) == 0) in_flight.push_back(in_flight.back());  // dup
+        // Deliver a random in-flight seq once the horizon is full,
+        // otherwise the newest (in order).
+        std::size_t pick = in_flight.size() - 1;
+        if (in_flight.size() > horizon) pick = rng.below(in_flight.size());
+        seq = in_flight[pick];
+        in_flight[pick] = in_flight.back();
+        in_flight.pop_back();
+      } else if (roll < 1000 - far_per_mille) {
+        seq = 1 + rng.below(next);  // stale or recent: mostly duplicates
+      } else {
+        seq = next + rng.below(100000);  // far ahead
+      }
+      const bool expected = ref.insert(seq);
+      ASSERT_EQ(w.insert(seq), expected) << "seed " << seed << " step " << step;
+      ASSERT_EQ(w.watermark, ref.watermark)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(w.tail_size(), ref.tail.size())
+          << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 TEST(Routing, DedupStateStaysBoundedUnderLongMixedTraffic) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
+#include "src/common/serde.hpp"
 #include "src/net/flood.hpp"
 
 namespace eesmr::net {
@@ -174,6 +176,32 @@ TEST(Network, MalformedFrameIsDropped) {
   fx.net->transmit(0, Bytes{1, 2});  // too short for a router frame
   fx.sched.run();
   EXPECT_TRUE(fx.recorders[1].delivered.empty());
+}
+
+TEST(Network, FrameNamingANodeOutsideTheGraphIsDropped) {
+  // Well-formed router frames whose dest (1000) or origin (7) is not a
+  // node of the 3-node mesh. Routing the first would throw from
+  // Network::hops inside the delivery callback; the second would reach
+  // the protocol as sender 7. Both must be dropped before dedup, so a
+  // forged origin grows no dedup state either.
+  Fixture fx(Hypergraph::full_mesh(3));
+  const auto frame = [](NodeId origin, NodeId dest) {
+    Writer w;
+    w.u32(origin);
+    w.u64(5);  // above the watermark: a kept frame would sit in the tail
+    w.u32(dest);
+    w.u8(0);  // flags: forward
+    w.u8(static_cast<std::uint8_t>(energy::Stream::kControl));
+    w.raw(to_bytes(std::string("forged")));
+    return w.take();
+  };
+  fx.net->transmit(0, frame(0, 1000));
+  fx.net->transmit(0, frame(7, kNoNode));
+  EXPECT_NO_THROW(fx.sched.run());
+  for (NodeId node = 0; node < 3; ++node) {
+    EXPECT_TRUE(fx.recorders[node].delivered.empty()) << "node " << node;
+    EXPECT_EQ(fx.routers[node]->dedup_tail_entries(), 0u) << "node " << node;
+  }
 }
 
 TEST(Network, MeterSizeMismatchThrows) {

@@ -6,6 +6,8 @@
 // drop filter.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "src/harness/checkers.hpp"
 #include "src/harness/cluster.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/prof.hpp"
 #include "src/obs/trace.hpp"
 
 namespace eesmr {
@@ -193,6 +196,69 @@ TEST(Prof, RequestEnergyIsLowerBoundOfStreamTotals) {
           << energy::stream_name(stream);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Crypto and codec tallies
+// ---------------------------------------------------------------------------
+
+TEST(Prof, SameSiteTextThroughDistinctPointersMergesIntoOneRow) {
+  // The tallies are keyed by the callers' pointers; copies of the text
+  // stand in for the same literal from another translation unit.
+  const std::string replica = "replica";
+  const std::string verify = "verify";
+  const std::string vote = "vote";
+  const std::string encode = "encode";
+  prof::Profiler p;
+  p.count_crypto("replica", "verify", "vote");
+  p.count_crypto("replica", "sign", "proposal");
+  p.count_crypto(replica.c_str(), verify.c_str(), vote.c_str());
+  p.count_crypto("client", "sign", "request");
+  p.count_crypto("replica", verify.c_str(), "vote");
+  p.count_codec("replica", "encode", energy::Stream::kVote, 100);
+  p.count_codec("replica", "decode", energy::Stream::kProposal, 0);
+  p.count_codec(replica.c_str(), encode.c_str(), energy::Stream::kVote, 20);
+  p.count_codec("client", "encode", energy::Stream::kRequest, 7);
+
+  const prof::Snapshot snap = p.snapshot();
+  using Key = std::array<std::string, 3>;
+  EXPECT_EQ(snap.crypto_ops, (std::map<Key, std::uint64_t>{
+                                 {{"client", "sign", "request"}, 1},
+                                 {{"replica", "sign", "proposal"}, 1},
+                                 {{"replica", "verify", "vote"}, 3}}));
+  EXPECT_EQ(snap.codec_bytes, (std::map<Key, std::uint64_t>{
+                                  {{"client", "encode", "request"}, 7},
+                                  {{"replica", "decode", "proposal"}, 0},
+                                  {{"replica", "encode", "vote"}, 120}}));
+
+  // One exposition row per key, ordered by (component, op|dir, site|stream).
+  obs::Registry reg;
+  snap.to_registry(reg, {});
+  std::vector<std::string> rows;
+  std::size_t pos = 0;
+  const std::string text = reg.text();
+  while (pos < text.size()) {
+    const std::size_t end = text.find('\n', pos);
+    const std::string line = text.substr(pos, end - pos);
+    if (line.rfind("eesmr_prof_crypto_ops_total", 0) == 0 ||
+        line.rfind("eesmr_prof_codec_bytes_total", 0) == 0) {
+      rows.push_back(line);
+    }
+    pos = end + 1;
+  }
+  EXPECT_EQ(rows, (std::vector<std::string>{
+                      "eesmr_prof_crypto_ops_total{component=\"client\","
+                      "op=\"sign\",site=\"request\"} 1",
+                      "eesmr_prof_crypto_ops_total{component=\"replica\","
+                      "op=\"sign\",site=\"proposal\"} 1",
+                      "eesmr_prof_crypto_ops_total{component=\"replica\","
+                      "op=\"verify\",site=\"vote\"} 3",
+                      "eesmr_prof_codec_bytes_total{component=\"client\","
+                      "dir=\"encode\",stream=\"request\"} 7",
+                      "eesmr_prof_codec_bytes_total{component=\"replica\","
+                      "dir=\"decode\",stream=\"proposal\"} 0",
+                      "eesmr_prof_codec_bytes_total{component=\"replica\","
+                      "dir=\"encode\",stream=\"vote\"} 120"}));
 }
 
 // ---------------------------------------------------------------------------
