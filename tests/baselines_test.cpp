@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 
+#include "src/adversary/adversary.hpp"
 #include "src/harness/cluster.hpp"
 #include "src/smr/request.hpp"
 
@@ -272,6 +275,151 @@ TEST(TrustedBaseline, ControllerDedupStateStaysBoundedOverLongRuns) {
   // plus whatever reordering tail is still open (flooded submissions
   // arrive near-ascending, so the tail is a handful of entries).
   EXPECT_LE(ctl->dedup_state_entries(), cfg.clients * 8);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin for the partially-synchronous baselines' view changes
+// ---------------------------------------------------------------------------
+
+// Every integer field of a RunSummary, as one comparable line.
+std::string integer_fields(const RunSummary& s) {
+  std::ostringstream o;
+  o << "nodes=" << s.nodes << " safety_ok=" << s.safety_ok
+    << " min_committed=" << s.min_committed
+    << " max_committed=" << s.max_committed
+    << " view_changes=" << s.view_changes
+    << " transmissions=" << s.transmissions
+    << " bytes_transmitted=" << s.bytes_transmitted
+    << " requests_submitted=" << s.requests_submitted
+    << " requests_accepted=" << s.requests_accepted
+    << " request_retransmissions=" << s.request_retransmissions
+    << " requests_dropped=" << s.requests_dropped
+    << " requests_rate_limited=" << s.requests_rate_limited
+    << " request_failovers=" << s.request_failovers
+    << " requests_forwarded=" << s.requests_forwarded
+    << " request_hints_applied=" << s.request_hints_applied
+    << " controller_dedup_saved=" << s.controller_dedup_saved
+    << " controller_dedup_bytes_saved=" << s.controller_dedup_bytes_saved
+    << " latency_samples=" << s.latency_samples
+    << " state_transfers=" << s.state_transfers
+    << " max_retained_log=" << s.max_retained_log
+    << " max_dedup_entries=" << s.max_dedup_entries
+    << " max_store_blocks=" << s.max_store_blocks
+    << " max_checkpoints_taken=" << s.max_checkpoints_taken
+    << " safety_violations=" << s.safety_violations
+    << " liveness_ok=" << s.liveness_ok
+    << " faults_dropped=" << s.faults_dropped
+    << " faults_duplicated=" << s.faults_duplicated
+    << " faults_reordered=" << s.faults_reordered
+    << " msgs_withheld=" << s.msgs_withheld
+    << " byz_requests_sent=" << s.byz_requests_sent
+    << " membership_changes=" << s.membership_changes
+    << " membership_generation=" << s.membership_generation
+    << " acceptance_certs=" << s.acceptance_certs;
+  return o.str();
+}
+
+// PBFT (n=4) and MinBFT (n=3) at f=1 under the chase-the-leader
+// schedule, which crashes whoever leads every 400 ms: timeouts, the f+1
+// join rule, new-view announcements, checkpoints and state transfers all
+// run many times in 10 simulated seconds. No committed bench or perfbench
+// workload pins PBFT view changes, so these values are the byte-identity
+// reference for any refactor of that engine. Two clients run the default
+// closed-loop workload.
+struct GoldenCell {
+  Protocol protocol;
+  smr::CertScheme scheme;
+  const char* ints;
+  double total_energy_mj;
+};
+
+RunSummary run_golden_cell(const GoldenCell& cell) {
+  ClusterConfig cfg;
+  cfg.protocol = cell.protocol;
+  cfg.n = cell.protocol == Protocol::kMinBft ? 3 : 4;
+  cfg.f = 1;
+  cfg.seed = 5;
+  cfg.cert_scheme = cell.scheme;
+  cfg.checkpoint_interval = 8;
+  cfg.clients = 2;
+  adversary::apply_attack(cfg, adversary::AttackKind::kChaseLeader);
+  Cluster cluster(cfg);
+  return cluster.run_for(sim::seconds(10)).summarize();
+}
+
+TEST(PartialSyncGolden, ChaseLeaderViewChangesAreUnchanged) {
+  const GoldenCell cells[] = {
+      {Protocol::kPbft, smr::CertScheme::kIndividual,
+       "nodes=6 safety_ok=1 min_committed=210 max_committed=227 "
+       "view_changes=24 transmissions=20447 "
+       "bytes_transmitted=5365583 requests_submitted=199 "
+       "requests_accepted=197 request_retransmissions=0 "
+       "requests_dropped=0 requests_rate_limited=0 "
+       "request_failovers=0 requests_forwarded=0 "
+       "request_hints_applied=0 controller_dedup_saved=0 "
+       "controller_dedup_bytes_saved=0 latency_samples=197 "
+       "state_transfers=12 max_retained_log=6 max_dedup_entries=36 "
+       "max_store_blocks=8 max_checkpoints_taken=30 "
+       "safety_violations=0 liveness_ok=1 faults_dropped=0 "
+       "faults_duplicated=0 faults_reordered=0 msgs_withheld=0 "
+       "byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       1858098.0549999934},
+      {Protocol::kPbft, smr::CertScheme::kAggregate,
+       "nodes=6 safety_ok=1 min_committed=200 max_committed=214 "
+       "view_changes=24 transmissions=18805 "
+       "bytes_transmitted=3526487 requests_submitted=187 "
+       "requests_accepted=185 request_retransmissions=0 "
+       "requests_dropped=0 requests_rate_limited=0 "
+       "request_failovers=0 requests_forwarded=0 "
+       "request_hints_applied=0 controller_dedup_saved=0 "
+       "controller_dedup_bytes_saved=0 latency_samples=185 "
+       "state_transfers=12 max_retained_log=3 max_dedup_entries=40 "
+       "max_store_blocks=5 max_checkpoints_taken=28 "
+       "safety_violations=0 liveness_ok=1 faults_dropped=0 "
+       "faults_duplicated=0 faults_reordered=0 msgs_withheld=0 "
+       "byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=185",
+       32247072.249999981},
+      {Protocol::kMinBft, smr::CertScheme::kIndividual,
+       "nodes=5 safety_ok=1 min_committed=455 max_committed=478 "
+       "view_changes=19 transmissions=6976 bytes_transmitted=2194623 "
+       "requests_submitted=179 requests_accepted=177 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=177 state_transfers=12 max_retained_log=22 "
+       "max_dedup_entries=17 max_store_blocks=24 "
+       "max_checkpoints_taken=65 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       1246584.1899999974},
+      {Protocol::kMinBft, smr::CertScheme::kAggregate,
+       "nodes=5 safety_ok=1 min_committed=445 max_committed=447 "
+       "view_changes=19 transmissions=6362 bytes_transmitted=1896398 "
+       "requests_submitted=181 requests_accepted=179 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=179 state_transfers=11 max_retained_log=4 "
+       "max_dedup_entries=27 max_store_blocks=5 "
+       "max_checkpoints_taken=58 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=179",
+       3869987.1250000014},
+  };
+  for (const GoldenCell& cell : cells) {
+    SCOPED_TRACE(std::string(protocol_name(cell.protocol)) + " " +
+                 smr::cert_scheme_name(cell.scheme));
+    const RunSummary s = run_golden_cell(cell);
+    EXPECT_EQ(integer_fields(s), cell.ints);
+    EXPECT_NEAR(s.total_energy_mj, cell.total_energy_mj,
+                1e-9 * cell.total_energy_mj);
+  }
 }
 
 }  // namespace
