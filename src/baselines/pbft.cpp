@@ -192,11 +192,17 @@ void PbftReplica::handle_prepare(const Msg& msg) {
 }
 
 void PbftReplica::on_prepared(const BlockHash& h, const Block& b) {
+  // A prepare counts toward b only if it was signed in b's view. Honest
+  // replicas only prepare blocks of their current view, but the tally
+  // outlives view changes, and a later-view prepare for b would not
+  // combine with the others into one certificate.
+  auto& bucket = prepares_[h];
+  std::erase_if(bucket, [&](const Msg& m) { return m.view != b.view; });
+  if (bucket.size() < quorum()) return;
   // Record the highest prepared branch (what a view change carries).
   if (b.height > prepared_height_) {
     prepared_tip_ = h;
     prepared_height_ = b.height;
-    auto& bucket = prepares_[h];
     prepared_cert_ = make_cert(std::vector<Msg>(
         bucket.begin(), bucket.begin() + static_cast<std::ptrdiff_t>(
                                              std::min(bucket.size(),

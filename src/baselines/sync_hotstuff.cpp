@@ -220,13 +220,18 @@ void SyncHsReplica::certify(const BlockHash& h) {
   const Block* b = store_.get(h);
   if (b == nullptr) return;
   if (b->height <= certified_height_) return;
+  // A vote counts toward b only if it was signed in b's view: the tally
+  // outlives view changes, and a later-view vote for b would not combine
+  // with the others into one certificate.
+  auto& bucket = votes_[h];
+  std::erase_if(bucket, [&](const Msg& m) { return m.view != b->view; });
+  if (bucket.size() < quorum()) return;
   trace_instant("commit", "certify", {{"height", exp::Json(b->height)}});
   prof_flow_block("certify", *b, energy::Stream::kVote, 0);
   certified_tip_ = h;
   certified_height_ = b->height;
   tip_cert_ = make_cert(std::vector<Msg>(
-      votes_[h].begin(),
-      votes_[h].begin() + static_cast<std::ptrdiff_t>(quorum())));
+      bucket.begin(), bucket.begin() + static_cast<std::ptrdiff_t>(quorum())));
   if (proposer_for(b->round + 1) == cfg_.id && phase_ == Phase::kSteady &&
       !crashed_) {
     propose(b->round + 1);

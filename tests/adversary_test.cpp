@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "src/adversary/adversary.hpp"
+#include "src/obs/trace.hpp"
 
 namespace eesmr {
 namespace {
@@ -237,6 +238,156 @@ TEST(AdversaryRegression, EesmrDeepCatchupRecoversWithoutCheckpoints) {
   const auto [healthy, recovered_committed_ckpt] = run_recovery(8);
   EXPECT_TRUE(healthy.safety_ok());
   EXPECT_GT(recovered_committed_ckpt, 20u);
+}
+
+// ---------------------------------------------------------------------------
+// A later-view vote for an older block never completes its certificate
+// ---------------------------------------------------------------------------
+
+// Drops every vote frame a replica sends while it is still in view 1,
+// except on the one link `keep_from` -> `keep_to`, until heal() (GST).
+// Vote loss before GST is inside PBFT's model. Sync HotStuff assumes
+// synchrony, so there it only stages the same bucket state.
+class DropViewOneVotes final : public net::FaultInjector {
+ public:
+  DropViewOneVotes(harness::Cluster& cluster, NodeId keep_from, NodeId keep_to)
+      : cluster_(cluster), keep_from_(keep_from), keep_to_(keep_to) {}
+
+  void heal() { healed_ = true; }
+
+  net::FaultVerdict on_delivery(NodeId from, NodeId to, energy::Stream stream,
+                                std::size_t /*bytes*/) override {
+    net::FaultVerdict v;
+    v.drop = !healed_ && stream == energy::Stream::kVote &&
+             cluster_.replica(from).current_view() == 1 &&
+             !(from == keep_from_ && to == keep_to_);
+    return v;
+  }
+
+ private:
+  harness::Cluster& cluster_;
+  NodeId keep_from_;
+  NodeId keep_to_;
+  bool healed_ = false;
+};
+
+/// Events named `name` traced by `node` (by any node for kNoNode),
+/// counting only those whose `height` argument is 1 when `height_one`.
+std::size_t traced(const obs::Tracer& tracer, const char* name, NodeId node,
+                   bool height_one) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.name != name || (node != kNoNode && ev.node != node)) continue;
+    bool counted = !height_one;
+    for (const auto& [key, value] : ev.args) {
+      if (key == "height" && value == exp::Json(1)) counted = true;
+    }
+    if (counted) ++n;
+  }
+  return n;
+}
+
+/// Stage the mixed-view bucket and return how many height-1 blocks node 0
+/// certified. The view-1 leader's first block B1 gathers too few view-1
+/// votes at node 0 (only `keep_from`'s get through), and the replicas
+/// give up on view 1. At the first blame the network heals and node 3
+/// floods its signed `vote_type` vote for B1 in view 2. Node 0 buffers that vote
+/// and handles it first when it enters view 2, where it completes B1's
+/// bucket; combining the two views' votes into one certificate used to
+/// throw. The run goes on for `settle` after node 0 enters view 2.
+std::size_t run_cross_view_vote(Protocol protocol, smr::MsgType vote_type,
+                                std::uint64_t vote_round, NodeId keep_from,
+                                sim::Duration settle) {
+  obs::Tracer tracer;
+  ClusterConfig cfg;
+  cfg.protocol = protocol;
+  cfg.n = 4;
+  cfg.f = 1;
+  cfg.seed = 3;
+  cfg.channels[energy::Stream::kVote] =
+      net::DisseminationPolicy::routed_unicast();
+  cfg.tracer = &tracer;
+  harness::Cluster cluster(cfg);
+  DropViewOneVotes drop(cluster, keep_from, /*keep_to=*/0);
+  cluster.network().set_fault_injector(&drop);
+
+  // B1 as the view-1 leader builds it: the first filler batch of an
+  // identically configured, never-started node.
+  harness::Cluster twin(cfg);
+  smr::Block b1;
+  b1.parent = smr::genesis_hash();
+  b1.height = 1;
+  b1.view = 1;
+  b1.round = 1;
+  b1.proposer = cluster.replica(0).leader_of(1);
+  b1.cmds = twin.replica(b1.proposer).mempool().next_batch(cfg.batch_size);
+
+  const auto run_until = [&](const auto& done) {
+    while (!done()) {
+      if (cluster.scheduler().now() > sim::seconds(5)) return false;
+      cluster.run_for(sim::milliseconds(1));
+    }
+    return true;
+  };
+  if (!run_until([&] { return traced(tracer, "blame", kNoNode, false) > 0; })) {
+    ADD_FAILURE() << "nobody gave up on view 1";
+    return 0;
+  }
+  EXPECT_EQ(cluster.replica(0).current_view(), 1u);
+  EXPECT_TRUE(cluster.replica(0).store().contains(b1.hash()));
+
+  smr::Msg vote;
+  vote.type = vote_type;
+  vote.view = 2;
+  vote.round = vote_round;
+  vote.author = 3;
+  vote.data = b1.hash();
+  const auto keys = crypto::Keyring::simulated(cfg.scheme, cfg.n, cfg.seed);
+  vote.sig = keys->signer(3).sign(vote.preimage());
+  Writer frame;  // flood framing: origin, seq, dest, flags, stream
+  frame.u32(3);
+  frame.u64(1u << 20);
+  frame.u32(kNoNode);
+  frame.u8(0);
+  frame.u8(static_cast<std::uint8_t>(energy::Stream::kVote));
+  frame.raw(vote.encode());
+  drop.heal();
+  cluster.network().transmit(3, frame.take(), energy::Stream::kVote);
+
+  if (!run_until([&] { return cluster.replica(0).current_view() >= 2; })) {
+    ADD_FAILURE() << "node 0 never entered view 2";
+    return 0;
+  }
+  const RunResult r = cluster.run_for(settle);
+  EXPECT_TRUE(r.safety_ok());
+  return traced(tracer, "certify", 0, true);
+}
+
+// PBFT: node 0 holds its own and node 1's view-1 prepares for B1, one
+// short of 2f+1. Node 3's view-2 prepare for B1 used to complete the
+// bucket, and make_cert threw out of Cluster::run_for. Only the view-2
+// block at height 1 may certify at node 0.
+TEST(AdversaryRegression, PbftCrossViewPrepareIsNotCounted) {
+  std::size_t certifies = 0;
+  EXPECT_NO_THROW(certifies = run_cross_view_vote(
+                      Protocol::kPbft, smr::MsgType::kPrepare, 1,
+                      /*keep_from=*/1, sim::milliseconds(500)));
+  EXPECT_EQ(certifies, 1u);
+}
+
+// Sync HotStuff: with every view-1 vote lost, node 0 holds only its own
+// vote for B1, and node 3's view-2 vote would make f+1. The lost votes
+// break Sync HotStuff's synchrony: every node commits B1 2Δ after voting,
+// and the view-2 leader re-proposes height 1 from genesis. So the run
+// stops once node 0 has entered view 2 and handled the buffered vote,
+// before that out-of-model conflicting commit, and nothing at height 1
+// may have certified.
+TEST(AdversaryRegression, SyncHotStuffCrossViewVoteIsNotCounted) {
+  std::size_t certifies = 0;
+  EXPECT_NO_THROW(certifies = run_cross_view_vote(
+                      Protocol::kSyncHotStuff, smr::MsgType::kVote, 0,
+                      /*keep_from=*/kNoNode, /*settle=*/0));
+  EXPECT_EQ(certifies, 0u);
 }
 
 // ---------------------------------------------------------------------------
