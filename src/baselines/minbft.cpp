@@ -1,7 +1,6 @@
 #include "src/baselines/minbft.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <optional>
 
 #include "src/common/serde.hpp"
 
@@ -23,17 +22,28 @@ constexpr std::uint64_t kDigestWindow = 512;
 /// Held-back attested messages across all senders (adversarial reordering
 /// must not grow memory without bound).
 constexpr std::size_t kMaxHoldback = 1024;
+
+/// kViewChange / kNewView payload: the reported block, if any.
+Bytes encode_tip(const Block* tip) {
+  Writer w;
+  w.boolean(tip != nullptr);
+  if (tip != nullptr) w.bytes(tip->encode());
+  return w.take();
+}
+std::optional<Block> decode_tip(BytesView payload) {
+  Reader r(payload);
+  if (!r.boolean()) return std::nullopt;
+  return Block::decode(r.bytes());
+}
 }  // namespace
 
 MinBftReplica::MinBftReplica(net::Network& net, smr::ReplicaConfig cfg,
                              smr::ByzantineConfig byz, energy::Meter* meter)
-    : ReplicaBase(net, std::move(cfg), meter),
-      byz_(byz),
+    : ViewChangeReplica(net, std::move(cfg), byz, meter,
+                        "minbft_propose", "minbft_progress_timer"),
       counter_(cfg_.keyring, cfg_.id, meter, cfg_.profiler),
-      progress_timer_(sched_),
       gap_timer_(sched_) {
   tracker_.set_max_gap(kMaxCounterGap);
-  accepted_tip_ = smr::genesis_hash();
 }
 
 bool MinBftReplica::requires_signature_check(const Msg& msg) const {
@@ -42,85 +52,40 @@ bool MinBftReplica::requires_signature_check(const Msg& msg) const {
   return msg.type != MsgType::kPropose && msg.type != MsgType::kCommit;
 }
 
-void MinBftReplica::start() {
-  if (started_) return;
-  started_ = true;
-  v_cur_ = 1;
-  vc_target_ = 1;
-  phase_ = Phase::kSteady;
-  reset_progress_timer(10 * cfg_.delta);
-  if (is_leader()) propose();
-}
-
 // ---------------------------------------------------------------------------
 // Steady state: attested prepare (kPropose) -> attested commits
 // ---------------------------------------------------------------------------
 
-void MinBftReplica::propose() {
-  if (crashed_ || phase_ != Phase::kSteady || !online() || !is_leader()) {
-    return;
+void MinBftReplica::send_proposal(const Block& b) {
+  // Counter reuse is structurally impossible: the two blocks of an
+  // equivocation pair necessarily occupy successive counter values, so
+  // every correct receiver sees them in the same order and rejects the
+  // second on content.
+  const BlockHash h = hash_block(b);
+  const Attestation att = counter_.attest(h);
+  Writer w;
+  w.bytes(b.encode());
+  w.bytes(att.encode());
+  const Msg prop = unsigned_msg(MsgType::kPropose, b.height, w.take());
+  broadcast(prop);
+  prof_flow_block("propose", b, energy::Stream::kProposal,
+                  prop.encode().size());
+  if (tracing()) {
+    trace_instant("commit", "propose",
+                  {{"height", exp::Json(b.height)},
+                   {"view", exp::Json(v_cur_)},
+                   {"counter", exp::Json(att.counter)}});
   }
-  const BlockHash parent_hash =
-      (accepted_height_ > committed_height() &&
-       store_.extends(accepted_tip_, committed_tip()))
-          ? accepted_tip_
-          : committed_tip();
-  const Block* parent = store_.get(parent_hash);
-  if (parent == nullptr) return;
-  const std::uint64_t height = parent->height + 1;
-  if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger != 0 &&
-      height >= byz_.trigger) {
-    crashed_ = true;
-    progress_timer_.cancel();
-    router().set_forwarding(false);
-    return;
-  }
-
-  auto build = [&](const std::string& tag) {
-    Block b;
-    b.parent = parent_hash;
-    b.height = height;
-    b.view = v_cur_;
-    b.round = height;
-    b.proposer = cfg_.id;
-    b.cmds = mempool_.next_batch(cfg_.batch_size);
-    if (!tag.empty()) b.cmds.push_back({to_bytes(tag)});
-    return b;
-  };
-  auto send_proposal = [&](const Block& b) {
-    const BlockHash h = hash_block(b);
-    const Attestation att = counter_.attest(h);
-    Writer w;
-    w.bytes(b.encode());
-    w.bytes(att.encode());
-    const Msg prop = unsigned_msg(MsgType::kPropose, b.height, w.take());
-    broadcast(prop);
-    prof_flow_block("propose", b, energy::Stream::kProposal,
-                    prop.encode().size());
-    if (tracing()) {
-      trace_instant("commit", "propose",
-                    {{"height", exp::Json(b.height)},
-                     {"view", exp::Json(v_cur_)},
-                     {"counter", exp::Json(att.counter)}});
-    }
-    store_.add(b);
-    handle_propose(cfg_.id, prop);
-  };
-
-  if (byz_.equivocates() && height == byz_.trigger) {
-    // Counter reuse is structurally impossible: the two conflicting
-    // blocks necessarily occupy successive counter values, so every
-    // correct receiver sees them in the same order and rejects the
-    // second on content.
-    send_proposal(build("equivocation-A"));
-    send_proposal(build("equivocation-B"));
-    return;
-  }
-  send_proposal(build(""));
+  store_.add(b);
+  handle_propose(cfg_.id, prop);
 }
 
-bool MinBftReplica::admit_attested(NodeId from, const Msg& msg,
-                                   const Attestation& att) {
+bool MinBftReplica::admit_attested(const Msg& msg, const Attestation& att,
+                                   const char* what) {
+  if (!trusted::verify_attestation(*cfg_.keyring, att, meter_, cfg_.profiler,
+                                   what)) {
+    return false;
+  }
   switch (tracker_.observe(att)) {
     case AttestationTracker::Verdict::kAccept:
       // Draining is the CALLER's job, after it processed this message's
@@ -141,7 +106,6 @@ bool MinBftReplica::admit_attested(NodeId from, const Msg& msg,
       if (holdback_total_ >= kMaxHoldback) return false;
       auto& q = holdback_[att.node];
       if (q.emplace(att.counter, msg).second) ++holdback_total_;
-      (void)from;
       arm_gap_timer();
       return false;
     }
@@ -149,7 +113,7 @@ bool MinBftReplica::admit_attested(NodeId from, const Msg& msg,
   return false;
 }
 
-void MinBftReplica::drain_holdback(NodeId /*node*/) {
+void MinBftReplica::drain_holdback() {
   // handle() below can re-enter this function (a drained message's
   // acceptance advances another sender's frontier): the reentrancy guard
   // plus the restart-after-each-message scan keep the iteration safe
@@ -199,21 +163,15 @@ void MinBftReplica::handle_propose(NodeId from, const Msg& msg) {
   }
   const BlockHash h = hash_block(b);
   if (att.digest != h) return;  // UI must bind exactly this block
-  if (!trusted::verify_attestation(*cfg_.keyring, att, meter_,
-                                   cfg_.profiler, "proposal")) {
-    return;
-  }
-  if (!admit_attested(from, msg, att)) return;
+  if (!admit_attested(msg, att, "proposal")) return;
   // Process this proposal's content BEFORE draining the hold-back queue:
   // the held successor at counter+1 may be the second half of an
   // equivocation pair, and handling it first would invert the counter
   // order at the content layer (receivers would fork on arrival order).
-  if (msg.view == v_cur_ && phase_ == Phase::kSteady) {
+  if (for_current_view(msg) && phase_ == Phase::kSteady) {
     accept_proposal(from, msg, b, att);
-  } else if (msg.view > v_cur_) {
-    buffer_future(msg);
   }
-  drain_holdback(att.node);
+  drain_holdback();
 }
 
 void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
@@ -223,30 +181,13 @@ void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
   // processes proposals in counter order (admission + caller-side
   // holdback drain), so all accept the first block for this height and
   // demote the primary on the second.
-  auto [it, inserted] = seen_.try_emplace(b.height, h);
-  if (!inserted && it->second != h) {
-    (void)integrate_block(b, from);
-    send_view_change(v_cur_ + 1);
-    return;
-  }
-  if (!integrate_block(b, from)) {
-    retry_on_connect(msg);
-    return;
-  }
-  if (!store_.extends(h, committed_tip())) return;
-  if (b.height > accepted_height_) {
-    accepted_tip_ = h;
-    accepted_height_ = b.height;
-  }
+  if (!admit_proposal(from, msg, b, h)) return;
+  (void)raise_branch(h, b);
   // The primary's attested prepare counts as its commit.
   tally_commit(att.node, h);
   if (att.node == cfg_.id) return;  // the primary does not send kCommit
   if (!commit_sent_.insert(h).second) return;
-  if (tracing()) {
-    trace_begin("block", "block", b.height,
-                {{"round", exp::Json(b.round)}, {"view", exp::Json(b.view)}});
-    trace_instant("commit", "vote", {{"height", exp::Json(b.height)}});
-  }
+  trace_vote(b);
   const Attestation own = counter_.attest(h);
   Writer w;
   w.bytes(h);
@@ -257,7 +198,7 @@ void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
   tally_commit(cfg_.id, h);
 }
 
-void MinBftReplica::handle_commit_msg(NodeId from, const Msg& msg) {
+void MinBftReplica::handle_commit_msg(const Msg& msg) {
   BlockHash h;
   Attestation att;
   try {
@@ -268,17 +209,13 @@ void MinBftReplica::handle_commit_msg(NodeId from, const Msg& msg) {
     return;
   }
   if (att.digest != h || att.node >= cfg_.n) return;
-  if (!trusted::verify_attestation(*cfg_.keyring, att, meter_,
-                                   cfg_.profiler, "vote")) {
-    return;
-  }
-  if (!admit_attested(from, msg, att)) return;
+  if (!admit_attested(msg, att, "vote")) return;
   // Tally regardless of msg.view: the commit is an attested acceptance
   // of block h, and the f+1 quorum is per block hash — acceptances that
   // crossed a view change still count (and must, for liveness under
   // leader churn).
   tally_commit(att.node, h);
-  drain_holdback(att.node);
+  drain_holdback();
 }
 
 void MinBftReplica::tally_commit(NodeId author, const BlockHash& h) {
@@ -288,47 +225,35 @@ void MinBftReplica::tally_commit(NodeId author, const BlockHash& h) {
 }
 
 void MinBftReplica::try_commit(const BlockHash& h) {
-  if (!store_.contains(h) || !store_.extends(h, committed_tip())) {
-    pending_commit_.insert(h);
-    return;
-  }
+  // The certify trace marks the quorum of a block that can commit now.
   const Block* b = store_.get(h);
-  if (b != nullptr) {
+  if (b != nullptr && store_.extends(h, committed_tip())) {
     trace_instant("commit", "certify", {{"height", exp::Json(b->height)}});
     prof_flow_block("certify", *b, energy::Stream::kVote, 0);
   }
-  commit_chain(h);
-  reset_progress_timer(10 * cfg_.delta);
+  ViewChangeReplica::try_commit(h);
 }
 
-void MinBftReplica::on_commit(const Block& block) {
-  (void)block;
-  if (!crashed_ && phase_ == Phase::kSteady && is_leader()) {
-    sched_.after(0, "minbft_propose", [this, v = v_cur_] {
-      if (v == v_cur_ && phase_ == Phase::kSteady) propose();
-    });
+void MinBftReplica::handle_steady(NodeId from, const Msg& msg) {
+  switch (msg.type) {
+    case MsgType::kPropose:
+      handle_propose(from, msg);
+      break;
+    case MsgType::kCommit:
+      handle_commit_msg(msg);
+      break;
+    default:
+      break;
   }
 }
 
 // ---------------------------------------------------------------------------
-// View change (timeout-driven; ReqViewChange with f+1 quorum)
+// Counter gaps
 // ---------------------------------------------------------------------------
 
-void MinBftReplica::reset_progress_timer(sim::Duration d) {
-  if (crashed_) return;
-  progress_timer_.start(d, "minbft_progress_timer",
-                        [this] { on_progress_timeout(); });
-}
-
-void MinBftReplica::on_progress_timeout() {
-  if (crashed_ || !online()) return;
-  send_view_change(std::max(vc_target_ + 1, v_cur_ + 1));
-}
-
 void MinBftReplica::on_restart() {
-  if (crashed_ || !started_) return;
-  reset_progress_timer(10 * cfg_.delta);
-  arm_gap_timer();
+  ViewChangeReplica::on_restart();
+  if (started_) arm_gap_timer();
 }
 
 // Counters minted while this replica was offline are gone for good —
@@ -369,128 +294,57 @@ void MinBftReplica::on_gap_timeout() {
                    {"from", exp::Json(tracker_.last(node))},
                    {"to", exp::Json(head)}});
     tracker_.skip_to(node, head);
-    drain_holdback(node);
+    drain_holdback();
   }
   arm_gap_timer();
 }
 
-void MinBftReplica::send_view_change(std::uint64_t target) {
-  if (crashed_ || target <= v_cur_) return;
-  phase_ = Phase::kViewChange;
-  vc_target_ = std::max(vc_target_, target);
-  trace_instant("view", "blame", {{"view", exp::Json(v_cur_)},
-                                  {"target", exp::Json(vc_target_)}});
+// ---------------------------------------------------------------------------
+// View change payloads: the latest accepted block
+// ---------------------------------------------------------------------------
+
+Bytes MinBftReplica::view_change_report() {
   // Report the latest accepted block so the new primary re-proposes the
   // highest branch any correct replica accepted.
-  Writer w;
-  const Block* tip = store_.get(accepted_tip_);
-  w.boolean(tip != nullptr);
-  if (tip != nullptr) w.bytes(tip->encode());
-  const Msg vc = make_msg(MsgType::kViewChange, vc_target_, 0, w.take());
-  broadcast(vc);
-  handle_view_change(vc);
-  reset_progress_timer(10 * cfg_.delta);
+  return encode_tip(store_.get(branch_tip_));
 }
 
-void MinBftReplica::handle_view_change(const Msg& msg) {
-  if (msg.view <= v_cur_) return;
-  auto& bucket = vc_msgs_[msg.view];
-  if (!bucket.emplace(msg.author, msg).second) return;
-  // One correct replica is among any f+1 requesters: join them.
-  if (bucket.size() >= cfg_.f + 1 && msg.view > vc_target_) {
-    send_view_change(msg.view);
-  }
-  if (bucket.size() >= quorum()) maybe_announce_new_view(msg.view);
-}
-
-void MinBftReplica::maybe_announce_new_view(std::uint64_t target) {
-  if (leader_of(target) != cfg_.id || crashed_ || !online()) return;
-  if (target <= v_cur_ || !nv_sent_.insert(target).second) return;
-  Block chosen;
-  bool have_chosen = false;
-  for (const auto& [author, vc] : vc_msgs_[target]) {
-    (void)author;
+Bytes MinBftReplica::choose_new_view(const std::map<NodeId, Msg>& reports) {
+  std::optional<Block> chosen;
+  for (const auto& report : reports) {
     try {
-      Reader r(vc.data);
-      if (!r.boolean()) continue;
-      const Block b = Block::decode(r.bytes());
-      if (!have_chosen || b.height > chosen.height) {
-        chosen = b;
-        have_chosen = true;
-      }
+      const std::optional<Block> b = decode_tip(report.second.data);
+      if (b && (!chosen || b->height > chosen->height)) chosen = b;
     } catch (const SerdeError&) {
       continue;
     }
   }
-  Writer w;
-  w.boolean(have_chosen);
-  if (have_chosen) w.bytes(chosen.encode());
-  broadcast(make_msg(MsgType::kNewView, target, 0, w.take()));
-  if (have_chosen) {
-    store_.add(chosen);
-    if (chosen.height > accepted_height_ &&
-        store_.extends(chosen.hash(), committed_tip())) {
-      accepted_tip_ = chosen.hash();
-      accepted_height_ = chosen.height;
-    }
-  }
-  enter_view(target);
-  propose();
+  return encode_tip(chosen ? &*chosen : nullptr);
 }
 
-void MinBftReplica::handle_new_view(NodeId from, const Msg& msg) {
-  if (msg.view <= v_cur_ || msg.author != leader_of(msg.view)) return;
+bool MinBftReplica::adopt_new_view(BytesView payload, NodeId from, bool own) {
   try {
-    Reader r(msg.data);
-    if (r.boolean()) {
-      const Block b = Block::decode(r.bytes());
-      (void)integrate_block(b, from);
-      if (b.height > accepted_height_ &&
-          store_.extends(b.hash(), committed_tip())) {
-        accepted_tip_ = b.hash();
-        accepted_height_ = b.height;
-      }
-    }
-  } catch (const SerdeError&) {
-    return;
-  }
-  enter_view(msg.view);
-}
-
-void MinBftReplica::enter_view(std::uint64_t view) {
-  if (tracing()) {
-    trace_instant("view", "new_view", {{"view", exp::Json(view)}});
-  }
-  v_cur_ = view;
-  vc_target_ = view;
-  phase_ = Phase::kSteady;
-  seen_.clear();
-  vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(view));
-  reset_progress_timer(10 * cfg_.delta);
-  drain_buffered();
-}
-
-// ---------------------------------------------------------------------------
-// Chain, checkpoint and membership hooks
-// ---------------------------------------------------------------------------
-
-void MinBftReplica::on_chain_connected(const Block& block) {
-  const BlockHash h = block.hash();
-  if (pending_commit_.erase(h) > 0) try_commit(h);
-}
-
-void MinBftReplica::on_low_water(const Block& root) {
-  seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
-  for (auto it = commit_authors_.begin(); it != commit_authors_.end();) {
-    const Block* b = store_.get(it->first);
-    if (b != nullptr && b->height <= root.height) {
-      commit_sent_.erase(it->first);
-      pending_commit_.erase(it->first);
-      it = commit_authors_.erase(it);
+    const std::optional<Block> b = decode_tip(payload);
+    if (!b) return true;
+    if (own) {
+      store_.add(*b);
     } else {
-      ++it;
+      (void)integrate_block(*b, from);
     }
+    const BlockHash h = b->hash();
+    if (store_.extends(h, committed_tip())) (void)raise_branch(h, *b);
+  } catch (const SerdeError&) {
+    return false;
   }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint and membership hooks
+// ---------------------------------------------------------------------------
+
+void MinBftReplica::prune_tallies(std::uint64_t height) {
+  prune_tally(commit_authors_, commit_sent_, height);
   tracker_.forget_window(kDigestWindow);
 }
 
@@ -514,40 +368,10 @@ void MinBftReplica::on_membership_change(const smr::MembershipPolicy& policy) {
   }
 }
 
-void MinBftReplica::on_state_transfer(const Block& root) {
-  accepted_tip_ = root.hash();
-  accepted_height_ = root.height;
-  if (root.view > v_cur_) v_cur_ = root.view;
-  vc_target_ = std::max(vc_target_, v_cur_);
-  phase_ = Phase::kSteady;
-  seen_.clear();
+void MinBftReplica::reset_tallies() {
   commit_authors_.clear();
-  commit_sent_.clear();
-  pending_commit_.clear();
   holdback_.clear();
   holdback_total_ = 0;
-  reset_progress_timer(12 * cfg_.delta);
-  drain_buffered();
-}
-
-void MinBftReplica::handle(NodeId from, const Msg& msg) {
-  if (crashed_) return;
-  switch (msg.type) {
-    case MsgType::kPropose:
-      handle_propose(from, msg);
-      break;
-    case MsgType::kCommit:
-      handle_commit_msg(from, msg);
-      break;
-    case MsgType::kViewChange:
-      handle_view_change(msg);
-      break;
-    case MsgType::kNewView:
-      handle_new_view(from, msg);
-      break;
-    default:
-      break;
-  }
 }
 
 }  // namespace eesmr::baselines

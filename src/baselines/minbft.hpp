@@ -17,29 +17,26 @@
 // A block commits on f+1 attested acceptances (the primary's prepare
 // counting as its commit).
 //
-// View change is timeout-driven: a signed (not attested) kViewChange for v+1
-// carries the sender's latest accepted block; f+1 of them let the new
+// View change (ViewChangeReplica): a signed (not attested) kViewChange for
+// v+1 carries the sender's latest accepted block; f+1 of them let the new
 // primary announce kNewView and re-propose from the highest reported
 // block. Checkpoints, state transfer, chain sync and the client path are
 // the shared ReplicaBase machinery, unchanged (checkpoint quorum f+1).
 #pragma once
 
 #include <map>
-#include <optional>
 #include <set>
-#include <vector>
 
-#include "src/smr/replica.hpp"
+#include "src/baselines/view_change.hpp"
 #include "src/trusted/trusted.hpp"
 
 namespace eesmr::baselines {
 
-class MinBftReplica final : public smr::ReplicaBase {
+class MinBftReplica final : public ViewChangeReplica {
  public:
   MinBftReplica(net::Network& net, smr::ReplicaConfig cfg,
                 smr::ByzantineConfig byz, energy::Meter* meter);
 
-  void start() override;
   /// Trusted-component observability.
   [[nodiscard]] const trusted::TrustedCounter& counter() const {
     return counter_;
@@ -49,11 +46,6 @@ class MinBftReplica final : public smr::ReplicaBase {
   }
 
  protected:
-  void handle(NodeId from, const smr::Msg& msg) override;
-  void on_commit(const smr::Block& block) override;
-  void on_chain_connected(const smr::Block& block) override;
-  void on_low_water(const smr::Block& root) override;
-  void on_state_transfer(const smr::Block& root) override;
   void on_restart() override;
   /// Rebase attested-counter tracking at the generation boundary: a
   /// (re)joining signer's counter kept advancing while it was outside
@@ -65,17 +57,24 @@ class MinBftReplica final : public smr::ReplicaBase {
   [[nodiscard]] bool requires_signature_check(
       const smr::Msg& msg) const override;
 
- private:
-  enum class Phase { kSteady, kViewChange };
+  void send_proposal(const smr::Block& b) override;
+  void handle_steady(NodeId from, const smr::Msg& msg) override;
+  void try_commit(const smr::BlockHash& h) override;
+  Bytes view_change_report() override;
+  Bytes choose_new_view(const std::map<NodeId, smr::Msg>& reports) override;
+  bool adopt_new_view(BytesView payload, NodeId from, bool own) override;
+  void prune_tallies(std::uint64_t height) override;
+  void reset_tallies() override;
 
-  void propose();
+ private:
   void handle_propose(NodeId from, const smr::Msg& msg);
-  void handle_commit_msg(NodeId from, const smr::Msg& msg);
-  /// Contiguity-gate an attested message; true = process now. kHold
-  /// parks it in the per-sender queue, replay/reuse drops it.
-  bool admit_attested(NodeId from, const smr::Msg& msg,
-                      const trusted::Attestation& att);
-  void drain_holdback(NodeId from);
+  void handle_commit_msg(const smr::Msg& msg);
+  /// Verify an attested message (`what` names the crypto category) and
+  /// contiguity-gate it; true = process now. kHold parks it in the
+  /// per-sender queue, replay/reuse drops it.
+  bool admit_attested(const smr::Msg& msg, const trusted::Attestation& att,
+                      const char* what);
+  void drain_holdback();
   /// Hold-back gaps that outlive the delay bound were dropped (attested
   /// messages are never retransmitted): rebaseline past them.
   void arm_gap_timer();
@@ -83,21 +82,6 @@ class MinBftReplica final : public smr::ReplicaBase {
   void accept_proposal(NodeId from, const smr::Msg& msg, const smr::Block& b,
                        const trusted::Attestation& att);
   void tally_commit(NodeId author, const smr::BlockHash& h);
-  void try_commit(const smr::BlockHash& h);
-
-  void on_progress_timeout();
-  void send_view_change(std::uint64_t target);
-  void handle_view_change(const smr::Msg& msg);
-  void handle_new_view(NodeId from, const smr::Msg& msg);
-  void maybe_announce_new_view(std::uint64_t target);
-  void enter_view(std::uint64_t view);
-
-  void reset_progress_timer(sim::Duration d);
-
-  smr::ByzantineConfig byz_;
-  Phase phase_ = Phase::kSteady;
-  bool started_ = false;
-  bool crashed_ = false;
 
   trusted::TrustedCounter counter_;
   trusted::AttestationTracker tracker_;
@@ -106,24 +90,12 @@ class MinBftReplica final : public smr::ReplicaBase {
   std::size_t holdback_total_ = 0;
   bool draining_holdback_ = false;
 
-  /// First accepted proposal hash per height in the current view.
-  std::map<std::uint64_t, smr::BlockHash> seen_;
   /// Attested acceptances per block hash (distinct authors; the
   /// primary's prepare counts as its commit).
   smr::BlockHashMap<std::set<NodeId>> commit_authors_;
-  smr::BlockHashSet commit_sent_;
-  smr::BlockHashSet pending_commit_;
 
-  /// Latest accepted primary block (what view changes report).
-  smr::BlockHash accepted_tip_;
-  std::uint64_t accepted_height_ = 0;
-
-  sim::Timer progress_timer_;
   sim::Timer gap_timer_;
   bool gap_pending_ = false;
-  std::uint64_t vc_target_ = 0;
-  std::map<std::uint64_t, std::map<NodeId, smr::Msg>> vc_msgs_;
-  std::set<std::uint64_t> nv_sent_;
 };
 
 }  // namespace eesmr::baselines

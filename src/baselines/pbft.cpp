@@ -1,8 +1,5 @@
 #include "src/baselines/pbft.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 #include "src/common/serde.hpp"
 
 namespace eesmr::baselines {
@@ -52,89 +49,30 @@ struct PreparedState {
 
 PbftReplica::PbftReplica(net::Network& net, smr::ReplicaConfig cfg,
                          smr::ByzantineConfig byz, energy::Meter* meter)
-    : ReplicaBase(net, pbft_config(std::move(cfg)), meter),
-      byz_(byz),
-      progress_timer_(sched_) {
-  prepared_tip_ = smr::genesis_hash();
-}
-
-void PbftReplica::start() {
-  if (started_) return;
-  started_ = true;
-  v_cur_ = 1;
-  vc_target_ = 1;
-  phase_ = Phase::kSteady;
-  reset_progress_timer(10 * cfg_.delta);
-  if (is_leader()) propose();
-}
+    : ViewChangeReplica(net, pbft_config(std::move(cfg)), byz, meter,
+                        "pbft_propose", "pbft_progress_timer") {}
 
 // ---------------------------------------------------------------------------
 // Steady state: pre-prepare -> prepare -> commit
 // ---------------------------------------------------------------------------
 
-BlockHash PbftReplica::proposal_parent() const {
-  if (prepared_height_ > committed_height() &&
-      store_.extends(prepared_tip_, committed_tip())) {
-    return prepared_tip_;
+void PbftReplica::send_proposal(const Block& b) {
+  (void)hash_block(b);
+  Msg prop = make_msg(MsgType::kPropose, b.height, b.encode());
+  broadcast(prop);
+  prof_flow_block("propose", b, energy::Stream::kProposal,
+                  prop.encode().size());
+  if (tracing()) {
+    trace_instant("commit", "propose",
+                  {{"height", exp::Json(b.height)},
+                   {"view", exp::Json(v_cur_)}});
   }
-  return committed_tip();
-}
-
-void PbftReplica::propose() {
-  if (crashed_ || phase_ != Phase::kSteady || !online() || !is_leader()) {
-    return;
-  }
-  const BlockHash parent_hash = proposal_parent();
-  const Block* parent = store_.get(parent_hash);
-  if (parent == nullptr) return;
-  const std::uint64_t height = parent->height + 1;
-  if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger != 0 &&
-      height >= byz_.trigger) {
-    crashed_ = true;
-    progress_timer_.cancel();
-    router().set_forwarding(false);
-    return;
-  }
-
-  auto build = [&](const std::string& tag) {
-    Block b;
-    b.parent = parent_hash;
-    b.height = height;
-    b.view = v_cur_;
-    b.round = height;
-    b.proposer = cfg_.id;
-    b.cmds = mempool_.next_batch(cfg_.batch_size);
-    if (!tag.empty()) b.cmds.push_back({to_bytes(tag)});
-    return b;
-  };
-  auto send_proposal = [&](const Block& b) {
-    (void)hash_block(b);
-    Msg prop = make_msg(MsgType::kPropose, b.height, b.encode());
-    broadcast(prop);
-    prof_flow_block("propose", b, energy::Stream::kProposal,
-                    prop.encode().size());
-    if (tracing()) {
-      trace_instant("commit", "propose",
-                    {{"height", exp::Json(b.height)},
-                     {"view", exp::Json(v_cur_)}});
-    }
-    store_.add(b);
-    handle_propose(cfg_.id, prop);
-  };
-
-  if (byz_.equivocates() && height == byz_.trigger) {
-    send_proposal(build("equivocation-A"));
-    send_proposal(build("equivocation-B"));
-    return;
-  }
-  send_proposal(build(""));
+  store_.add(b);
+  handle_propose(cfg_.id, prop);
 }
 
 void PbftReplica::handle_propose(NodeId from, const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
+  if (!for_current_view(msg)) return;
   if (phase_ != Phase::kSteady) return;
   Block b;
   try {
@@ -147,28 +85,11 @@ void PbftReplica::handle_propose(NodeId from, const Msg& msg) {
     return;
   }
   const BlockHash h = hash_block(b);
-
-  // Equivocation detection: conflicting pre-prepares for one height in
-  // one view demote the primary.
-  auto [it, inserted] = seen_.try_emplace(b.height, h);
-  if (!inserted && it->second != h) {
-    (void)integrate_block(b, from);
-    send_view_change(v_cur_ + 1);
-    return;
-  }
-
-  if (!integrate_block(b, from)) {
-    retry_on_connect(msg);
-    return;
-  }
-  // The pre-prepare must extend the committed branch.
-  if (!store_.extends(h, committed_tip())) return;
+  // Conflicting pre-prepares for one height in one view demote the
+  // primary.
+  if (!admit_proposal(from, msg, b, h)) return;
   if (!prepare_sent_.insert(h).second) return;
-  if (tracing()) {
-    trace_begin("block", "block", b.height,
-                {{"round", exp::Json(b.round)}, {"view", exp::Json(b.view)}});
-    trace_instant("commit", "vote", {{"height", exp::Json(b.height)}});
-  }
+  trace_vote(b);
   Msg prep = make_msg(MsgType::kPrepare, b.height, h);
   prof_flow_block("vote", b, energy::Stream::kVote, prep.encode().size());
   broadcast(prep);
@@ -176,16 +97,8 @@ void PbftReplica::handle_propose(NodeId from, const Msg& msg) {
 }
 
 void PbftReplica::handle_prepare(const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
-  auto& bucket = prepares_[msg.data];
-  for (const Msg& m : bucket) {
-    if (m.author == msg.author) return;
-  }
-  bucket.push_back(msg);
-  if (bucket.size() != quorum()) return;
+  const std::vector<Msg>* bucket = tally_vote(prepares_, msg);
+  if (bucket == nullptr || bucket->size() != quorum()) return;
   const Block* b = store_.get(msg.data);
   if (b == nullptr) return;  // tally kept; prepared once it connects
   on_prepared(msg.data, *b);
@@ -200,13 +113,10 @@ void PbftReplica::on_prepared(const BlockHash& h, const Block& b) {
   std::erase_if(bucket, [&](const Msg& m) { return m.view != b.view; });
   if (bucket.size() < quorum()) return;
   // Record the highest prepared branch (what a view change carries).
-  if (b.height > prepared_height_) {
-    prepared_tip_ = h;
-    prepared_height_ = b.height;
+  if (raise_branch(h, b)) {
     prepared_cert_ = make_cert(std::vector<Msg>(
-        bucket.begin(), bucket.begin() + static_cast<std::ptrdiff_t>(
-                                             std::min(bucket.size(),
-                                                      quorum()))));
+        bucket.begin(),
+        bucket.begin() + static_cast<std::ptrdiff_t>(quorum())));
   }
   trace_instant("commit", "certify", {{"height", exp::Json(b.height)}});
   prof_flow_block("certify", b, energy::Stream::kVote, 0);
@@ -217,107 +127,51 @@ void PbftReplica::on_prepared(const BlockHash& h, const Block& b) {
 }
 
 void PbftReplica::handle_commit(const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
-  auto& bucket = commits_[msg.data];
-  for (const Msg& m : bucket) {
-    if (m.author == msg.author) return;
-  }
-  bucket.push_back(msg);
-  if (bucket.size() >= quorum()) try_commit(msg.data);
+  const std::vector<Msg>* bucket = tally_vote(commits_, msg);
+  if (bucket != nullptr && bucket->size() >= quorum()) try_commit(msg.data);
 }
 
-void PbftReplica::try_commit(const BlockHash& h) {
-  if (!store_.contains(h) || !store_.extends(h, committed_tip())) {
-    // Quorum reached before the chain connected (catch-up): finish when
-    // sync delivers the ancestry.
-    pending_commit_.insert(h);
-    return;
-  }
-  commit_chain(h);
-  reset_progress_timer(10 * cfg_.delta);
-}
-
-void PbftReplica::on_commit(const Block& block) {
-  (void)block;
-  // Chained self-clocking: the primary pipelines the next pre-prepare as
-  // soon as the previous block commits locally.
-  if (!crashed_ && phase_ == Phase::kSteady && is_leader()) {
-    sched_.after(0, "pbft_propose", [this, v = v_cur_] {
-      if (v == v_cur_ && phase_ == Phase::kSteady) propose();
-    });
+void PbftReplica::handle_steady(NodeId from, const Msg& msg) {
+  switch (msg.type) {
+    case MsgType::kPropose:
+      handle_propose(from, msg);
+      break;
+    case MsgType::kPrepare:
+      handle_prepare(msg);
+      break;
+    case MsgType::kCommit:
+      handle_commit(msg);
+      break;
+    default:
+      break;
   }
 }
 
 // ---------------------------------------------------------------------------
-// View change
+// View change payloads: the highest prepared branch
 // ---------------------------------------------------------------------------
 
-void PbftReplica::reset_progress_timer(sim::Duration d) {
-  if (crashed_) return;
-  progress_timer_.start(d, "pbft_progress_timer",
-                        [this] { on_progress_timeout(); });
-}
-
-void PbftReplica::on_progress_timeout() {
-  if (crashed_ || !online()) return;
-  // First timeout leaves steady state for v+1; every further timeout
-  // targets the next view (the PBFT exponential-backoff ladder,
-  // flattened — the simulator's Δ is exact).
-  send_view_change(std::max(vc_target_ + 1, v_cur_ + 1));
-}
-
-void PbftReplica::on_restart() {
-  if (crashed_ || !started_) return;
-  reset_progress_timer(10 * cfg_.delta);
-}
-
-void PbftReplica::send_view_change(std::uint64_t target) {
-  if (crashed_ || target <= v_cur_) return;
-  phase_ = Phase::kViewChange;
-  vc_target_ = std::max(vc_target_, target);
-  trace_instant("view", "blame", {{"view", exp::Json(v_cur_)},
-                                  {"target", exp::Json(vc_target_)}});
+Bytes PbftReplica::view_change_report() {
   PreparedState ps;
   if (prepared_cert_.has_value()) {
-    const Block* b = store_.get(prepared_tip_);
+    const Block* b = store_.get(branch_tip_);
     if (b != nullptr) {
       ps.has_prepared = true;
       ps.cert = *prepared_cert_;
       ps.block = *b;
     }
   }
-  const Msg vc = make_msg(MsgType::kViewChange, vc_target_, 0, ps.encode());
-  broadcast(vc);
-  handle_view_change(vc);
-  reset_progress_timer(10 * cfg_.delta);
+  return ps.encode();
 }
 
-void PbftReplica::handle_view_change(const Msg& msg) {
-  if (msg.view <= v_cur_) return;
-  auto& bucket = vc_msgs_[msg.view];
-  if (!bucket.emplace(msg.author, msg).second) return;
-  // f+1 replicas already gave up on a lower view than ours: join them
-  // (PBFT's liveness rule — a correct replica is among the f+1).
-  if (bucket.size() >= cfg_.f + 1 && msg.view > vc_target_) {
-    send_view_change(msg.view);
-  }
-  if (bucket.size() >= quorum()) maybe_announce_new_view(msg.view);
-}
-
-void PbftReplica::maybe_announce_new_view(std::uint64_t target) {
-  if (leader_of(target) != cfg_.id || crashed_ || !online()) return;
-  if (target <= v_cur_ || !nv_sent_.insert(target).second) return;
+Bytes PbftReplica::choose_new_view(const std::map<NodeId, Msg>& reports) {
   // Pick the highest valid prepared branch among the 2f+1 reports.
   PreparedState chosen;
   std::uint64_t best = 0;
-  for (const auto& [author, vc] : vc_msgs_[target]) {
-    (void)author;
+  for (const auto& report : reports) {
     PreparedState ps;
     try {
-      ps = PreparedState::decode(vc.data);
+      ps = PreparedState::decode(report.second.data);
     } catch (const SerdeError&) {
       continue;
     }
@@ -329,53 +183,28 @@ void PbftReplica::maybe_announce_new_view(std::uint64_t target) {
     best = ps.block.height;
     chosen = ps;
   }
-  broadcast(make_msg(MsgType::kNewView, target, 0, chosen.encode()));
-  if (chosen.has_prepared) {
-    store_.add(chosen.block);
-    if (chosen.block.height > prepared_height_) {
-      prepared_tip_ = chosen.block.hash();
-      prepared_height_ = chosen.block.height;
-      prepared_cert_ = chosen.cert;
-    }
-  }
-  enter_view(target);
-  propose();
+  return chosen.encode();
 }
 
-void PbftReplica::handle_new_view(NodeId from, const Msg& msg) {
-  if (msg.view <= v_cur_ || msg.author != leader_of(msg.view)) return;
+bool PbftReplica::adopt_new_view(BytesView payload, NodeId from, bool own) {
   PreparedState ps;
   try {
-    ps = PreparedState::decode(msg.data);
+    ps = PreparedState::decode(payload);
   } catch (const SerdeError&) {
-    return;
+    return false;
   }
-  if (ps.has_prepared) {
+  if (!ps.has_prepared) return true;
+  if (own) {
+    store_.add(ps.block);  // choose_new_view verified it
+  } else {
     if (ps.cert.type != MsgType::kPrepare ||
         ps.cert.data != ps.block.hash() || !verify_qc(ps.cert, quorum())) {
-      return;
+      return false;
     }
     (void)integrate_block(ps.block, from);
-    if (ps.block.height > prepared_height_) {
-      prepared_tip_ = ps.block.hash();
-      prepared_height_ = ps.block.height;
-      prepared_cert_ = ps.cert;
-    }
   }
-  enter_view(msg.view);
-}
-
-void PbftReplica::enter_view(std::uint64_t view) {
-  if (tracing()) {
-    trace_instant("view", "new_view", {{"view", exp::Json(view)}});
-  }
-  v_cur_ = view;
-  vc_target_ = view;
-  phase_ = Phase::kSteady;
-  seen_.clear();
-  vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(view));
-  reset_progress_timer(10 * cfg_.delta);
-  drain_buffered();
+  if (raise_branch(ps.block.hash(), ps.block)) prepared_cert_ = ps.cert;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -390,66 +219,19 @@ void PbftReplica::on_chain_connected(const Block& block) {
       commit_sent_.count(h) == 0) {
     on_prepared(h, block);
   }
-  if (pending_commit_.erase(h) > 0) try_commit(h);
+  ViewChangeReplica::on_chain_connected(block);
 }
 
-void PbftReplica::on_low_water(const Block& root) {
-  seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
-  auto prune = [&](smr::BlockHashMap<std::vector<Msg>>& tallies,
-                   smr::BlockHashSet& sent) {
-    for (auto it = tallies.begin(); it != tallies.end();) {
-      const Block* b = store_.get(it->first);
-      if (b != nullptr && b->height <= root.height) {
-        sent.erase(it->first);
-        pending_commit_.erase(it->first);
-        it = tallies.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  prune(prepares_, prepare_sent_);
-  prune(commits_, commit_sent_);
+void PbftReplica::prune_tallies(std::uint64_t height) {
+  prune_tally(prepares_, prepare_sent_, height);
+  prune_tally(commits_, commit_sent_, height);
 }
 
-void PbftReplica::on_state_transfer(const Block& root) {
-  prepared_tip_ = root.hash();
-  prepared_height_ = root.height;
+void PbftReplica::reset_tallies() {
   prepared_cert_.reset();
-  if (root.view > v_cur_) v_cur_ = root.view;
-  vc_target_ = std::max(vc_target_, v_cur_);
-  phase_ = Phase::kSteady;
-  seen_.clear();
   prepares_.clear();
   prepare_sent_.clear();
   commits_.clear();
-  commit_sent_.clear();
-  pending_commit_.clear();
-  reset_progress_timer(12 * cfg_.delta);
-  drain_buffered();
-}
-
-void PbftReplica::handle(NodeId from, const Msg& msg) {
-  if (crashed_) return;
-  switch (msg.type) {
-    case MsgType::kPropose:
-      handle_propose(from, msg);
-      break;
-    case MsgType::kPrepare:
-      handle_prepare(msg);
-      break;
-    case MsgType::kCommit:
-      handle_commit(msg);
-      break;
-    case MsgType::kViewChange:
-      handle_view_change(msg);
-      break;
-    case MsgType::kNewView:
-      handle_new_view(from, msg);
-      break;
-    default:
-      break;
-  }
 }
 
 }  // namespace eesmr::baselines

@@ -105,10 +105,7 @@ void SyncHsReplica::propose(std::uint64_t height) {
 }
 
 void SyncHsReplica::handle_propose(NodeId from, const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
+  if (!for_current_view(msg)) return;
   if (phase_ != Phase::kSteady) return;
   Block b;
   QuorumCert parent_cert;
@@ -169,14 +166,7 @@ void SyncHsReplica::handle_propose(NodeId from, const Msg& msg) {
 }
 
 void SyncHsReplica::vote_for(const Block& block, const BlockHash& h) {
-  if (tracing()) {
-    // Voting opens the 2Δ per-height block span; commit_chain's
-    // async_end closes it.
-    trace_begin("block", "block", block.height,
-                {{"round", exp::Json(block.round)},
-                 {"view", exp::Json(block.view)}});
-    trace_instant("commit", "vote", {{"height", exp::Json(block.height)}});
-  }
+  trace_vote(block);  // opens the 2Δ per-height block span
   Msg vote = make_msg(MsgType::kVote, 0, h);
   prof_flow_block("vote", block, energy::Stream::kVote, vote.encode().size());
   // Disseminated per the vote channel's policy (LocalKcast by default;
@@ -194,17 +184,10 @@ void SyncHsReplica::vote_for(const Block& block, const BlockHash& h) {
 }
 
 void SyncHsReplica::handle_vote(const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
-  auto& bucket = votes_[msg.data];
-  for (const Msg& m : bucket) {
-    if (m.author == msg.author) return;
-  }
-  bucket.push_back(msg);
-  if (bucket.size() == quorum()) certify(msg.data);
-  if (opts_.optimistic_fast_path && bucket.size() == optimistic_quorum() &&
+  const std::vector<Msg>* bucket = tally_vote(votes_, msg);
+  if (bucket == nullptr) return;
+  if (bucket->size() == quorum()) certify(msg.data);
+  if (opts_.optimistic_fast_path && bucket->size() == optimistic_quorum() &&
       !commits_disabled_ && store_.contains(msg.data)) {
     // OptSync responsive commit: ⌊3n/4⌋+1 votes commit immediately.
     const auto timer = commit_timers_.find(msg.data);
@@ -291,10 +274,7 @@ void SyncHsReplica::handle_blame(const Msg& msg) {
 }
 
 void SyncHsReplica::handle_blame_qc(const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
+  if (!for_current_view(msg)) return;
   if (phase_ != Phase::kSteady) return;
   QuorumCert qc;
   try {
@@ -387,8 +367,6 @@ void SyncHsReplica::leader_propose_new_view() {
   if (proposer_for(parent->round + 1) == cfg_.id) propose(parent->round + 1);
 }
 
-void SyncHsReplica::handle_new_view_proposal(NodeId, const Msg&) {}
-
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
@@ -409,15 +387,7 @@ void SyncHsReplica::on_low_water(const Block& root) {
   seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
   voted_height_.erase(voted_height_.begin(),
                       voted_height_.upper_bound(root.height));
-  for (auto it = votes_.begin(); it != votes_.end();) {
-    const Block* b = store_.get(it->first);
-    if (b != nullptr && b->height <= root.height) {
-      voted_.erase(it->first);
-      it = votes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  prune_tally(votes_, voted_, root.height);
 }
 
 void SyncHsReplica::on_state_transfer(const Block& root) {

@@ -80,7 +80,6 @@ class SyncHsReplica final : public smr::ReplicaBase {
   void handle_status(const smr::Msg& msg);
   void enter_new_view();
   void leader_propose_new_view();
-  void handle_new_view_proposal(NodeId from, const smr::Msg& msg);
 
   void reset_blame_timer(sim::Duration d);
   void cancel_commit_timers();

@@ -103,10 +103,7 @@ void EesmrReplica::propose_block(std::uint64_t round) {
 }
 
 void EesmrReplica::handle_propose(NodeId from, const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
+  if (!for_current_view(msg)) return;
   if (msg.round == 1) return;  // bootstrap uses kNewViewProposal
   if (msg.round == 2) {
     handle_round2(from, msg);
@@ -462,10 +459,7 @@ void EesmrReplica::quit_view() {
 }
 
 void EesmrReplica::handle_commit_update(NodeId from, const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
+  if (!for_current_view(msg)) return;
   const BlockHash& b = msg.data;
   // Line 243: vote unless it conflicts with our lock (or our own B_com).
   // Replying from any phase is safe — the certificate only attests that
@@ -498,10 +492,7 @@ void EesmrReplica::handle_certify(const Msg& msg) {
 }
 
 void EesmrReplica::handle_commit_qc(const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
+  if (!for_current_view(msg)) return;
   if (phase_ != Phase::kQuitView && phase_ != Phase::kQcExchange) return;
   QuorumCert qc;
   try {
@@ -579,13 +570,9 @@ void EesmrReplica::enter_new_view() {
 }
 
 void EesmrReplica::handle_status(const Msg& msg) {
-  if (msg.view > v_cur_) {
-    // We are still completing the previous view's epilogue; the sender
-    // already moved on. Keep the status for our own view entry.
-    buffer_future(msg);
-    return;
-  }
-  if (msg.view != v_cur_ || leader_of(v_cur_) != cfg_.id) return;
+  // A later view's status is kept for our own view entry: we are still
+  // completing the previous view's epilogue, and the sender moved on.
+  if (!for_current_view(msg) || leader_of(v_cur_) != cfg_.id) return;
   if (phase_ != Phase::kBootstrap1 || nv_proposed_) return;
   QuorumCert qc;
   try {
@@ -645,10 +632,7 @@ void EesmrReplica::leader_propose_new_view() {
 }
 
 void EesmrReplica::handle_new_view_proposal(NodeId from, const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
+  if (!for_current_view(msg)) return;
   if (msg.author != leader_of(v_cur_)) return;
   if (phase_ != Phase::kBootstrap1 || r_cur_ != 1) {
     // Still completing the previous view's epilogue: keep for later.
@@ -732,10 +716,7 @@ void EesmrReplica::handle_vote(const Msg& msg) {
 }
 
 void EesmrReplica::handle_round2(NodeId /*from*/, const Msg& msg) {
-  if (msg.view != v_cur_) {
-    if (msg.view > v_cur_) buffer_future(msg);
-    return;
-  }
+  if (!for_current_view(msg)) return;
   if (phase_ != Phase::kBootstrap2 || r_cur_ != 2) {
     if (phase_ == Phase::kBootstrap1 || phase_ == Phase::kQuitView ||
         phase_ == Phase::kQcExchange) {
@@ -846,11 +827,7 @@ void EesmrReplica::handle(NodeId from, const Msg& msg) {
       handle_propose(from, msg);
       break;
     case MsgType::kBlame:
-      if (msg.view == v_cur_) {
-        handle_blame(msg);
-      } else if (msg.view > v_cur_) {
-        buffer_future(msg);
-      }
+      if (for_current_view(msg)) handle_blame(msg);
       break;
     case MsgType::kEquivProof:
       handle_equiv_proof(msg);

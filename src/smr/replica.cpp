@@ -124,6 +124,13 @@ void ReplicaBase::trace_instant(const char* cat, std::string name,
   }
 }
 
+void ReplicaBase::trace_vote(const Block& b) {
+  if (!tracing()) return;
+  trace_begin("block", "block", b.height,
+              {{"round", exp::Json(b.round)}, {"view", exp::Json(b.view)}});
+  trace_instant("commit", "vote", {{"height", exp::Json(b.height)}});
+}
+
 void ReplicaBase::trace_begin(const char* cat, std::string name,
                               std::uint64_t id, obs::Tracer::Args args) {
   if (cfg_.tracer != nullptr) {
@@ -448,6 +455,17 @@ void ReplicaBase::connect_orphans() {
 void ReplicaBase::buffer_future(const Msg& msg) {
   if (future_.size() > 4096) return;  // bound Byzantine memory pressure
   future_.push_back(msg);
+}
+
+std::vector<Msg>* ReplicaBase::tally_vote(
+    BlockHashMap<std::vector<Msg>>& tallies, const Msg& vote) {
+  if (!for_current_view(vote)) return nullptr;
+  auto& bucket = tallies[vote.data];
+  for (const Msg& m : bucket) {
+    if (m.author == vote.author) return nullptr;
+  }
+  bucket.push_back(vote);
+  return &bucket;
 }
 
 void ReplicaBase::drain_buffered() {

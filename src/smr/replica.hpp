@@ -353,12 +353,35 @@ class ReplicaBase : public net::FloodClient {
   /// Park a message for a view this replica has not entered yet (bounded
   /// against Byzantine memory pressure).
   void buffer_future(const Msg& msg);
+  /// True for a message of the current view. A later view's message is
+  /// parked by buffer_future(); an earlier view's is dropped.
+  bool for_current_view(const Msg& msg) {
+    if (msg.view > v_cur_) buffer_future(msg);
+    return msg.view == v_cur_;
+  }
   /// Park a message whose block waits on chain sync: re-dispatched just
   /// before the next on_chain_connected().
   void retry_on_connect(const Msg& msg) { retry_.push_back(msg); }
   /// Re-dispatch every parked message through handle(): the chain-sync
   /// retries first, then the future-view messages.
   void drain_buffered();
+  /// Add `vote` to its block's tally in `tallies`, once per author, and
+  /// return that tally: nullptr for a duplicate or a vote outside the
+  /// current view (a later view's vote is parked by buffer_future()).
+  std::vector<Msg>* tally_vote(BlockHashMap<std::vector<Msg>>& tallies,
+                               const Msg& vote);
+  /// Drop the tallies of blocks at or below `height`, and their `sent`
+  /// marks. Tallies of blocks not in the store are kept (their votes
+  /// may have arrived before the block).
+  template <class Tally>
+  void prune_tally(Tally& tally, BlockHashSet& sent, std::uint64_t height) {
+    std::erase_if(tally, [&](const auto& entry) {
+      const Block* b = store_.get(entry.first);
+      if (b == nullptr || b->height > height) return false;
+      sent.erase(entry.first);
+      return true;
+    });
+  }
 
   // -- chain handling --------------------------------------------------------------
   /// Add `block` to the store. If the parent is unknown, stash it as an
@@ -427,6 +450,9 @@ class ReplicaBase : public net::FloodClient {
                    obs::Tracer::Args args = {});
   void trace_end(const char* cat, std::string name, std::uint64_t id,
                  obs::Tracer::Args args = {});
+  /// Trace this replica's vote for `b`, opening the block's per-height
+  /// span (commit_chain's async_end closes it).
+  void trace_vote(const Block& b);
 
   // -- profiling -------------------------------------------------------------------
   // cfg_.profiler forwarders; all no-ops without a profiler attached.

@@ -291,10 +291,11 @@ std::size_t traced(const obs::Tracer& tracer, const char* name, NodeId node,
 /// certified. The view-1 leader's first block B1 gathers too few view-1
 /// votes at node 0 (only `keep_from`'s get through), and the replicas
 /// give up on view 1. At the first blame the network heals and node 3
-/// floods its signed `vote_type` vote for B1 in view 2. Node 0 buffers that vote
-/// and handles it first when it enters view 2, where it completes B1's
-/// bucket; combining the two views' votes into one certificate used to
-/// throw. The run goes on for `settle` after node 0 enters view 2.
+/// floods its signed `vote_type` vote for B1 in view 2. Node 0 buffers
+/// that vote and handles it first when it enters view 2, where it
+/// completes B1's bucket; combining the two views' votes into one
+/// certificate used to throw. The run goes on for `settle` after node 0
+/// enters view 2.
 std::size_t run_cross_view_vote(Protocol protocol, smr::MsgType vote_type,
                                 std::uint64_t vote_round, NodeId keep_from,
                                 sim::Duration settle) {
