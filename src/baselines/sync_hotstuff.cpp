@@ -403,7 +403,16 @@ void SyncHsReplica::on_state_transfer(const Block& root) {
   q.view = root.view;
   q.data = certified_tip_;
   tip_cert_ = q;
-  if (root.view > v_cur_) v_cur_ = root.view;
+  if (root.view > v_cur_) {
+    // The old view's blames and status are void: a stale blame would
+    // mix views in the next blame certificate.
+    v_cur_ = root.view;
+    blamers_.clear();
+    blame_msgs_.clear();
+    blamed_ = false;
+    status_.clear();
+    nv_proposed_ = false;
+  }
   phase_ = Phase::kSteady;
   commits_disabled_ = false;
   cancel_commit_timers();
