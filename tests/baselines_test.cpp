@@ -422,5 +422,419 @@ TEST(PartialSyncGolden, ChaseLeaderViewChangesAreUnchanged) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Golden pin for the synchronous protocols' blame view changes
+// ---------------------------------------------------------------------------
+
+// EESMR (full mesh and the k=3 k-cast ring), Sync HotStuff and OptSync
+// at f=2, each under a crashed leader, chase-the-leader and an
+// equivocating leader: blames, blame certificates, quit-view, status
+// and new-view bootstraps, checkpoints and state transfers into later
+// views. These values are the byte-identity reference for any refactor
+// of the blame view-change engine the three protocols share.
+struct SyncGoldenCell {
+  const char* name;
+  Protocol protocol;
+  std::size_t n;
+  std::size_t k;
+  smr::CertScheme scheme;
+  adversary::AttackKind attack;
+  const char* ints;
+  double total_energy_mj;
+};
+
+RunSummary run_sync_golden_cell(const SyncGoldenCell& cell) {
+  ClusterConfig cfg;
+  cfg.protocol = cell.protocol;
+  cfg.n = cell.n;
+  cfg.f = 2;
+  cfg.k = cell.k;
+  cfg.seed = 5;
+  cfg.cert_scheme = cell.scheme;
+  cfg.checkpoint_interval = 8;
+  cfg.clients = 2;
+  adversary::apply_attack(cfg, cell.attack);
+  Cluster cluster(cfg);
+  return cluster.run_for(sim::seconds(10)).summarize();
+}
+
+TEST(SyncViewChangeGolden, BlameViewChangesAreUnchanged) {
+  using adversary::AttackKind;
+  constexpr auto kIndiv = smr::CertScheme::kIndividual;
+  constexpr auto kAgg = smr::CertScheme::kAggregate;
+  const SyncGoldenCell cells[] = {
+      {"eesmr-mesh", Protocol::kEesmr, 5, 0, kIndiv, AttackKind::kCrash,
+       "nodes=7 safety_ok=1 min_committed=120 max_committed=120 "
+       "view_changes=2 transmissions=5017 bytes_transmitted=1529654 "
+       "requests_submitted=119 requests_accepted=117 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=117 state_transfers=27 max_retained_log=5 "
+       "max_dedup_entries=18 max_store_blocks=7 "
+       "max_checkpoints_taken=15 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       484561.34499999753},
+      {"eesmr-mesh", Protocol::kEesmr, 5, 0, kIndiv, AttackKind::kChaseLeader,
+       "nodes=7 safety_ok=1 min_committed=65 max_committed=71 "
+       "view_changes=24 transmissions=10223 bytes_transmitted=4128940 "
+       "requests_submitted=34 requests_accepted=32 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=32 state_transfers=7 max_retained_log=6 "
+       "max_dedup_entries=20 max_store_blocks=7 "
+       "max_checkpoints_taken=10 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       938065.37999999803},
+      {"eesmr-mesh", Protocol::kEesmr, 5, 0, kIndiv, AttackKind::kEquivocate,
+       "nodes=7 safety_ok=1 min_committed=122 max_committed=122 "
+       "view_changes=2 transmissions=8478 bytes_transmitted=2587020 "
+       "requests_submitted=120 requests_accepted=118 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=118 state_transfers=0 max_retained_log=6 "
+       "max_dedup_entries=20 max_store_blocks=8 "
+       "max_checkpoints_taken=15 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       520034.81999999611},
+      {"eesmr-mesh", Protocol::kEesmr, 5, 0, kAgg, AttackKind::kCrash,
+       "nodes=7 safety_ok=1 min_committed=120 max_committed=120 "
+       "view_changes=2 transmissions=4718 bytes_transmitted=1252049 "
+       "requests_submitted=119 requests_accepted=117 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=117 state_transfers=27 max_retained_log=5 "
+       "max_dedup_entries=18 max_store_blocks=7 "
+       "max_checkpoints_taken=15 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=117",
+       2628056.2899999991},
+      {"eesmr-mesh", Protocol::kEesmr, 5, 0, kAgg, AttackKind::kChaseLeader,
+       "nodes=7 safety_ok=1 min_committed=65 max_committed=72 "
+       "view_changes=24 transmissions=9859 bytes_transmitted=2015850 "
+       "requests_submitted=37 requests_accepted=35 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=35 state_transfers=9 max_retained_log=6 "
+       "max_dedup_entries=18 max_store_blocks=11 "
+       "max_checkpoints_taken=10 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=35",
+       18729556.285000023},
+      {"eesmr-mesh", Protocol::kEesmr, 5, 0, kAgg, AttackKind::kEquivocate,
+       "nodes=7 safety_ok=1 min_committed=122 max_committed=122 "
+       "view_changes=2 transmissions=7338 bytes_transmitted=2038236 "
+       "requests_submitted=120 requests_accepted=118 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=118 state_transfers=0 max_retained_log=6 "
+       "max_dedup_entries=20 max_store_blocks=8 "
+       "max_checkpoints_taken=15 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=118",
+       2832538.7399999988},
+      {"eesmr-kcast", Protocol::kEesmr, 7, 3, kIndiv, AttackKind::kCrash,
+       "nodes=9 safety_ok=1 min_committed=78 max_committed=79 "
+       "view_changes=2 transmissions=2438 bytes_transmitted=710664 "
+       "requests_submitted=77 requests_accepted=75 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=75 state_transfers=17 max_retained_log=4 "
+       "max_dedup_entries=16 max_store_blocks=6 "
+       "max_checkpoints_taken=10 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       1069320.3030000012},
+      {"eesmr-kcast", Protocol::kEesmr, 7, 3, kIndiv, AttackKind::kChaseLeader,
+       "nodes=9 safety_ok=1 min_committed=38 max_committed=42 "
+       "view_changes=15 transmissions=4346 bytes_transmitted=1576293 "
+       "requests_submitted=30 requests_accepted=28 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=28 state_transfers=5 max_retained_log=6 "
+       "max_dedup_entries=12 max_store_blocks=8 "
+       "max_checkpoints_taken=8 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       2862408.7709999783},
+      {"eesmr-kcast", Protocol::kEesmr, 7, 3, kIndiv, AttackKind::kEquivocate,
+       "nodes=9 safety_ok=1 min_committed=81 max_committed=81 "
+       "view_changes=2 transmissions=3316 bytes_transmitted=947706 "
+       "requests_submitted=79 requests_accepted=77 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=77 state_transfers=0 max_retained_log=5 "
+       "max_dedup_entries=18 max_store_blocks=7 "
+       "max_checkpoints_taken=10 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       1322429.6910000059},
+      {"eesmr-kcast", Protocol::kEesmr, 7, 3, kAgg, AttackKind::kCrash,
+       "nodes=9 safety_ok=1 min_committed=78 max_committed=79 "
+       "view_changes=2 transmissions=2305 bytes_transmitted=529503 "
+       "requests_submitted=77 requests_accepted=75 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=75 state_transfers=17 max_retained_log=4 "
+       "max_dedup_entries=16 max_store_blocks=6 "
+       "max_checkpoints_taken=10 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=75",
+       5012581.7109999992},
+      {"eesmr-kcast", Protocol::kEesmr, 7, 3, kAgg, AttackKind::kChaseLeader,
+       "nodes=9 safety_ok=1 min_committed=28 max_committed=32 "
+       "view_changes=17 transmissions=4328 bytes_transmitted=792437 "
+       "requests_submitted=24 requests_accepted=22 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=22 state_transfers=4 max_retained_log=6 "
+       "max_dedup_entries=12 max_store_blocks=8 "
+       "max_checkpoints_taken=6 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=22",
+       30217755.411000036},
+      {"eesmr-kcast", Protocol::kEesmr, 7, 3, kAgg, AttackKind::kEquivocate,
+       "nodes=9 safety_ok=1 min_committed=81 max_committed=81 "
+       "view_changes=2 transmissions=3014 bytes_transmitted=712119 "
+       "requests_submitted=79 requests_accepted=77 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=77 state_transfers=0 max_retained_log=5 "
+       "max_dedup_entries=18 max_store_blocks=7 "
+       "max_checkpoints_taken=10 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=77",
+       5145736.8249999983},
+      {"synchs", Protocol::kSyncHotStuff, 5, 0, kIndiv, AttackKind::kCrash,
+       "nodes=7 safety_ok=1 min_committed=677 max_committed=677 "
+       "view_changes=2 transmissions=24304 bytes_transmitted=10984689 "
+       "requests_submitted=210 requests_accepted=208 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=208 state_transfers=167 max_retained_log=4 "
+       "max_dedup_entries=6 max_store_blocks=8 "
+       "max_checkpoints_taken=85 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       2903531.8350000354},
+      {"synchs", Protocol::kSyncHotStuff, 5, 0, kIndiv,
+       AttackKind::kChaseLeader,
+       "nodes=7 safety_ok=1 min_committed=432 max_committed=434 "
+       "view_changes=24 transmissions=23651 bytes_transmitted=10917095 "
+       "requests_submitted=90 requests_accepted=88 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=88 state_transfers=24 max_retained_log=7 "
+       "max_dedup_entries=11 max_store_blocks=10 "
+       "max_checkpoints_taken=42 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       2695020.2900000117},
+      {"synchs", Protocol::kSyncHotStuff, 5, 0, kIndiv, AttackKind::kEquivocate,
+       "nodes=7 safety_ok=1 min_committed=857 max_committed=857 "
+       "view_changes=1 transmissions=51924 bytes_transmitted=23159033 "
+       "requests_submitted=215 requests_accepted=213 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=213 state_transfers=0 max_retained_log=1 "
+       "max_dedup_entries=3 max_store_blocks=6 "
+       "max_checkpoints_taken=107 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       3349118.090000107},
+      {"synchs", Protocol::kSyncHotStuff, 5, 0, kAgg, AttackKind::kCrash,
+       "nodes=7 safety_ok=1 min_committed=679 max_committed=680 "
+       "view_changes=2 transmissions=22633 bytes_transmitted=6802737 "
+       "requests_submitted=208 requests_accepted=206 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=206 state_transfers=167 max_retained_log=7 "
+       "max_dedup_entries=8 max_store_blocks=11 "
+       "max_checkpoints_taken=85 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=206",
+       63717042.104999125},
+      {"synchs", Protocol::kSyncHotStuff, 5, 0, kAgg, AttackKind::kChaseLeader,
+       "nodes=7 safety_ok=1 min_committed=163 max_committed=193 "
+       "view_changes=10 transmissions=9379 bytes_transmitted=2700195 "
+       "requests_submitted=45 requests_accepted=43 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=43 state_transfers=8 max_retained_log=16 "
+       "max_dedup_entries=15 max_store_blocks=17 "
+       "max_checkpoints_taken=20 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=43",
+       33945996.445000112},
+      {"synchs", Protocol::kSyncHotStuff, 5, 0, kAgg, AttackKind::kEquivocate,
+       "nodes=7 safety_ok=1 min_committed=862 max_committed=862 "
+       "view_changes=1 transmissions=43999 bytes_transmitted=13447210 "
+       "requests_submitted=216 requests_accepted=214 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=214 state_transfers=0 max_retained_log=6 "
+       "max_dedup_entries=5 max_store_blocks=11 "
+       "max_checkpoints_taken=107 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=214",
+       124164714.08499977},
+      {"optsync", Protocol::kOptSync, 5, 0, kIndiv, AttackKind::kCrash,
+       "nodes=7 safety_ok=1 min_committed=681 max_committed=682 "
+       "view_changes=2 transmissions=24446 bytes_transmitted=11041179 "
+       "requests_submitted=211 requests_accepted=209 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=209 state_transfers=166 max_retained_log=8 "
+       "max_dedup_entries=5 max_store_blocks=12 "
+       "max_checkpoints_taken=86 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       2917231.930000036},
+      {"optsync", Protocol::kOptSync, 5, 0, kIndiv, AttackKind::kChaseLeader,
+       "nodes=7 safety_ok=1 min_committed=403 max_committed=421 "
+       "view_changes=24 transmissions=24329 bytes_transmitted=10872599 "
+       "requests_submitted=152 requests_accepted=150 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=150 state_transfers=23 max_retained_log=4 "
+       "max_dedup_entries=15 max_store_blocks=5 "
+       "max_checkpoints_taken=41 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       2730870.4100000095},
+      {"optsync", Protocol::kOptSync, 5, 0, kIndiv, AttackKind::kEquivocate,
+       "nodes=7 safety_ok=1 min_committed=867 max_committed=868 "
+       "view_changes=1 transmissions=58915 bytes_transmitted=24732619 "
+       "requests_submitted=435 requests_accepted=433 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=433 state_transfers=0 max_retained_log=4 "
+       "max_dedup_entries=9 max_store_blocks=5 "
+       "max_checkpoints_taken=108 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=0",
+       3757056.4150001593},
+      {"optsync", Protocol::kOptSync, 5, 0, kAgg, AttackKind::kCrash,
+       "nodes=7 safety_ok=1 min_committed=676 max_committed=676 "
+       "view_changes=2 transmissions=22556 bytes_transmitted=6775043 "
+       "requests_submitted=209 requests_accepted=207 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=207 state_transfers=165 max_retained_log=3 "
+       "max_dedup_entries=6 max_store_blocks=7 "
+       "max_checkpoints_taken=85 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=207",
+       63351052.09999913},
+      {"optsync", Protocol::kOptSync, 5, 0, kAgg, AttackKind::kChaseLeader,
+       "nodes=7 safety_ok=1 min_committed=356 max_committed=382 "
+       "view_changes=22 transmissions=20235 bytes_transmitted=5637823 "
+       "requests_submitted=147 requests_accepted=145 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=145 state_transfers=20 max_retained_log=17 "
+       "max_dedup_entries=35 max_store_blocks=21 "
+       "max_checkpoints_taken=36 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=145",
+       67002577.764999732},
+      {"optsync", Protocol::kOptSync, 5, 0, kAgg, AttackKind::kEquivocate,
+       "nodes=7 safety_ok=1 min_committed=862 max_committed=862 "
+       "view_changes=1 transmissions=50384 bytes_transmitted=14691547 "
+       "requests_submitted=433 requests_accepted=431 "
+       "request_retransmissions=0 requests_dropped=0 "
+       "requests_rate_limited=0 request_failovers=0 "
+       "requests_forwarded=0 request_hints_applied=0 "
+       "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
+       "latency_samples=431 state_transfers=0 max_retained_log=6 "
+       "max_dedup_entries=11 max_store_blocks=8 "
+       "max_checkpoints_taken=107 safety_violations=0 liveness_ok=1 "
+       "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
+       "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
+       "membership_generation=0 acceptance_certs=431",
+       125259695.34999982},
+  };
+  for (const SyncGoldenCell& cell : cells) {
+    SCOPED_TRACE(std::string(cell.name) + " " +
+                 smr::cert_scheme_name(cell.scheme) + " " +
+                 adversary::attack_name(cell.attack));
+    const RunSummary s = run_sync_golden_cell(cell);
+    EXPECT_EQ(integer_fields(s), cell.ints);
+    EXPECT_NEAR(s.total_energy_mj, cell.total_energy_mj,
+                1e-9 * cell.total_energy_mj);
+  }
+}
+
 }  // namespace
 }  // namespace eesmr::harness
