@@ -16,10 +16,9 @@ using smr::QuorumCert;
 SyncHsReplica::SyncHsReplica(net::Network& net, smr::ReplicaConfig cfg,
                              SyncHsOptions opts, smr::ByzantineConfig byz,
                              energy::Meter* meter)
-    : ReplicaBase(net, std::move(cfg), meter),
-      opts_(opts),
-      byz_(byz),
-      blame_timer_(sched_) {
+    : BlameViewChangeReplica(net, std::move(cfg), byz, meter,
+                             /*commit_wait=*/2, /*restart_wait=*/6),
+      opts_(opts) {
   // Protocol default for the vote stream: "partially implementing vote
   // forwarding" (§5.7, in Sync HotStuff's favor) — one transmission to
   // the direct neighborhood, no re-forwarding. With k >= f the k
@@ -31,11 +30,8 @@ SyncHsReplica::SyncHsReplica(net::Network& net, smr::ReplicaConfig cfg,
                        net::DisseminationPolicy::local_kcast());
   }
   certified_tip_ = smr::genesis_hash();
-  certified_height_ = 0;
   QuorumCert g;
   g.type = MsgType::kVote;
-  g.view = 0;
-  g.round = 0;
   g.data = smr::genesis_hash();
   tip_cert_ = g;
 }
@@ -44,7 +40,6 @@ void SyncHsReplica::start() {
   if (started_) return;
   started_ = true;
   v_cur_ = 1;
-  phase_ = Phase::kSteady;
   reset_blame_timer(4 * cfg_.delta);
   if (proposer_for(1) == cfg_.id) propose(1);
 }
@@ -57,10 +52,7 @@ void SyncHsReplica::propose(std::uint64_t height) {
   if (crashed_ || phase_ != Phase::kSteady) return;
   if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger != 0 &&
       height >= byz_.trigger) {
-    crashed_ = true;
-    blame_timer_.cancel();
-    cancel_commit_timers();
-    router().set_forwarding(false);
+    crash_stop();
     return;
   }
 
@@ -174,13 +166,7 @@ void SyncHsReplica::vote_for(const Block& block, const BlockHash& h) {
   broadcast(vote);
   handle_vote(vote);  // count own vote
   reset_blame_timer(4 * cfg_.delta);
-  // 2Δ commit wait (Sync HotStuff's synchronous commit rule).
-  if (!commits_disabled_) {
-    const auto id =
-        sched_.after(2 * cfg_.delta, "commit_timer",
-                     [this, h] { commit_timeout(h); });
-    commit_timers_[h] = id;
-  }
+  arm_commit_timer(h);  // 2Δ commit wait (the synchronous commit rule)
 }
 
 void SyncHsReplica::handle_vote(const Msg& msg) {
@@ -221,125 +207,36 @@ void SyncHsReplica::certify(const BlockHash& h) {
   }
 }
 
-void SyncHsReplica::commit_timeout(const BlockHash& h) {
-  commit_timers_.erase(h);
-  if (commits_disabled_) return;
-  // An offline replica (crash/recover, chase-the-leader) must not commit
-  // on a timer armed before it went down: equivocation evidence or a view
-  // change may have passed it by, so the commit could be a private fork.
-  if (!online()) return;
-  commit_chain(h);
-}
-
-void SyncHsReplica::cancel_commit_timers() {
-  for (const auto& [h, id] : commit_timers_) sched_.cancel(id);
-  commit_timers_.clear();
-}
-
 // ---------------------------------------------------------------------------
 // Blame and view change
 // ---------------------------------------------------------------------------
 
-void SyncHsReplica::reset_blame_timer(sim::Duration d) {
-  if (crashed_) return;
-  blame_timer_.start(d, "blame_timer", [this] { send_blame(); });
-}
-
-void SyncHsReplica::on_restart() {
-  if (crashed_ || !started_) return;
-  reset_blame_timer(6 * cfg_.delta);
-}
-
-void SyncHsReplica::send_blame() {
-  if (blamed_ || crashed_) return;
-  blamed_ = true;
-  trace_instant("view", "blame", {{"view", exp::Json(v_cur_)}});
-  Msg blame = make_msg(MsgType::kBlame, 0, {});
-  broadcast(blame);
-  handle_blame(blame);
-}
-
-void SyncHsReplica::handle_blame(const Msg& msg) {
-  if (msg.view != v_cur_ || msg.round != 0 || !msg.data.empty()) return;
-  if (!blamers_.insert(msg.author).second) return;
-  blame_msgs_.push_back(msg);
-  if (blamers_.size() >= quorum() && phase_ == Phase::kSteady) {
-    const QuorumCert qc = make_cert(std::vector<Msg>(
-        blame_msgs_.begin(),
-        blame_msgs_.begin() + static_cast<std::ptrdiff_t>(quorum())));
-    Msg qc_msg = make_msg(MsgType::kBlameQC, 0, qc.encode());
-    broadcast(qc_msg);
-    on_blame_quorum();
-  }
-}
-
-void SyncHsReplica::handle_blame_qc(const Msg& msg) {
-  if (!for_current_view(msg)) return;
-  if (phase_ != Phase::kSteady) return;
-  QuorumCert qc;
-  try {
-    qc = QuorumCert::decode(msg.data);
-  } catch (const SerdeError&) {
-    return;
-  }
-  if (qc.type != MsgType::kBlame || qc.view != v_cur_) return;
-  if (!verify_qc(qc, quorum())) return;
-  on_blame_quorum();
-}
-
-void SyncHsReplica::on_blame_quorum() {
-  if (phase_ != Phase::kSteady) return;
-  cancel_commit_timers();
-  commits_disabled_ = true;
-  blame_timer_.cancel();
-  phase_ = Phase::kQuitDelay;
-  sched_.after(cfg_.delta, "view_change", [this] { quit_view(); });
-}
-
 void SyncHsReplica::quit_view() {
-  trace_begin("view", "view_change", v_cur_, {{"view", exp::Json(v_cur_)}});
   // Broadcast the highest certified block (status) and move to the next
   // view after 2Δ — Sync HotStuff's one-round view change.
   Msg status = make_msg(MsgType::kStatus, 0, tip_cert_->encode());
   broadcast(status);
-  phase_ = Phase::kNewView;
+  phase_ = Phase::kQuitView;
   sched_.after(2 * cfg_.delta, "view_change", [this] { enter_new_view(); });
 }
 
 void SyncHsReplica::handle_status(const Msg& msg) {
   if (msg.view != v_cur_ && msg.view + 1 != v_cur_) return;
-  QuorumCert qc;
-  try {
-    qc = QuorumCert::decode(msg.data);
-  } catch (const SerdeError&) {
-    return;
-  }
-  if (!cert_valid(qc)) return;
-  const std::uint64_t h = store_.height_of(qc.data);
-  if (h > certified_height_ && store_.contains(qc.data)) {
-    certified_tip_ = qc.data;
+  const std::optional<QuorumCert> qc = QuorumCert::try_decode(msg.data);
+  if (!qc || !cert_valid(*qc)) return;
+  const std::uint64_t h = store_.height_of(qc->data);
+  if (h > certified_height_ && store_.contains(qc->data)) {
+    certified_tip_ = qc->data;
     certified_height_ = h;
     tip_cert_ = qc;
   }
-  status_.emplace(msg.author, qc);
 }
 
-void SyncHsReplica::enter_new_view() {
-  if (tracing()) {
-    trace_end("view", "view_change", v_cur_,
-              {{"new_view", exp::Json(v_cur_ + 1)}});
-  }
-  v_cur_ += 1;
-  blamers_.clear();
-  blame_msgs_.clear();
-  blamed_ = false;
-  commits_disabled_ = false;
-  nv_proposed_ = false;
-  seen_.clear();
-  status_.clear();
+void SyncHsReplica::reset_view_state() {
   voted_height_.clear();  // one vote per height per VIEW
-  phase_ = Phase::kSteady;
-  if (crashed_) return;
+}
+
+void SyncHsReplica::begin_view() {
   reset_blame_timer(6 * cfg_.delta);
   const bool proposes_next =
       opts_.rotating_leader
@@ -352,11 +249,12 @@ void SyncHsReplica::enter_new_view() {
       if (v == v_cur_ && !nv_proposed_) leader_propose_new_view();
     });
   }
-  drain_buffered();
 }
 
 void SyncHsReplica::leader_propose_new_view() {
   if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger == 0) {
+    // Stalls the new view. Unlike crash_stop(), this leaves the blame
+    // timer armed: it still fires, as a no-op scheduler event.
     crashed_ = true;
     router().set_forwarding(false);
     return;
@@ -403,25 +301,10 @@ void SyncHsReplica::on_state_transfer(const Block& root) {
   q.view = root.view;
   q.data = certified_tip_;
   tip_cert_ = q;
-  if (root.view > v_cur_) {
-    // The old view's blames and status are void: a stale blame would
-    // mix views in the next blame certificate.
-    v_cur_ = root.view;
-    blamers_.clear();
-    blame_msgs_.clear();
-    blamed_ = false;
-    status_.clear();
-    nv_proposed_ = false;
-  }
-  phase_ = Phase::kSteady;
-  commits_disabled_ = false;
-  cancel_commit_timers();
-  seen_.clear();
   votes_.clear();
   voted_.clear();
   voted_height_.clear();
-  reset_blame_timer(8 * cfg_.delta);
-  drain_buffered();
+  BlameViewChangeReplica::on_state_transfer(root);
 }
 
 void SyncHsReplica::handle(NodeId from, const Msg& msg) {
@@ -437,7 +320,8 @@ void SyncHsReplica::handle(NodeId from, const Msg& msg) {
       handle_blame(msg);
       break;
     case MsgType::kBlameQC:
-      handle_blame_qc(msg);
+      // A later view's certificate waits for that view; EESMR adopts it.
+      if (for_current_view(msg)) handle_blame_qc(msg);
       break;
     case MsgType::kStatus:
       handle_status(msg);

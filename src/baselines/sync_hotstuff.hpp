@@ -20,10 +20,9 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
-#include "src/smr/replica.hpp"
+#include "src/smr/blame_view_change.hpp"
 
 namespace eesmr::baselines {
 
@@ -38,7 +37,7 @@ struct SyncHsOptions {
   bool rotating_leader = false;
 };
 
-class SyncHsReplica final : public smr::ReplicaBase {
+class SyncHsReplica final : public smr::BlameViewChangeReplica {
  public:
   SyncHsReplica(net::Network& net, smr::ReplicaConfig cfg, SyncHsOptions opts,
                 smr::ByzantineConfig byz, energy::Meter* meter);
@@ -60,45 +59,29 @@ class SyncHsReplica final : public smr::ReplicaBase {
   void handle(NodeId from, const smr::Msg& msg) override;
   void on_low_water(const smr::Block& root) override;
   void on_state_transfer(const smr::Block& root) override;
-  void on_restart() override;
+  void quit_view() override;
+  void begin_view() override;
+  void reset_view_state() override;
 
  private:
-  enum class Phase { kSteady, kQuitDelay, kNewView };
-
   void propose(std::uint64_t height);
   void handle_propose(NodeId from, const smr::Msg& msg);
   void vote_for(const smr::Block& block, const smr::BlockHash& h);
   void handle_vote(const smr::Msg& msg);
   void certify(const smr::BlockHash& h);
-  void commit_timeout(const smr::BlockHash& h);
 
-  void send_blame();
-  void handle_blame(const smr::Msg& msg);
-  void handle_blame_qc(const smr::Msg& msg);
-  void on_blame_quorum();
-  void quit_view();
   void handle_status(const smr::Msg& msg);
-  void enter_new_view();
   void leader_propose_new_view();
 
-  void reset_blame_timer(sim::Duration d);
-  void cancel_commit_timers();
   [[nodiscard]] bool cert_valid(const smr::QuorumCert& qc);
 
   SyncHsOptions opts_;
-  smr::ByzantineConfig byz_;
-  Phase phase_ = Phase::kSteady;
-  bool started_ = false;
-  bool crashed_ = false;
-  bool commits_disabled_ = false;
 
   /// Highest certified block (the lock in Sync HotStuff).
   smr::BlockHash certified_tip_;
   std::uint64_t certified_height_ = 0;
   std::optional<smr::QuorumCert> tip_cert_;
 
-  /// First proposal hash per height (equivocation detection).
-  std::map<std::uint64_t, std::pair<smr::BlockHash, smr::Msg>> seen_;
   /// Votes per block hash.
   smr::BlockHashMap<std::vector<smr::Msg>> votes_;
   smr::BlockHashSet voted_;  ///< block hashes we voted for
@@ -106,16 +89,6 @@ class SyncHsReplica final : public smr::ReplicaBase {
   /// an equivocating leader must not extract two votes — and two armed
   /// 2Δ commits — for conflicting same-height siblings from one node.
   std::map<std::uint64_t, smr::BlockHash> voted_height_;
-
-  sim::Timer blame_timer_;
-  smr::BlockHashMap<sim::EventId> commit_timers_;
-
-  std::vector<smr::Msg> blame_msgs_;
-  std::set<NodeId> blamers_;
-  bool blamed_ = false;
-
-  std::map<NodeId, smr::QuorumCert> status_;
-  bool nv_proposed_ = false;
 };
 
 }  // namespace eesmr::baselines

@@ -24,19 +24,15 @@ constexpr std::uint64_t kFastForwardMinGap = 4;
 EesmrReplica::EesmrReplica(net::Network& net, smr::ReplicaConfig cfg,
                            EesmrOptions opts, smr::ByzantineConfig byz,
                            energy::Meter* meter)
-    : ReplicaBase(net, std::move(cfg), meter),
-      opts_(opts),
-      byz_(byz),
-      blame_timer_(sched_) {
+    : BlameViewChangeReplica(net, std::move(cfg), byz, meter,
+                             /*commit_wait=*/4, /*restart_wait=*/8),
+      opts_(opts) {
   b_lck_ = smr::genesis_hash();
   // Genesis is certified by definition (agreed during setup): empty QC.
   QuorumCert g;
   g.type = MsgType::kCertify;
-  g.view = 0;
-  g.round = 0;
   g.data = smr::genesis_hash();
   commit_qc_ = g;
-  commit_qc_height_ = 0;
 }
 
 void EesmrReplica::start() {
@@ -63,10 +59,7 @@ void EesmrReplica::propose_block(std::uint64_t round) {
   if (crashed_ || phase_ != Phase::kSteady) return;
   if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger >= 3 &&
       round >= byz_.trigger) {
-    crashed_ = true;
-    blame_timer_.cancel();
-    cancel_commit_timers();
-    router().set_forwarding(false);
+    crash_stop();
     return;
   }
   if (byz_.equivocates() && round == byz_.trigger) {
@@ -193,7 +186,6 @@ void EesmrReplica::accept_proposal(const Block& block, const BlockHash& h) {
                  {"view", exp::Json(block.view)}});
   }
   b_lck_ = h;
-  b_lck_height_ = block.height;
   accepted_round_ = block.round;
   r_cur_ = block.round + 1;
   // Accepting IS the vote in EESMR: a flow step with no frame to bill.
@@ -218,79 +210,30 @@ void EesmrReplica::accept_proposal(const Block& block, const BlockHash& h) {
 // Commit rule (lines 278-280)
 // ---------------------------------------------------------------------------
 
-void EesmrReplica::arm_commit_timer(const BlockHash& h) {
-  if (commits_disabled_) return;
-  const auto id =
-      sched_.after(4 * cfg_.delta, "commit_timer",
-                   [this, h] { commit_timeout(h); });
-  commit_timers_[h] = id;
-}
-
-void EesmrReplica::commit_timeout(const BlockHash& h) {
-  commit_timers_.erase(h);
-  // An offline replica (crash/recover, chase-the-leader) must not commit
-  // on a timer armed before it went down: equivocation evidence or a view
-  // change may have passed it by, so the commit could be a private fork.
-  if (!online()) return;
-  commit_chain(h);
-  if (phase_ == Phase::kSteady) {
-    // Entering the wait for the next round: arm the 4Δ no-progress timer
-    // (Lemma B.1 bounds the next proposal's arrival by 4Δ from here).
-    if (opts_.pipeline == 1) reset_blame_timer(4 * cfg_.delta);
-    if (is_leader() && !crashed_ &&
-        commit_timers_.size() < opts_.pipeline) {
-      propose_block(accepted_round_ + 1);
-    }
-    drain_buffered();
+void EesmrReplica::after_commit_timeout() {
+  if (phase_ != Phase::kSteady) return;
+  // Entering the wait for the next round: arm the 4Δ no-progress timer
+  // (Lemma B.1 bounds the next proposal's arrival by 4Δ from here).
+  if (opts_.pipeline == 1) reset_blame_timer(4 * cfg_.delta);
+  if (is_leader() && !crashed_ && commit_timers_.size() < opts_.pipeline) {
+    propose_block(accepted_round_ + 1);
   }
-}
-
-void EesmrReplica::cancel_commit_timers() {
-  for (const auto& [h, id] : commit_timers_) sched_.cancel(id);
-  commit_timers_.clear();
+  drain_buffered();
 }
 
 // ---------------------------------------------------------------------------
 // Blame and equivocation (lines 216-234)
 // ---------------------------------------------------------------------------
 
-void EesmrReplica::reset_blame_timer(sim::Duration d) {
-  if (crashed_) return;
-  blame_timer_.start(d, "blame_timer", [this] { send_blame(); });
+void EesmrReplica::on_blame_timer() {
+  if (!online()) return;
+  send_blame();
+  // One blame per view: re-arm and wait for the quorum.
+  reset_blame_timer(8 * cfg_.delta);
 }
 
-void EesmrReplica::send_blame() {
-  if (crashed_ || !online()) return;
-  // Blame escalation: a signed blame for view v' > v_cur_ is evidence
-  // that some replica already reached v' (its signature is verified on
-  // dispatch). A replica whose own timer expires joins the highest such
-  // view instead of blaming its stale local view — otherwise replicas
-  // scattered across views by repeated leader crashes each blame alone
-  // and no view ever collects the f+1 blames it needs.
-  std::uint64_t target = v_cur_;
-  for (const auto& [view, bucket] : blames_by_view_) {
-    if (!bucket.empty()) target = std::max(target, view);
-  }
-  // One blame per (replica, view): re-arm and wait for the quorum (or
-  // for higher-view evidence to escalate to).
-  const auto bucket = blames_by_view_.find(target);
-  if (bucket != blames_by_view_.end() && bucket->second.count(cfg_.id) > 0) {
-    reset_blame_timer(8 * cfg_.delta);
-    return;
-  }
-  if (target == v_cur_) {
-    if (blamed_) {
-      reset_blame_timer(8 * cfg_.delta);
-      return;
-    }
-    blamed_ = true;
-  }
-  trace_instant("view", "blame", {{"view", exp::Json(v_cur_)},
-                                  {"target", exp::Json(target)}});
-  const Msg blame = make_msg(MsgType::kBlame, target, 0, {});
-  broadcast(blame);
-  handle_blame(blame);  // count our own blame
-  reset_blame_timer(8 * cfg_.delta);
+obs::Tracer::Args EesmrReplica::blame_trace_args() const {
+  return {{"view", exp::Json(v_cur_)}, {"target", exp::Json(v_cur_)}};
 }
 
 void EesmrReplica::record_proposal_hash(std::uint64_t round,
@@ -308,65 +251,6 @@ void EesmrReplica::record_proposal_hash(std::uint64_t round,
   Msg proof = make_msg(MsgType::kEquivProof, round, w.take());
   broadcast(proof);
   handle_equiv_proof(proof);  // apply locally too
-}
-
-bool EesmrReplica::can_start_view_change() const {
-  return phase_ == Phase::kSteady || phase_ == Phase::kBootstrap1 ||
-         phase_ == Phase::kBootstrap2;
-}
-
-void EesmrReplica::handle_blame(const Msg& msg) {
-  if (msg.view < v_cur_ || msg.round != 0 || !msg.data.empty()) return;
-  if (!blames_by_view_[msg.view].emplace(msg.author, msg).second) return;
-  maybe_join_blame_quorum();
-}
-
-void EesmrReplica::maybe_join_blame_quorum() {
-  if (!can_start_view_change()) return;
-  // Highest view with f+1 blames wins: at least one correct replica is
-  // behind any such quorum, so joining it (even across skipped views)
-  // is safe — and the only way a deeply lagged replica regains the view
-  // synchrony the Δ-model otherwise assumes.
-  for (auto it = blames_by_view_.rbegin(); it != blames_by_view_.rend();
-       ++it) {
-    if (it->first < v_cur_ || it->second.size() < quorum()) continue;
-    if (it->first > v_cur_) adopt_view(it->first);
-    // Line 227: build the blame QC and broadcast it.
-    std::vector<Msg> blames;
-    blames.reserve(quorum());
-    for (const auto& [author, m] : it->second) {
-      blames.push_back(m);
-      if (blames.size() == quorum()) break;
-    }
-    const QuorumCert qc = make_cert(blames);
-    Msg qc_msg = make_msg(MsgType::kBlameQC, 0, qc.encode());
-    broadcast(qc_msg);
-    on_blame_quorum();
-    return;
-  }
-}
-
-void EesmrReplica::adopt_view(std::uint64_t view) {
-  // Jump straight into `view`'s view change (f+1 blames or a blame QC
-  // prove the cluster reached it). Per-view state of the skipped views
-  // is void; the QuitView/status exchange ahead rebuilds everything
-  // that matters from the commit certificates.
-  trace_instant("view", "adopt_view", {{"from", exp::Json(v_cur_)},
-                                       {"view", exp::Json(view)}});
-  v_cur_ = view;
-  phase_ = Phase::kSteady;
-  seen_.clear();
-  blamed_ = false;
-  blame_qc_seen_ = false;
-  certify_msgs_.clear();
-  status_.clear();
-  nv_proposed_ = false;
-  nv_block_.reset();
-  nv_votes_.clear();
-  round2_sent_ = false;
-  cancel_commit_timers();
-  blames_by_view_.erase(blames_by_view_.begin(),
-                        blames_by_view_.lower_bound(v_cur_));
 }
 
 void EesmrReplica::handle_equiv_proof(const Msg& msg) {
@@ -403,7 +287,7 @@ void EesmrReplica::handle_equiv_proof(const Msg& msg) {
     on_blame_quorum();
     return;
   }
-  if (!blamed_) {
+  if (!blamed_) {  // not send_blame(): this blame is not traced
     blamed_ = true;
     Msg blame = make_msg(MsgType::kBlame, 0, {});
     broadcast(blame);
@@ -411,41 +295,11 @@ void EesmrReplica::handle_equiv_proof(const Msg& msg) {
   }
 }
 
-void EesmrReplica::on_blame_quorum() {
-  if (!can_start_view_change()) return;
-  // Lines 228/231-233: cancel commit timers; wait Δ so that all correct
-  // nodes quit the view, then run QuitView.
-  cancel_commit_timers();
-  commits_disabled_ = true;
-  blame_timer_.cancel();
-  phase_ = Phase::kQuitDelay;
-  sched_.after(cfg_.delta, "view_change", [this] { quit_view(); });
-}
-
-void EesmrReplica::handle_blame_qc(const Msg& msg) {
-  if (msg.view < v_cur_ || !can_start_view_change()) return;
-  QuorumCert qc;
-  try {
-    qc = QuorumCert::decode(msg.data);
-  } catch (const SerdeError&) {
-    return;
-  }
-  if (qc.type != MsgType::kBlame || qc.view != msg.view) return;
-  if (!verify_qc(qc, quorum())) return;
-  // A valid QC for a higher view is transferable evidence on its own: a
-  // lagged replica adopts that view and joins the quit in flight.
-  if (msg.view > v_cur_) adopt_view(msg.view);
-  blame_qc_seen_ = true;
-  on_blame_quorum();
-}
-
 // ---------------------------------------------------------------------------
 // Quit view (lines 235-250)
 // ---------------------------------------------------------------------------
 
 void EesmrReplica::quit_view() {
-  // Opens the per-view view-change span; enter_new_view closes it.
-  trace_begin("view", "view_change", v_cur_, {{"view", exp::Json(v_cur_)}});
   phase_ = Phase::kQuitView;
   certify_msgs_.clear();
   // Broadcast our highest committed block and collect certificates for it
@@ -494,19 +348,14 @@ void EesmrReplica::handle_certify(const Msg& msg) {
 void EesmrReplica::handle_commit_qc(const Msg& msg) {
   if (!for_current_view(msg)) return;
   if (phase_ != Phase::kQuitView && phase_ != Phase::kQcExchange) return;
-  QuorumCert qc;
-  try {
-    qc = QuorumCert::decode(msg.data);
-  } catch (const SerdeError&) {
-    return;
-  }
-  if (!is_commit_qc_valid(qc)) return;
+  const std::optional<QuorumCert> qc = QuorumCert::try_decode(msg.data);
+  if (!qc || !is_commit_qc_valid(*qc)) return;
   // Lines 248-250: adopt longer certificates that do not conflict with
   // our lock.
-  const std::uint64_t height = store_.height_of(qc.data);
+  const std::uint64_t height = store_.height_of(qc->data);
   if (height <= commit_qc_height_) return;
-  if (!store_.contains(qc.data)) return;
-  if (store_.conflicts(qc.data, b_lck_)) return;
+  if (!store_.contains(qc->data)) return;
+  if (store_.conflicts(qc->data, b_lck_)) return;
   commit_qc_ = qc;
   commit_qc_height_ = height;
 }
@@ -524,29 +373,17 @@ void EesmrReplica::finish_quit_view() {
 // New view (lines 251-277)
 // ---------------------------------------------------------------------------
 
-void EesmrReplica::enter_new_view() {
-  if (tracing()) {
-    trace_end("view", "view_change", v_cur_,
-              {{"new_view", exp::Json(v_cur_ + 1)}});
-  }
-  v_cur_ += 1;
-  r_cur_ = 1;
-  phase_ = Phase::kBootstrap1;
-  // Reset per-view state.
-  seen_.clear();
-  blames_by_view_.erase(blames_by_view_.begin(),
-                        blames_by_view_.lower_bound(v_cur_));
-  blamed_ = false;
-  blame_qc_seen_ = false;
-  commits_disabled_ = false;
+void EesmrReplica::reset_view_state() {
   certify_msgs_.clear();
   status_.clear();
-  nv_proposed_ = false;
   nv_block_.reset();
   nv_votes_.clear();
   round2_sent_ = false;
+}
 
-  if (crashed_) return;
+void EesmrReplica::begin_view() {
+  r_cur_ = 1;
+  phase_ = Phase::kBootstrap1;
   const NodeId leader = leader_of(v_cur_);
   if (leader == cfg_.id) {
     status_.emplace(cfg_.id, *commit_qc_);
@@ -563,10 +400,6 @@ void EesmrReplica::enter_new_view() {
     send(leader, status);
   }
   reset_blame_timer(8 * cfg_.delta);  // line 266
-  drain_buffered();
-  // A higher view's blame quorum may have completed while we were busy
-  // quitting this one; join it now rather than timing out into it.
-  maybe_join_blame_quorum();
 }
 
 void EesmrReplica::handle_status(const Msg& msg) {
@@ -574,14 +407,9 @@ void EesmrReplica::handle_status(const Msg& msg) {
   // completing the previous view's epilogue, and the sender moved on.
   if (!for_current_view(msg) || leader_of(v_cur_) != cfg_.id) return;
   if (phase_ != Phase::kBootstrap1 || nv_proposed_) return;
-  QuorumCert qc;
-  try {
-    qc = QuorumCert::decode(msg.data);
-  } catch (const SerdeError&) {
-    return;
-  }
-  if (!is_commit_qc_valid(qc)) return;
-  status_.emplace(msg.author, qc);
+  const std::optional<QuorumCert> qc = QuorumCert::try_decode(msg.data);
+  if (!qc || !is_commit_qc_valid(*qc)) return;
+  status_.emplace(msg.author, *qc);
   // Propose early once all correct nodes could have reported.
   if (status_.size() >= cfg_.n - cfg_.f && status_.size() >= quorum()) {
     leader_propose_new_view();
@@ -591,9 +419,7 @@ void EesmrReplica::handle_status(const Msg& msg) {
 void EesmrReplica::leader_propose_new_view() {
   if (byz_.mode == smr::ByzantineMode::kCrash && byz_.trigger <= 2) {
     // A Byzantine new leader that stalls the bootstrap.
-    crashed_ = true;
-    blame_timer_.cancel();
-    router().set_forwarding(false);
+    crash_stop();
     return;
   }
   nv_proposed_ = true;
@@ -683,7 +509,6 @@ void EesmrReplica::handle_new_view_proposal(NodeId from, const Msg& msg) {
   // The view change may safely replace a lock that never committed
   // (LockCompare's "unless it is safe to do so").
   b_lck_ = h1;
-  b_lck_height_ = b1.height;
   nv_block_ = b1;
 
   Msg vote = make_msg(MsgType::kVoteMsg, 1, h1);
@@ -726,15 +551,10 @@ void EesmrReplica::handle_round2(NodeId /*from*/, const Msg& msg) {
   }
   if (msg.author != leader_of(v_cur_)) return;
   if (!nv_block_.has_value()) return;
-  QuorumCert qc;
-  try {
-    qc = QuorumCert::decode(msg.data);
-  } catch (const SerdeError&) {
-    return;
-  }
-  if (qc.type != MsgType::kVoteMsg || qc.view != v_cur_) return;
-  if (qc.data != nv_block_->hash()) return;
-  if (!verify_qc(qc, quorum())) return;
+  const std::optional<QuorumCert> qc = QuorumCert::try_decode(msg.data);
+  if (!qc || qc->type != MsgType::kVoteMsg || qc->view != v_cur_) return;
+  if (qc->data != nv_block_->hash()) return;
+  if (!verify_qc(*qc, quorum())) return;
   // Line 277: go to steady state.
   enter_steady_round(3);
 }
@@ -763,24 +583,12 @@ void EesmrReplica::on_state_transfer(const Block& root) {
   // (view, round) it was proposed in, so the recovered replica rejoins
   // the steady state right behind the cluster's frontier.
   b_lck_ = root.hash();
-  b_lck_height_ = root.height;
-  if (root.view > v_cur_) v_cur_ = root.view;
-  phase_ = Phase::kSteady;
   accepted_round_ = std::max(accepted_round_, root.round);
   r_cur_ = accepted_round_ + 1;
   // The old commit certificate references a truncated block; the next
   // view change rebuilds one from CommitUpdate/Certify exchanges.
   commit_qc_height_ = 0;
-  seen_.clear();
-  cancel_commit_timers();
-  commits_disabled_ = false;
-  reset_blame_timer(8 * cfg_.delta);
-  drain_buffered();
-}
-
-void EesmrReplica::on_restart() {
-  if (crashed_ || !started_) return;
-  reset_blame_timer(8 * cfg_.delta);
+  BlameViewChangeReplica::on_state_transfer(root);
 }
 
 bool EesmrReplica::requires_signature_check(const Msg& msg) const {

@@ -17,10 +17,9 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
-#include "src/smr/replica.hpp"
+#include "src/smr/blame_view_change.hpp"
 
 namespace eesmr::protocol {
 
@@ -45,7 +44,7 @@ struct EesmrOptions {
   std::size_t checkpoint_interval = 0;
 };
 
-class EesmrReplica final : public smr::ReplicaBase {
+class EesmrReplica final : public smr::BlameViewChangeReplica {
  public:
   EesmrReplica(net::Network& net, smr::ReplicaConfig cfg, EesmrOptions opts,
                smr::ByzantineConfig byz, energy::Meter* meter);
@@ -61,20 +60,16 @@ class EesmrReplica final : public smr::ReplicaBase {
   void handle(NodeId from, const smr::Msg& msg) override;
   void on_low_water(const smr::Block& root) override;
   void on_state_transfer(const smr::Block& root) override;
-  void on_restart() override;
   [[nodiscard]] bool requires_signature_check(
       const smr::Msg& msg) const override;
+  void quit_view() override;
+  void begin_view() override;
+  void reset_view_state() override;
+  void after_commit_timeout() override;
+  void on_blame_timer() override;
+  [[nodiscard]] obs::Tracer::Args blame_trace_args() const override;
 
  private:
-  enum class Phase {
-    kSteady,      // rounds >= 3
-    kQuitDelay,   // saw blame QC; Δ wait (line 233)
-    kQuitView,    // 5Δ certify window (lines 235-250)
-    kQcExchange,  // Δ commit-QC broadcast window (line 240)
-    kBootstrap1,  // round 1: waiting for NewViewProposal
-    kBootstrap2,  // round 2: waiting for the QC proposal
-  };
-
   // -- steady state ------------------------------------------------------------
   void enter_steady_round(std::uint64_t round);
   void propose_block(std::uint64_t round);
@@ -84,74 +79,33 @@ class EesmrReplica final : public smr::ReplicaBase {
                   const smr::BlockHash& h, NodeId origin);
   void accept_proposal(const smr::Block& block, const smr::BlockHash& h);
 
-  // -- blame / equivocation -----------------------------------------------------
-  void send_blame();
-  void handle_blame(const smr::Msg& msg);
-  /// Act on the highest view (>= v_cur_) holding f+1 blames: adopt it
-  /// if it is ahead of us, then build/broadcast the blame QC and quit.
-  void maybe_join_blame_quorum();
-  /// Jump to `view` (> v_cur_) on f+1-blame / blame-QC evidence and
-  /// reset all per-view state, ready to join that view's view change.
-  void adopt_view(std::uint64_t view);
+  // -- equivocation ----------------------------------------------------------------
   void handle_equiv_proof(const smr::Msg& msg);
   void record_proposal_hash(std::uint64_t round, const smr::BlockHash& h,
                             const smr::Msg& msg);
-  [[nodiscard]] bool can_start_view_change() const;
-  void on_blame_quorum();
-  void handle_blame_qc(const smr::Msg& msg);
-  void cancel_commit_timers();
 
   // -- view change ---------------------------------------------------------------
-  void quit_view();
   void handle_commit_update(NodeId from, const smr::Msg& msg);
   void handle_certify(const smr::Msg& msg);
   void handle_commit_qc(const smr::Msg& msg);
   void finish_quit_view();
-  void enter_new_view();
   void handle_status(const smr::Msg& msg);
   void leader_propose_new_view();
   void handle_new_view_proposal(NodeId from, const smr::Msg& msg);
   void handle_vote(const smr::Msg& msg);
   void handle_round2(NodeId from, const smr::Msg& msg);
 
-  // -- commit rule -----------------------------------------------------------------
-  void arm_commit_timer(const smr::BlockHash& h);
-  void commit_timeout(const smr::BlockHash& h);
-
   // -- helpers ----------------------------------------------------------------------
   [[nodiscard]] bool is_commit_qc_valid(const smr::QuorumCert& qc);
-  void reset_blame_timer(sim::Duration d);
   void byzantine_equivocate(std::uint64_t round);
 
   EesmrOptions opts_;
-  smr::ByzantineConfig byz_;
-  Phase phase_ = Phase::kSteady;
-  bool started_ = false;
-  bool crashed_ = false;
 
   smr::BlockHash b_lck_;  ///< locked chain tip (B_lck); set in ctor body
-  std::uint64_t b_lck_height_ = 0;
 
   /// Highest round accepted in the current view (the leader may propose
   /// up to opts_.pipeline rounds ahead of this).
   std::uint64_t accepted_round_ = 2;
-
-  /// First proposal hash seen per round of the current view (for
-  /// equivocation detection) together with the signed message (proof
-  /// material).
-  std::map<std::uint64_t, std::pair<smr::BlockHash, smr::Msg>> seen_;
-
-  sim::Timer blame_timer_;
-  smr::BlockHashMap<sim::EventId> commit_timers_;
-
-  /// Signed blames per view, for views >= v_cur_ (evidence for blame
-  /// escalation and cross-view joins; stale views are pruned on entry).
-  std::map<std::uint64_t, std::map<NodeId, smr::Msg>> blames_by_view_;
-  bool blamed_ = false;
-  bool blame_qc_seen_ = false;
-  /// Set after an equivocation proof or blame quorum in this view: no
-  /// further block may be committed under the compromised leader.
-  bool commits_disabled_ = false;
 
   // Quit-view state.
   std::optional<smr::QuorumCert> commit_qc_;
@@ -159,8 +113,7 @@ class EesmrReplica final : public smr::ReplicaBase {
   std::vector<smr::Msg> certify_msgs_;
 
   // Bootstrap state (new leader).
-  std::map<NodeId, smr::QuorumCert> status_;
-  bool nv_proposed_ = false;
+  std::map<NodeId, smr::QuorumCert> status_;  ///< commit QCs by author
   std::optional<smr::Block> nv_block_;
   std::vector<smr::Msg> nv_votes_;
   bool round2_sent_ = false;

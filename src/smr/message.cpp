@@ -220,6 +220,14 @@ QuorumCert QuorumCert::decode(BytesView bytes) {
   return qc;
 }
 
+std::optional<QuorumCert> QuorumCert::try_decode(BytesView bytes) {
+  try {
+    return decode(bytes);
+  } catch (const SerdeError&) {
+    return std::nullopt;
+  }
+}
+
 std::size_t QuorumCert::signer_count() const {
   return scheme == CertScheme::kAggregate ? signers.count() : sigs.size();
 }

@@ -140,6 +140,8 @@ struct QuorumCert {
 
   [[nodiscard]] Bytes encode() const;
   static QuorumCert decode(BytesView bytes);
+  /// decode(), with nullopt for a malformed frame instead of SerdeError.
+  static std::optional<QuorumCert> try_decode(BytesView bytes);
 
   /// Signer count, across both forms.
   [[nodiscard]] std::size_t signer_count() const;
