@@ -219,9 +219,10 @@ void MinBftReplica::handle_commit_msg(const Msg& msg) {
 }
 
 void MinBftReplica::tally_commit(NodeId author, const BlockHash& h) {
-  auto& authors = commit_authors_[h];
-  if (!authors.insert(author).second) return;
-  if (authors.size() >= quorum()) try_commit(h);
+  // Only the count is read: the vote is the attested author alone.
+  Msg vote;
+  vote.author = author;
+  if (commit_authors_.add(h, vote) >= quorum()) try_commit(h);
 }
 
 void MinBftReplica::try_commit(const BlockHash& h) {
@@ -309,11 +310,11 @@ Bytes MinBftReplica::view_change_report() {
   return encode_tip(store_.get(branch_tip_));
 }
 
-Bytes MinBftReplica::choose_new_view(const std::map<NodeId, Msg>& reports) {
+Bytes MinBftReplica::choose_new_view(const std::vector<Msg>& reports) {
   std::optional<Block> chosen;
-  for (const auto& report : reports) {
+  for (const Msg& report : reports) {
     try {
-      const std::optional<Block> b = decode_tip(report.second.data);
+      const std::optional<Block> b = decode_tip(report.data);
       if (b && (!chosen || b->height > chosen->height)) chosen = b;
     } catch (const SerdeError&) {
       continue;
@@ -344,7 +345,7 @@ bool MinBftReplica::adopt_new_view(BytesView payload, NodeId from, bool own) {
 // ---------------------------------------------------------------------------
 
 void MinBftReplica::prune_tallies(std::uint64_t height) {
-  prune_tally(commit_authors_, commit_sent_, height);
+  commit_authors_.erase_if(settled_at(height));
   tracker_.forget_window(kDigestWindow);
 }
 

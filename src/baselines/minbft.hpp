@@ -25,7 +25,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "src/baselines/view_change.hpp"
 #include "src/trusted/trusted.hpp"
@@ -61,7 +60,7 @@ class MinBftReplica final : public ViewChangeReplica {
   void handle_steady(NodeId from, const smr::Msg& msg) override;
   void try_commit(const smr::BlockHash& h) override;
   Bytes view_change_report() override;
-  Bytes choose_new_view(const std::map<NodeId, smr::Msg>& reports) override;
+  Bytes choose_new_view(const std::vector<smr::Msg>& reports) override;
   bool adopt_new_view(BytesView payload, NodeId from, bool own) override;
   void prune_tallies(std::uint64_t height) override;
   void reset_tallies() override;
@@ -90,9 +89,9 @@ class MinBftReplica final : public ViewChangeReplica {
   std::size_t holdback_total_ = 0;
   bool draining_holdback_ = false;
 
-  /// Attested acceptances per block hash (distinct authors; the
-  /// primary's prepare counts as its commit).
-  smr::BlockHashMap<std::set<NodeId>> commit_authors_;
+  /// Attested acceptances per block hash, across views (the primary's
+  /// prepare counts as its commit).
+  smr::QuorumTally<smr::BlockHash, smr::BlockHashLess> commit_authors_{cfg_.n};
 
   sim::Timer gap_timer_;
   bool gap_pending_ = false;

@@ -88,7 +88,7 @@ void PbftReplica::handle_propose(NodeId from, const Msg& msg) {
   // Conflicting pre-prepares for one height in one view demote the
   // primary.
   if (!admit_proposal(from, msg, b, h)) return;
-  if (!prepare_sent_.insert(h).second) return;
+  if (prepares_.has({b.view, h}, cfg_.id)) return;
   trace_vote(b);
   Msg prep = make_msg(MsgType::kPrepare, b.height, h);
   prof_flow_block("vote", b, energy::Stream::kVote, prep.encode().size());
@@ -97,26 +97,20 @@ void PbftReplica::handle_propose(NodeId from, const Msg& msg) {
 }
 
 void PbftReplica::handle_prepare(const Msg& msg) {
-  const std::vector<Msg>* bucket = tally_vote(prepares_, msg);
-  if (bucket == nullptr || bucket->size() != quorum()) return;
+  if (!for_current_view(msg)) return;
+  if (prepares_.add({msg.view, msg.data}, msg) != quorum()) return;
   const Block* b = store_.get(msg.data);
   if (b == nullptr) return;  // tally kept; prepared once it connects
   on_prepared(msg.data, *b);
 }
 
 void PbftReplica::on_prepared(const BlockHash& h, const Block& b) {
-  // A prepare counts toward b only if it was signed in b's view. Honest
-  // replicas only prepare blocks of their current view, but the tally
-  // outlives view changes, and a later-view prepare for b would not
-  // combine with the others into one certificate.
-  auto& bucket = prepares_[h];
-  std::erase_if(bucket, [&](const Msg& m) { return m.view != b.view; });
-  if (bucket.size() < quorum()) return;
+  // Only prepares signed in b's view certify it.
+  const smr::VoteKey key{b.view, h};
+  if (prepares_.count(key) < quorum()) return;
   // Record the highest prepared branch (what a view change carries).
   if (raise_branch(h, b)) {
-    prepared_cert_ = make_cert(std::vector<Msg>(
-        bucket.begin(),
-        bucket.begin() + static_cast<std::ptrdiff_t>(quorum())));
+    prepared_cert_ = make_cert(prepares_.quorum_msgs(key, quorum()));
   }
   trace_instant("commit", "certify", {{"height", exp::Json(b.height)}});
   prof_flow_block("certify", b, energy::Stream::kVote, 0);
@@ -127,8 +121,8 @@ void PbftReplica::on_prepared(const BlockHash& h, const Block& b) {
 }
 
 void PbftReplica::handle_commit(const Msg& msg) {
-  const std::vector<Msg>* bucket = tally_vote(commits_, msg);
-  if (bucket != nullptr && bucket->size() >= quorum()) try_commit(msg.data);
+  if (!for_current_view(msg)) return;
+  if (commits_.add({msg.view, msg.data}, msg) >= quorum()) try_commit(msg.data);
 }
 
 void PbftReplica::handle_steady(NodeId from, const Msg& msg) {
@@ -164,14 +158,14 @@ Bytes PbftReplica::view_change_report() {
   return ps.encode();
 }
 
-Bytes PbftReplica::choose_new_view(const std::map<NodeId, Msg>& reports) {
+Bytes PbftReplica::choose_new_view(const std::vector<Msg>& reports) {
   // Pick the highest valid prepared branch among the 2f+1 reports.
   PreparedState chosen;
   std::uint64_t best = 0;
-  for (const auto& report : reports) {
+  for (const Msg& report : reports) {
     PreparedState ps;
     try {
-      ps = PreparedState::decode(report.second.data);
+      ps = PreparedState::decode(report.data);
     } catch (const SerdeError&) {
       continue;
     }
@@ -213,24 +207,18 @@ bool PbftReplica::adopt_new_view(BytesView payload, NodeId from, bool own) {
 
 void PbftReplica::on_chain_connected(const Block& block) {
   // A prepare quorum that was waiting for this block.
-  const BlockHash h = block.hash();
-  const auto pit = prepares_.find(h);
-  if (pit != prepares_.end() && pit->second.size() >= quorum() &&
-      commit_sent_.count(h) == 0) {
-    on_prepared(h, block);
-  }
+  if (commit_sent_.count(block.hash()) == 0) on_prepared(block.hash(), block);
   ViewChangeReplica::on_chain_connected(block);
 }
 
 void PbftReplica::prune_tallies(std::uint64_t height) {
-  prune_tally(prepares_, prepare_sent_, height);
-  prune_tally(commits_, commit_sent_, height);
+  prepares_.erase_if(settled_at(height));
+  commits_.erase_if(settled_at(height));
 }
 
 void PbftReplica::reset_tallies() {
   prepared_cert_.reset();
   prepares_.clear();
-  prepare_sent_.clear();
   commits_.clear();
 }
 

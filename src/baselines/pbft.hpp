@@ -20,7 +20,6 @@
 // when unset); checkpoint certificates stay at f+1 like every protocol.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -39,7 +38,7 @@ class PbftReplica final : public ViewChangeReplica {
   void send_proposal(const smr::Block& b) override;
   void handle_steady(NodeId from, const smr::Msg& msg) override;
   Bytes view_change_report() override;
-  Bytes choose_new_view(const std::map<NodeId, smr::Msg>& reports) override;
+  Bytes choose_new_view(const std::vector<smr::Msg>& reports) override;
   bool adopt_new_view(BytesView payload, NodeId from, bool own) override;
   void prune_tallies(std::uint64_t height) override;
   void reset_tallies() override;
@@ -50,11 +49,9 @@ class PbftReplica final : public ViewChangeReplica {
   void handle_commit(const smr::Msg& msg);
   void on_prepared(const smr::BlockHash& h, const smr::Block& b);
 
-  /// kPrepare messages per block hash (distinct authors).
-  smr::BlockHashMap<std::vector<smr::Msg>> prepares_;
-  smr::BlockHashSet prepare_sent_;  ///< hashes we broadcast kPrepare for
-  /// kCommit messages per block hash (distinct authors).
-  smr::BlockHashMap<std::vector<smr::Msg>> commits_;
+  /// kPrepare and kCommit messages per (view, block hash).
+  smr::QuorumTally<smr::VoteKey> prepares_{cfg_.n};
+  smr::QuorumTally<smr::VoteKey> commits_{cfg_.n};
   /// The 2f+1-prepare certificate of the proposal branch's tip (what
   /// view changes carry forward).
   std::optional<smr::QuorumCert> prepared_cert_;

@@ -1,6 +1,5 @@
 #include "src/baselines/sync_hotstuff.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "src/common/serde.hpp"
@@ -153,7 +152,7 @@ void SyncHsReplica::handle_propose(NodeId from, const Msg& msg) {
   // At most one vote per height per view: an equivocation window must
   // not arm 2Δ commits for two conflicting siblings.
   if (!voted_height_.try_emplace(b.height, h).second) return;
-  if (!voted_.insert(h).second) return;
+  if (votes_.has({b.view, h}, cfg_.id)) return;
   vote_for(b, h);
 }
 
@@ -170,10 +169,10 @@ void SyncHsReplica::vote_for(const Block& block, const BlockHash& h) {
 }
 
 void SyncHsReplica::handle_vote(const Msg& msg) {
-  const std::vector<Msg>* bucket = tally_vote(votes_, msg);
-  if (bucket == nullptr) return;
-  if (bucket->size() == quorum()) certify(msg.data);
-  if (opts_.optimistic_fast_path && bucket->size() == optimistic_quorum() &&
+  if (!for_current_view(msg)) return;
+  const std::size_t votes = votes_.add({msg.view, msg.data}, msg);
+  if (votes == quorum()) certify(msg.data);
+  if (opts_.optimistic_fast_path && votes == optimistic_quorum() &&
       !commits_disabled_ && store_.contains(msg.data)) {
     // OptSync responsive commit: ⌊3n/4⌋+1 votes commit immediately.
     const auto timer = commit_timers_.find(msg.data);
@@ -189,18 +188,14 @@ void SyncHsReplica::certify(const BlockHash& h) {
   const Block* b = store_.get(h);
   if (b == nullptr) return;
   if (b->height <= certified_height_) return;
-  // A vote counts toward b only if it was signed in b's view: the tally
-  // outlives view changes, and a later-view vote for b would not combine
-  // with the others into one certificate.
-  auto& bucket = votes_[h];
-  std::erase_if(bucket, [&](const Msg& m) { return m.view != b->view; });
-  if (bucket.size() < quorum()) return;
+  // Only votes signed in b's view certify it.
+  const smr::VoteKey key{b->view, h};
+  if (votes_.count(key) < quorum()) return;
   trace_instant("commit", "certify", {{"height", exp::Json(b->height)}});
   prof_flow_block("certify", *b, energy::Stream::kVote, 0);
   certified_tip_ = h;
   certified_height_ = b->height;
-  tip_cert_ = make_cert(std::vector<Msg>(
-      bucket.begin(), bucket.begin() + static_cast<std::ptrdiff_t>(quorum())));
+  tip_cert_ = make_cert(votes_.quorum_msgs(key, quorum()));
   if (proposer_for(b->round + 1) == cfg_.id && phase_ == Phase::kSteady &&
       !crashed_) {
     propose(b->round + 1);
@@ -285,7 +280,7 @@ void SyncHsReplica::on_low_water(const Block& root) {
   seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
   voted_height_.erase(voted_height_.begin(),
                       voted_height_.upper_bound(root.height));
-  prune_tally(votes_, voted_, root.height);
+  votes_.erase_if(settled_at(root.height));
 }
 
 void SyncHsReplica::on_state_transfer(const Block& root) {
@@ -302,7 +297,6 @@ void SyncHsReplica::on_state_transfer(const Block& root) {
   q.data = certified_tip_;
   tip_cert_ = q;
   votes_.clear();
-  voted_.clear();
   voted_height_.clear();
   BlameViewChangeReplica::on_state_transfer(root);
 }

@@ -20,7 +20,6 @@
 
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "src/smr/blame_view_change.hpp"
 
@@ -82,9 +81,8 @@ class SyncHsReplica final : public smr::BlameViewChangeReplica {
   std::uint64_t certified_height_ = 0;
   std::optional<smr::QuorumCert> tip_cert_;
 
-  /// Votes per block hash.
-  smr::BlockHashMap<std::vector<smr::Msg>> votes_;
-  smr::BlockHashSet voted_;  ///< block hashes we voted for
+  /// Votes per (view, block hash).
+  smr::QuorumTally<smr::VoteKey> votes_{cfg_.n};
   /// First vote per height in the current view (cleared on view entry):
   /// an equivocating leader must not extract two votes — and two armed
   /// 2Δ commits — for conflicting same-height siblings from one node.

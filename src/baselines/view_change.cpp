@@ -156,24 +156,19 @@ void ViewChangeReplica::send_view_change(std::uint64_t target) {
 }
 
 void ViewChangeReplica::handle_view_change(const Msg& msg) {
-  if (msg.view <= v_cur_) return;
-  auto& bucket = vc_msgs_[msg.view];
-  if (!bucket.emplace(msg.author, msg).second) return;
+  if (msg.view <= v_cur_ || vc_msgs_.add(msg.view, msg) == 0) return;
   // f+1 replicas already gave up on a lower view than ours: join them
   // (a correct replica is among the f+1).
-  if (bucket.size() >= cfg_.f + 1 && msg.view > vc_target_) {
+  if (vc_msgs_.count(msg.view) >= cfg_.f + 1 && msg.view > vc_target_) {
     send_view_change(msg.view);
-    // Our own kViewChange may have completed the quorum and entered the
-    // view, which erases `bucket`.
-    if (msg.view <= v_cur_) return;
   }
-  if (bucket.size() >= quorum()) maybe_announce_new_view(msg.view);
+  if (vc_msgs_.count(msg.view) >= quorum()) maybe_announce_new_view(msg.view);
 }
 
 void ViewChangeReplica::maybe_announce_new_view(std::uint64_t target) {
   if (leader_of(target) != cfg_.id || crashed_ || !online()) return;
-  if (target <= v_cur_ || !nv_sent_.insert(target).second) return;
-  const Bytes chosen = choose_new_view(vc_msgs_[target]);
+  if (target <= v_cur_) return;  // announced, or passed
+  const Bytes chosen = choose_new_view(vc_msgs_.votes(target));
   broadcast(make_msg(MsgType::kNewView, target, 0, chosen));
   (void)adopt_new_view(chosen, cfg_.id, /*own=*/true);
   enter_view(target);
@@ -194,7 +189,7 @@ void ViewChangeReplica::enter_view(std::uint64_t view) {
   vc_target_ = view;
   phase_ = Phase::kSteady;
   seen_.clear();
-  vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(view));
+  vc_msgs_.erase_if([&](std::uint64_t v) { return v <= view; });
   reset_progress_timer(10 * cfg_.delta);
   drain_buffered();
 }
@@ -210,10 +205,8 @@ void ViewChangeReplica::on_chain_connected(const Block& block) {
 
 void ViewChangeReplica::on_low_water(const Block& root) {
   seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
-  std::erase_if(pending_commit_, [&](const BlockHash& h) {
-    const Block* b = store_.get(h);
-    return b != nullptr && b->height <= root.height;
-  });
+  std::erase_if(pending_commit_, settled_at(root.height));
+  std::erase_if(commit_sent_, settled_at(root.height));
   prune_tallies(root.height);
 }
 

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <map>
-#include <set>
+#include <vector>
 
 #include "src/smr/replica.hpp"
 
@@ -43,8 +43,8 @@ class ViewChangeReplica : public smr::ReplicaBase {
   /// The kViewChange payload this replica reports to the next primary.
   virtual Bytes view_change_report() = 0;
   /// As the new primary: the kNewView payload chosen from the quorum's
-  /// kViewChange messages (keyed by author).
-  virtual Bytes choose_new_view(const std::map<NodeId, smr::Msg>& reports) = 0;
+  /// kViewChange messages (in ascending author order).
+  virtual Bytes choose_new_view(const std::vector<smr::Msg>& reports) = 0;
   /// Adopt a kNewView payload: this primary's own choice (`own`) or one
   /// received from `from`. False rejects the new view.
   virtual bool adopt_new_view(BytesView payload, NodeId from, bool own) = 0;
@@ -96,9 +96,8 @@ class ViewChangeReplica : public smr::ReplicaBase {
 
   sim::Timer progress_timer_;
   std::uint64_t vc_target_ = 0;  ///< view we are currently changing into
-  /// kViewChange messages per target view per author.
-  std::map<std::uint64_t, std::map<NodeId, smr::Msg>> vc_msgs_;
-  std::set<std::uint64_t> nv_sent_;  ///< views we announced kNewView for
+  /// kViewChange messages per target view.
+  smr::QuorumTally<std::uint64_t> vc_msgs_{cfg_.n};
 };
 
 }  // namespace eesmr::baselines

@@ -287,8 +287,8 @@ void EesmrReplica::handle_equiv_proof(const Msg& msg) {
     on_blame_quorum();
     return;
   }
-  if (!blamed_) {  // not send_blame(): this blame is not traced
-    blamed_ = true;
+  // Not send_blame(): this blame is not traced.
+  if (!blames_.has(v_cur_, cfg_.id)) {
     Msg blame = make_msg(MsgType::kBlame, 0, {});
     broadcast(blame);
     handle_blame(blame);
@@ -308,7 +308,7 @@ void EesmrReplica::quit_view() {
   broadcast(update);
   // Certify our own B_com.
   Msg self_certify = make_msg(MsgType::kCertify, 0, committed_tip());
-  certify_msgs_.push_back(self_certify);
+  certify_msgs_.add(v_cur_, self_certify);
   sched_.after(5 * cfg_.delta, "view_change", [this] { finish_quit_view(); });
 }
 
@@ -328,20 +328,16 @@ void EesmrReplica::handle_commit_update(NodeId from, const Msg& msg) {
 void EesmrReplica::handle_certify(const Msg& msg) {
   if (msg.view != v_cur_ || phase_ != Phase::kQuitView) return;
   if (msg.data != committed_tip()) return;  // only certs for our B_com
-  for (const Msg& m : certify_msgs_) {
-    if (m.author == msg.author) return;
-  }
-  certify_msgs_.push_back(msg);
-  if (certify_msgs_.size() == quorum()) {
-    trace_instant("commit", "certify",
-                  {{"view", exp::Json(v_cur_)},
-                   {"height", exp::Json(commit_qc_height_)}});
-    const QuorumCert qc = make_cert(certify_msgs_);
-    const std::uint64_t h = store_.height_of(qc.data);
-    if (h >= commit_qc_height_) {
-      commit_qc_ = qc;
-      commit_qc_height_ = h;
-    }
+  if (certify_msgs_.add(msg.view, msg) != quorum()) return;
+  trace_instant("commit", "certify",
+                {{"view", exp::Json(v_cur_)},
+                 {"height", exp::Json(commit_qc_height_)}});
+  const QuorumCert qc =
+      make_cert(certify_msgs_.quorum_msgs(msg.view, quorum()));
+  const std::uint64_t h = store_.height_of(qc.data);
+  if (h >= commit_qc_height_) {
+    commit_qc_ = qc;
+    commit_qc_height_ = h;
   }
 }
 
@@ -378,7 +374,6 @@ void EesmrReplica::reset_view_state() {
   status_.clear();
   nv_block_.reset();
   nv_votes_.clear();
-  round2_sent_ = false;
 }
 
 void EesmrReplica::begin_view() {
@@ -525,19 +520,12 @@ void EesmrReplica::handle_new_view_proposal(NodeId from, const Msg& msg) {
 
 void EesmrReplica::handle_vote(const Msg& msg) {
   if (msg.view != v_cur_ || leader_of(v_cur_) != cfg_.id) return;
-  if (!nv_block_.has_value() || round2_sent_) return;
-  if (msg.data != nv_block_->hash()) return;
-  for (const Msg& m : nv_votes_) {
-    if (m.author == msg.author) return;
-  }
-  nv_votes_.push_back(msg);
-  if (nv_votes_.size() >= quorum()) {
-    round2_sent_ = true;
-    const QuorumCert qc = make_cert(nv_votes_);
-    Msg prop = make_msg(MsgType::kPropose, 2, qc.encode());
-    broadcast(prop);
-    handle_round2(cfg_.id, prop);
-  }
+  if (!nv_block_ || msg.data != nv_block_->hash()) return;
+  if (nv_votes_.add(msg.view, msg) != quorum()) return;  // round 2, once
+  const QuorumCert qc = make_cert(nv_votes_.quorum_msgs(msg.view, quorum()));
+  Msg prop = make_msg(MsgType::kPropose, 2, qc.encode());
+  broadcast(prop);
+  handle_round2(cfg_.id, prop);
 }
 
 void EesmrReplica::handle_round2(NodeId /*from*/, const Msg& msg) {

@@ -17,7 +17,6 @@
 
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "src/smr/blame_view_change.hpp"
 
@@ -110,13 +109,12 @@ class EesmrReplica final : public smr::BlameViewChangeReplica {
   // Quit-view state.
   std::optional<smr::QuorumCert> commit_qc_;
   std::uint64_t commit_qc_height_ = 0;
-  std::vector<smr::Msg> certify_msgs_;
+  smr::QuorumTally<std::uint64_t> certify_msgs_{cfg_.n};  ///< per view
 
   // Bootstrap state (new leader).
   std::map<NodeId, smr::QuorumCert> status_;  ///< commit QCs by author
   std::optional<smr::Block> nv_block_;
-  std::vector<smr::Msg> nv_votes_;
-  bool round2_sent_ = false;
+  smr::QuorumTally<std::uint64_t> nv_votes_{cfg_.n};  ///< per view
 
   std::uint64_t equivocations_detected_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "src/smr/blame_view_change.hpp"
 
-#include <vector>
-
 namespace eesmr::smr {
 
 BlameViewChangeReplica::BlameViewChangeReplica(
@@ -70,8 +68,7 @@ obs::Tracer::Args BlameViewChangeReplica::blame_trace_args() const {
 }
 
 void BlameViewChangeReplica::send_blame() {
-  if (crashed_ || blamed_) return;
-  blamed_ = true;
+  if (crashed_ || blames_.has(v_cur_, cfg_.id)) return;
   trace_instant("view", "blame", blame_trace_args());
   const Msg blame = make_msg(MsgType::kBlame, 0, {});
   broadcast(blame);
@@ -80,13 +77,8 @@ void BlameViewChangeReplica::send_blame() {
 
 void BlameViewChangeReplica::handle_blame(const Msg& msg) {
   if (msg.view != v_cur_ || msg.round != 0 || !msg.data.empty()) return;
-  if (!blames_.emplace(msg.author, msg).second) return;
-  if (blames_.size() < quorum() || !can_start_view_change()) return;
-  std::vector<Msg> quorum_blames;  // the first f+1 by author
-  for (auto it = blames_.begin(); quorum_blames.size() < quorum(); ++it) {
-    quorum_blames.push_back(it->second);
-  }
-  const QuorumCert qc = make_cert(quorum_blames);
+  if (blames_.add(msg.view, msg) < quorum() || !can_start_view_change()) return;
+  const QuorumCert qc = make_cert(blames_.quorum_msgs(msg.view, quorum()));
   broadcast(make_msg(MsgType::kBlameQC, 0, qc.encode()));
   on_blame_quorum();
 }
@@ -136,7 +128,6 @@ void BlameViewChangeReplica::enter_view(std::uint64_t view) {
   phase_ = Phase::kSteady;
   commits_disabled_ = false;
   seen_.clear();
-  blamed_ = false;
   blames_.clear();
   nv_proposed_ = false;
   reset_view_state();

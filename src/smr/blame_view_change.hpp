@@ -92,9 +92,8 @@ class BlameViewChangeReplica : public ReplicaBase {
   /// First proposal hash per round (EESMR) or height (Sync HotStuff) in
   /// the current view, with the signed proposal (equivocation evidence).
   std::map<std::uint64_t, std::pair<BlockHash, Msg>> seen_;
-  bool blamed_ = false;
-  /// Current-view blames by author.
-  std::map<NodeId, Msg> blames_;
+  /// Current-view blames, keyed by view.
+  QuorumTally<std::uint64_t> blames_{cfg_.n};
   /// The new view's leader has proposed.
   bool nv_proposed_ = false;
 

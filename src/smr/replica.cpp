@@ -457,17 +457,6 @@ void ReplicaBase::buffer_future(const Msg& msg) {
   future_.push_back(msg);
 }
 
-std::vector<Msg>* ReplicaBase::tally_vote(
-    BlockHashMap<std::vector<Msg>>& tallies, const Msg& vote) {
-  if (!for_current_view(vote)) return nullptr;
-  auto& bucket = tallies[vote.data];
-  for (const Msg& m : bucket) {
-    if (m.author == vote.author) return nullptr;
-  }
-  bucket.push_back(vote);
-  return &bucket;
-}
-
 void ReplicaBase::drain_buffered() {
   std::vector<Msg> retry;
   retry.swap(retry_);

@@ -27,6 +27,7 @@
 #include "src/smr/mempool.hpp"
 #include "src/smr/membership.hpp"
 #include "src/smr/message.hpp"
+#include "src/smr/quorum_tally.hpp"
 #include "src/smr/request.hpp"
 
 namespace eesmr::smr {
@@ -365,22 +366,15 @@ class ReplicaBase : public net::FloodClient {
   /// Re-dispatch every parked message through handle(): the chain-sync
   /// retries first, then the future-view messages.
   void drain_buffered();
-  /// Add `vote` to its block's tally in `tallies`, once per author, and
-  /// return that tally: nullptr for a duplicate or a vote outside the
-  /// current view (a later view's vote is parked by buffer_future()).
-  std::vector<Msg>* tally_vote(BlockHashMap<std::vector<Msg>>& tallies,
-                               const Msg& vote);
-  /// Drop the tallies of blocks at or below `height`, and their `sent`
-  /// marks. Tallies of blocks not in the store are kept (their votes
-  /// may have arrived before the block).
-  template <class Tally>
-  void prune_tally(Tally& tally, BlockHashSet& sent, std::uint64_t height) {
-    std::erase_if(tally, [&](const auto& entry) {
-      const Block* b = store_.get(entry.first);
-      if (b == nullptr || b->height > height) return false;
-      sent.erase(entry.first);
-      return true;
-    });
+  /// A predicate on block hashes and tally keys: true when the block is
+  /// stored at or below `height`, so its vote state can go at that
+  /// low-water mark. Vote state for a block not in the store is kept,
+  /// since votes may arrive before their block.
+  [[nodiscard]] auto settled_at(std::uint64_t height) const {
+    return [this, height](const auto& key) {
+      const Block* b = store_.get(digest_of(key));
+      return b != nullptr && b->height <= height;
+    };
   }
 
   // -- chain handling --------------------------------------------------------------
