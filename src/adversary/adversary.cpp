@@ -362,81 +362,8 @@ bool expect_liveness(harness::Protocol /*protocol*/, AttackKind attack) {
   // every attack, including the adaptive chase-the-leader crash (one
   // victim at a time; view changes route around it and victims catch up
   // by chain sync or state transfer). Only the deliberately over-budget
-  // crash exceeds any documented tolerance. (Dolev-Strong cells assert
-  // termination directly in run_dolev_strong_attack.)
+  // crash exceeds any documented tolerance.
   return attack != AttackKind::kOverBudgetCrash;
-}
-
-DolevStrongVerdict run_dolev_strong_attack(std::size_t n, std::size_t f,
-                                           AttackKind attack,
-                                           std::uint64_t seed) {
-  baselines::DolevStrongAttack a;
-  std::vector<AdversarySpec::LinkFault> rules;
-  switch (attack) {
-    case AttackKind::kNone:
-      break;
-    case AttackKind::kCrash:
-    case AttackKind::kCrashRecover:    // one-shot BA: crash == no recovery
-    case AttackKind::kWithholdProposals:  // a silent sender withholds all
-    case AttackKind::kChaseLeader:  // one-shot BA: chasing == sender crash
-      a.crash = {0};
-      break;
-    case AttackKind::kOverBudgetCrash:
-      for (NodeId i = 0; i + 1 < n; ++i) a.crash.push_back(i);
-      break;
-    case AttackKind::kEquivocate:
-      a.sender_equivocate = true;
-      break;
-    case AttackKind::kEquivocateSelective:
-      a.sender_selective = true;
-      break;
-    case AttackKind::kVoteSuppression:
-      // f silent relays: they neither sign nor forward chains.
-      for (NodeId i = 1; i <= f && i < n; ++i) a.crash.push_back(i);
-      break;
-    case AttackKind::kDupReorder: {
-      AdversarySpec::LinkFault lf;
-      lf.duplicate = 0.3;
-      lf.reorder = 0.3;
-      lf.reorder_delay = sim::milliseconds(10);  // the driver's hop bound
-      rules.push_back(lf);
-      break;
-    }
-    case AttackKind::kFaultyLinkDrop: {
-      AdversarySpec::LinkFault lf;
-      lf.from = 0;
-      lf.drop = 0.5;
-      rules.push_back(lf);
-      break;
-    }
-    case AttackKind::kGarbageClientFlood:
-    case AttackKind::kReplayClientFlood:
-      // BA has no clients; the closest analogue is a junk-flooding node.
-      a.garbage = {static_cast<NodeId>(n - 1)};
-      break;
-    case AttackKind::kMembershipChurn:
-      // One-shot BA has no membership; the closest analogue is a relay
-      // lost mid-protocol (the "joiner" crashed during its bootstrap).
-      a.crash = {static_cast<NodeId>(n - 1)};
-      break;
-  }
-
-  sim::Scheduler fault_clock;  // rule windows only; rules here use none
-  NetAdversary injector(rules, fault_clock, sim::derive_seed(seed, 0xfa));
-  if (!rules.empty()) a.injector = &injector;
-
-  const Bytes value = to_bytes(std::string("ds-conformance-value"));
-  const baselines::DolevStrongResult r =
-      baselines::run_dolev_strong(n, f, value, a, seed);
-
-  DolevStrongVerdict v;
-  v.agreement = r.agreement();
-  v.terminated = r.decided == r.decisions.size() && !r.decisions.empty();
-  v.transmissions = r.transmissions;
-  v.faults_dropped = injector.dropped();
-  v.faults_duplicated = injector.duplicated();
-  v.faults_reordered = injector.reordered();
-  return v;
 }
 
 }  // namespace eesmr::adversary

@@ -14,9 +14,7 @@
 //                      against the replica dedup/admission path.
 //  * AttackKind      — the named protocol×attack conformance cells:
 //                      apply_attack() turns a kind into the FaultSpec /
-//                      AdversarySpec edits for an SMR ClusterConfig, and
-//                      run_dolev_strong_attack() maps the same kinds
-//                      onto the Dolev-Strong BA driver.
+//                      AdversarySpec edits for an SMR ClusterConfig.
 //
 // Crash/recover schedules (AdversarySpec::crashes) need no class here:
 // the Cluster turns them into scheduler events over the existing
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "src/adversary/spec.hpp"
-#include "src/baselines/dolev_strong.hpp"
 #include "src/harness/cluster.hpp"
 #include "src/net/flood.hpp"
 #include "src/net/network.hpp"
@@ -159,19 +156,5 @@ void apply_attack(harness::ClusterConfig& cfg, AttackKind attack);
 /// `attack` at its fault budget. Safety is claimed by every protocol
 /// under every attack here — that column is asserted unconditionally.
 bool expect_liveness(harness::Protocol protocol, AttackKind attack);
-
-/// One Dolev-Strong BA cell of the matrix: maps `attack` onto the
-/// sender/relay/network faults meaningful for broadcast agreement.
-struct DolevStrongVerdict {
-  bool agreement = false;   ///< all honest decisions identical (safety)
-  bool terminated = false;  ///< every honest node decided by round f+1
-  std::uint64_t transmissions = 0;
-  std::uint64_t faults_dropped = 0;
-  std::uint64_t faults_duplicated = 0;
-  std::uint64_t faults_reordered = 0;
-};
-DolevStrongVerdict run_dolev_strong_attack(std::size_t n, std::size_t f,
-                                           AttackKind attack,
-                                           std::uint64_t seed);
 
 }  // namespace eesmr::adversary

@@ -1,7 +1,6 @@
 #include "src/checkpoint/checkpoint.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 #include "src/common/serde.hpp"
@@ -134,29 +133,6 @@ CheckpointCert CheckpointCert::to_aggregate(std::size_t universe,
     crypto::AggKeyring::fold_into(c.agg_sig, sig);
   }
   return c;
-}
-
-bool CheckpointCert::verify_aggregate(const crypto::AggKeyring& agg,
-                                      std::size_t quorum,
-                                      std::size_t n_replicas) const {
-  if (scheme != smr::CertScheme::kAggregate) return false;
-  if (signers.count() < quorum) return false;
-  if (signers.size() > n_replicas) return false;
-  return agg.verify_aggregate(signers, id.preimage(), agg_sig);
-}
-
-bool CheckpointCert::verify(const crypto::Keyring& keyring,
-                            std::size_t quorum,
-                            std::size_t n_replicas) const {
-  if (sigs.size() < quorum) return false;
-  const Bytes preimage = id.preimage();
-  std::set<NodeId> authors;
-  for (const auto& [author, sig] : sigs) {
-    if (author >= n_replicas) return false;  // only replicas attest state
-    if (!authors.insert(author).second) return false;
-    if (!keyring.verify(author, preimage, sig)) return false;
-  }
-  return true;
 }
 
 Bytes SnapshotPayload::encode() const {

@@ -30,7 +30,6 @@
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
 #include "src/crypto/agg.hpp"
-#include "src/crypto/signer.hpp"
 #include "src/smr/block.hpp"
 #include "src/smr/message.hpp"
 
@@ -91,19 +90,6 @@ struct CheckpointCert {
   /// form over a `universe`-wide bitset tagged with `generation`.
   [[nodiscard]] CheckpointCert to_aggregate(std::size_t universe,
                                             std::uint64_t generation) const;
-
-  /// Authors distinct, all replica-range (< n_replicas), all signatures
-  /// valid over id.preimage(), and count >= quorum. Individual form only.
-  [[nodiscard]] bool verify(const crypto::Keyring& keyring,
-                            std::size_t quorum,
-                            std::size_t n_replicas) const;
-
-  /// Aggregate-form validity: count >= quorum, all signers replica-range,
-  /// and the aggregate verifies over id.preimage(). (Signer membership in
-  /// `gen` is the replica's check — it owns the policy history.)
-  [[nodiscard]] bool verify_aggregate(const crypto::AggKeyring& agg,
-                                      std::size_t quorum,
-                                      std::size_t n_replicas) const;
 };
 
 /// One live entry of the exactly-once reply cache, carried inside a

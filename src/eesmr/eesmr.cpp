@@ -240,7 +240,6 @@ void EesmrReplica::record_proposal_hash(std::uint64_t round,
                                         const BlockHash& h, const Msg& msg) {
   auto [it, inserted] = seen_.try_emplace(round, h, msg);
   if (inserted || it->second.first == h) return;
-  if (opts_.crash_fault_only) return;  // §3.2 crash-version
   // Equivocation: two leader-signed proposals for the same round.
   ++equivocations_detected_;
   trace_instant("fault", "equivocation_detected",
@@ -254,7 +253,6 @@ void EesmrReplica::record_proposal_hash(std::uint64_t round,
 }
 
 void EesmrReplica::handle_equiv_proof(const Msg& msg) {
-  if (opts_.crash_fault_only) return;
   if (msg.view != v_cur_ || !can_start_view_change()) return;
   Msg pr1, pr2;
   try {

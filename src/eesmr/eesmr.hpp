@@ -10,9 +10,8 @@
 // blocks (turning the implicit head-votes into explicit certificates),
 // and a two-round bootstrap (rounds 1 and 2) starts the new view.
 //
-// Options cover the paper's §3.2/§3.5/§5.6 variants: crash-fault-only
-// version, equivocation fast path, commands in bootstrap rounds, and the
-// non-blocking (pipelined) mode.
+// Options cover the paper's §3.5/§5.6 variants: equivocation fast path,
+// commands in bootstrap rounds, and the non-blocking (pipelined) mode.
 #pragma once
 
 #include <map>
@@ -23,9 +22,6 @@
 namespace eesmr::protocol {
 
 struct EesmrOptions {
-  /// §3.2: crash-version (equivocation handling removed; only the
-  /// no-progress blame path remains).
-  bool crash_fault_only = false;
   /// §3.5/§5.6: on a transferable equivocation proof, quit the view
   /// immediately instead of waiting for a blame quorum certificate.
   bool equivocation_fast_path = true;

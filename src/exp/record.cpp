@@ -59,87 +59,6 @@ Json summary_json(const harness::RunSummary& s) {
   return j;
 }
 
-harness::RunSummary summary_from_json(const Json& doc) {
-  const Json& j = doc.contains("summary") ? doc.at("summary") : doc;
-  harness::RunSummary s;
-  s.nodes = static_cast<std::size_t>(j.at("nodes").as_int());
-  s.safety_ok = j.at("safety_ok").as_bool();
-  s.min_committed = static_cast<std::uint64_t>(j.at("min_committed").as_int());
-  s.max_committed = static_cast<std::uint64_t>(j.at("max_committed").as_int());
-  s.view_changes = static_cast<std::uint64_t>(j.at("view_changes").as_int());
-  s.transmissions = static_cast<std::uint64_t>(j.at("transmissions").as_int());
-  s.bytes_transmitted =
-      static_cast<std::uint64_t>(j.at("bytes_transmitted").as_int());
-  s.end_time_s = j.at("end_time_s").as_double();
-  s.total_energy_mj = j.at("total_energy_mj").as_double();
-  s.energy_per_block_mj = j.at("energy_per_block_mj").as_double();
-  s.requests_submitted =
-      static_cast<std::uint64_t>(j.at("requests_submitted").as_int());
-  s.requests_accepted =
-      static_cast<std::uint64_t>(j.at("requests_accepted").as_int());
-  s.request_retransmissions =
-      static_cast<std::uint64_t>(j.at("request_retransmissions").as_int());
-  s.requests_dropped =
-      static_cast<std::uint64_t>(j.at("requests_dropped").as_int());
-  s.requests_rate_limited =
-      static_cast<std::uint64_t>(j.at("requests_rate_limited").as_int());
-  s.request_failovers =
-      static_cast<std::uint64_t>(j.at("request_failovers").as_int());
-  s.requests_forwarded =
-      static_cast<std::uint64_t>(j.at("requests_forwarded").as_int());
-  s.request_hints_applied =
-      static_cast<std::uint64_t>(j.at("request_hints_applied").as_int());
-  s.controller_dedup_saved =
-      static_cast<std::uint64_t>(j.at("controller_dedup_saved").as_int());
-  s.controller_dedup_bytes_saved = static_cast<std::uint64_t>(
-      j.at("controller_dedup_bytes_saved").as_int());
-  s.accepted_per_sec = j.at("accepted_per_sec").as_double();
-  s.latency_samples =
-      static_cast<std::uint64_t>(j.at("latency_samples").as_int());
-  s.latency_p50_ms = j.at("latency_p50_ms").as_double();
-  s.latency_p90_ms = j.at("latency_p90_ms").as_double();
-  s.latency_p99_ms = j.at("latency_p99_ms").as_double();
-  s.latency_mean_ms = j.at("latency_mean_ms").as_double();
-  s.state_transfers =
-      static_cast<std::uint64_t>(j.at("state_transfers").as_int());
-  s.max_recovery_ms = j.at("max_recovery_ms").as_double();
-  s.max_retained_log =
-      static_cast<std::size_t>(j.at("max_retained_log").as_int());
-  s.max_dedup_entries =
-      static_cast<std::size_t>(j.at("max_dedup_entries").as_int());
-  s.max_store_blocks =
-      static_cast<std::size_t>(j.at("max_store_blocks").as_int());
-  s.max_checkpoints_taken =
-      static_cast<std::uint64_t>(j.at("max_checkpoints_taken").as_int());
-  s.safety_violations =
-      static_cast<std::uint64_t>(j.at("safety_violations").as_int());
-  s.liveness_ok = j.at("liveness_ok").as_bool();
-  s.max_commit_stall_ms = j.at("max_commit_stall_ms").as_double();
-  s.faults_dropped =
-      static_cast<std::uint64_t>(j.at("faults_dropped").as_int());
-  s.faults_duplicated =
-      static_cast<std::uint64_t>(j.at("faults_duplicated").as_int());
-  s.faults_reordered =
-      static_cast<std::uint64_t>(j.at("faults_reordered").as_int());
-  s.msgs_withheld = static_cast<std::uint64_t>(j.at("msgs_withheld").as_int());
-  s.byz_requests_sent =
-      static_cast<std::uint64_t>(j.at("byz_requests_sent").as_int());
-  s.adversary_energy_mj = j.at("adversary_energy_mj").as_double();
-  if (j.contains("membership_changes")) {
-    s.membership_changes =
-        static_cast<std::uint64_t>(j.at("membership_changes").as_int());
-  }
-  if (j.contains("membership_generation")) {
-    s.membership_generation =
-        static_cast<std::uint64_t>(j.at("membership_generation").as_int());
-  }
-  if (j.contains("acceptance_certs")) {
-    s.acceptance_certs =
-        static_cast<std::uint64_t>(j.at("acceptance_certs").as_int());
-  }
-  return s;
-}
-
 namespace {
 
 // The BENCH_*.json sections below read a registry built by
@@ -230,16 +149,6 @@ Json run_result_json(const harness::RunResult& r) {
   Json fps = footprints_from_registry(reg);
   if (fps.size() > 0) doc.set("footprints", std::move(fps));
   return doc;
-}
-
-void add_run_metrics(MetricRow& row, const harness::RunResult& r,
-                     bool detail) {
-  row.set("blocks", r.min_committed());
-  row.set("total_mj", r.total_energy_mj());
-  row.set("energy_per_block_mj", r.energy_per_block_mj());
-  row.set("view_changes", r.view_changes);
-  row.set("safety", Json(r.safety_ok()));
-  if (detail) row.set("run", run_result_json(r));
 }
 
 }  // namespace eesmr::exp

@@ -25,15 +25,4 @@ Json stream_json(const harness::RunResult& r);
 /// registry is the single source the record derives from.
 Json run_result_json(const harness::RunResult& r);
 
-/// Parse a run_result_json() document back into the flat summary (the
-/// inverse used by tooling reading BENCH_*.json). Throws JsonError /
-/// std::out_of_range on malformed input.
-harness::RunSummary summary_from_json(const Json& doc);
-
-/// Attach the headline scalars of `r` to a MetricRow under conventional
-/// column names (energy_per_block_mj, total_mj, blocks, view_changes,
-/// safety), plus the full nested record under "run" when `detail`.
-void add_run_metrics(MetricRow& row, const harness::RunResult& r,
-                     bool detail = true);
-
 }  // namespace eesmr::exp

@@ -83,10 +83,6 @@ const std::vector<std::size_t>& Hypergraph::out_edges(NodeId node) const {
   return out_edges_.at(node);
 }
 
-const std::vector<std::size_t>& Hypergraph::in_edges(NodeId node) const {
-  return in_edges_.at(node);
-}
-
 std::size_t Hypergraph::d_out(NodeId node) const {
   std::set<NodeId> reach;
   for (std::size_t idx : out_edges_.at(node)) {

@@ -42,9 +42,8 @@ class Hypergraph {
 
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] const std::vector<HyperEdge>& edges() const { return edges_; }
-  /// Indices into edges() where `node` is the sender / a receiver.
+  /// Indices into edges() where `node` is the sender.
   [[nodiscard]] const std::vector<std::size_t>& out_edges(NodeId node) const;
-  [[nodiscard]] const std::vector<std::size_t>& in_edges(NodeId node) const;
 
   // -- Definitions A.3 / A.4 -------------------------------------------------
   /// Number of distinct nodes reachable by node's outgoing edges.

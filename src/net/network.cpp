@@ -205,11 +205,4 @@ void Network::transmit_towards(NodeId from, NodeId dest,
   }
 }
 
-void Network::reset_stats() {
-  transmissions_ = 0;
-  deliveries_ = 0;
-  bytes_tx_ = 0;
-  bytes_copy_saved_ = 0;
-}
-
 }  // namespace eesmr::net

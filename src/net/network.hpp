@@ -178,7 +178,6 @@ class Network {
     return bytes_copy_saved_;
   }
   void note_copy_saved(std::uint64_t bytes) { bytes_copy_saved_ += bytes; }
-  void reset_stats();
 
  private:
   void transmit_edge(const HyperEdge& edge, const SharedBytes& frame,

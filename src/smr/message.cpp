@@ -261,13 +261,6 @@ QuorumCert QuorumCert::to_aggregate(std::size_t universe,
   return qc;
 }
 
-bool QuorumCert::verify_aggregate(const crypto::AggKeyring& agg,
-                                  std::size_t quorum) const {
-  if (scheme != CertScheme::kAggregate) return false;
-  if (signers.count() < quorum) return false;
-  return agg.verify_aggregate(signers, preimage(), agg_sig);
-}
-
 Bytes QuorumCert::preimage() const {
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));
@@ -275,18 +268,6 @@ Bytes QuorumCert::preimage() const {
   w.u64(round);
   w.bytes(data);
   return w.take();
-}
-
-bool QuorumCert::verify(const crypto::Keyring& keyring,
-                        std::size_t quorum) const {
-  if (sigs.size() < quorum) return false;
-  std::set<NodeId> authors;
-  const Bytes preimage = this->preimage();
-  for (const auto& [author, sig] : sigs) {
-    if (!authors.insert(author).second) return false;  // duplicate author
-    if (!keyring.verify(author, preimage, sig)) return false;
-  }
-  return true;
 }
 
 QuorumCert QuorumCert::combine(const std::vector<Msg>& msgs) {

@@ -17,7 +17,6 @@
 #include "src/common/ids.hpp"
 #include "src/common/serde.hpp"
 #include "src/crypto/agg.hpp"
-#include "src/crypto/signer.hpp"
 #include "src/energy/meter.hpp"
 
 namespace eesmr::smr {
@@ -155,22 +154,11 @@ struct QuorumCert {
   [[nodiscard]] QuorumCert to_aggregate(std::size_t universe,
                                         std::uint64_t generation) const;
 
-  /// Aggregate-form validity: count >= quorum and the aggregate verifies
-  /// against the claimed signers. (Membership of the signers in the
-  /// cert's generation is the replica's job — it owns the policy
-  /// history.)
-  [[nodiscard]] bool verify_aggregate(const crypto::AggKeyring& agg,
-                                      std::size_t quorum) const;
-
   /// The preimage each contained signature covers (a Msg preimage with
   /// this cert's type/view/round/data). Exposed so verifiers can check
   /// signatures individually — against a cache or as a batch — without
   /// rebuilding a probe Msg.
   [[nodiscard]] Bytes preimage() const;
-
-  /// All signatures valid, authors distinct, and count >= quorum.
-  [[nodiscard]] bool verify(const crypto::Keyring& keyring,
-                            std::size_t quorum) const;
 
   /// Assemble from verified messages sharing (type, view, round, data).
   /// Throws std::invalid_argument if the messages do not match.

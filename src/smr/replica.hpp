@@ -314,6 +314,10 @@ class ReplicaBase : public net::FloodClient {
   /// Verify a message signature (drops author range errors too).
   [[nodiscard]] bool verify_msg(const Msg& m);
   [[nodiscard]] bool verify_qc(const QuorumCert& qc, std::size_t quorum_size);
+  /// Verify a checkpoint certificate, charging one verification per
+  /// contained signature (mirrors verify_qc).
+  [[nodiscard]] bool verify_checkpoint_cert(
+      const checkpoint::CheckpointCert& cert);
   /// Running the aggregate certificate scheme?
   [[nodiscard]] bool aggregate_certs() const {
     return cfg_.cert_scheme == CertScheme::kAggregate;
@@ -573,10 +577,6 @@ class ReplicaBase : public net::FloodClient {
   void advance_low_water(const checkpoint::CheckpointCert& cert);
   void begin_state_transfer(const checkpoint::CheckpointCert& cert);
   void send_state_request();
-  /// Verify a checkpoint certificate, charging one verification per
-  /// contained signature (mirrors verify_qc).
-  [[nodiscard]] bool verify_checkpoint_cert(
-      const checkpoint::CheckpointCert& cert);
 
   std::vector<Block> log_;
   std::uint64_t committed_blocks_ = 0;  ///< total ever (incl. truncated)

@@ -158,19 +158,6 @@ TEST(AdversaryConformance, MatrixPbft) { check_matrix(Protocol::kPbft); }
 
 TEST(AdversaryConformance, MatrixMinBft) { check_matrix(Protocol::kMinBft); }
 
-TEST(AdversaryConformance, MatrixDolevStrong) {
-  for (AttackKind a : adversary::all_attacks()) {
-    SCOPED_TRACE(std::string("DolevStrong under ") +
-                 adversary::attack_name(a));
-    const auto v = adversary::run_dolev_strong_attack(4, 1, a, 0xd01e);
-    // BA safety: all honest decisions identical; BA liveness: every
-    // honest node decided by round f+1 (termination is unconditional in
-    // Dolev-Strong, even past the fault budget).
-    EXPECT_TRUE(v.agreement);
-    EXPECT_TRUE(v.terminated);
-  }
-}
-
 // Identical seeds must reproduce identical fault schedules and verdicts
 // (the deterministic-parallel exp engine then extends this to any
 // --threads N, since every grid point runs its own scheduler).
@@ -185,14 +172,6 @@ TEST(AdversaryConformance, DeterministicSchedulesAndVerdicts) {
       EXPECT_TRUE(first == second);
     }
   }
-  const auto d1 =
-      adversary::run_dolev_strong_attack(4, 1, AttackKind::kDupReorder, 7);
-  const auto d2 =
-      adversary::run_dolev_strong_attack(4, 1, AttackKind::kDupReorder, 7);
-  EXPECT_EQ(d1.transmissions, d2.transmissions);
-  EXPECT_EQ(d1.faults_dropped, d2.faults_dropped);
-  EXPECT_EQ(d1.faults_duplicated, d2.faults_duplicated);
-  EXPECT_EQ(d1.faults_reordered, d2.faults_reordered);
 }
 
 // ---------------------------------------------------------------------------

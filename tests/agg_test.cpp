@@ -15,6 +15,7 @@
 #include "src/harness/cluster.hpp"
 #include "src/smr/message.hpp"
 #include "src/smr/request.hpp"
+#include "tests/cert_probe.hpp"
 
 namespace eesmr {
 namespace {
@@ -196,6 +197,14 @@ TEST(AggEnergy, VerifyScalesLinearlyAfterPairings) {
 // Certificate wire forms
 // ---------------------------------------------------------------------------
 
+/// Replica 0 of `n` under the aggregate scheme, over `agg`'s shares.
+smr::ReplicaConfig agg_probe(std::size_t n, std::size_t f,
+                             std::shared_ptr<AggKeyring> agg) {
+  return smr::probe_config(
+      n, f, crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, n, 3),
+      std::move(agg));
+}
+
 smr::QuorumCert share_signed_qc(const AggKeyring& agg,
                                 const std::vector<NodeId>& signers) {
   smr::QuorumCert qc;
@@ -211,21 +220,46 @@ smr::QuorumCert share_signed_qc(const AggKeyring& agg,
 TEST(AggregateQuorumCert, ToAggregateRoundTripsAndVerifies) {
   const auto agg = AggKeyring::simulated(7, 3);
   const smr::QuorumCert qc = share_signed_qc(*agg, {0, 1, 4});
-  const smr::QuorumCert aqc = qc.to_aggregate(7, 2);
+  const smr::QuorumCert aqc = qc.to_aggregate(7, 0);
   EXPECT_EQ(aqc.scheme, smr::CertScheme::kAggregate);
-  EXPECT_EQ(aqc.gen, 2u);
+  EXPECT_EQ(aqc.gen, 0u);
   EXPECT_EQ(aqc.signer_count(), 3u);
   EXPECT_EQ(aqc.signer_list(), (std::vector<NodeId>{0, 1, 4}));
-  EXPECT_TRUE(aqc.verify_aggregate(*agg, 3));
-  EXPECT_FALSE(aqc.verify_aggregate(*agg, 4));  // below quorum
+  smr::ProbeNode node(agg_probe(7, 2, agg));
+  EXPECT_TRUE(node.replica.verify_qc(aqc, 3));
+  EXPECT_FALSE(node.replica.verify_qc(aqc, 4));  // below quorum
 
   const smr::QuorumCert back = smr::QuorumCert::decode(aqc.encode());
   EXPECT_EQ(back.scheme, smr::CertScheme::kAggregate);
   EXPECT_EQ(back.gen, aqc.gen);
   EXPECT_EQ(back.signers, aqc.signers);
   EXPECT_EQ(back.agg_sig, aqc.agg_sig);
-  EXPECT_TRUE(back.verify_aggregate(*agg, 3));
+  EXPECT_TRUE(node.replica.verify_qc(back, 3));
   EXPECT_EQ(back.encode(), aqc.encode());
+}
+
+TEST(AggregateQuorumCert, ReplicaRejectsUnknownGeneration) {
+  // The wire form carries any generation tag, but a replica counts an
+  // aggregate only in a generation its membership history knows; a
+  // fresh replica knows generation 0 alone.
+  const auto agg = AggKeyring::simulated(7, 3);
+  const smr::QuorumCert qc = share_signed_qc(*agg, {0, 1, 4});
+  const smr::QuorumCert tagged =
+      smr::QuorumCert::decode(qc.to_aggregate(7, 2).encode());
+  EXPECT_EQ(tagged.gen, 2u);
+  smr::ProbeNode node(agg_probe(7, 2, agg));
+  EXPECT_FALSE(node.replica.verify_qc(tagged, 3));
+  EXPECT_TRUE(node.replica.verify_qc(qc.to_aggregate(7, 0), 3));
+}
+
+TEST(AggregateQuorumCert, ReplicaRejectsSignerBitsetWiderThanN) {
+  // Signers 0..2 are all replicas of n = 4, but a bitset over a 7-node
+  // universe does not describe this replica set.
+  const auto agg = AggKeyring::simulated(7, 3);
+  const smr::QuorumCert qc = share_signed_qc(*agg, {0, 1, 2});
+  smr::ProbeNode node(agg_probe(4, 1, agg));
+  EXPECT_FALSE(node.replica.verify_qc(qc.to_aggregate(7, 0), 2));
+  EXPECT_TRUE(node.replica.verify_qc(qc.to_aggregate(4, 0), 2));
 }
 
 TEST(AggregateQuorumCert, DuplicateSignerThrowsOnFold) {
@@ -239,7 +273,8 @@ TEST(AggregateQuorumCert, ForgedAggregateRejected) {
   const auto agg = AggKeyring::simulated(7, 3);
   smr::QuorumCert aqc = share_signed_qc(*agg, {0, 1, 4}).to_aggregate(7, 0);
   aqc.agg_sig[10] ^= 0x40;
-  EXPECT_FALSE(aqc.verify_aggregate(*agg, 3));
+  smr::ProbeNode node(agg_probe(7, 2, agg));
+  EXPECT_FALSE(node.replica.verify_qc(aqc, 3));
 }
 
 TEST(AggregateQuorumCert, WireSizeIsConstantInSignerCount) {
@@ -266,16 +301,19 @@ TEST(AggregateCheckpointCert, RoundTripAndTamperRejection) {
   const Bytes preimage = id.preimage();
   for (NodeId n : {1, 3}) cert.sigs.emplace_back(n, agg->share(n, preimage));
   const checkpoint::CheckpointCert acert = cert.to_aggregate(5, 0);
-  EXPECT_TRUE(acert.verify_aggregate(*agg, 2, 5));
-  EXPECT_FALSE(acert.verify_aggregate(*agg, 3, 5));  // below quorum
+  // The checkpoint quorum is f+1: 2 at f = 1, 3 at f = 2.
+  smr::ProbeNode f1(agg_probe(5, 1, agg));
+  smr::ProbeNode f2(agg_probe(5, 2, agg));
+  EXPECT_TRUE(f1.replica.verify_checkpoint_cert(acert));
+  EXPECT_FALSE(f2.replica.verify_checkpoint_cert(acert));  // below quorum
 
   const auto back = checkpoint::CheckpointCert::decode(acert.encode());
-  EXPECT_TRUE(back.verify_aggregate(*agg, 2, 5));
+  EXPECT_TRUE(f1.replica.verify_checkpoint_cert(back));
   EXPECT_EQ(back.encode(), acert.encode());
 
   checkpoint::CheckpointCert forged = acert;
   forged.id.digest[0] ^= 0xFF;
-  EXPECT_FALSE(forged.verify_aggregate(*agg, 2, 5));
+  EXPECT_FALSE(f1.replica.verify_checkpoint_cert(forged));
 }
 
 TEST(AcceptanceCert, FoldVerifyAndTamperRejection) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/cluster.hpp"
+#include "tests/cert_probe.hpp"
 
 namespace eesmr::checkpoint {
 namespace {
@@ -60,24 +61,29 @@ TEST(CheckpointCertVerify, AcceptsQuorumRejectsForgeries) {
   for (NodeId i = 0; i < 2; ++i) {
     cert.sigs.emplace_back(i, ring->signer(i).sign(id.preimage()));
   }
-  EXPECT_TRUE(cert.verify(*ring, 2, 4));
-  EXPECT_FALSE(cert.verify(*ring, 3, 4));  // below quorum
+  // The checkpoint quorum is f+1: 2 at f = 1, 3 at f = 2.
+  smr::ProbeNode f1(smr::probe_config(4, 1, ring));
+  smr::ProbeNode f2(smr::probe_config(4, 2, ring));
+  EXPECT_TRUE(f1.replica.verify_checkpoint_cert(cert));
+  EXPECT_FALSE(f2.replica.verify_checkpoint_cert(cert));  // below quorum
 
   // Tampered digest: signatures no longer cover the preimage.
   CheckpointCert tampered = cert;
   tampered.id.digest = to_bytes(std::string("forged"));
-  EXPECT_FALSE(tampered.verify(*ring, 2, 4));
+  EXPECT_FALSE(f1.replica.verify_checkpoint_cert(tampered));
 
   // Duplicate author cannot double-count.
   CheckpointCert dup = cert;
   dup.sigs[1] = dup.sigs[0];
-  EXPECT_FALSE(dup.verify(*ring, 2, 4));
+  EXPECT_FALSE(f1.replica.verify_checkpoint_cert(dup));
 
   // A client-range key must not attest replica state.
   CheckpointCert outsider = cert;
   outsider.sigs[1] = {3, ring->signer(3).sign(id.preimage())};
-  EXPECT_TRUE(outsider.verify(*ring, 2, 4));
-  EXPECT_FALSE(outsider.verify(*ring, 2, 3));  // id 3 outside replica range
+  EXPECT_TRUE(f1.replica.verify_checkpoint_cert(outsider));
+  smr::ProbeNode n3(smr::probe_config(3, 1, ring));
+  // Id 3 is outside the replica range of n = 3.
+  EXPECT_FALSE(n3.replica.verify_checkpoint_cert(outsider));
 }
 
 TEST(CheckpointManager, StabilizesAtQuorumOncePerHeight) {

@@ -154,17 +154,6 @@ TEST(Eesmr, AdversarialMaxDelaysPreserveSafetyAndLiveness) {
   EXPECT_EQ(r.view_changes, 0u);  // an honest leader is never blamed
 }
 
-TEST(Eesmr, CrashVariantHandlesCrashFaults) {
-  ClusterConfig cfg = base_config(4, 1);
-  cfg.eesmr.crash_fault_only = true;
-  cfg.faults = {{1, ByzantineMode::kCrash, 4}};
-  Cluster cluster(cfg);
-  const RunResult r = cluster.run_until_commits(6, sim::seconds(240));
-  EXPECT_TRUE(r.safety_ok());
-  EXPECT_GE(r.min_committed(), 6u);
-  EXPECT_GE(r.view_changes, 1u);
-}
-
 TEST(Eesmr, FastPathEquivocationViewChangeIsQuicker) {
   auto run_vc = [&](bool fast) {
     ClusterConfig cfg = base_config(4, 1);

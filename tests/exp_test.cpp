@@ -153,7 +153,10 @@ Report run_cluster_grid(std::size_t threads) {
     cfg.seed = c.seed;
     const RunResult r = exp::run_steady(cfg, 4);
     MetricRow row;
-    exp::add_run_metrics(row, r);
+    row.set("blocks", r.min_committed());
+    row.set("energy_per_block_mj", r.energy_per_block_mj());
+    row.set("view_changes", r.view_changes);
+    row.set("run", exp::run_result_json(r));
     return row;
   }, ro);
   return rep;
@@ -289,23 +292,6 @@ TEST(Record, RunResultJsonRoundTrip) {
   // Parse is lossless: identical tree, identical re-dump.
   EXPECT_EQ(parsed, doc);
   EXPECT_EQ(parsed.pretty(), text);
-
-  // The flat summary survives the trip field-for-field.
-  const harness::RunSummary orig = r.summarize();
-  const harness::RunSummary back = exp::summary_from_json(parsed);
-  EXPECT_EQ(back.nodes, orig.nodes);
-  EXPECT_EQ(back.safety_ok, orig.safety_ok);
-  EXPECT_EQ(back.min_committed, orig.min_committed);
-  EXPECT_EQ(back.max_committed, orig.max_committed);
-  EXPECT_EQ(back.transmissions, orig.transmissions);
-  EXPECT_EQ(back.bytes_transmitted, orig.bytes_transmitted);
-  EXPECT_DOUBLE_EQ(back.total_energy_mj, orig.total_energy_mj);
-  EXPECT_DOUBLE_EQ(back.energy_per_block_mj, orig.energy_per_block_mj);
-  EXPECT_EQ(back.requests_accepted, orig.requests_accepted);
-  EXPECT_DOUBLE_EQ(back.latency_p99_ms, orig.latency_p99_ms);
-  EXPECT_EQ(back.max_retained_log, orig.max_retained_log);
-  EXPECT_EQ(back.max_dedup_entries, orig.max_dedup_entries);
-  EXPECT_EQ(back.max_checkpoints_taken, orig.max_checkpoints_taken);
 
   // Streams carry the radio accounting: at least proposal + request
   // traffic must be present in a client run.

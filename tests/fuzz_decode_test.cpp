@@ -13,6 +13,7 @@
 #include "src/smr/membership.hpp"
 #include "src/smr/message.hpp"
 #include "src/smr/request.hpp"
+#include "tests/cert_probe.hpp"
 
 namespace eesmr {
 namespace {
@@ -61,8 +62,8 @@ TEST(FuzzDecode, RandomBytes) {
 TEST(FuzzDecode, MutatedValidCheckpointMessages) {
   // Round-trip a realistic kCheckpoint payload, certificate and
   // state-transfer snapshot, then flip/truncate: decode must never
-  // crash, and a surviving certificate must never verify for a
-  // tampered preimage.
+  // crash, and a surviving certificate must never verify (by a
+  // replica's rules) for a tampered preimage.
   auto ring = crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, 6, 9);
   checkpoint::SnapshotPayload payload;
   payload.app_snapshot = Bytes(40, 0x77);
@@ -84,6 +85,8 @@ TEST(FuzzDecode, MutatedValidCheckpointMessages) {
   checkpoint::CheckpointMsg cp;
   cp.id = id;
   cp.sig = cert.sigs[0].second;
+  smr::ProbeNode node(smr::probe_config(6, 1, ring));
+  ASSERT_TRUE(node.replica.verify_checkpoint_cert(cert));
 
   const std::vector<Bytes> corpora = {cp.encode(), cert.encode(),
                                       payload_bytes};
@@ -104,7 +107,7 @@ TEST(FuzzDecode, MutatedValidCheckpointMessages) {
         mutated);
     try {
       const auto qc = checkpoint::CheckpointCert::decode(mutated);
-      if (qc.verify(*ring, 2, 6)) {
+      if (node.replica.verify_checkpoint_cert(qc)) {
         // Only acceptable survivor: a mutation confined to signature
         // padding of the simulated scheme with the id intact.
         EXPECT_EQ(qc.id, id);
@@ -168,7 +171,10 @@ TEST(FuzzDecode, MutatedValidQuorumCert) {
     m.sig = ring->signer(i).sign(m.preimage());
     msgs.push_back(m);
   }
-  const Bytes valid = smr::QuorumCert::combine(msgs).encode();
+  const smr::QuorumCert qc = smr::QuorumCert::combine(msgs);
+  const Bytes valid = qc.encode();
+  smr::ProbeNode node(smr::probe_config(4, 1, ring));
+  ASSERT_TRUE(node.replica.verify_qc(qc, 3));
 
   sim::Rng rng(0xbeef);
   for (int iter = 0; iter < 2000; ++iter) {
@@ -178,12 +184,14 @@ TEST(FuzzDecode, MutatedValidQuorumCert) {
     if (rng.chance(0.3)) mutated.resize(rng.below(mutated.size() + 1));
     // Decode may throw; if it succeeds, verification must not crash and
     // a mutated certificate must never verify as a forged quorum for a
-    // different preimage... (same data -> may still verify: flipping
-    // padding bytes inside a signature field of a *simulated* scheme can
-    // be caught only by verify).
+    // different preimage (same data may still verify: flipping padding
+    // bytes inside a signature field of a *simulated* scheme can be
+    // caught only by verify).
     try {
-      const smr::QuorumCert qc = smr::QuorumCert::decode(mutated);
-      (void)qc.verify(*ring, 3);
+      const smr::QuorumCert m = smr::QuorumCert::decode(mutated);
+      if (node.replica.verify_qc(m, 3)) {
+        EXPECT_EQ(m.preimage(), qc.preimage());
+      }
     } catch (const SerdeError&) {
     }
   }
@@ -263,6 +271,8 @@ TEST(FuzzDecode, FrameMutationsAcrossAllWireFormatsRejectCleanly) {
 
   std::vector<Bytes> preimages;
   for (const smr::Msg& m : msgs) preimages.push_back(m.preimage());
+  smr::ProbeNode node(smr::probe_config(4, 1, ring));
+  ASSERT_TRUE(node.replica.verify_qc(cert, 2));
 
   sim::Rng mutator(0x3217a7e);
   for (int iter = 0; iter < 6000; ++iter) {
@@ -327,7 +337,7 @@ TEST(FuzzDecode, FrameMutationsAcrossAllWireFormatsRejectCleanly) {
     }
     try {
       const auto qc = smr::QuorumCert::decode(mutated);
-      if (qc.verify(*ring, 2)) {
+      if (node.replica.verify_qc(qc, 2)) {
         smr::Msg probe;
         probe.type = qc.type;
         probe.view = qc.view;
@@ -364,7 +374,7 @@ TEST(FuzzDecode, MutatedAggregateAndPolicyWireFormatsRejectCleanly) {
   for (NodeId i = 0; i < 3; ++i) {
     qc.sigs.emplace_back(i, agg->share(i, qc_preimage));
   }
-  const smr::QuorumCert aqc = qc.to_aggregate(kN, 3);
+  const smr::QuorumCert aqc = qc.to_aggregate(kN, 0);
 
   smr::MembershipPolicy pol;
   pol.generation = 4;
@@ -379,7 +389,7 @@ TEST(FuzzDecode, MutatedAggregateAndPolicyWireFormatsRejectCleanly) {
   for (NodeId i = 2; i < 4; ++i) {
     ckpt.sigs.emplace_back(i, agg->share(i, id.preimage()));
   }
-  const checkpoint::CheckpointCert ackpt = ckpt.to_aggregate(kN, 3);
+  const checkpoint::CheckpointCert ackpt = ckpt.to_aggregate(kN, 0);
 
   smr::AcceptanceCert acc;
   acc.client = 7;
@@ -393,6 +403,14 @@ TEST(FuzzDecode, MutatedAggregateAndPolicyWireFormatsRejectCleanly) {
     acc.signers.set(i);
     crypto::AggKeyring::fold_into(acc.agg_sig, agg->share(i, acc_preimage));
   }
+
+  // A fresh replica knows membership generation 0 only, so both
+  // certificates are tagged 0 and verify before mutation.
+  smr::ProbeNode node(smr::probe_config(
+      kN, 1, crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, kN, 1),
+      agg));
+  ASSERT_TRUE(node.replica.verify_qc(aqc, 3));
+  ASSERT_TRUE(node.replica.verify_checkpoint_cert(ackpt));
 
   const std::vector<Bytes> corpora = {aqc.encode(), pol.encode(),
                                       ackpt.encode(), acc.encode()};
@@ -423,8 +441,7 @@ TEST(FuzzDecode, MutatedAggregateAndPolicyWireFormatsRejectCleanly) {
 
     try {
       const smr::QuorumCert m = smr::QuorumCert::decode(mutated);
-      if (m.scheme == smr::CertScheme::kAggregate &&
-          m.verify_aggregate(*agg, 3)) {
+      if (node.replica.verify_qc(m, 3)) {
         EXPECT_EQ(m.preimage(), qc_preimage)
             << "mutated aggregate QC accepted with altered content";
         EXPECT_EQ(m.signers, aqc.signers);
@@ -445,7 +462,7 @@ TEST(FuzzDecode, MutatedAggregateAndPolicyWireFormatsRejectCleanly) {
 
     try {
       const auto c = checkpoint::CheckpointCert::decode(mutated);
-      if (c.verify_aggregate(*agg, 2, kN)) {
+      if (node.replica.verify_checkpoint_cert(c)) {
         EXPECT_EQ(c.id, id)
             << "mutated aggregate checkpoint cert accepted with altered id";
       }

@@ -44,7 +44,7 @@ TEST(Hypergraph, AddEdgeValidation) {
   EXPECT_THROW(g.add_edge({0, {}}), std::invalid_argument);  // empty
   g.add_edge({0, {1, 2}});
   EXPECT_EQ(g.out_edges(0).size(), 1u);
-  EXPECT_EQ(g.in_edges(1).size(), 1u);
+  EXPECT_EQ(g.d_in(1), 1u);
 }
 
 TEST(Hypergraph, IndependenceCounterexampleFromAppendixA) {

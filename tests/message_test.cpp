@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/network.hpp"
-#include "src/sim/scheduler.hpp"
-#include "src/smr/replica.hpp"
+#include "tests/cert_probe.hpp"
 
 namespace eesmr::smr {
 namespace {
@@ -14,6 +12,9 @@ std::shared_ptr<crypto::Keyring> ring() {
       crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, 5, 77);
   return r;
 }
+
+/// Replica 0 of n = 4, f = 1, keyed by ring().
+ReplicaConfig probe4() { return probe_config(4, 1, ring()); }
 
 Msg signed_msg(NodeId author, MsgType type, std::uint64_t view, Bytes data) {
   Msg m;
@@ -73,9 +74,10 @@ TEST(QuorumCert, CombineAndVerify) {
   }
   const QuorumCert qc = QuorumCert::combine(blames);
   EXPECT_EQ(qc.sigs.size(), 3u);
-  EXPECT_TRUE(qc.verify(*ring(), 3));
-  EXPECT_TRUE(qc.verify(*ring(), 2));
-  EXPECT_FALSE(qc.verify(*ring(), 4));  // not enough signatures
+  ProbeNode node(probe4());
+  EXPECT_TRUE(node.replica.verify_qc(qc, 3));
+  EXPECT_TRUE(node.replica.verify_qc(qc, 2));
+  EXPECT_FALSE(node.replica.verify_qc(qc, 4));  // not enough signatures
   EXPECT_TRUE(matching_qc(qc, MsgType::kBlame, 2));
 }
 
@@ -90,7 +92,8 @@ TEST(QuorumCert, EncodeDecodeRoundTrip) {
   EXPECT_EQ(d.view, qc.view);
   EXPECT_EQ(d.data, qc.data);
   ASSERT_EQ(d.sigs.size(), qc.sigs.size());
-  EXPECT_TRUE(d.verify(*ring(), 2));
+  ProbeNode node(probe4());
+  EXPECT_TRUE(node.replica.verify_qc(d, 2));
 }
 
 TEST(QuorumCert, CombineRejectsMismatchedMessages) {
@@ -115,7 +118,8 @@ TEST(QuorumCert, VerifyRejectsDuplicateAuthors) {
   qc.view = 2;
   qc.round = 0;
   qc.sigs = {{0, m.sig}, {0, m.sig}};
-  EXPECT_FALSE(qc.verify(*ring(), 2));
+  ProbeNode node(probe4());
+  EXPECT_FALSE(node.replica.verify_qc(qc, 2));
 }
 
 TEST(QuorumCert, VerifyRejectsForgedSignature) {
@@ -123,7 +127,8 @@ TEST(QuorumCert, VerifyRejectsForgedSignature) {
                            signed_msg(1, MsgType::kBlame, 2, {})};
   QuorumCert qc = QuorumCert::combine(msgs);
   qc.sigs[1].second[0] ^= 0x01;
-  EXPECT_FALSE(qc.verify(*ring(), 2));
+  ProbeNode node(probe4());
+  EXPECT_FALSE(node.replica.verify_qc(qc, 2));
 }
 
 TEST(QuorumCert, VerifyRejectsWrongAttribution) {
@@ -132,40 +137,23 @@ TEST(QuorumCert, VerifyRejectsWrongAttribution) {
                            signed_msg(1, MsgType::kBlame, 2, {})};
   QuorumCert qc = QuorumCert::combine(msgs);
   qc.sigs[0].first = 2;
-  EXPECT_FALSE(qc.verify(*ring(), 2));
+  ProbeNode node(probe4());
+  EXPECT_FALSE(node.replica.verify_qc(qc, 2));
 }
-
-/// A do-nothing replica that exposes ReplicaBase's certificate check.
-class QcProbe final : public ReplicaBase {
- public:
-  using ReplicaBase::ReplicaBase;
-  using ReplicaBase::verify_qc;
-  void start() override {}
-
- protected:
-  void handle(NodeId, const Msg&) override {}
-};
 
 TEST(ReplicaVerifyQc, RejectsClientKeyedSignature) {
   // n = 4 replicas; the keyring's fifth key (id 4) belongs to a client,
   // as in a cluster whose key directory also covers its clients.
-  sim::Scheduler sched;
-  net::Network net(sched, net::Hypergraph::full_mesh(4), {}, nullptr);
-  ReplicaConfig cfg;
-  cfg.id = 0;
-  cfg.n = 4;
-  cfg.f = 1;
-  cfg.keyring = ring();
-  QcProbe replica(net, cfg, nullptr);
-
+  ProbeNode node(probe4());
   const Bytes block(32, 0xab);
   const Msg vote1 = signed_msg(1, MsgType::kVote, 2, block);
   const Msg vote2 = signed_msg(2, MsgType::kVote, 2, block);
   const Msg client = signed_msg(4, MsgType::kVote, 2, block);
-  EXPECT_TRUE(replica.verify_qc(QuorumCert::combine({vote1, vote2}), 2));
+  EXPECT_TRUE(node.replica.verify_qc(QuorumCert::combine({vote1, vote2}), 2));
   // Both signatures are valid over the same preimage, but a client is
   // not a replica and its signature must not count toward a quorum.
-  EXPECT_FALSE(replica.verify_qc(QuorumCert::combine({vote1, client}), 2));
+  EXPECT_FALSE(
+      node.replica.verify_qc(QuorumCert::combine({vote1, client}), 2));
 }
 
 TEST(MsgTypeNames, AllNamed) {

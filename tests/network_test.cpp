@@ -167,8 +167,6 @@ TEST(Network, StatsTrackTransmissionsAndBytes) {
   EXPECT_EQ(fx.net->transmissions(), 12u);
   EXPECT_GT(fx.net->bytes_transmitted(),
             12u * 10u);  // payload + router framing
-  fx.net->reset_stats();
-  EXPECT_EQ(fx.net->transmissions(), 0u);
 }
 
 TEST(Network, MalformedFrameIsDropped) {
