@@ -124,11 +124,6 @@ Bytes Reader::raw(std::size_t n) {
   return out;
 }
 
-BytesView Reader::bytes_view() {
-  std::uint32_t n = u32();
-  return raw_view(n);
-}
-
 BytesView Reader::raw_view(std::size_t n) {
   need(n);
   BytesView out = data_.subspan(pos_, n);

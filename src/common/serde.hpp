@@ -66,11 +66,10 @@ class Reader {
   /// Read exactly n raw bytes.
   Bytes raw(std::size_t n);
 
-  /// Zero-copy variants: subspans into the underlying buffer instead of
-  /// owned copies. Valid only while the backing storage outlives the
-  /// view — deliver-path code that keeps the frame alive (SharedBytes)
-  /// or consumes the view before returning should prefer these.
-  BytesView bytes_view();
+  /// Zero-copy variant of raw(): a subspan into the underlying buffer
+  /// instead of an owned copy. Valid only while the backing storage
+  /// outlives the view — deliver-path code that keeps the frame alive
+  /// (SharedBytes) or consumes the view before returning should prefer it.
   BytesView raw_view(std::size_t n);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

@@ -668,7 +668,7 @@ RunResult Cluster::snapshot() const {
     ReplicaFootprint fp;
     fp.retained_log = r.log().size();
     fp.store_blocks = r.store().size();
-    fp.executed_entries = r.executed_entries();
+    fp.executed_entries = r.execution().size();
     fp.mempool_pending = r.mempool().pending();
     fp.mempool_committed_keys = r.mempool().committed_keys();
     fp.flood_dedup_tail = r.flood_dedup_entries();
@@ -679,8 +679,8 @@ RunResult Cluster::snapshot() const {
     fp.state_transfers = r.state_transfers();
     out.footprints.push_back(fp);
     out.requests_dropped += r.mempool().dropped();
-    out.requests_rate_limited += r.requests_rejected();
-    out.requests_forwarded += r.requests_forwarded();
+    out.requests_rate_limited += r.intake().cap_drops();
+    out.requests_forwarded += r.intake().forwarded();
     out.state_transfers += r.state_transfers();
     out.max_recovery_latency =
         std::max(out.max_recovery_latency, r.last_recovery_time());

@@ -99,12 +99,6 @@ std::size_t Hypergraph::d_in(NodeId node) const {
   return sources.size();
 }
 
-std::size_t Hypergraph::min_d_out() const {
-  std::size_t best = kUnreached;
-  for (NodeId i = 0; i < n_; ++i) best = std::min(best, d_out(i));
-  return best;
-}
-
 std::size_t Hypergraph::min_d_in() const {
   std::size_t best = kUnreached;
   for (NodeId i = 0; i < n_; ++i) best = std::min(best, d_in(i));

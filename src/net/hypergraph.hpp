@@ -50,7 +50,6 @@ class Hypergraph {
   [[nodiscard]] std::size_t d_out(NodeId node) const;
   /// Number of distinct nodes with an edge delivering to `node`.
   [[nodiscard]] std::size_t d_in(NodeId node) const;
-  [[nodiscard]] std::size_t min_d_out() const;
   [[nodiscard]] std::size_t min_d_in() const;
 
   /// D_out / D_in: minimum number of outgoing / incoming *edges* over all

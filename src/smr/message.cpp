@@ -134,6 +134,42 @@ energy::Stream stream_of(MsgType t) {
   return energy::Stream::kOther;
 }
 
+const char* crypto_site(MsgType t) {
+  switch (t) {
+    case MsgType::kPropose:
+    case MsgType::kNewViewProposal:
+      return "proposal";
+    case MsgType::kVote:
+    case MsgType::kVoteMsg:
+    case MsgType::kCertify:
+    case MsgType::kPrepare:
+    case MsgType::kCommit:
+      return "vote";
+    case MsgType::kBlame:
+    case MsgType::kBlameQC:
+    case MsgType::kCommitUpdate:
+    case MsgType::kCommitQC:
+    case MsgType::kStatus:
+    case MsgType::kViewChange:
+    case MsgType::kNewView:
+      return "view_change";
+    case MsgType::kSyncRequest:
+    case MsgType::kSyncResponse:
+      return "sync";
+    case MsgType::kRequest:
+      return "request";
+    case MsgType::kReply:
+      return "reply";
+    case MsgType::kCheckpoint:
+      return "checkpoint";
+    case MsgType::kStateRequest:
+    case MsgType::kStateResponse:
+      return "state_transfer";
+    default:
+      return "other";
+  }
+}
+
 Bytes Msg::preimage() const {
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));

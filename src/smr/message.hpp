@@ -97,6 +97,9 @@ const char* msg_type_name(MsgType t);
 /// The replica's typed channels are opened per stream; every message is
 /// routed through the channel of its type's stream.
 energy::Stream stream_of(MsgType t);
+/// Profiler call-site tag for the crypto work on a message type
+/// ("proposal", "vote", "view_change", ...; "other" for the rest).
+[[nodiscard]] const char* crypto_site(MsgType t);
 
 struct Msg {
   MsgType type = MsgType::kPropose;

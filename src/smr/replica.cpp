@@ -18,55 +18,10 @@ constexpr std::size_t kMaxSyncBlocks = 64;
 /// the blocking variants is 1-2 blocks, so 8 never triggers spuriously.
 constexpr std::uint64_t kStateTransferGap = 8;
 
-/// Garbage-flood early drop: after this many consecutive failed request
-/// verifications from one client the filter engages...
-constexpr std::uint32_t kBadSigThreshold = 3;
-/// ...and only every kBadSigRecheck'th frame still reaches the metered
-/// verify (deterministic sampling: reproducible runs, and a client that
-/// turns honest again is re-admitted within a bounded number of frames).
-constexpr std::uint64_t kBadSigRecheck = 16;
-
-/// Profiler call-site tag for a message type's crypto work.
-const char* site_of(MsgType t) {
-  switch (t) {
-    case MsgType::kPropose:
-    case MsgType::kNewViewProposal:
-      return "proposal";
-    case MsgType::kVote:
-    case MsgType::kVoteMsg:
-    case MsgType::kCertify:
-    case MsgType::kPrepare:
-    case MsgType::kCommit:
-      return "vote";
-    case MsgType::kBlame:
-    case MsgType::kBlameQC:
-    case MsgType::kCommitUpdate:
-    case MsgType::kCommitQC:
-    case MsgType::kStatus:
-    case MsgType::kViewChange:
-    case MsgType::kNewView:
-      return "view_change";
-    case MsgType::kSyncRequest:
-    case MsgType::kSyncResponse:
-      return "sync";
-    case MsgType::kRequest:
-      return "request";
-    case MsgType::kReply:
-      return "reply";
-    case MsgType::kCheckpoint:
-      return "checkpoint";
-    case MsgType::kStateRequest:
-    case MsgType::kStateResponse:
-      return "state_transfer";
-    default:
-      return "other";
-  }
-}
-
 /// Verified-signature cache key: digest of (author, preimage, sig), so
-/// an entry costs 32 bytes regardless of payload size. Like the
-/// verified-bytes cache, the digest is a data-structure detail (a real
-/// node would index by pointer) and is not charged to the meter.
+/// an entry costs 32 bytes regardless of payload size. Like
+/// RequestIntake's verified-bytes cache, the digest is a data-structure
+/// detail (a real node would index by pointer) and is not charged.
 crypto::Sha256Digest sig_digest(NodeId author, BytesView preimage,
                                 BytesView sig) {
   Writer w;
@@ -200,7 +155,7 @@ Msg ReplicaBase::make_msg(MsgType type, std::uint64_t view,
   // certificates they fold into stay O(1) on the wire.
   m.sig = sign_preimage(m.preimage(),
                         aggregate_certs() && certificate_bound(type),
-                        site_of(type));
+                        crypto_site(type));
   return m;
 }
 
@@ -218,15 +173,12 @@ Bytes ReplicaBase::sign_preimage(BytesView preimage, bool share,
 }
 
 bool ReplicaBase::recent_signer(NodeId id) const {
-  const std::uint64_t cur = membership_.generation();
-  if (membership_.is_signer(id, cur)) return true;
-  // Certificates and votes formed just before a flip are still in
-  // flight; accept signers from the bounded generation window.
-  for (std::uint64_t g = cur; g-- > 0;) {
-    if (!membership_.known(g)) break;
+  // The current generation, then the bounded window of earlier ones:
+  // certificates and votes formed just before a flip are still in flight.
+  for (std::uint64_t g = membership_.generation();; --g) {
     if (membership_.is_signer(id, g)) return true;
+    if (g == 0 || !membership_.known(g - 1)) return false;
   }
-  return false;
 }
 
 bool ReplicaBase::verify_msg(const Msg& m) {
@@ -241,7 +193,7 @@ bool ReplicaBase::verify_msg(const Msg& m) {
   const bool ok =
       verify_metered(m.author, preimage, m.sig,
                      aggregate_certs() && certificate_bound(m.type),
-                     site_of(m.type));
+                     crypto_site(m.type));
   if (ok && certificate_bound(m.type)) {
     sig_verified_.emplace(sig_digest(m.author, preimage, m.sig),
                           committed_height_);
@@ -316,19 +268,13 @@ crypto::Sha256Digest ReplicaBase::agg_cert_digest(
 std::uint64_t ReplicaBase::generation_for_signers(
     const std::vector<NodeId>& signer_ids) const {
   for (std::uint64_t g = membership_.generation();; --g) {
-    if (membership_.known(g)) {
-      bool all = true;
-      for (NodeId id : signer_ids) {
-        if (!membership_.is_signer(id, g)) {
-          all = false;
-          break;
-        }
-      }
-      if (all) return g;
+    if (membership_.known(g) &&
+        std::all_of(signer_ids.begin(), signer_ids.end(),
+                    [&](NodeId id) { return membership_.is_signer(id, g); })) {
+      return g;
     }
-    if (g == 0) break;
+    if (g == 0) return membership_.generation();
   }
-  return membership_.generation();
 }
 
 bool ReplicaBase::verify_agg_cert(BytesView preimage,
@@ -379,12 +325,10 @@ bool ReplicaBase::verify_qc(const QuorumCert& qc, std::size_t quorum_size) {
            verify_agg_cert(qc.preimage(), qc.signers, qc.gen, qc.agg_sig,
                            quorum_size, "vote");
   }
-  if (aggregate_certs()) {
-    // Under the aggregate scheme votes carry shares, not directory
-    // signatures — an individual-form cert cannot be honest.
-    return false;
-  }
-  return verify_individual_cert(qc.preimage(), qc.sigs, quorum_size, "vote");
+  // Under the aggregate scheme votes carry shares, not directory
+  // signatures — an individual-form cert cannot be honest.
+  return !aggregate_certs() &&
+         verify_individual_cert(qc.preimage(), qc.sigs, quorum_size, "vote");
 }
 
 bool ReplicaBase::verify_checkpoint_cert(
@@ -395,10 +339,10 @@ bool ReplicaBase::verify_checkpoint_cert(
            verify_agg_cert(cert.id.preimage(), cert.signers, cert.gen,
                            cert.agg_sig, cfg_.f + 1, "checkpoint");
   }
-  if (aggregate_certs()) return false;
   // Checkpoint quorum is always f+1 (one correct attester suffices),
   // independent of the protocol's vote quorum (cfg_.quorum).
-  return verify_individual_cert(cert.id.preimage(), cert.sigs, cfg_.f + 1,
+  return !aggregate_certs() &&
+         verify_individual_cert(cert.id.preimage(), cert.sigs, cfg_.f + 1,
                                 "checkpoint");
 }
 
@@ -498,102 +442,64 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
       try {
         if (const auto pol = MembershipPolicy::decode_command(cmd.data)) {
           pending_policies.push_back(*pol);
-          if (app_ != nullptr) results_.push_back({});
           continue;
         }
       } catch (const SerdeError&) {
-        // Tagged but malformed: a deterministic no-op on every replica.
-        if (app_ != nullptr) results_.push_back({});
-        continue;
+        continue;  // tagged but malformed: a deterministic no-op
       }
       const auto req = ClientRequest::decode(cmd.data);
+      if (!req.has_value()) {
+        if (app_ != nullptr) app_->apply(cmd);
+        continue;
+      }
+      // Tagged request: execute the unwrapped op exactly once, then
+      // acknowledge the client (§3's f+1-identical-results rule is
+      // applied on the client side). A duplicate copy (re-proposed
+      // across a view change, or the trusted baseline's
+      // one-copy-per-CPS-node ordering) costs no signature verification
+      // and sends NO reply: the first execution already acknowledged the
+      // client, and a lost reply is recovered by handle_request's
+      // retransmit replay. Replying per copy would multiply signed
+      // replies and distort the per-request energy comparison.
+      if (exec_.find(req->client, req->req_id) != nullptr) continue;
+      // Re-verify the embedded client signature: a Byzantine leader can
+      // propose arbitrary bytes, but it cannot forge a request the client
+      // never signed. Invalid tagged commands become deterministic no-ops
+      // on every correct replica. The free id-range check runs before any
+      // energy is charged, and a verified-bytes cache hit (these exact
+      // bytes passed the pool-time check) replaces the re-check.
+      bool valid =
+          req->client >= cfg_.n && req->client < cfg_.keyring->size();
+      if (valid && !intake_.take_verified(cmd.data)) {
+        valid = verify_metered(req->client, req->preimage(), req->sig,
+                               /*share=*/false, "request");
+      }
+      if (!valid) continue;
       Bytes result;
-      if (req.has_value()) {
-        // Tagged request: execute the unwrapped op exactly once, then
-        // acknowledge the client (§3's f+1-identical-results rule is
-        // applied on the client side). The executed_ lookup comes
-        // first so duplicate copies of a request (re-proposed across a
-        // view change, or the trusted baseline's one-copy-per-CPS-node
-        // ordering) cost no additional signature verification.
-        const auto key = std::make_pair(req->client, req->req_id);
-        const auto it = executed_.find(key);
-        if (it != executed_.end()) {
-          // Duplicate copy: replay the stored result with no further
-          // verification and NO reply — the first execution already
-          // acknowledged the client, and a lost reply is recovered by
-          // the retransmit-replay path in handle_request. Replying per
-          // copy would multiply signed replies and distort the
-          // per-request energy comparison.
-          result = it->second.result;
-          if (app_ != nullptr) results_.push_back(result);
-          continue;
-        }
-        // Re-verify the embedded client signature: a Byzantine leader
-        // can propose arbitrary bytes, but it cannot forge a request
-        // the client never signed. Invalid tagged commands become
-        // deterministic no-ops on every correct replica. The free
-        // id-range check runs before any energy is charged. A
-        // verified-bytes cache hit (these exact bytes passed the
-        // pool-time check in handle_request) replaces the re-check;
-        // entries are single-use, so a duplicate copy in a later block
-        // still pays (and the executed_ lookup above usually spares it).
-        bool valid =
-            req->client >= cfg_.n && req->client < cfg_.keyring->size();
-        if (valid) {
-          const auto vit = verified_.find(crypto::Sha256::hash(cmd.data));
-          if (vit != verified_.end()) {
-            verified_.erase(vit);
-            ++verified_hits_;
-          } else {
-            valid = verify_metered(req->client, req->preimage(), req->sig,
-                                   /*share=*/false, "request");
-          }
-        }
-        if (!valid) {
-          if (app_ != nullptr) results_.push_back({});
-          continue;
-        }
-        if (app_ != nullptr) result = app_->apply(Command{req->op});
-        executed_.emplace(key, Executed{result, b.height});
-        // Advance the contiguous-executed frontier through any
-        // out-of-order entries this execution just connected.
-        auto& frontier = client_watermark_[req->client];
-        while (executed_.count(
-                   std::make_pair(req->client, frontier + 1)) > 0) {
-          ++frontier;
-        }
-      } else if (app_ != nullptr) {
-        result = app_->apply(cmd);
-      }
-      if (app_ != nullptr) results_.push_back(result);
-      if (req.has_value()) {
-        prof_flow("commit", req->client, req->req_id);
-        reply_to_client(*req, result);
-      }
+      if (app_ != nullptr) result = app_->apply(Command{req->op});
+      const Bytes& stored =
+          exec_.record(req->client, req->req_id, std::move(result), b.height);
+      prof_flow("commit", req->client, req->req_id);
+      reply_to_client(*req, stored);
     }
-    executed_cmds_ += b.cmds.size();
+    exec_.add_commands(b.cmds.size());
     // Commit boundary: apply the block's policy commands in order. Only
     // the direct successor generation applies (duplicates and stale
     // re-proposals are no-ops), it must keep a quorum's worth of
     // replica-range signers, and every correct replica flips here — the
     // same deterministic log position.
     for (const MembershipPolicy& p : pending_policies) {
-      if (p.signers.size() < quorum()) continue;
-      bool in_range = true;
-      for (const PolicyEntry& e : p.signers) {
-        if (e.node >= cfg_.n) {
-          in_range = false;
-          break;
-        }
+      const bool in_range =
+          std::all_of(p.signers.begin(), p.signers.end(),
+                      [&](const PolicyEntry& e) { return e.node < cfg_.n; });
+      if (p.signers.size() < quorum() || !in_range || !membership_.apply(p)) {
+        continue;
       }
-      if (!in_range) continue;
-      if (membership_.apply(p)) {
-        ++membership_changes_;
-        trace_instant("membership", "policy_applied",
-                      {{"generation", exp::Json(p.generation)},
-                       {"signers", exp::Json(p.signers.size())}});
-        on_membership_change(p);
-      }
+      ++membership_changes_;
+      trace_instant("membership", "policy_applied",
+                    {{"generation", exp::Json(p.generation)},
+                     {"signers", exp::Json(p.signers.size())}});
+      on_membership_change(p);
     }
     pending_policies.clear();
     if (tracing()) {
@@ -634,37 +540,15 @@ void ReplicaBase::maybe_checkpoint(const Block& b) {
   // that a recovering replica still observes certificates to catch up
   // from. Both inputs are functions of the committed log, so every
   // correct replica triggers at the same blocks.
-  const bool block_due = b.height >= prev_ckpt_height_ + ckpt_.interval();
-  if (!ckpt_.due(executed_cmds_) && !block_due) return;
-  ckpt_.advance_schedule(executed_cmds_);
+  const bool block_due = b.height >= exec_.cut() + ckpt_.interval();
+  if (!ckpt_.due(exec_.executed_cmds()) && !block_due) return;
+  ckpt_.advance_schedule(exec_.executed_cmds());
 
-  // Reply-cache GC at a log-deterministic point: entries recorded at or
-  // below the PREVIOUS checkpoint height have survived a full interval;
-  // drop them. Every correct replica runs this at the same log
-  // position, so executed_ contents — and with them every commit-time
-  // dedup decision — never depend on message timing. The pool-side
-  // floor (client_watermark_) is maintained at execution time, not
-  // here: raising it to the max GC'd id would strand any lower id that
-  // was shed by admission control and never executed.
-  for (auto it = executed_.begin(); it != executed_.end();) {
-    if (it->second.height <= prev_ckpt_height_) {
-      it = executed_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  prev_ckpt_height_ = b.height;
-
-  checkpoint::SnapshotPayload payload;
+  // Reply-cache GC at a log-deterministic point, so every commit-time
+  // dedup decision is independent of message timing.
+  exec_.gc_at_checkpoint(b.height);
+  checkpoint::SnapshotPayload payload = exec_.snapshot();
   if (app_ != nullptr) payload.app_snapshot = app_->snapshot();
-  payload.executed_cmds = executed_cmds_;
-  payload.watermarks.assign(client_watermark_.begin(),
-                            client_watermark_.end());
-  payload.executed.reserve(executed_.size());
-  for (const auto& [key, entry] : executed_) {
-    payload.executed.push_back(checkpoint::ExecutedEntry{
-        key.first, key.second, entry.height, entry.result});
-  }
   Bytes bytes = payload.encode();
   charge(energy::Category::kHash, energy::hash_energy_mj(bytes.size()));
   prof_crypto("hash", "checkpoint");
@@ -759,11 +643,15 @@ NodeId ReplicaBase::checkpoint_collector(std::uint64_t height) const {
 void ReplicaBase::broadcast_checkpoint_cert(
     const checkpoint::CheckpointCert& cert) {
   if (!aggregate_certs()) return;
-  checkpoint::CheckpointCert agg = cert.to_aggregate(
-      cfg_.n, generation_for_signers(cert.signer_list()));
+  broadcast(unsigned_msg(MsgType::kCheckpointCert, r_cur_,
+                         fold_checkpoint_cert(cert).encode()));
+}
+
+checkpoint::CheckpointCert ReplicaBase::fold_checkpoint_cert(
+    const checkpoint::CheckpointCert& cert) {
   charge(energy::Category::kSign,
          energy::agg_combine_energy_mj(cert.sigs.size()));
-  broadcast(unsigned_msg(MsgType::kCheckpointCert, r_cur_, agg.encode()));
+  return cert.to_aggregate(cfg_.n, generation_for_signers(cert.signer_list()));
 }
 
 void ReplicaBase::handle_checkpoint_cert(const Msg& msg) {
@@ -809,36 +697,22 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
   trace_instant("checkpoint", "checkpoint_stable",
                 {{"height", exp::Json(cert.id.height)}});
 
-  // Verified-bytes cache GC: an entry recorded at or below the previous
-  // low-water mark has sat un-committed for a full checkpoint interval;
-  // drop it (a late commit of those bytes just re-pays the verify).
-  for (auto it = verified_.begin(); it != verified_.end();) {
-    if (it->second <= prev_lwm) {
-      it = verified_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Same rule for the verified-signature cache: certificates re-carrying
-  // a vote or attestation that old have left the protocol's horizon.
-  for (auto it = sig_verified_.begin(); it != sig_verified_.end();) {
-    if (it->second <= prev_lwm) {
-      it = sig_verified_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Both verification caches drop what was recorded at or below the
+  // previous low-water mark: bytes that sat uncommitted, and votes or
+  // attestations that certificates no longer re-carry, for a full
+  // checkpoint interval.
+  intake_.gc_verified(prev_lwm);
+  std::erase_if(sig_verified_,
+                [prev_lwm](const auto& kv) { return kv.second <= prev_lwm; });
 
   // Drop the retained-log prefix at or below the mark. Mempool
   // committed-key GC is pool-side: a forgotten key's late retransmit can
   // re-enter the pool, where the (log-deterministic) reply cache and the
   // per-client watermark still keep it from re-executing.
   std::size_t cut = 0;
-  std::size_t cmds_cut = 0;
   while (cut < log_.size() && log_[cut].height <= lwm_height_) {
     const Block& old = log_[cut];
     committed_.erase(old.hash());
-    cmds_cut += old.cmds.size();
     for (const Command& c : old.cmds) {
       if (ClientRequest::decode(c.data).has_value()) {
         mempool_.forget_committed(c.data);
@@ -847,13 +721,6 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
     ++cut;
   }
   log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(cut));
-  if (app_ != nullptr && cmds_cut > 0) {
-    // results_ holds one entry per executed command; GC in lockstep.
-    results_.erase(results_.begin(),
-                   results_.begin() +
-                       static_cast<std::ptrdiff_t>(
-                           std::min(cmds_cut, results_.size())));
-  }
   // Hook BEFORE store truncation: protocols distinguish "per-block side
   // state for a truncated block" from "side state for a block that has
   // not arrived yet" by looking the block up while it is still here.
@@ -917,11 +784,9 @@ void ReplicaBase::handle_state_request(NodeId from, const Msg& msg) {
   } catch (const SerdeError&) {
     return;
   }
-  const Bytes* payload = ckpt_.payload_for(height);
-  const Block* block = ckpt_.block_for(height);
-  const auto& cert = ckpt_.stable_cert();
-  if (payload == nullptr || block == nullptr || !cert.has_value()) return;
-  serve_checkpoint(from);
+  // Only the stable snapshot is served (serve_checkpoint checks that it
+  // is held locally).
+  if (height == ckpt_.stable_height()) serve_checkpoint(from);
 }
 
 void ReplicaBase::serve_checkpoint(NodeId from) {
@@ -940,16 +805,10 @@ void ReplicaBase::serve_checkpoint(NodeId from) {
   // A cert assembled from share attestations goes out in the O(1)
   // aggregate form, tagged with the latest generation containing every
   // signer (a cert received already-aggregated is forwarded as is).
-  Bytes cert_wire;
-  if (aggregate_certs() && cert->scheme == CertScheme::kIndividual) {
-    checkpoint::CheckpointCert agg_form = cert->to_aggregate(
-        cfg_.n, generation_for_signers(cert->signer_list()));
-    charge(energy::Category::kSign,
-           energy::agg_combine_energy_mj(cert->sigs.size()));
-    cert_wire = agg_form.encode();
-  } else {
-    cert_wire = cert->encode();
-  }
+  const Bytes cert_wire =
+      aggregate_certs() && cert->scheme == CertScheme::kIndividual
+          ? fold_checkpoint_cert(*cert).encode()
+          : cert->encode();
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("cert", "encode",
                                energy::Stream::kStateTransfer,
@@ -986,15 +845,6 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   // cannot close that gap) is safe to adopt whenever it is ahead of our
   // commits: the checkpointed state is final.
   if (cert.id.height <= committed_height_) return;
-  if (!st_inflight_) {
-    // An unsolicited snapshot is always an answer to a kSyncRequest we
-    // sent: the recovery began when chain sync did, not on receipt.
-    st_started_ = sync_started_ != 0 ? sync_started_ : sched_.now();
-    trace_begin("recovery", "state_transfer", cert.id.height,
-                {{"height", exp::Json(cert.id.height)}});
-    st_inflight_ = true;
-    st_height_ = cert.id.height;
-  }
   if (!verify_checkpoint_cert(cert)) return;
   if (root.height != cert.id.height) return;
   if (hash_block(root) != cert.id.block) return;
@@ -1009,6 +859,17 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
       return;  // digest-matching but app-incompatible snapshot: abort
     }
   }
+  // Every check passed. Only now may an unsolicited snapshot open a
+  // transfer: one that failed above must leave no transfer in flight,
+  // or begin_state_transfer would ignore every genuine certificate below
+  // its claimed height. An unsolicited snapshot is always an answer to a
+  // kSyncRequest we sent: the recovery began when chain sync did.
+  if (!st_inflight_) {
+    st_started_ = sync_started_ != 0 ? sync_started_ : sched_.now();
+    trace_begin("recovery", "state_transfer", cert.id.height,
+                {{"height", exp::Json(cert.id.height)}});
+    st_height_ = cert.id.height;
+  }
 
   // Re-root the chain at the checkpoint block and fast-forward.
   store_.adopt_root(root);
@@ -1020,20 +881,9 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   committed_.insert(cert.id.block);
   prof_block_cache_.clear();
   log_.clear();
-  results_.clear();
-  executed_.clear();
-  verified_.clear();  // pool state predating the snapshot is void
-  for (const checkpoint::ExecutedEntry& e : payload.executed) {
-    executed_[std::make_pair(e.client, e.req_id)] =
-        Executed{e.result, e.height};
-  }
-  client_watermark_.clear();
-  for (const auto& [client, req_id] : payload.watermarks) {
-    client_watermark_[client] = req_id;
-  }
-  prev_ckpt_height_ = cert.id.height;
-  executed_cmds_ = payload.executed_cmds;
-  ckpt_.advance_schedule(executed_cmds_);
+  exec_.restore(payload, cert.id.height);
+  intake_.clear_verified();
+  ckpt_.advance_schedule(exec_.executed_cmds());
   lwm_height_ = cert.id.height;
   ckpt_.install_stable(cert, std::move(payload_bytes), root);
   sync_requested_.clear();
@@ -1064,77 +914,52 @@ void ReplicaBase::handle_request(const Msg& m) {
   if (m.author < cfg_.n || m.author >= cfg_.keyring->size()) return;
   const auto req = ClientRequest::decode(m.data);
   if (!req.has_value() || req->client != m.author) return;
-  const auto key = std::make_pair(req->client, req->req_id);
-  const bool executed_known = executed_.count(key) > 0;
+  const Bytes* replay = exec_.find(req->client, req->req_id);
   // Free drops run before the metered signature verification so floods
   // cost the replica nothing beyond reception.
-  if (!executed_known) {
+  if (replay == nullptr) {
     // At or below the contiguous-executed frontier: this exact id
     // already executed and was acknowledged; its cached reply has been
     // GC'd since, so drop the retransmit.
-    const auto wm = client_watermark_.find(req->client);
-    if (wm != client_watermark_.end() && req->req_id <= wm->second) return;
-    // Per-client admission cap: a client flooding unique req_ids can
-    // hold at most `client_pending_cap` uncommitted slots in the pool
-    // (counted against actual pool contents, in the mempool).
-    if (cfg_.client_pending_cap > 0 &&
-        mempool_.client_pending(req->client) >= cfg_.client_pending_cap) {
-      ++client_cap_drops_;
-      return;
+    if (exec_.at_or_below_frontier(req->client, req->req_id)) return;
+    const auto screen =
+        intake_.screen(req->client, mempool_.client_pending(req->client));
+    if (screen == RequestIntake::Screen::kEarlyDrop &&
+        cfg_.profiler != nullptr) {
+      cfg_.profiler->count_early_drop();
     }
-    // Garbage-flood early drop: a client whose last kBadSigThreshold
-    // requests all failed verification is almost certainly flooding
-    // garbage signatures. Admit only every kBadSigRecheck'th frame to
-    // the metered verify (so an honest-again client recovers) and
-    // reject the rest before any energy is charged.
-    const auto bs = bad_sigs_.find(req->client);
-    if (bs != bad_sigs_.end() && bs->second >= kBadSigThreshold) {
-      if (++flood_seen_[req->client] % kBadSigRecheck != 0) {
-        ++early_drops_;
-        if (cfg_.profiler != nullptr) cfg_.profiler->count_early_drop();
-        return;
-      }
-    }
+    if (screen != RequestIntake::Screen::kAdmit) return;
   }
   // Every replica pools the same flooded request: the memo lets one
   // physical check of the embedded client signature serve the cluster.
-  if (!verify_metered(req->client, req->preimage(), req->sig,
-                      /*share=*/false, "request")) {
-    ++bad_sigs_[req->client];
-    return;
-  }
-  bad_sigs_.erase(req->client);
+  const bool ok = verify_metered(req->client, req->preimage(), req->sig,
+                                 /*share=*/false, "request");
+  intake_.verified(req->client, ok);
+  if (!ok) return;
   // Retransmit of an already-committed request: replay the stored
   // result instead of re-pooling (the original reply may have been
   // lost on a faulty routing path).
-  if (executed_known) {
-    reply_to_client(*req, executed_.find(key)->second.result);
+  if (replay != nullptr) {
+    reply_to_client(*req, *replay);
     return;
   }
   if (mempool_.submit(Command{m.data})) {
     prof_flow("pooled", req->client, req->req_id);
-    // The signature in these exact bytes just verified; remember the
-    // digest so the commit path can skip the re-check (single-use,
-    // lwm-GC'd).
-    verified_.emplace(crypto::Sha256::hash(m.data), committed_height_);
-    maybe_forward_request(m);
+    // The signature in these exact bytes just verified: the commit path
+    // can skip the re-check.
+    intake_.remember_verified(m.data, committed_height_);
+    // Flood-style request streams already reach every replica; under the
+    // unicast-style submission policies only the contacted subset hears
+    // a request, so the first replica to pool it (the mempool dedup
+    // above) hands it to the leader. The leader itself never forwards.
+    const auto kind = channel(energy::Stream::kRequest).policy().kind;
+    if ((kind == net::DisseminationPolicy::Kind::kRoutedUnicast ||
+         kind == net::DisseminationPolicy::Kind::kTargetedSubset) &&
+        !is_leader()) {
+      intake_.count_forward();
+      send(leader_of(v_cur_), m);
+    }
   }
-}
-
-void ReplicaBase::maybe_forward_request(const Msg& m) {
-  // Flood-style request streams already reach every replica; under the
-  // unicast-style submission policies only the contacted subset hears a
-  // request, so the first replica to pool it hands it to the leader.
-  // Forwarding happens at most once per pooled request (guarded by the
-  // mempool dedup at the caller), and the leader itself never forwards.
-  const auto kind = channel(energy::Stream::kRequest).policy().kind;
-  if (kind != net::DisseminationPolicy::Kind::kRoutedUnicast &&
-      kind != net::DisseminationPolicy::Kind::kTargetedSubset) {
-    return;
-  }
-  if (is_leader()) return;
-  ++requests_forwarded_;
-  send(leader_of(v_cur_), m);
 }
 
 void ReplicaBase::reply_to_client(const ClientRequest& req,
@@ -1181,35 +1006,29 @@ void ReplicaBase::on_deliver(NodeId origin, BytesView payload) {
     cfg_.profiler->count_codec("replica", "decode", stream_of(m.type),
                                payload.size());
   }
-  if (m.type == MsgType::kSyncRequest || m.type == MsgType::kSyncResponse) {
-    handle_sync(origin, m);
-    return;
+  switch (m.type) {
+    case MsgType::kSyncRequest:
+    case MsgType::kSyncResponse:
+      return handle_sync(origin, m);
+    case MsgType::kRequest:
+      return handle_request(m);
+    case MsgType::kCheckpoint:
+      // Authenticated by the dedicated checkpoint signature inside the
+      // payload (the one certificates collect); no outer Msg signature.
+      return handle_checkpoint(m);
+    case MsgType::kCheckpointCert:
+      // Self-authenticating: the embedded f+1 aggregate certificate is
+      // the proof; no outer Msg signature.
+      return handle_checkpoint_cert(m);
+    case MsgType::kStateRequest:
+      return handle_state_request(origin, m);
+    case MsgType::kStateResponse:
+      return handle_state_response(m);
+    case MsgType::kReply:
+      return;  // client-bound; not for replicas
+    default:
+      break;
   }
-  if (m.type == MsgType::kRequest) {
-    handle_request(m);
-    return;
-  }
-  if (m.type == MsgType::kCheckpoint) {
-    // Authenticated by the dedicated checkpoint signature inside the
-    // payload (the one certificates collect); no outer Msg signature.
-    handle_checkpoint(m);
-    return;
-  }
-  if (m.type == MsgType::kCheckpointCert) {
-    // Self-authenticating: the embedded f+1 aggregate certificate is the
-    // proof; no outer Msg signature.
-    handle_checkpoint_cert(m);
-    return;
-  }
-  if (m.type == MsgType::kStateRequest) {
-    handle_state_request(origin, m);
-    return;
-  }
-  if (m.type == MsgType::kStateResponse) {
-    handle_state_response(m);
-    return;
-  }
-  if (m.type == MsgType::kReply) return;  // client-bound; not for replicas
   if (requires_signature_check(m) && !verify_msg(m)) return;
   handle(origin, m);
 }

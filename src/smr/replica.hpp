@@ -1,6 +1,10 @@
 // Shared replica plumbing for every protocol implementation: signing and
 // verification with energy metering, flood-router communication, the
-// block store with chain synchronization, and the committed log.
+// block store with chain synchronization, the committed log, and the
+// checkpoint and state-transfer path. Client-request bookkeeping lives in
+// two pure-logic components the replica drives: RequestIntake (pool-time
+// drops and the verified-bytes cache) and ExecutionLog (exactly-once
+// execution and the reply cache checkpoints snapshot).
 #pragma once
 
 #include <array>
@@ -24,11 +28,13 @@
 #include "src/sim/scheduler.hpp"
 #include "src/smr/app.hpp"
 #include "src/smr/chain.hpp"
+#include "src/smr/execution_log.hpp"
 #include "src/smr/mempool.hpp"
 #include "src/smr/membership.hpp"
 #include "src/smr/message.hpp"
 #include "src/smr/quorum_tally.hpp"
 #include "src/smr/request.hpp"
+#include "src/smr/request_intake.hpp"
 
 namespace eesmr::smr {
 
@@ -173,10 +179,11 @@ class ReplicaBase : public net::FloodClient {
   }
   /// Stable-checkpoint height below which log/state was truncated.
   [[nodiscard]] std::uint64_t low_water_mark() const { return lwm_height_; }
-  /// Entries in the exactly-once reply cache (bounded by checkpoint GC).
-  [[nodiscard]] std::size_t executed_entries() const {
-    return executed_.size();
-  }
+  /// Exactly-once execution state: the reply cache and client frontiers.
+  [[nodiscard]] const ExecutionLog& execution() const { return exec_; }
+  /// Pool-time request bookkeeping: drop counters, verified-bytes cache
+  /// hits and leader forwards.
+  [[nodiscard]] const RequestIntake& intake() const { return intake_; }
   /// Blocks in the request-flow hook cache (bounded by checkpoint GC).
   [[nodiscard]] std::size_t prof_block_cache_entries() const {
     std::size_t n = 0;
@@ -190,28 +197,11 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] sim::Duration last_recovery_time() const {
     return last_recovery_;
   }
-  /// Requests rejected by the per-client pending cap.
-  [[nodiscard]] std::uint64_t requests_rejected() const {
-    return client_cap_drops_;
-  }
-  /// Commit-time request re-verifications skipped because the same bytes
-  /// passed the pool-time check.
-  [[nodiscard]] std::uint64_t verified_cache_hits() const {
-    return verified_hits_;
-  }
   /// Verified-signature cache (votes / checkpoint attestations): metered
   /// re-verifications skipped at certificate tallies.
   [[nodiscard]] std::uint64_t sig_cache_hits() const {
     return sig_cache_hits_;
   }
-  /// Client requests forwarded to the leader (unicast-style request
-  /// streams only).
-  [[nodiscard]] std::uint64_t requests_forwarded() const {
-    return requests_forwarded_;
-  }
-  /// Known-bad flood frames rejected before the metered signature
-  /// verification (the garbage-flood early-drop filter).
-  [[nodiscard]] std::uint64_t early_drops() const { return early_drops_; }
   /// Sparse flood-router dedup entries currently held (seen-window
   /// tails; bounded even under adversarial duplication/reordering).
   [[nodiscard]] std::size_t flood_dedup_entries() const {
@@ -245,14 +235,10 @@ class ReplicaBase : public net::FloodClient {
   void set_tolerate_fork(bool tolerate) { tolerate_fork_ = tolerate; }
 
   /// Attach an execution-layer state machine: every committed command is
-  /// applied in log order; results are the per-request acknowledgments a
-  /// client matches f+1-fold (§3). The app must outlive the replica.
+  /// applied in log order; a client request's result is the signed reply
+  /// a client matches f+1-fold (§3). The app must outlive the replica.
   void attach_app(StateMachine* app) { app_ = app; }
   [[nodiscard]] StateMachine* app() const { return app_; }
-  /// Execution results in commit order (one per committed command).
-  [[nodiscard]] const std::vector<Bytes>& execution_results() const {
-    return results_;
-  }
 
   /// Round-robin leader assignment over the active signer set
   /// (Leader(v) in the paper; identical to `view % n` until a committed
@@ -454,7 +440,6 @@ class ReplicaBase : public net::FloodClient {
 
   // -- profiling -------------------------------------------------------------------
   // cfg_.profiler forwarders; all no-ops without a profiler attached.
-  [[nodiscard]] prof::Profiler* profiler() const { return cfg_.profiler; }
   /// Count one crypto op against this replica at `site`.
   void prof_crypto(const char* op, const char* site);
   /// Emit a flow step (with its anchoring slice) for one sampled request.
@@ -542,9 +527,6 @@ class ReplicaBase : public net::FloodClient {
       const Bytes& preimage,
       const std::vector<std::pair<NodeId, Bytes>>& sigs,
       std::size_t quorum_size, const char* site);
-  /// Unicast-style request streams only: hand a freshly pooled request
-  /// on to the current leader so it gets proposed.
-  void maybe_forward_request(const Msg& m);
 
   /// One typed channel per stream, opened in the constructor with the
   /// configured (or protocol-default) policy.
@@ -563,6 +545,11 @@ class ReplicaBase : public net::FloodClient {
   /// Collector side of the aggregate scheme: fold a freshly assembled
   /// share tally into the O(1) aggregate form and flood kCheckpointCert.
   void broadcast_checkpoint_cert(const checkpoint::CheckpointCert& cert);
+  /// An individual-form cert of share signatures folded into the O(1)
+  /// aggregate form, tagged with the latest generation containing every
+  /// signer. Charges the combine.
+  [[nodiscard]] checkpoint::CheckpointCert fold_checkpoint_cert(
+      const checkpoint::CheckpointCert& cert);
   void handle_checkpoint_cert(const Msg& msg);
   void handle_state_request(NodeId from, const Msg& msg);
   /// Send the current stable checkpoint snapshot to `from` (once per
@@ -590,81 +577,23 @@ class ReplicaBase : public net::FloodClient {
   StateMachine* app_ = nullptr;
   OutboundPolicy* outbound_ = nullptr;
   bool tolerate_fork_ = false;
-  std::vector<Bytes> results_;
-  /// First execution result per (client, req_id): a request re-proposed
-  /// across a view change can land in two committed blocks; the cache
-  /// keeps execution exactly-once and lets retransmits replay replies.
-  ///
-  /// With checkpointing on, entries are garbage-collected one interval
-  /// after recording — at checkpoint-TAKING points, which are a
-  /// deterministic function of the committed log, so the cache contents
-  /// (and hence every commit-time dedup decision) stay identical across
-  /// replicas; snapshots carry the live entries so restored replicas
-  /// agree too. A duplicate surfacing after its entry's GC re-executes —
-  /// deterministically on every correct replica, so state stays
-  /// consistent. Exactly-once is therefore guaranteed within the
-  /// retention window and, beyond it, for every id at or below the
-  /// contiguous frontier; an executed id ABOVE a frontier gap (a lower
-  /// id shed by admission control) whose retransmits outlive the window
-  /// can re-execute — consistently everywhere. See ROADMAP.
-  struct Executed {
-    Bytes result;
-    std::uint64_t height = 0;  ///< block height the request executed at
-  };
-  std::map<std::pair<NodeId, std::uint64_t>, Executed> executed_;
-  /// Per-client CONTIGUOUS executed frontier: the largest F such that
-  /// req_ids 1..F have all executed. Advanced at execution time (a
-  /// deterministic function of the log) and carried in snapshots.
-  /// handle_request drops requests at or below it once their executed_
-  /// entry is GC'd (the reply was already delivered; the stored result
-  /// is gone). Deliberately NOT the max executed id: an id shed by
-  /// admission control while its successors committed sits in a gap
-  /// below the max, and a max-based floor would drop its retransmits
-  /// forever. Pool-side only — never consulted on the commit path.
-  /// Clients issue ascending ids starting at 1.
-  std::map<NodeId, std::uint64_t> client_watermark_;
-  /// Height of the previous taken checkpoint (the executed_ GC cut).
-  std::uint64_t prev_ckpt_height_ = 0;
-  std::uint64_t client_cap_drops_ = 0;
-  /// Verified-bytes cache: SHA-256 digests of request encodings whose
-  /// embedded client signature was verified at pool time
-  /// (handle_request), mapped to the committed height current when
-  /// recorded. The commit path consumes an entry instead of
-  /// re-verifying — the digest covers the exact command bytes a block
-  /// carries, so a Byzantine leader proposing altered bytes misses the
-  /// cache and still pays (and fails) the re-check. Keyed by digest
-  /// rather than the full encoding so an entry costs 32 bytes, not a
-  /// payload copy; the index hashing is a data-structure detail (a real
-  /// node would index by pointer) and is not charged to the meter.
-  /// Entries are erased on use; never-committed leftovers are GC'd as
-  /// the low-water mark advances (they then cost a re-verify if they
-  /// surface later, which is correct, just not free).
-  std::map<crypto::Sha256Digest, std::uint64_t> verified_;
-  std::uint64_t verified_hits_ = 0;
+  ExecutionLog exec_;
+  RequestIntake intake_{cfg_.client_pending_cap};
   /// Verified-signature cache: digests of (author, preimage, signature)
   /// triples this node verified individually — vote-class messages and
   /// checkpoint attestations — mapped to the committed height current
   /// when recorded. Certificate tallies (verify_qc /
   /// verify_checkpoint_cert) consult it per contained signature: a hit
   /// means this exact signature already passed on this node, so the
-  /// tally skips the metered re-verification. Unlike verified_, entries
-  /// are multi-use (a commitQC and a status message may both carry the
-  /// same vote) and GC'd by the same low-water-mark rule.
+  /// tally skips the metered re-verification. Unlike RequestIntake's
+  /// verified-bytes cache, entries are multi-use (a commitQC and a status
+  /// message may both carry the same vote) and GC'd by the same
+  /// low-water-mark rule.
   std::map<crypto::Sha256Digest, std::uint64_t> sig_verified_;
   std::uint64_t sig_cache_hits_ = 0;
-  std::uint64_t requests_forwarded_ = 0;
   /// Reused outbound encoder (broadcast/send): clear() keeps the
   /// allocation across encodes.
   Writer wire_writer_;
-
-  // -- garbage-flood early drop --------------------------------------------------
-  /// Consecutive failed request-signature verifications per client; at
-  /// kBadSigThreshold the early-drop filter engages for that client.
-  std::map<NodeId, std::uint32_t> bad_sigs_;
-  /// Frames seen from a throttled client (drives the deterministic
-  /// 1-in-kBadSigRecheck re-admission sampling).
-  std::map<NodeId, std::uint64_t> flood_seen_;
-  std::uint64_t early_drops_ = 0;
 
   /// Sampled requests per block, keyed by height then digest, so
   /// vote/commit flow hooks do not re-decode every command on every call.
@@ -678,7 +607,6 @@ class ReplicaBase : public net::FloodClient {
   std::vector<Msg> retry_;
 
   checkpoint::CheckpointManager ckpt_;
-  std::uint64_t executed_cmds_ = 0;  ///< cumulative committed commands
   std::uint64_t lwm_height_ = 0;
   /// Peers already served the current stable snapshot (rate limit).
   std::set<NodeId> st_served_;

@@ -121,15 +121,6 @@ void AttestationTracker::rebase(NodeId node) {
   senders_[node].rebase_pending = true;
 }
 
-std::uint64_t AttestationTracker::rebases_pending() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : senders_) {
-    (void)node;
-    if (s.rebase_pending) ++n;
-  }
-  return n;
-}
-
 void AttestationTracker::skip_to(NodeId node, std::uint64_t counter) {
   if (counter == 0) return;
   PerSender& s = senders_[node];

@@ -129,8 +129,6 @@ class AttestationTracker {
   /// skipped values stay permanently unacceptable (no digest memory →
   /// late arrivals classify as replays), so no value is accepted twice.
   void rebase(NodeId node);
-  /// Rebases still pending (armed but not yet consumed by an arrival).
-  [[nodiscard]] std::uint64_t rebases_pending() const;
 
   /// Abandon waiting for values below `counter` from `node`: adopt
   /// counter-1 as the new frontier so `counter` itself becomes the next

@@ -1,12 +1,16 @@
 // Checkpoint subsystem: certificate wire formats and verification, the
 // signature tracker, bounded replica memory under sustained load (log
 // truncation + dedup-set GC at the low-water mark), snapshot state
-// transfer for late joiners, and the admission-control satellites.
+// transfer for late joiners (and a rejected state response that must not
+// wedge it), and the admission-control satellites.
 #include "src/checkpoint/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
+#include "src/common/serde.hpp"
+#include "src/crypto/sha256.hpp"
 #include "src/harness/cluster.hpp"
+#include "src/smr/app.hpp"
 #include "tests/cert_probe.hpp"
 
 namespace eesmr::checkpoint {
@@ -188,6 +192,125 @@ TEST(CheckpointManager, ServesOnlyTheStableSnapshot) {
   ASSERT_NE(mgr.block_for(8), nullptr);
   EXPECT_EQ(mgr.block_for(8)->height, 8u);
   EXPECT_EQ(mgr.payload_for(4), nullptr);  // only the stable height
+}
+
+// ---------------------------------------------------------------------------
+// Replica-level: a rejected state response must not wedge state transfer
+// ---------------------------------------------------------------------------
+
+/// Withholds every outbound message of the probe it is installed on (it
+/// has no peers) and records the height each kStateRequest asks for.
+class StateRequestLog final : public smr::OutboundPolicy {
+ public:
+  bool allow(const smr::Msg& m, NodeId) override {
+    if (m.type == smr::MsgType::kStateRequest) {
+      Reader r(m.data);
+      heights.push_back(r.u64());
+    }
+    return false;
+  }
+  std::vector<std::uint64_t> heights;
+};
+
+/// A probe replica 0 of n = 4, f = 1, checkpointing every 16 commands.
+struct StateTransferProbe {
+  StateTransferProbe()
+      : ring(crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, 4, 7)),
+        node([this] {
+          smr::ReplicaConfig cfg = smr::probe_config(4, 1, ring);
+          cfg.checkpoint_interval = 16;
+          return cfg;
+        }()) {
+    node.replica.set_outbound_policy(&log);
+  }
+
+  void deliver(NodeId from, const smr::Msg& m) {
+    net::FloodClient& client = node.replica;
+    client.on_deliver(from, m.encode());
+  }
+  /// Replica 1's signed kStateResponse carrying `cert`, `root`, `payload`.
+  void respond(const CheckpointCert& cert, const smr::Block& root,
+               const SnapshotPayload& payload) {
+    Writer w;
+    w.bytes(cert.encode());
+    w.bytes(root.encode());
+    w.bytes(payload.encode());
+    smr::Msg m;
+    m.type = smr::MsgType::kStateResponse;
+    m.view = 1;
+    m.author = 1;
+    m.data = w.take();
+    m.sig = ring->signer(1).sign(m.preimage());
+    deliver(1, m);
+  }
+  /// Replicas 1 and 2 (f+1) attest `id`: the probe learns a stable
+  /// certificate for it.
+  void attest(const CheckpointId& id) {
+    for (NodeId i = 1; i <= 2; ++i) {
+      CheckpointMsg cp;
+      cp.id = id;
+      cp.sig = ring->signer(i).sign(id.preimage());
+      smr::Msg m;
+      m.type = smr::MsgType::kCheckpoint;
+      m.view = 1;
+      m.author = i;
+      m.data = cp.encode();
+      deliver(i, m);
+    }
+  }
+
+  std::shared_ptr<crypto::Keyring> ring;
+  smr::ProbeNode node;
+  StateRequestLog log;
+};
+
+smr::Block checkpoint_block(std::uint64_t height) {
+  smr::Block b;
+  b.parent = Bytes(32, 0x44);
+  b.height = height;
+  b.view = 1;
+  b.proposer = 0;
+  return b;
+}
+
+TEST(StateTransfer, ForgedResponseDoesNotBlockALaterGenuineCheckpoint) {
+  // A replica-signed response claiming a huge height with a certificate
+  // no quorum signed: rejected at verification.
+  StateTransferProbe p;
+  CheckpointCert forged;
+  forged.id = make_id(1'000'000, "forged");
+  forged.sigs = {{1, Bytes(16, 0)}, {2, Bytes(16, 0)}};
+  p.respond(forged, checkpoint_block(1'000'000), SnapshotPayload{});
+  // A genuine certificate far above the probe's commits must still start
+  // a transfer for its own height.
+  CheckpointId genuine = make_id(64, "genuine");
+  p.attest(genuine);
+  EXPECT_EQ(p.log.heights, std::vector<std::uint64_t>{64});
+  EXPECT_EQ(p.node.replica.state_transfers(), 0u);
+}
+
+TEST(StateTransfer, AppIncompatibleSnapshotDoesNotBlockItsCheckpoint) {
+  // Certificate, block and digest all check out, but the app cannot
+  // restore the snapshot: rejected after every cryptographic check.
+  StateTransferProbe p;
+  smr::KvStore app;
+  p.node.replica.attach_app(&app);
+  SnapshotPayload payload;
+  payload.app_snapshot = to_bytes(std::string("not a kv snapshot"));
+  const smr::Block root = checkpoint_block(64);
+  CheckpointCert cert;
+  cert.id.height = 64;
+  cert.id.block = root.hash();
+  cert.id.digest = crypto::sha256(payload.encode());
+  for (NodeId i = 1; i <= 2; ++i) {
+    cert.sigs.emplace_back(i, p.ring->signer(i).sign(cert.id.preimage()));
+  }
+  p.respond(cert, root, payload);
+  EXPECT_EQ(p.node.replica.state_transfers(), 0u);
+  // The same checkpoint, learned from attestations, still starts a
+  // transfer (to be served by a signer with a usable snapshot).
+  p.attest(cert.id);
+  EXPECT_EQ(p.log.heights, std::vector<std::uint64_t>{64});
 }
 
 // ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ TEST(VerifiedCache, HalvesHonestPathRequestVerifications) {
 
     std::uint64_t request_hits = 0;
     for (NodeId i = 0; i < cfg.n; ++i) {
-      request_hits += cluster.replica(i).verified_cache_hits();
+      request_hits += cluster.replica(i).intake().verified_hits();
     }
     EXPECT_EQ(request_hits, 20u * cfg.n);
     if (in.protocol == harness::Protocol::kSyncHotStuff) {

@@ -318,7 +318,7 @@ TEST(Prof, GarbageFloodEngagesEarlyDropAfterThreshold) {
   EXPECT_GT(r.prof.early_drops, 0u);
   std::uint64_t replica_drops = 0;
   for (NodeId i = 0; i < 4; ++i) {
-    replica_drops += cluster.replica(i).early_drops();
+    replica_drops += cluster.replica(i).intake().early_drops();
   }
   EXPECT_EQ(replica_drops, r.prof.early_drops);
   // The honest workload is unaffected.
