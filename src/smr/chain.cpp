@@ -15,9 +15,7 @@ bool BlockStore::add(const Block& block) {
   if (blocks_.count(k) > 0) return true;
   const auto parent = blocks_.find(block.parent);
   if (parent == blocks_.end()) return false;
-  if (block.height != parent->second.height + 1) {
-    throw std::invalid_argument("BlockStore::add: height mismatch");
-  }
+  if (block.height != parent->second.height + 1) return false;
   blocks_.emplace(k, block);
   return true;
 }

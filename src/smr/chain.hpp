@@ -18,10 +18,10 @@ class BlockStore {
   BlockStore();
 
   /// Insert a block whose parent is already known. Returns false (and
-  /// stores nothing) when the parent is missing — use add_orphan then.
-  /// Re-inserting an existing block is a harmless no-op (returns true).
-  /// Throws std::invalid_argument when the height is inconsistent with
-  /// the parent.
+  /// stores nothing) when the parent is missing — use add_orphan then —
+  /// or when the height does not follow the parent's: such a block is
+  /// malformed and is never stored. Re-inserting an existing block is a
+  /// harmless no-op (returns true).
   bool add(const Block& block);
 
   /// Buffer a block whose ancestry is not yet connected.
@@ -43,7 +43,8 @@ class BlockStore {
   [[nodiscard]] std::optional<Block> deepest_orphan() const;
 
   /// Try to connect orphans after new blocks arrived. Returns the blocks
-  /// adopted (in ancestry order).
+  /// adopted (in ancestry order); an orphan whose height does not follow
+  /// its now-known parent's is dropped.
   std::vector<Block> adopt_orphans();
 
   [[nodiscard]] bool contains(const BlockHash& h) const;

@@ -375,6 +375,8 @@ void ReplicaBase::send(NodeId to, const Msg& m) {
 
 bool ReplicaBase::integrate_block(const Block& block, NodeId origin) {
   if (store_.add(block)) return true;
+  // Parent held, so the height does not follow it: malformed, dropped.
+  if (store_.contains(block.parent)) return false;
   store_.add_orphan(block);
   // Request the missing ancestry once per parent hash.
   if (sync_requested_.insert(block.parent).second) {
@@ -1071,7 +1073,7 @@ void ReplicaBase::handle_sync(NodeId from, const Msg& msg) {
     const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count && i < kMaxSyncBlocks; ++i) {
       const Block b = Block::decode(r.bytes());
-      if (!store_.add(b)) store_.add_orphan(b);
+      if (!store_.add(b) && !store_.contains(b.parent)) store_.add_orphan(b);
     }
   } catch (const SerdeError&) {
     return;

@@ -151,11 +151,24 @@ TEST(BlockStore, RejectsMissingParent) {
   EXPECT_FALSE(store.contains(b2.hash()));
 }
 
-TEST(BlockStore, HeightMismatchThrows) {
+TEST(BlockStore, HeightMismatchIsRefused) {
   BlockStore store;
   Block bad = make_child(genesis_block(), 3, "a");
   bad.height = 5;
-  EXPECT_THROW(store.add(bad), std::invalid_argument);
+  EXPECT_FALSE(store.add(bad));
+  EXPECT_FALSE(store.contains(bad.hash()));
+}
+
+TEST(BlockStore, OrphanWithHeightMismatchIsDroppedOnAdoption) {
+  BlockStore store;
+  const Block b1 = make_child(genesis_block(), 3, "a");
+  Block bad = make_child(b1, 4, "b");
+  bad.height = 7;
+  store.add_orphan(bad);
+  store.add(b1);
+  EXPECT_TRUE(store.adopt_orphans().empty());
+  EXPECT_FALSE(store.contains(bad.hash()));
+  EXPECT_EQ(store.orphan_count(), 0u);
 }
 
 TEST(BlockStore, OrphanAdoption) {

@@ -2,7 +2,8 @@
 // tests verify quorum and checkpoint certificates by the rules replicas
 // run: replica-range and distinct signers, the verified-signature cache,
 // and, under the aggregate scheme, the signer-bitset width and the
-// membership-generation gate.
+// membership-generation gate. It also exposes the block intake, so tests
+// can feed the chain without a protocol.
 #pragma once
 
 #include <memory>
@@ -20,6 +21,7 @@ namespace eesmr::smr {
 class QcProbe final : public ReplicaBase {
  public:
   using ReplicaBase::ReplicaBase;
+  using ReplicaBase::integrate_block;
   using ReplicaBase::verify_checkpoint_cert;
   using ReplicaBase::verify_qc;
   void start() override {}

@@ -4,6 +4,8 @@
 // interesting boundary cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/checkpoint/checkpoint.hpp"
 #include "src/common/serde.hpp"
 #include "src/crypto/agg.hpp"
@@ -506,6 +508,93 @@ TEST(FuzzDecode, LengthPrefixBombsRejected) {
                   w.buffer());
   Reader r(w.buffer());
   EXPECT_THROW((void)r.bytes(), SerdeError);
+}
+
+// ---------------------------------------------------------------------------
+// Well-encoded blocks whose height does not follow their parent's
+// ---------------------------------------------------------------------------
+
+/// Records the type of every message the probe sends (it has no peers,
+/// so nothing leaves).
+class SendLog final : public smr::OutboundPolicy {
+ public:
+  bool allow(const smr::Msg& m, NodeId) override {
+    types.push_back(m.type);
+    return false;
+  }
+  [[nodiscard]] std::size_t count(smr::MsgType t) const {
+    return static_cast<std::size_t>(std::count(types.begin(), types.end(), t));
+  }
+  std::vector<smr::MsgType> types;
+};
+
+/// Probe replica 0 of n = 4 that hears replica 1's signed kSyncResponses.
+struct SyncProbe {
+  SyncProbe()
+      : ring(crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, 4, 7)),
+        node(smr::probe_config(4, 1, ring)) {
+    node.replica.set_outbound_policy(&log);
+  }
+  /// Deliver replica 1's kSyncResponse carrying `blocks`, deepest first.
+  void sync_response(const std::vector<smr::Block>& blocks) {
+    Writer w;
+    w.u32(static_cast<std::uint32_t>(blocks.size()));
+    for (const smr::Block& b : blocks) w.bytes(b.encode());
+    smr::Msg m;
+    m.type = smr::MsgType::kSyncResponse;
+    m.view = 1;
+    m.author = 1;
+    m.data = w.take();
+    m.sig = ring->signer(1).sign(m.preimage());
+    net::FloodClient& client = node.replica;
+    client.on_deliver(1, m.encode());
+  }
+
+  std::shared_ptr<crypto::Keyring> ring;
+  smr::ProbeNode node;
+  SendLog log;
+};
+
+smr::Block block_at(const smr::BlockHash& parent, std::uint64_t height) {
+  smr::Block b;
+  b.parent = parent;
+  b.height = height;
+  b.view = 1;
+  b.proposer = 1;
+  return b;
+}
+
+TEST(FuzzDecode, BadHeightBlockFromSyncIsDropped) {
+  SyncProbe p;
+  const smr::Block bad = block_at(smr::genesis_hash(), 5);
+  EXPECT_NO_THROW(p.sync_response({bad}));
+  EXPECT_FALSE(p.node.replica.store().contains(bad.hash()));
+  EXPECT_EQ(p.node.replica.store().orphan_count(), 0u);
+  EXPECT_EQ(p.log.count(smr::MsgType::kSyncRequest), 0u);
+}
+
+TEST(FuzzDecode, BadHeightProposedBlockIsDropped) {
+  // integrate_block is every protocol's entry for a proposal's block.
+  SyncProbe p;
+  const smr::Block bad = block_at(smr::genesis_hash(), 5);
+  bool integrated = true;
+  EXPECT_NO_THROW(integrated = p.node.replica.integrate_block(bad, 1));
+  EXPECT_FALSE(integrated);
+  EXPECT_FALSE(p.node.replica.store().contains(bad.hash()));
+  EXPECT_EQ(p.node.replica.store().orphan_count(), 0u);
+  EXPECT_EQ(p.log.count(smr::MsgType::kSyncRequest), 0u);
+}
+
+TEST(FuzzDecode, BadHeightOrphanIsDroppedWhenItsParentArrives) {
+  SyncProbe p;
+  const smr::Block b1 = block_at(smr::genesis_hash(), 1);
+  const smr::Block bad = block_at(b1.hash(), 5);
+  p.sync_response({bad});  // parent unknown: parked as an orphan
+  EXPECT_EQ(p.node.replica.store().orphan_count(), 1u);
+  EXPECT_NO_THROW(p.sync_response({b1}));
+  EXPECT_TRUE(p.node.replica.store().contains(b1.hash()));
+  EXPECT_FALSE(p.node.replica.store().contains(bad.hash()));
+  EXPECT_EQ(p.node.replica.store().orphan_count(), 0u);
 }
 
 }  // namespace
