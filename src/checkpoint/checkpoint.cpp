@@ -230,12 +230,13 @@ std::optional<CheckpointCert> CheckpointManager::add_signature(
   cert.id = id;
   cert.sigs = votes;
   stable_ = cert;
-  // Promote the matching pending snapshot to the serving slot.
+  // Promote the matching pending snapshot to the serving slot; without
+  // one, nothing is served until a snapshot for this height is held.
   const auto pend = pending_.find(id.height);
-  if (pend != pending_.end() && pend->second.id == id) {
+  serving_valid_ = pend != pending_.end() && pend->second.id == id;
+  if (serving_valid_) {
     serving_payload_ = std::move(pend->second.payload);
     serving_block_ = std::move(pend->second.block);
-    serving_valid_ = true;
   }
   pending_.erase(pending_.begin(), pending_.upper_bound(id.height));
   gc_tallies_below(id.height);
@@ -247,10 +248,10 @@ bool CheckpointManager::install_certified(const CheckpointCert& cert) {
   if (stable_ && cert.id.height <= stable_->id.height) return false;
   stable_ = cert;
   const auto pend = pending_.find(cert.id.height);
-  if (pend != pending_.end() && pend->second.id == cert.id) {
+  serving_valid_ = pend != pending_.end() && pend->second.id == cert.id;
+  if (serving_valid_) {
     serving_payload_ = std::move(pend->second.payload);
     serving_block_ = std::move(pend->second.block);
-    serving_valid_ = true;
   }
   pending_.erase(pending_.begin(), pending_.upper_bound(cert.id.height));
   gc_tallies_below(cert.id.height);

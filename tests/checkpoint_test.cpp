@@ -194,6 +194,35 @@ TEST(CheckpointManager, ServesOnlyTheStableSnapshot) {
   EXPECT_EQ(mgr.payload_for(4), nullptr);  // only the stable height
 }
 
+TEST(CheckpointManager, NoSnapshotIsServedForANewerStableCheckpoint) {
+  // Stable at 8 with a local snapshot, then stable at 16 with none,
+  // reached by quorum or by a received certificate: the height-8
+  // snapshot must not be served under the newer certificate.
+  const Bytes sig = to_bytes(std::string("s"));
+  const auto stable_at_8 = [&](CheckpointManager& mgr) {
+    smr::Block b;
+    b.height = 8;
+    mgr.record_local(make_id(8, "d8"), to_bytes(std::string("payload")), b);
+    mgr.add_signature(0, make_id(8, "d8"), sig);
+    mgr.add_signature(1, make_id(8, "d8"), sig);
+    ASSERT_NE(mgr.payload_for(8), nullptr);
+  };
+  CheckpointManager by_quorum(8, 2);
+  stable_at_8(by_quorum);
+  by_quorum.add_signature(0, make_id(16, "d16"), sig);
+  ASSERT_TRUE(by_quorum.add_signature(1, make_id(16, "d16"), sig).has_value());
+  EXPECT_EQ(by_quorum.payload_for(16), nullptr);
+  EXPECT_EQ(by_quorum.block_for(16), nullptr);
+
+  CheckpointManager by_cert(8, 2);
+  stable_at_8(by_cert);
+  CheckpointCert cert;
+  cert.id = make_id(16, "d16");
+  ASSERT_TRUE(by_cert.install_certified(cert));
+  EXPECT_EQ(by_cert.payload_for(16), nullptr);
+  EXPECT_EQ(by_cert.block_for(16), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Replica-level: a rejected state response must not wedge state transfer
 // ---------------------------------------------------------------------------
