@@ -845,8 +845,13 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   // snapshot bytes against it. An unsolicited response (a sync peer
   // noticed we asked for history it truncated — chain sync provably
   // cannot close that gap) is safe to adopt whenever it is ahead of our
-  // commits: the checkpointed state is final.
-  if (cert.id.height <= committed_height_) return;
+  // commits: the checkpointed state is final. A response below the
+  // stable checkpoint is stale: installing it would move the stable
+  // checkpoint down and abandon the transfer in flight.
+  if (cert.id.height <= committed_height_ ||
+      cert.id.height < ckpt_.stable_height()) {
+    return;
+  }
   if (!verify_checkpoint_cert(cert)) return;
   if (root.height != cert.id.height) return;
   if (hash_block(root) != cert.id.block) return;

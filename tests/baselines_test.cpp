@@ -780,20 +780,20 @@ TEST(SyncViewChangeGolden, BlameViewChangesAreUnchanged) {
        "membership_generation=0 acceptance_certs=0",
        3757056.4150001593},
       {"optsync", Protocol::kOptSync, 5, 0, kAgg, AttackKind::kCrash,
-       "nodes=7 safety_ok=1 min_committed=676 max_committed=676 "
-       "view_changes=2 transmissions=22556 bytes_transmitted=6775043 "
-       "requests_submitted=209 requests_accepted=207 "
+       "nodes=7 safety_ok=1 min_committed=677 max_committed=678 "
+       "view_changes=2 transmissions=22578 bytes_transmitted=6785220 "
+       "requests_submitted=208 requests_accepted=206 "
        "request_retransmissions=0 requests_dropped=0 "
        "requests_rate_limited=0 request_failovers=0 "
        "requests_forwarded=0 request_hints_applied=0 "
        "controller_dedup_saved=0 controller_dedup_bytes_saved=0 "
-       "latency_samples=207 state_transfers=165 max_retained_log=3 "
-       "max_dedup_entries=6 max_store_blocks=7 "
+       "latency_samples=206 state_transfers=165 max_retained_log=5 "
+       "max_dedup_entries=7 max_store_blocks=9 "
        "max_checkpoints_taken=85 safety_violations=0 liveness_ok=1 "
        "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
        "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
-       "membership_generation=0 acceptance_certs=207",
-       63351052.09999913},
+       "membership_generation=0 acceptance_certs=206",
+       63498090.184999123},
       {"optsync", Protocol::kOptSync, 5, 0, kAgg, AttackKind::kChaseLeader,
        "nodes=7 safety_ok=1 min_committed=356 max_committed=382 "
        "view_changes=22 transmissions=20235 bytes_transmitted=5637823 "

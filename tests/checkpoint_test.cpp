@@ -288,6 +288,19 @@ struct StateTransferProbe {
     }
   }
 
+  /// A certificate replicas 1 and 2 (f+1) signed for `root` and `payload`.
+  CheckpointCert cert_for(const smr::Block& root,
+                          const SnapshotPayload& payload) const {
+    CheckpointCert cert;
+    cert.id.height = root.height;
+    cert.id.block = root.hash();
+    cert.id.digest = crypto::sha256(payload.encode());
+    for (NodeId i = 1; i <= 2; ++i) {
+      cert.sigs.emplace_back(i, ring->signer(i).sign(cert.id.preimage()));
+    }
+    return cert;
+  }
+
   std::shared_ptr<crypto::Keyring> ring;
   smr::ProbeNode node;
   StateRequestLog log;
@@ -327,19 +340,28 @@ TEST(StateTransfer, AppIncompatibleSnapshotDoesNotBlockItsCheckpoint) {
   SnapshotPayload payload;
   payload.app_snapshot = to_bytes(std::string("not a kv snapshot"));
   const smr::Block root = checkpoint_block(64);
-  CheckpointCert cert;
-  cert.id.height = 64;
-  cert.id.block = root.hash();
-  cert.id.digest = crypto::sha256(payload.encode());
-  for (NodeId i = 1; i <= 2; ++i) {
-    cert.sigs.emplace_back(i, p.ring->signer(i).sign(cert.id.preimage()));
-  }
+  const CheckpointCert cert = p.cert_for(root, payload);
   p.respond(cert, root, payload);
   EXPECT_EQ(p.node.replica.state_transfers(), 0u);
   // The same checkpoint, learned from attestations, still starts a
   // transfer (to be served by a signer with a usable snapshot).
   p.attest(cert.id);
   EXPECT_EQ(p.log.heights, std::vector<std::uint64_t>{64});
+}
+
+TEST(StateTransfer, OlderResponseDoesNotLowerTheStableCheckpoint) {
+  StateTransferProbe p;
+  p.attest(make_id(128, "d128"));  // a transfer to 128 is in flight
+  ASSERT_EQ(p.log.heights, std::vector<std::uint64_t>{128});
+  // A genuine but older checkpoint, answered late.
+  const smr::Block root = checkpoint_block(64);
+  p.respond(p.cert_for(root, SnapshotPayload{}), root, SnapshotPayload{});
+  EXPECT_EQ(p.node.replica.checkpoints().stable_height(), 128u);
+  EXPECT_EQ(p.node.replica.state_transfers(), 0u);
+  // The transfer to 128 carries on: its retry timer asks again.
+  p.node.sched.run_until(sim::seconds(1));
+  ASSERT_GE(p.log.heights.size(), 2u);
+  EXPECT_EQ(p.log.heights[1], 128u);
 }
 
 // ---------------------------------------------------------------------------
