@@ -2,8 +2,9 @@
 // tests verify quorum and checkpoint certificates by the rules replicas
 // run: replica-range and distinct signers, the verified-signature cache,
 // and, under the aggregate scheme, the signer-bitset width and the
-// membership-generation gate. It also exposes the block intake, so tests
-// can feed the chain without a protocol.
+// membership-generation gate. It also exposes the block intake, commit
+// and request-flow hooks, so tests can drive the chain without a
+// protocol.
 #pragma once
 
 #include <memory>
@@ -21,7 +22,9 @@ namespace eesmr::smr {
 class QcProbe final : public ReplicaBase {
  public:
   using ReplicaBase::ReplicaBase;
+  using ReplicaBase::commit_chain;
   using ReplicaBase::integrate_block;
+  using ReplicaBase::prof_flow_block;
   using ReplicaBase::verify_checkpoint_cert;
   using ReplicaBase::verify_qc;
   void start() override {}

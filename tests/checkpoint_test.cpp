@@ -10,7 +10,9 @@
 #include "src/common/serde.hpp"
 #include "src/crypto/sha256.hpp"
 #include "src/harness/cluster.hpp"
+#include "src/obs/prof.hpp"
 #include "src/smr/app.hpp"
+#include "src/smr/request.hpp"
 #include "tests/cert_probe.hpp"
 
 namespace eesmr::checkpoint {
@@ -241,13 +243,15 @@ class StateRequestLog final : public smr::OutboundPolicy {
   std::vector<std::uint64_t> heights;
 };
 
-/// A probe replica 0 of n = 4, f = 1, checkpointing every 16 commands.
+/// A probe replica 0 of n = 4, f = 1, checkpointing every 16 commands,
+/// with client keys 4 and 5 and a profiler.
 struct StateTransferProbe {
   StateTransferProbe()
-      : ring(crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, 4, 7)),
+      : ring(crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, 6, 7)),
         node([this] {
           smr::ReplicaConfig cfg = smr::probe_config(4, 1, ring);
           cfg.checkpoint_interval = 16;
+          cfg.profiler = &prof;
           return cfg;
         }()) {
     node.replica.set_outbound_policy(&log);
@@ -302,6 +306,7 @@ struct StateTransferProbe {
   }
 
   std::shared_ptr<crypto::Keyring> ring;
+  prof::Profiler prof;
   smr::ProbeNode node;
   StateRequestLog log;
 };
@@ -362,6 +367,45 @@ TEST(StateTransfer, OlderResponseDoesNotLowerTheStableCheckpoint) {
   p.node.sched.run_until(sim::seconds(1));
   ASSERT_GE(p.log.heights.size(), 2u);
   EXPECT_EQ(p.log.heights[1], 128u);
+}
+
+TEST(StateTransfer, RestoreClearsPoolTimeCaches) {
+  // A client request verified at pool time and a block in the
+  // request-flow hook cache both predate the snapshot: the restore drops
+  // them, so a later commit of the same bytes re-verifies.
+  StateTransferProbe p;
+  smr::ClientRequest req;
+  req.client = 4;
+  req.req_id = 1;
+  req.op = to_bytes(std::string("put k v"));
+  req.sig = p.ring->signer(4).sign(req.preimage());
+  p.prof.set_request_samples(1);
+  ASSERT_TRUE(p.prof.sample_request(req.client, req.req_id));
+  smr::Msg m;
+  m.type = smr::MsgType::kRequest;
+  m.author = req.client;
+  m.data = req.encode();
+  p.deliver(req.client, m);
+  ASSERT_EQ(p.node.replica.mempool().pending(), 1u);
+  smr::Block early = checkpoint_block(3);
+  early.cmds.push_back(smr::Command{req.encode()});
+  p.node.replica.prof_flow_block("vote", early, energy::Stream::kVote, 0);
+  ASSERT_EQ(p.node.replica.prof_block_cache_entries(), 1u);
+
+  const smr::Block root = checkpoint_block(64);
+  p.respond(p.cert_for(root, SnapshotPayload{}), root, SnapshotPayload{});
+  ASSERT_EQ(p.node.replica.state_transfers(), 1u);
+  EXPECT_EQ(p.node.replica.prof_block_cache_entries(), 0u);
+
+  smr::Block next;
+  next.parent = root.hash();
+  next.height = 65;
+  next.view = 1;
+  next.cmds.push_back(smr::Command{req.encode()});
+  ASSERT_TRUE(p.node.replica.integrate_block(next, 1));
+  p.node.replica.commit_chain(next.hash());
+  ASSERT_EQ(p.node.replica.committed_height(), 65u);
+  EXPECT_EQ(p.node.replica.intake().verified_hits(), 0u);
 }
 
 // ---------------------------------------------------------------------------
