@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/serde.hpp"
 
@@ -187,26 +188,35 @@ CheckpointManager::CheckpointManager(std::uint64_t interval,
                                      std::size_t quorum)
     : interval_(interval), quorum_(quorum), next_at_(interval) {}
 
-void CheckpointManager::advance_schedule(std::uint64_t executed_cmds) {
+bool CheckpointManager::due(std::uint64_t executed_cmds,
+                            std::uint64_t height) const {
+  return enabled() &&
+         (executed_cmds >= next_at_ || height >= last_height_ + interval_);
+}
+
+void CheckpointManager::reschedule(std::uint64_t executed_cmds,
+                                   std::uint64_t height) {
   if (!enabled()) return;
   // A block can overshoot the boundary; next_at_ stays the smallest
   // interval multiple strictly above the executed count, so every
   // replica (including one restored mid-stream) triggers identically.
   next_at_ = (executed_cmds / interval_ + 1) * interval_;
+  last_height_ = height;
 }
 
-void CheckpointManager::record_local(const CheckpointId& id, Bytes payload,
-                                     smr::Block block) {
+void CheckpointManager::record_local(const CheckpointId& id,
+                                     std::uint64_t executed_cmds,
+                                     Bytes payload, smr::Block block) {
   ++taken_;
+  reschedule(executed_cmds, id.height);
   pending_.emplace(id.height,
-                   Pending{id, std::move(payload), std::move(block)});
+                   Snapshot{id, std::move(payload), std::move(block)});
   while (pending_.size() > kMaxPending) pending_.erase(pending_.begin());
 }
 
 std::optional<CheckpointCert> CheckpointManager::add_signature(
     NodeId author, const CheckpointId& id, const Bytes& sig) {
-  if (!enabled()) return std::nullopt;
-  if (stable_ && id.height <= stable_->id.height) return std::nullopt;
+  if (!enabled() || id.height <= stable_height()) return std::nullopt;
   // One live vote per author, at its LATEST height: a correct replica
   // signs monotonically increasing heights, so its newer vote obsoletes
   // the old one (a skipped checkpoint is subsumed by the next — they
@@ -229,43 +239,42 @@ std::optional<CheckpointCert> CheckpointManager::add_signature(
   CheckpointCert cert;
   cert.id = id;
   cert.sigs = votes;
-  stable_ = cert;
-  // Promote the matching pending snapshot to the serving slot; without
-  // one, nothing is served until a snapshot for this height is held.
-  const auto pend = pending_.find(id.height);
-  serving_valid_ = pend != pending_.end() && pend->second.id == id;
-  if (serving_valid_) {
-    serving_payload_ = std::move(pend->second.payload);
-    serving_block_ = std::move(pend->second.block);
-  }
-  pending_.erase(pending_.begin(), pending_.upper_bound(id.height));
-  gc_tallies_below(id.height);
+  install(cert);
   return cert;
 }
 
 bool CheckpointManager::install_certified(const CheckpointCert& cert) {
-  if (!enabled()) return false;
-  if (stable_ && cert.id.height <= stable_->id.height) return false;
-  stable_ = cert;
-  const auto pend = pending_.find(cert.id.height);
-  serving_valid_ = pend != pending_.end() && pend->second.id == cert.id;
-  if (serving_valid_) {
-    serving_payload_ = std::move(pend->second.payload);
-    serving_block_ = std::move(pend->second.block);
-  }
-  pending_.erase(pending_.begin(), pending_.upper_bound(cert.id.height));
-  gc_tallies_below(cert.id.height);
+  if (!enabled() || cert.id.height <= stable_height()) return false;
+  install(cert);
   return true;
 }
 
-void CheckpointManager::install_stable(const CheckpointCert& cert,
+bool CheckpointManager::install_stable(const CheckpointCert& cert,
+                                       std::uint64_t executed_cmds,
                                        Bytes payload, smr::Block block) {
+  if (cert.id.height < stable_height()) return false;
+  pending_.insert_or_assign(
+      cert.id.height, Snapshot{cert.id, std::move(payload), std::move(block)});
+  install(cert);
+  reschedule(executed_cmds, cert.id.height);
+  lwm_height_ = cert.id.height;
+  return true;
+}
+
+void CheckpointManager::install(const CheckpointCert& cert) {
+  const std::uint64_t height = cert.id.height;
   stable_ = cert;
-  serving_payload_ = std::move(payload);
-  serving_block_ = std::move(block);
-  serving_valid_ = true;
-  pending_.erase(pending_.begin(), pending_.upper_bound(cert.id.height));
-  gc_tallies_below(cert.id.height);
+  // Without a matching local snapshot nothing is served until one is
+  // held: an older snapshot must not go out under the newer certificate.
+  const auto pend = pending_.find(height);
+  if (pend != pending_.end() && pend->second.id == cert.id) {
+    serving_ = std::move(pend->second);
+  } else {
+    serving_.reset();
+  }
+  served_.clear();
+  pending_.erase(pending_.begin(), pending_.upper_bound(height));
+  gc_tallies_below(height);
 }
 
 void CheckpointManager::drop_author_vote(NodeId author,
@@ -291,18 +300,52 @@ void CheckpointManager::gc_tallies_below(std::uint64_t height) {
   }
 }
 
-const Bytes* CheckpointManager::payload_for(std::uint64_t height) const {
-  if (!serving_valid_ || !stable_ || stable_->id.height != height) {
-    return nullptr;
-  }
-  return &serving_payload_;
+CheckpointManager::Step CheckpointManager::low_water_step(
+    std::uint64_t committed) const {
+  const std::uint64_t height = stable_height();
+  if (height <= lwm_height_) return Step::kWait;
+  if (height <= committed) return Step::kTruncate;
+  if (height >= committed + kStateTransferGap) return Step::kTransfer;
+  return Step::kWait;
 }
 
-const smr::Block* CheckpointManager::block_for(std::uint64_t height) const {
-  if (!serving_valid_ || !stable_ || stable_->id.height != height) {
-    return nullptr;
+std::uint64_t CheckpointManager::advance_low_water() {
+  return std::exchange(lwm_height_, stable_height());
+}
+
+const CheckpointManager::Snapshot* CheckpointManager::serve_to(NodeId peer) {
+  if (!serving_ || !served_.insert(peer).second) return nullptr;
+  return &*serving_;
+}
+
+bool CheckpointManager::open_transfer(std::uint64_t height,
+                                      sim::SimTime started) {
+  if (transferring_ && transfer_height_ >= height) return false;
+  if (!transferring_) transfer_started_ = started;
+  transferring_ = true;
+  transfer_height_ = height;
+  signer_idx_ = 0;
+  return true;
+}
+
+NodeId CheckpointManager::next_transfer_peer(NodeId self) {
+  if (!transferring_ || !stable_) return kNoNode;
+  const std::vector<NodeId> signers = stable_->signer_list();
+  for (std::size_t i = 0; i < signers.size(); ++i) {
+    const NodeId candidate = signers[(signer_idx_ + i) % signers.size()];
+    if (candidate != self) {
+      signer_idx_ = (signer_idx_ + i + 1) % signers.size();
+      return candidate;
+    }
   }
-  return &serving_block_;
+  return kNoNode;
+}
+
+sim::Duration CheckpointManager::finish_transfer(sim::SimTime now) {
+  transferring_ = false;
+  ++transfers_;
+  last_recovery_ = now - transfer_started_;
+  return last_recovery_;
 }
 
 }  // namespace eesmr::checkpoint

@@ -569,7 +569,7 @@ std::size_t Cluster::min_committed_correct() const {
   std::size_t best = SIZE_MAX;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (correct_[i] && counted_[i]) {
-      best = std::min<std::size_t>(best, replicas_[i]->committed_blocks());
+      best = std::min<std::size_t>(best, replicas_[i]->committed_height());
     }
   }
   return best == SIZE_MAX ? 0 : best;
@@ -580,7 +580,7 @@ void Cluster::tick_checkers() {
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (!correct_[i] || !counted_[i]) continue;
     safety_.observe(static_cast<NodeId>(i), replicas_[i]->log());
-    min_lwm = std::min(min_lwm, replicas_[i]->low_water_mark());
+    min_lwm = std::min(min_lwm, replicas_[i]->checkpoints().low_water_mark());
   }
   if (min_lwm != UINT64_MAX && min_lwm > 0) safety_.prune_below(min_lwm);
   liveness_.sample(sched_.now(), min_committed_correct(), load_pending());
@@ -654,7 +654,7 @@ RunResult Cluster::snapshot() const {
   out.counted = counted_;
   for (const auto& r : replicas_) {
     out.logs.push_back(r->log());
-    out.committed_blocks.push_back(r->committed_blocks());
+    out.committed_blocks.push_back(r->committed_height());
   }
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (correct_[i] && counted_[i]) {
@@ -665,6 +665,7 @@ RunResult Cluster::snapshot() const {
   }
   for (const auto& rp : replicas_) {
     const smr::ReplicaBase& r = *rp;
+    const checkpoint::CheckpointManager& ckpt = r.checkpoints();
     ReplicaFootprint fp;
     fp.retained_log = r.log().size();
     fp.store_blocks = r.store().size();
@@ -672,18 +673,18 @@ RunResult Cluster::snapshot() const {
     fp.mempool_pending = r.mempool().pending();
     fp.mempool_committed_keys = r.mempool().committed_keys();
     fp.flood_dedup_tail = r.flood_dedup_entries();
-    fp.committed_blocks = r.committed_blocks();
-    fp.low_water_mark = r.low_water_mark();
-    fp.checkpoints_taken = r.checkpoints().taken();
-    fp.stable_height = r.checkpoints().stable_height();
-    fp.state_transfers = r.state_transfers();
+    fp.committed_blocks = r.committed_height();
+    fp.low_water_mark = ckpt.low_water_mark();
+    fp.checkpoints_taken = ckpt.taken();
+    fp.stable_height = ckpt.stable_height();
+    fp.state_transfers = ckpt.state_transfers();
     out.footprints.push_back(fp);
     out.requests_dropped += r.mempool().dropped();
     out.requests_rate_limited += r.intake().cap_drops();
     out.requests_forwarded += r.intake().forwarded();
-    out.state_transfers += r.state_transfers();
+    out.state_transfers += ckpt.state_transfers();
     out.max_recovery_latency =
-        std::max(out.max_recovery_latency, r.last_recovery_time());
+        std::max(out.max_recovery_latency, ckpt.last_recovery_time());
   }
   out.transmissions = net_->transmissions();
   out.bytes_transmitted = net_->bytes_transmitted();

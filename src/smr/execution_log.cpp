@@ -23,12 +23,11 @@ const Bytes& ExecutionLog::record(NodeId client, std::uint64_t req_id,
   return entry->second.result;
 }
 
-void ExecutionLog::gc_at_checkpoint(std::uint64_t height) {
+void ExecutionLog::gc_at_checkpoint(std::uint64_t prev) {
   // The frontier is not raised here: raising it to the max GC'd id would
   // strand any lower id that was shed and never executed.
   std::erase_if(executed_,
-                [this](const auto& kv) { return kv.second.height <= cut_; });
-  cut_ = height;
+                [prev](const auto& kv) { return kv.second.height <= prev; });
 }
 
 checkpoint::SnapshotPayload ExecutionLog::snapshot() const {
@@ -43,8 +42,7 @@ checkpoint::SnapshotPayload ExecutionLog::snapshot() const {
   return payload;
 }
 
-void ExecutionLog::restore(const checkpoint::SnapshotPayload& payload,
-                           std::uint64_t height) {
+void ExecutionLog::restore(const checkpoint::SnapshotPayload& payload) {
   executed_.clear();
   for (const checkpoint::ExecutedEntry& e : payload.executed) {
     executed_[{e.client, e.req_id}] = Entry{e.result, e.height};
@@ -54,7 +52,6 @@ void ExecutionLog::restore(const checkpoint::SnapshotPayload& payload,
     frontier_[client] = req_id;
   }
   executed_cmds_ = payload.executed_cmds;
-  cut_ = height;
 }
 
 }  // namespace eesmr::smr

@@ -50,21 +50,17 @@ class ExecutionLog {
   /// Count `n` committed commands of any kind.
   void add_commands(std::uint64_t n) { executed_cmds_ += n; }
 
-  /// Checkpoint-taking GC at the block at `height`: drop the entries
-  /// recorded at or below the previous cut (they survived a full
-  /// interval), then make `height` the cut.
-  void gc_at_checkpoint(std::uint64_t height);
+  /// Checkpoint-taking GC: drop the entries recorded at or below
+  /// `prev`, the height of the previous checkpoint taken or restored
+  /// (they survived a full interval).
+  void gc_at_checkpoint(std::uint64_t prev);
   /// This log in the snapshot form; `app_snapshot` is left to the caller.
   [[nodiscard]] checkpoint::SnapshotPayload snapshot() const;
-  /// Replace (not merge) the whole log with `payload`'s, a snapshot taken
-  /// at checkpoint `height`, which becomes the cut.
-  void restore(const checkpoint::SnapshotPayload& payload,
-               std::uint64_t height);
+  /// Replace (not merge) the whole log with `payload`'s.
+  void restore(const checkpoint::SnapshotPayload& payload);
 
   /// Committed commands, cumulative (the checkpoint schedule's input).
   [[nodiscard]] std::uint64_t executed_cmds() const { return executed_cmds_; }
-  /// Height of the previous taken checkpoint (the GC cut).
-  [[nodiscard]] std::uint64_t cut() const { return cut_; }
   /// Live reply-cache entries (bounded by checkpoint GC).
   [[nodiscard]] std::size_t size() const { return executed_.size(); }
 
@@ -81,7 +77,6 @@ class ExecutionLog {
   /// max, and a max-based floor would drop its retransmits forever.
   std::map<NodeId, std::uint64_t> frontier_;
   std::uint64_t executed_cmds_ = 0;
-  std::uint64_t cut_ = 0;
 };
 
 }  // namespace eesmr::smr

@@ -80,7 +80,7 @@ enum class MsgType : std::uint8_t {
   /// Aggregate-scheme stable-checkpoint certificate: the rotating
   /// collector that folded f+1 share attestations floods the O(1)
   /// {bitset, aggregate} certificate instead of every replica flooding
-  /// its own attestation (see ReplicaBase::checkpoint_collector).
+  /// its own attestation (see ReplicaBase::maybe_checkpoint).
   kCheckpointCert = 25,
 };
 

@@ -13,10 +13,6 @@ namespace {
 /// Cap on blocks per SyncResponse (a Byzantine peer can request often;
 /// the per-response size must stay bounded).
 constexpr std::size_t kMaxSyncBlocks = 64;
-/// Minimum block gap to a stable checkpoint before a replica prefers a
-/// snapshot transfer over block-by-block chain sync. In-flight lag in
-/// the blocking variants is 1-2 blocks, so 8 never triggers spuriously.
-constexpr std::uint64_t kStateTransferGap = 8;
 
 /// Verified-signature cache key: digest of (author, preimage, sig), so
 /// an entry costs 32 bytes regardless of payload size. Like
@@ -381,8 +377,7 @@ bool ReplicaBase::integrate_block(const Block& block, NodeId origin) {
   // Request the missing ancestry once per parent hash.
   if (sync_requested_.insert(block.parent).second) {
     if (sync_started_ == 0) sync_started_ = sched_.now();
-    Msg req = make_msg(MsgType::kSyncRequest, r_cur_, block.parent);
-    send(origin, req);
+    send(origin, make_msg(MsgType::kSyncRequest, r_cur_, block.parent));
   }
   return false;
 }
@@ -420,10 +415,11 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
     // After checkpoint truncation an unknown hash can name a block at or
     // below the low-water mark — already final (f+1 replicas attested the
     // state above it), so a re-commit is a no-op rather than a safety bug.
-    if (lwm_height_ > 0) return;
+    if (ckpt_.low_water_mark() > 0) return;
     throw std::logic_error("commit_chain: unknown block");
   }
-  if (target->height <= lwm_height_) return;  // below the stable checkpoint
+  // Below the stable checkpoint.
+  if (target->height <= ckpt_.low_water_mark()) return;
   if (!store_.extends(h, committed_tip_)) {
     if (store_.extends(committed_tip_, h)) return;  // already covered
     // A scripted-faulty node's private fork (see set_tolerate_fork):
@@ -434,7 +430,6 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
   std::vector<MembershipPolicy> pending_policies;
   for (const Block& b : store_.chain_between(h, committed_tip_)) {
     log_.push_back(b);
-    ++committed_blocks_;
     committed_.insert(b.hash());
     mempool_.remove_committed(b);
     for (const Command& cmd : b.cmds) {
@@ -517,11 +512,7 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
   committed_height_ = target->height;
   // A checkpoint that stabilized while we were still catching up to its
   // height becomes actionable once our commits pass it.
-  if (ckpt_.stable_cert().has_value() &&
-      ckpt_.stable_height() > lwm_height_ &&
-      ckpt_.stable_height() <= committed_height_) {
-    advance_low_water(*ckpt_.stable_cert());
-  }
+  settle_low_water(committed_height_);
 }
 
 void ReplicaBase::on_commit(const Block&) {}
@@ -535,20 +526,11 @@ void ReplicaBase::on_membership_change(const MembershipPolicy&) {}
 // ---------------------------------------------------------------------------
 
 void ReplicaBase::maybe_checkpoint(const Block& b) {
-  if (!ckpt_.enabled()) return;
-  // Due every `interval` committed commands — or every `interval`
-  // committed blocks, whichever comes first: a quiesced chain of empty
-  // blocks must keep checkpointing, both to bound its own log and so
-  // that a recovering replica still observes certificates to catch up
-  // from. Both inputs are functions of the committed log, so every
-  // correct replica triggers at the same blocks.
-  const bool block_due = b.height >= exec_.cut() + ckpt_.interval();
-  if (!ckpt_.due(exec_.executed_cmds()) && !block_due) return;
-  ckpt_.advance_schedule(exec_.executed_cmds());
+  if (!ckpt_.due(exec_.executed_cmds(), b.height)) return;
 
   // Reply-cache GC at a log-deterministic point, so every commit-time
   // dedup decision is independent of message timing.
-  exec_.gc_at_checkpoint(b.height);
+  exec_.gc_at_checkpoint(ckpt_.last_height());
   checkpoint::SnapshotPayload payload = exec_.snapshot();
   if (app_ != nullptr) payload.app_snapshot = app_->snapshot();
   Bytes bytes = payload.encode();
@@ -571,14 +553,21 @@ void ReplicaBase::maybe_checkpoint(const Block& b) {
   // for stability, so honest nodes can never stabilize the forgery.
   if (forge_ckpt_) cp.id.digest[0] ^= 0xFF;
   cp.sig = sign_preimage(cp.id.preimage(), aggregate_certs(), "checkpoint");
-  ckpt_.record_local(id, std::move(bytes), b);
+  ckpt_.record_local(id, exec_.executed_cmds(), std::move(bytes), b);
 
   // The flooded message carries the dedicated checkpoint signature; the
   // outer Msg is unsigned (receivers verify the inner signature, which
   // is the one certificates collect), so one checkpoint costs one sign.
   const Msg m = unsigned_msg(MsgType::kCheckpoint, r_cur_, cp.encode());
+  // Aggregate scheme: the replica that folds f+1 shares for this height
+  // and floods the O(1) certificate is the height-th active signer of
+  // the committed prefix. Every correct replica evaluates it at the same
+  // committed state, so the choice is deterministic and generation-aware
+  // (joiners become collectors once their policy commits; departed
+  // members never do), and a withholding collector only delays its own
+  // heights.
   const NodeId collector =
-      aggregate_certs() ? checkpoint_collector(id.height) : kNoNode;
+      aggregate_certs() ? membership_.leader_at(id.height) : kNoNode;
   if (aggregate_certs()) {
     // A 48-byte share is only useful to whoever folds the certificate:
     // instead of every replica flooding its attestation (the O(n) cert
@@ -600,7 +589,9 @@ void ReplicaBase::maybe_checkpoint(const Block& b) {
                                   "checkpoint", /*metered=*/false)
                   : cp.sig;
   if (const auto cert = ckpt_.add_signature(cfg_.id, id, own_sig)) {
-    on_stable_checkpoint(*cert);
+    // Inside the commit loop: this block is committed, committed_height_
+    // is not advanced yet.
+    settle_low_water(b.height);
     broadcast_checkpoint_cert(*cert);
   }
 }
@@ -629,17 +620,9 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   sig_verified_.emplace(sig_digest(msg.author, preimage, cp.sig),
                         committed_height_);
   if (const auto cert = ckpt_.add_signature(msg.author, cp.id, cp.sig)) {
-    on_stable_checkpoint(*cert);
+    settle_low_water(committed_height_);
     broadcast_checkpoint_cert(*cert);
   }
-}
-
-NodeId ReplicaBase::checkpoint_collector(std::uint64_t height) const {
-  // The height-th active signer of the committed prefix: every correct
-  // replica evaluates this at the same committed state, so the choice is
-  // deterministic and generation-aware (joiners become collectors once
-  // their policy commits; departed members never do).
-  return membership_.leader_at(height);
 }
 
 void ReplicaBase::broadcast_checkpoint_cert(
@@ -667,35 +650,32 @@ void ReplicaBase::handle_checkpoint_cert(const Msg& msg) {
   if (cert.scheme != CertScheme::kAggregate) return;
   if (cert.id.height <= ckpt_.stable_height()) return;
   if (!verify_checkpoint_cert(cert)) return;
-  if (ckpt_.install_certified(cert)) on_stable_checkpoint(cert);
+  if (ckpt_.install_certified(cert)) settle_low_water(committed_height_);
 }
 
-void ReplicaBase::on_stable_checkpoint(
-    const checkpoint::CheckpointCert& cert) {
-  // committed_blocks_ equals the height of the last block this replica
-  // committed (one block per height since genesis) and — unlike
-  // committed_height_ — is already advanced when a checkpoint taken
-  // inside the commit loop stabilizes immediately (f = 0).
-  if (cert.id.height <= committed_blocks_) {
-    // We executed past this height: the snapshot (if we took one) can be
-    // served, and everything below the checkpoint can be reclaimed.
-    advance_low_water(cert);
-  } else if (cert.id.height >= committed_blocks_ + kStateTransferGap) {
-    // Deeply behind the cluster (crash recovery / late joiner): fetch
-    // the attested snapshot instead of replaying the whole gap block by
-    // block. Smaller gaps are covered by ordinary chain sync.
-    begin_state_transfer(cert);
+void ReplicaBase::settle_low_water(std::uint64_t committed) {
+  using Step = checkpoint::CheckpointManager::Step;
+  const Step step = ckpt_.low_water_step(committed);
+  if (step == Step::kTruncate) return advance_low_water();
+  if (step != Step::kTransfer) return;
+  // Deeply behind (crash recovery, late joiner): open (or retarget) a
+  // state transfer to the stable checkpoint instead of replaying the
+  // whole gap block by block.
+  const std::uint64_t height = ckpt_.stable_height();
+  const bool opening = !ckpt_.transferring();
+  if (!ckpt_.open_transfer(height, sched_.now())) return;
+  if (opening) {
+    trace_begin("recovery", "state_transfer", height,
+                {{"height", exp::Json(height)}});
   }
-  // Mildly behind (in-flight commits): the normal commit path reaches the
-  // height shortly; commit_chain then advances the low-water mark.
+  send_state_request();
 }
 
-void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
+void ReplicaBase::advance_low_water() {
+  const checkpoint::CheckpointCert& cert = *ckpt_.stable_cert();
   const Block* root = store_.get(cert.id.block);
-  if (root == nullptr || cert.id.height <= lwm_height_) return;
-  const std::uint64_t prev_lwm = lwm_height_;
-  lwm_height_ = cert.id.height;
-  st_served_.clear();  // new stable snapshot: serving budget resets
+  if (root == nullptr) return;
+  const std::uint64_t prev_lwm = ckpt_.advance_low_water();
   trace_instant("checkpoint", "checkpoint_stable",
                 {{"height", exp::Json(cert.id.height)}});
 
@@ -712,7 +692,7 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
   // re-enter the pool, where the (log-deterministic) reply cache and the
   // per-client watermark still keep it from re-executing.
   std::size_t cut = 0;
-  while (cut < log_.size() && log_[cut].height <= lwm_height_) {
+  while (cut < log_.size() && log_[cut].height <= cert.id.height) {
     const Block& old = log_[cut];
     committed_.erase(old.hash());
     for (const Command& c : old.cmds) {
@@ -738,40 +718,12 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
 // State transfer: catch up from a stable checkpoint
 // ---------------------------------------------------------------------------
 
-void ReplicaBase::begin_state_transfer(
-    const checkpoint::CheckpointCert& cert) {
-  if (st_inflight_ && st_height_ >= cert.id.height) return;
-  if (!st_inflight_) {
-    st_started_ = sched_.now();
-    trace_begin("recovery", "state_transfer", cert.id.height,
-                {{"height", exp::Json(cert.id.height)}});
-  }
-  st_inflight_ = true;
-  st_height_ = cert.id.height;
-  st_signer_idx_ = 0;
-  send_state_request();
-}
-
 void ReplicaBase::send_state_request() {
-  const auto& cert = ckpt_.stable_cert();
-  if (!st_inflight_ || !cert.has_value()) return;
-  // Ask a checkpoint signer (it committed the height, so it can serve);
-  // rotate through signers on timeout.
-  const std::vector<NodeId> signers = cert->signer_list();
-  NodeId target = kNoNode;
-  for (std::size_t i = 0; i < signers.size(); ++i) {
-    const NodeId candidate = signers[(st_signer_idx_ + i) % signers.size()];
-    if (candidate != cfg_.id) {
-      target = candidate;
-      st_signer_idx_ = (st_signer_idx_ + i + 1) % signers.size();
-      break;
-    }
-  }
+  const NodeId target = ckpt_.next_transfer_peer(cfg_.id);
   if (target == kNoNode) return;
   Writer w;
-  w.u64(st_height_);
-  Msg req = make_msg(MsgType::kStateRequest, r_cur_, w.take());
-  send(target, req);
+  w.u64(ckpt_.transfer_height());
+  send(target, make_msg(MsgType::kStateRequest, r_cur_, w.take()));
   st_timer_.start(4 * cfg_.delta, "state_transfer_timer",
                   [this] { send_state_request(); });
 }
@@ -795,22 +747,16 @@ void ReplicaBase::serve_checkpoint(NodeId from) {
   // Byzantine snapshot withholding: the requester's timeout rotates it
   // to another checkpoint signer, which serves instead.
   if (withhold_snap_) return;
-  const auto& cert = ckpt_.stable_cert();
-  if (!cert.has_value()) return;
-  const Bytes* payload = ckpt_.payload_for(cert->id.height);
-  const Block* block = ckpt_.block_for(cert->id.height);
-  if (payload == nullptr || block == nullptr) return;
-  // Serve each peer at most once per stable checkpoint: snapshots are
-  // the largest frames in the system, and a Byzantine requester must not
-  // drain our transmit energy.
-  if (!st_served_.insert(from).second) return;
+  const auto* snap = ckpt_.serve_to(from);
+  if (snap == nullptr) return;
+  const checkpoint::CheckpointCert& cert = *ckpt_.stable_cert();
   // A cert assembled from share attestations goes out in the O(1)
   // aggregate form, tagged with the latest generation containing every
   // signer (a cert received already-aggregated is forwarded as is).
   const Bytes cert_wire =
-      aggregate_certs() && cert->scheme == CertScheme::kIndividual
-          ? fold_checkpoint_cert(*cert).encode()
-          : cert->encode();
+      aggregate_certs() && cert.scheme == CertScheme::kIndividual
+          ? fold_checkpoint_cert(cert).encode()
+          : cert.encode();
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("cert", "encode",
                                energy::Stream::kStateTransfer,
@@ -818,10 +764,9 @@ void ReplicaBase::serve_checkpoint(NodeId from) {
   }
   Writer w;
   w.bytes(cert_wire);
-  w.bytes(block->encode());
-  w.bytes(*payload);
-  Msg resp = make_msg(MsgType::kStateResponse, r_cur_, w.take());
-  send(from, resp);
+  w.bytes(snap->block.encode());
+  w.bytes(snap->payload);
+  send(from, make_msg(MsgType::kStateResponse, r_cur_, w.take()));
 }
 
 void ReplicaBase::handle_state_response(const Msg& msg) {
@@ -868,14 +813,14 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   }
   // Every check passed. Only now may an unsolicited snapshot open a
   // transfer: one that failed above must leave no transfer in flight,
-  // or begin_state_transfer would ignore every genuine certificate below
-  // its claimed height. An unsolicited snapshot is always an answer to a
-  // kSyncRequest we sent: the recovery began when chain sync did.
-  if (!st_inflight_) {
-    st_started_ = sync_started_ != 0 ? sync_started_ : sched_.now();
+  // or a genuine certificate below its claimed height would never open
+  // one. An unsolicited snapshot is always an answer to a kSyncRequest
+  // we sent: the recovery began when chain sync did.
+  if (!ckpt_.transferring()) {
+    ckpt_.open_transfer(cert.id.height,
+                        sync_started_ != 0 ? sync_started_ : sched_.now());
     trace_begin("recovery", "state_transfer", cert.id.height,
                 {{"height", exp::Json(cert.id.height)}});
-    st_height_ = cert.id.height;
   }
 
   // Re-root the chain at the checkpoint block and fast-forward.
@@ -883,27 +828,22 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   store_.truncate_below(cert.id.block);
   committed_tip_ = cert.id.block;
   committed_height_ = cert.id.height;
-  committed_blocks_ = cert.id.height;  // one block per height since genesis
   committed_.clear();
   committed_.insert(cert.id.block);
   prof_block_cache_.clear();
   log_.clear();
-  exec_.restore(payload, cert.id.height);
+  exec_.restore(payload);
   intake_.clear_verified();
-  ckpt_.advance_schedule(exec_.executed_cmds());
-  lwm_height_ = cert.id.height;
-  ckpt_.install_stable(cert, std::move(payload_bytes), root);
+  ckpt_.install_stable(cert, payload.executed_cmds, std::move(payload_bytes),
+                       root);
   sync_requested_.clear();
   sync_started_ = 0;
-  st_served_.clear();
 
-  st_inflight_ = false;
   st_timer_.cancel();
-  ++state_transfers_;
-  last_recovery_ = sched_.now() - st_started_;
-  trace_end("recovery", "state_transfer", st_height_,
+  const sim::Duration took = ckpt_.finish_transfer(sched_.now());
+  trace_end("recovery", "state_transfer", ckpt_.transfer_height(),
             {{"height", exp::Json(cert.id.height)},
-             {"ms", exp::Json(sim::to_milliseconds(last_recovery_))}});
+             {"ms", exp::Json(sim::to_milliseconds(took))}});
 
   on_state_transfer(root);
   // Buffered blocks above the checkpoint may connect now.
@@ -1092,8 +1032,7 @@ void ReplicaBase::handle_sync(NodeId from, const Msg& msg) {
   if (deepest.has_value() && !store_.contains(deepest->parent) &&
       sync_requested_.insert(deepest->parent).second) {
     if (sync_started_ == 0) sync_started_ = sched_.now();
-    Msg req = make_msg(MsgType::kSyncRequest, r_cur_, deepest->parent);
-    send(from, req);
+    send(from, make_msg(MsgType::kSyncRequest, r_cur_, deepest->parent));
   } else if (!deepest.has_value()) {
     sync_started_ = 0;  // chains met: this sync episode is over
   }

@@ -1,10 +1,12 @@
 // Shared replica plumbing for every protocol implementation: signing and
 // verification with energy metering, flood-router communication, the
-// block store with chain synchronization, the committed log, and the
-// checkpoint and state-transfer path. Client-request bookkeeping lives in
-// two pure-logic components the replica drives: RequestIntake (pool-time
-// drops and the verified-bytes cache) and ExecutionLog (exactly-once
-// execution and the reply cache checkpoints snapshot).
+// block store with chain synchronization, the committed log, and the I/O
+// of checkpointing and state transfer. Three pure-logic components decide
+// and the replica acts: RequestIntake (pool-time drops and the
+// verified-bytes cache), ExecutionLog (exactly-once execution and the
+// reply cache checkpoints snapshot) and checkpoint::CheckpointManager,
+// the checkpoint agent (schedule, stable checkpoint, low-water mark,
+// snapshot serving and the requester side of state transfer).
 #pragma once
 
 #include <array>
@@ -157,11 +159,9 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] const ReplicaConfig& config() const { return cfg_; }
   /// Retained committed log, in height order (excluding genesis).
   /// Checkpointing truncates the prefix at or below the low-water mark;
-  /// committed_blocks() counts every block ever committed.
+  /// committed_height() counts every block ever committed (one per
+  /// height since genesis).
   [[nodiscard]] const std::vector<Block>& log() const { return log_; }
-  [[nodiscard]] std::uint64_t committed_blocks() const {
-    return committed_blocks_;
-  }
   [[nodiscard]] std::uint64_t current_view() const { return v_cur_; }
   [[nodiscard]] const BlockStore& store() const { return store_; }
   [[nodiscard]] Mempool& mempool() { return mempool_; }
@@ -174,11 +174,11 @@ class ReplicaBase : public net::FloodClient {
   }
 
   // -- checkpoint / state-transfer observability -------------------------------
+  /// The checkpoint agent: stable checkpoint, low-water mark, snapshots
+  /// taken, completed state transfers and the latest recovery time.
   [[nodiscard]] const checkpoint::CheckpointManager& checkpoints() const {
     return ckpt_;
   }
-  /// Stable-checkpoint height below which log/state was truncated.
-  [[nodiscard]] std::uint64_t low_water_mark() const { return lwm_height_; }
   /// Exactly-once execution state: the reply cache and client frontiers.
   [[nodiscard]] const ExecutionLog& execution() const { return exec_; }
   /// Pool-time request bookkeeping: drop counters, verified-bytes cache
@@ -189,13 +189,6 @@ class ReplicaBase : public net::FloodClient {
     std::size_t n = 0;
     for (const auto& [height, blocks] : prof_block_cache_) n += blocks.size();
     return n;
-  }
-  /// Completed snapshot catch-ups and the duration of the latest one.
-  [[nodiscard]] std::uint64_t state_transfers() const {
-    return state_transfers_;
-  }
-  [[nodiscard]] sim::Duration last_recovery_time() const {
-    return last_recovery_;
   }
   /// Verified-signature cache (votes / checkpoint attestations): metered
   /// re-verifications skipped at certificate tallies.
@@ -532,16 +525,12 @@ class ReplicaBase : public net::FloodClient {
   /// configured (or protocol-default) policy.
   std::array<std::unique_ptr<net::Channel>, energy::kNumStreams> channels_;
 
-  // -- checkpoint & state-transfer internals ------------------------------------
+  // -- checkpoint & state-transfer I/O ------------------------------------------
+  // The checkpoint agent (ckpt_) decides; these functions sign, verify,
+  // charge, send and truncate as it says.
   /// Snapshot + sign + flood a checkpoint if one is due at block `b`.
   void maybe_checkpoint(const Block& b);
   void handle_checkpoint(const Msg& msg);
-  /// Aggregate scheme: the replica that folds f+1 checkpoint shares for
-  /// height `height` and floods the O(1) certificate. Rotates over the
-  /// active signer set of the committed prefix (height-indexed), so a
-  /// withholding collector only delays its own heights — the next
-  /// checkpoint rotates to an honest one.
-  [[nodiscard]] NodeId checkpoint_collector(std::uint64_t height) const;
   /// Collector side of the aggregate scheme: fold a freshly assembled
   /// share tally into the O(1) aggregate form and flood kCheckpointCert.
   void broadcast_checkpoint_cert(const checkpoint::CheckpointCert& cert);
@@ -557,16 +546,16 @@ class ReplicaBase : public net::FloodClient {
   /// sync requests for history truncated below the low-water mark.
   void serve_checkpoint(NodeId from);
   void handle_state_response(const Msg& msg);
-  /// React to a newly-stable checkpoint: truncate if we hold the state,
-  /// or start a state transfer if we are a full interval behind.
-  void on_stable_checkpoint(const checkpoint::CheckpointCert& cert);
+  /// Act on the agent's low-water step for a replica committed up to
+  /// `committed`: truncate below the stable checkpoint, or open (or
+  /// retarget) a state transfer to it.
+  void settle_low_water(std::uint64_t committed);
   /// Truncate log/store/dedup state below the stable checkpoint.
-  void advance_low_water(const checkpoint::CheckpointCert& cert);
-  void begin_state_transfer(const checkpoint::CheckpointCert& cert);
+  void advance_low_water();
+  /// Ask the agent's next signer for the snapshot; re-armed by timeout.
   void send_state_request();
 
   std::vector<Block> log_;
-  std::uint64_t committed_blocks_ = 0;  ///< total ever (incl. truncated)
   BlockHashSet committed_;  // retained block hashes
   BlockHash committed_tip_;
   std::uint64_t committed_height_ = 0;
@@ -607,17 +596,8 @@ class ReplicaBase : public net::FloodClient {
   std::vector<Msg> retry_;
 
   checkpoint::CheckpointManager ckpt_;
-  std::uint64_t lwm_height_ = 0;
-  /// Peers already served the current stable snapshot (rate limit).
-  std::set<NodeId> st_served_;
-  // In-flight state transfer (requester side).
-  bool st_inflight_ = false;
-  std::uint64_t st_height_ = 0;
-  std::size_t st_signer_idx_ = 0;
-  sim::SimTime st_started_ = 0;
+  /// Re-asks for the snapshot while a state transfer is in flight.
   sim::Timer st_timer_;
-  std::uint64_t state_transfers_ = 0;
-  sim::Duration last_recovery_ = 0;
 
   // -- membership & Byzantine-checkpoint state ----------------------------------
   std::uint64_t membership_changes_ = 0;

@@ -200,7 +200,7 @@ TEST(AdversaryRegression, EesmrDeepCatchupRecoversWithoutCheckpoints) {
     cfg.adversary.crashes.push_back(cr);
     harness::Cluster cluster(cfg);
     const RunResult r = cluster.run_until_commits(40, sim::seconds(60));
-    return std::make_pair(r, cluster.replica(3).committed_blocks());
+    return std::make_pair(r, cluster.replica(3).committed_height());
   };
 
   // Without checkpoints: the recovered replica fast-forwards onto the
@@ -545,7 +545,7 @@ TEST(AdversaryCheckpoint, ForgedDigestNeverCertifiesOrServesRecovery) {
   }
   EXPECT_GT(max_ckpts, 0u);
   // The recovered replica is back on the live chain.
-  EXPECT_GT(cluster.replica(3).committed_blocks(), 20u);
+  EXPECT_GT(cluster.replica(3).committed_height(), 20u);
 }
 
 // A Byzantine replica never serves snapshot requests. The requester's
@@ -574,7 +574,7 @@ TEST(AdversaryCheckpoint, WithheldSnapshotsRouteAroundToHonestProvider) {
   const RunResult r = cluster.run_until_commits(60, sim::seconds(120));
   EXPECT_TRUE(r.safety_ok());
   EXPECT_GE(r.min_committed(), 60u);
-  EXPECT_GT(cluster.replica(3).committed_blocks(), 20u);
+  EXPECT_GT(cluster.replica(3).committed_height(), 20u);
   // Both attacks are deterministic: identical seeds reproduce the run.
   harness::Cluster again(cfg);
   const RunResult r2 = again.run_until_commits(60, sim::seconds(120));

@@ -1,8 +1,12 @@
-// Checkpoint subsystem: certificate wire formats and verification, the
-// signature tracker, bounded replica memory under sustained load (log
-// truncation + dedup-set GC at the low-water mark), snapshot state
-// transfer for late joiners (and a rejected state response that must not
-// wedge it), and the admission-control satellites.
+// Checkpoint subsystem: certificate wire formats and verification; the
+// checkpoint agent (CheckpointManager) driven alone, with no cluster,
+// network or scheduler: schedule, tallies, stable checkpoint, low-water
+// step, serving budget and the state-transfer requester; the replica's
+// state-transfer path on a probe (rejected, stale and unsolicited
+// responses, and what a restore clears); bounded replica memory under
+// sustained load (log truncation + dedup-set GC at the low-water mark),
+// snapshot state transfer for late joiners, and the admission-control
+// satellites.
 #include "src/checkpoint/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -167,33 +171,121 @@ TEST(CheckpointManager, ReorderedOlderVoteCannotEvictNewerOne) {
   EXPECT_EQ(mgr.stable_height(), 16u);
 }
 
-TEST(CheckpointManager, ScheduleAlignsToIntervalMultiples) {
-  CheckpointManager mgr(32, 2);
-  EXPECT_EQ(mgr.next_at(), 32u);
-  EXPECT_TRUE(mgr.due(32));
-  mgr.advance_schedule(32);
-  EXPECT_EQ(mgr.next_at(), 64u);
-  // Overshooting a boundary mid-block lands on the next multiple — the
-  // same value a replica restoring from executed_cmds=35 computes.
-  mgr.advance_schedule(70);
-  EXPECT_EQ(mgr.next_at(), 96u);
+/// A certificate for `id` with no signatures: the manager trusts that
+/// the replica verified what it installs.
+CheckpointCert cert_of(const CheckpointId& id) {
+  CheckpointCert cert;
+  cert.id = id;
+  return cert;
 }
 
-TEST(CheckpointManager, ServesOnlyTheStableSnapshot) {
-  CheckpointManager mgr(8, 2);
-  const CheckpointId id = make_id(8, "d");
+smr::Block checkpoint_block(std::uint64_t height) {
   smr::Block b;
-  b.height = 8;
-  mgr.record_local(id, to_bytes(std::string("payload")), b);
-  EXPECT_EQ(mgr.payload_for(8), nullptr);  // not stable yet
+  b.parent = Bytes(32, 0x44);
+  b.height = height;
+  b.view = 1;
+  b.proposer = 0;
+  return b;
+}
+
+TEST(CheckpointManager, DueEveryIntervalOfCommandsOrBlocks) {
+  CheckpointManager mgr(32, 2);
+  // Command half: every interval multiple of executed commands.
+  EXPECT_FALSE(mgr.due(31, 10));
+  EXPECT_TRUE(mgr.due(32, 10));
+  // Block half: `interval` blocks after the last checkpoint (genesis
+  // here), however few commands they carried.
+  EXPECT_FALSE(mgr.due(0, 31));
+  EXPECT_TRUE(mgr.due(0, 32));
+  // A block that overshoots a boundary (35 commands) moves the command
+  // half to the next multiple, 64, and the block half to 20 + 32.
+  mgr.record_local(make_id(20, "d20"), 35, {}, checkpoint_block(20));
+  EXPECT_EQ(mgr.last_height(), 20u);
+  EXPECT_FALSE(mgr.due(63, 51));
+  EXPECT_TRUE(mgr.due(64, 51));
+  EXPECT_TRUE(mgr.due(40, 52));
+  EXPECT_FALSE(CheckpointManager(0, 2).due(1000, 1000));  // disabled
+}
+
+TEST(CheckpointManager, ScheduleRestartsFromARestoredCheckpoint) {
+  CheckpointManager mgr(32, 2);
+  mgr.record_local(make_id(10, "d10"), 32, {}, checkpoint_block(10));
+  // A snapshot at height 100 taken after 70 commands: the next
+  // checkpoint is due at 96 commands or at height 132, exactly as on
+  // the replicas that never restored.
+  ASSERT_TRUE(mgr.install_stable(cert_of(make_id(100, "d100")), 70, {},
+                                 checkpoint_block(100)));
+  EXPECT_EQ(mgr.last_height(), 100u);
+  EXPECT_FALSE(mgr.due(95, 131));
+  EXPECT_TRUE(mgr.due(96, 101));
+  EXPECT_TRUE(mgr.due(71, 132));
+  EXPECT_EQ(mgr.stable_height(), 100u);
+  EXPECT_EQ(mgr.low_water_mark(), 100u);
+  const CheckpointManager::Snapshot* snap = mgr.serve_to(1);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->block.height, 100u);
+}
+
+TEST(CheckpointManager, StableCheckpointNeverMovesDown) {
+  CheckpointManager mgr(8, 2);
+  ASSERT_TRUE(mgr.install_stable(cert_of(make_id(128, "d128")), 128, {},
+                                 checkpoint_block(128)));
+  EXPECT_FALSE(mgr.install_stable(cert_of(make_id(64, "d64")), 64, {},
+                                  checkpoint_block(64)));
+  EXPECT_FALSE(mgr.install_certified(cert_of(make_id(96, "d96"))));
   const Bytes sig = to_bytes(std::string("s"));
-  mgr.add_signature(0, id, sig);
-  mgr.add_signature(1, id, sig);
-  ASSERT_NE(mgr.payload_for(8), nullptr);
-  EXPECT_EQ(to_string(*mgr.payload_for(8)), "payload");
-  ASSERT_NE(mgr.block_for(8), nullptr);
-  EXPECT_EQ(mgr.block_for(8)->height, 8u);
-  EXPECT_EQ(mgr.payload_for(4), nullptr);  // only the stable height
+  mgr.add_signature(0, make_id(120, "d120"), sig);
+  EXPECT_FALSE(mgr.add_signature(1, make_id(120, "d120"), sig).has_value());
+  EXPECT_EQ(mgr.stable_height(), 128u);
+  EXPECT_EQ(mgr.low_water_mark(), 128u);
+  const CheckpointManager::Snapshot* snap = mgr.serve_to(1);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->id.height, 128u);
+}
+
+TEST(CheckpointManager, LowWaterStepTruncatesTransfersOrWaits) {
+  using Step = CheckpointManager::Step;
+  CheckpointManager mgr(8, 2);
+  EXPECT_EQ(mgr.low_water_step(0), Step::kWait);  // nothing stable yet
+  ASSERT_TRUE(mgr.install_certified(cert_of(make_id(40, "d40"))));
+  // Gap 8 (kStateTransferGap) blocks behind: fetch the snapshot. Gap 7:
+  // wait, ordinary commits or chain sync close it.
+  EXPECT_EQ(mgr.low_water_step(32), Step::kTransfer);
+  EXPECT_EQ(mgr.low_water_step(33), Step::kWait);
+  EXPECT_EQ(mgr.low_water_step(39), Step::kWait);
+  EXPECT_EQ(mgr.low_water_step(40), Step::kTruncate);
+  EXPECT_EQ(mgr.low_water_step(45), Step::kTruncate);
+  EXPECT_EQ(mgr.advance_low_water(), 0u);  // the previous mark
+  EXPECT_EQ(mgr.low_water_mark(), 40u);
+  EXPECT_EQ(mgr.low_water_step(45), Step::kWait);  // already truncated
+}
+
+TEST(CheckpointManager, ServesEachPeerOncePerStableCheckpoint) {
+  CheckpointManager mgr(8, 2);
+  const Bytes sig = to_bytes(std::string("s"));
+  const auto stabilize = [&](std::uint64_t height, const std::string& tag) {
+    const CheckpointId id = make_id(height, tag);
+    mgr.record_local(id, height, to_bytes(tag), checkpoint_block(height));
+    mgr.add_signature(0, id, sig);
+    mgr.add_signature(1, id, sig);
+  };
+  mgr.record_local(make_id(4, "p4"), 4, to_bytes(std::string("p4")),
+                   checkpoint_block(4));
+  EXPECT_EQ(mgr.serve_to(1), nullptr);  // nothing stable yet
+  stabilize(8, "p8");
+  const CheckpointManager::Snapshot* snap = mgr.serve_to(1);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->id, make_id(8, "p8"));
+  EXPECT_EQ(to_string(snap->payload), "p8");
+  EXPECT_EQ(snap->block.height, 8u);
+  EXPECT_EQ(mgr.serve_to(1), nullptr);  // peer 1's budget is spent
+  EXPECT_NE(mgr.serve_to(2), nullptr);  // peer 2's is not
+  // A new stable checkpoint resets every peer's budget.
+  stabilize(16, "p16");
+  snap = mgr.serve_to(1);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(to_string(snap->payload), "p16");
+  EXPECT_EQ(mgr.serve_to(1), nullptr);
 }
 
 TEST(CheckpointManager, NoSnapshotIsServedForANewerStableCheckpoint) {
@@ -202,31 +294,70 @@ TEST(CheckpointManager, NoSnapshotIsServedForANewerStableCheckpoint) {
   // snapshot must not be served under the newer certificate.
   const Bytes sig = to_bytes(std::string("s"));
   const auto stable_at_8 = [&](CheckpointManager& mgr) {
-    smr::Block b;
-    b.height = 8;
-    mgr.record_local(make_id(8, "d8"), to_bytes(std::string("payload")), b);
+    mgr.record_local(make_id(8, "d8"), 8, to_bytes(std::string("payload")),
+                     checkpoint_block(8));
     mgr.add_signature(0, make_id(8, "d8"), sig);
     mgr.add_signature(1, make_id(8, "d8"), sig);
-    ASSERT_NE(mgr.payload_for(8), nullptr);
+    ASSERT_NE(mgr.serve_to(1), nullptr);
   };
   CheckpointManager by_quorum(8, 2);
   stable_at_8(by_quorum);
   by_quorum.add_signature(0, make_id(16, "d16"), sig);
   ASSERT_TRUE(by_quorum.add_signature(1, make_id(16, "d16"), sig).has_value());
-  EXPECT_EQ(by_quorum.payload_for(16), nullptr);
-  EXPECT_EQ(by_quorum.block_for(16), nullptr);
+  EXPECT_EQ(by_quorum.serve_to(2), nullptr);
 
   CheckpointManager by_cert(8, 2);
   stable_at_8(by_cert);
-  CheckpointCert cert;
-  cert.id = make_id(16, "d16");
-  ASSERT_TRUE(by_cert.install_certified(cert));
-  EXPECT_EQ(by_cert.payload_for(16), nullptr);
-  EXPECT_EQ(by_cert.block_for(16), nullptr);
+  ASSERT_TRUE(by_cert.install_certified(cert_of(make_id(16, "d16"))));
+  EXPECT_EQ(by_cert.serve_to(2), nullptr);
+}
+
+TEST(CheckpointManager, TransferRotatesSignersSkippingSelf) {
+  CheckpointManager mgr(8, 2);
+  CheckpointCert cert = cert_of(make_id(64, "d64"));
+  cert.sigs = {{0, {}}, {2, {}}, {3, {}}};
+  ASSERT_TRUE(mgr.install_certified(cert));
+  EXPECT_EQ(mgr.next_transfer_peer(2), kNoNode);  // no transfer in flight
+  ASSERT_TRUE(mgr.open_transfer(64, 0));
+  // Self (2) is never asked, and the rotation wraps around.
+  EXPECT_EQ(mgr.next_transfer_peer(2), 0u);
+  EXPECT_EQ(mgr.next_transfer_peer(2), 3u);
+  EXPECT_EQ(mgr.next_transfer_peer(2), 0u);
+  EXPECT_EQ(mgr.next_transfer_peer(2), 3u);
+  // Retargeting to a newer checkpoint restarts the rotation.
+  cert.id = make_id(72, "d72");
+  ASSERT_TRUE(mgr.install_certified(cert));
+  ASSERT_TRUE(mgr.open_transfer(72, 0));
+  EXPECT_EQ(mgr.next_transfer_peer(2), 0u);
+  // A certificate only self signed leaves no one to ask.
+  cert.id = make_id(80, "d80");
+  cert.sigs = {{2, {}}};
+  ASSERT_TRUE(mgr.install_certified(cert));
+  EXPECT_EQ(mgr.next_transfer_peer(2), kNoNode);
+}
+
+TEST(CheckpointManager, RecoveryTimeRunsFromTheTransferStart) {
+  // Opened at a chain-sync start (t = 100), retargeted at t = 300 and
+  // closed at t = 700: the recovery took 600.
+  CheckpointManager mgr(8, 2);
+  EXPECT_FALSE(mgr.transferring());
+  ASSERT_TRUE(mgr.open_transfer(64, 100));
+  EXPECT_FALSE(mgr.open_transfer(64, 200));  // already aims there
+  ASSERT_TRUE(mgr.open_transfer(72, 300));
+  EXPECT_TRUE(mgr.transferring());
+  EXPECT_EQ(mgr.transfer_height(), 72u);
+  EXPECT_EQ(mgr.finish_transfer(700), 600);
+  EXPECT_FALSE(mgr.transferring());
+  EXPECT_EQ(mgr.state_transfers(), 1u);
+  EXPECT_EQ(mgr.last_recovery_time(), 600);
+  // The next transfer starts its own clock.
+  ASSERT_TRUE(mgr.open_transfer(80, 900));
+  EXPECT_EQ(mgr.finish_transfer(1000), 100);
+  EXPECT_EQ(mgr.state_transfers(), 2u);
 }
 
 // ---------------------------------------------------------------------------
-// Replica-level: a rejected state response must not wedge state transfer
+// Replica-level: the state-transfer path on a probe replica
 // ---------------------------------------------------------------------------
 
 /// Withholds every outbound message of the probe it is installed on (it
@@ -311,15 +442,6 @@ struct StateTransferProbe {
   StateRequestLog log;
 };
 
-smr::Block checkpoint_block(std::uint64_t height) {
-  smr::Block b;
-  b.parent = Bytes(32, 0x44);
-  b.height = height;
-  b.view = 1;
-  b.proposer = 0;
-  return b;
-}
-
 TEST(StateTransfer, ForgedResponseDoesNotBlockALaterGenuineCheckpoint) {
   // A replica-signed response claiming a huge height with a certificate
   // no quorum signed: rejected at verification.
@@ -333,7 +455,7 @@ TEST(StateTransfer, ForgedResponseDoesNotBlockALaterGenuineCheckpoint) {
   CheckpointId genuine = make_id(64, "genuine");
   p.attest(genuine);
   EXPECT_EQ(p.log.heights, std::vector<std::uint64_t>{64});
-  EXPECT_EQ(p.node.replica.state_transfers(), 0u);
+  EXPECT_EQ(p.node.replica.checkpoints().state_transfers(), 0u);
 }
 
 TEST(StateTransfer, AppIncompatibleSnapshotDoesNotBlockItsCheckpoint) {
@@ -347,7 +469,7 @@ TEST(StateTransfer, AppIncompatibleSnapshotDoesNotBlockItsCheckpoint) {
   const smr::Block root = checkpoint_block(64);
   const CheckpointCert cert = p.cert_for(root, payload);
   p.respond(cert, root, payload);
-  EXPECT_EQ(p.node.replica.state_transfers(), 0u);
+  EXPECT_EQ(p.node.replica.checkpoints().state_transfers(), 0u);
   // The same checkpoint, learned from attestations, still starts a
   // transfer (to be served by a signer with a usable snapshot).
   p.attest(cert.id);
@@ -362,11 +484,28 @@ TEST(StateTransfer, OlderResponseDoesNotLowerTheStableCheckpoint) {
   const smr::Block root = checkpoint_block(64);
   p.respond(p.cert_for(root, SnapshotPayload{}), root, SnapshotPayload{});
   EXPECT_EQ(p.node.replica.checkpoints().stable_height(), 128u);
-  EXPECT_EQ(p.node.replica.state_transfers(), 0u);
+  EXPECT_EQ(p.node.replica.checkpoints().state_transfers(), 0u);
   // The transfer to 128 carries on: its retry timer asks again.
   p.node.sched.run_until(sim::seconds(1));
   ASSERT_GE(p.log.heights.size(), 2u);
   EXPECT_EQ(p.log.heights[1], 128u);
+}
+
+TEST(StateTransfer, UnsolicitedSnapshotRecoveryRunsFromTheSyncStart) {
+  StateTransferProbe p;
+  p.node.sched.run_until(sim::milliseconds(100));
+  // A block with an unknown parent: chain sync starts at t = 100 ms.
+  ASSERT_FALSE(p.node.replica.integrate_block(checkpoint_block(70), 1));
+  p.node.sched.run_until(sim::milliseconds(400));
+  // A sync peer answers with its snapshot instead (it truncated the
+  // history asked for).
+  const smr::Block root = checkpoint_block(64);
+  p.respond(p.cert_for(root, SnapshotPayload{}), root, SnapshotPayload{});
+  const CheckpointManager& ckpt = p.node.replica.checkpoints();
+  EXPECT_EQ(ckpt.state_transfers(), 1u);
+  EXPECT_EQ(ckpt.last_recovery_time(), sim::milliseconds(300));
+  EXPECT_EQ(ckpt.low_water_mark(), 64u);
+  EXPECT_EQ(p.node.replica.committed_height(), 64u);
 }
 
 TEST(StateTransfer, RestoreClearsPoolTimeCaches) {
@@ -394,7 +533,7 @@ TEST(StateTransfer, RestoreClearsPoolTimeCaches) {
 
   const smr::Block root = checkpoint_block(64);
   p.respond(p.cert_for(root, SnapshotPayload{}), root, SnapshotPayload{});
-  ASSERT_EQ(p.node.replica.state_transfers(), 1u);
+  ASSERT_EQ(p.node.replica.checkpoints().state_transfers(), 1u);
   EXPECT_EQ(p.node.replica.prof_block_cache_entries(), 0u);
 
   smr::Block next;

@@ -158,7 +158,7 @@ TEST(MembershipHandoff, EveryProtocolFlipsGenerationAtCommitBoundary) {
     EXPECT_EQ(r.membership_generation, 1u);
     // The joiner followed the chain as a relay and kept committing after
     // it became a signer.
-    EXPECT_GT(cluster.replica(cfg.n - 1).committed_blocks(), 0u);
+    EXPECT_GT(cluster.replica(cfg.n - 1).committed_height(), 0u);
   }
 }
 
@@ -199,7 +199,7 @@ TEST(MembershipHandoff, JoinerArrivesDuringViewChange) {
   EXPECT_EQ(r.membership_generation, 1u);
   // The joiner caught up across BOTH discontinuities (generation flip +
   // view change) and is committing on the live chain.
-  EXPECT_GT(cluster.replica(4).committed_blocks(), 0u);
+  EXPECT_GT(cluster.replica(4).committed_height(), 0u);
 }
 
 // ---------------------------------------------------------------------------
