@@ -5,8 +5,8 @@
 // state-transfer path on a probe (rejected, stale and unsolicited
 // responses, and what a restore clears); bounded replica memory under
 // sustained load (log truncation + dedup-set GC at the low-water mark),
-// snapshot state transfer for late joiners, and the admission-control
-// satellites.
+// snapshot state transfer for late joiners, and admission control
+// (mempool capacity and the per-client cap).
 #include "src/checkpoint/checkpoint.hpp"
 
 #include <gtest/gtest.h>
