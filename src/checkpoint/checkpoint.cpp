@@ -321,7 +321,10 @@ const CheckpointManager::Snapshot* CheckpointManager::serve_to(NodeId peer) {
 bool CheckpointManager::open_transfer(std::uint64_t height,
                                       sim::SimTime started) {
   if (transferring_ && transfer_height_ >= height) return false;
-  if (!transferring_) transfer_started_ = started;
+  if (!transferring_) {
+    transfer_started_ = started;
+    transfer_opened_height_ = height;
+  }
   transferring_ = true;
   transfer_height_ = height;
   signer_idx_ = 0;

@@ -232,6 +232,12 @@ class CheckpointManager {
   [[nodiscard]] std::uint64_t transfer_height() const {
     return transfer_height_;
   }
+  /// Height the transfer in flight (or the last one) was opened at; a
+  /// retarget leaves it unchanged, so it names the transfer from open to
+  /// finish (the recovery trace span's id).
+  [[nodiscard]] std::uint64_t transfer_opened_height() const {
+    return transfer_opened_height_;
+  }
   /// The stable checkpoint's next signer to ask, rotating on each call
   /// and skipping `self` (a signer committed the height, so it can
   /// serve); kNoNode when no transfer is in flight or no other signer
@@ -294,6 +300,7 @@ class CheckpointManager {
 
   bool transferring_ = false;
   std::uint64_t transfer_height_ = 0;
+  std::uint64_t transfer_opened_height_ = 0;
   std::size_t signer_idx_ = 0;
   sim::SimTime transfer_started_ = 0;
   std::uint64_t transfers_ = 0;

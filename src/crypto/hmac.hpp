@@ -1,6 +1,5 @@
-// HMAC-SHA256 (RFC 2104), used as the paper's MAC scheme, under every
-// simulated signature and aggregate share, and as the deterministic-nonce
-// PRF for ECDSA.
+// HMAC-SHA256 (RFC 2104), used as the paper's MAC scheme and under every
+// simulated signature and aggregate share.
 #pragma once
 
 #include "src/common/bytes.hpp"

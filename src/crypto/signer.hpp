@@ -1,23 +1,19 @@
-// Signature-scheme abstraction and the per-system key directory (the
-// paper's "PKI is used to set up keys before starting the protocol").
+// Signature schemes and the per-system key directory (the paper's "PKI is
+// used to set up keys before starting the protocol").
 //
-// Three families are provided:
-//  * real digital signatures (RSA PKCS#1 v1.5, ECDSA on all Table-2
-//    curves),
-//  * HMAC-SHA256 "MAC signatures" (the paper's symmetric-key comparison
-//    point),
-//  * a keyed-hash *simulated* signature scheme for large simulation runs:
-//    functionally a signature inside one trusted process (sign/verify/
-//    unforgeability-by-honest-code), sized and energy-accounted as the
-//    scheme it emulates. DESIGN.md documents this substitution.
+// Every node signs with a keyed-hash *simulated* signature: functionally
+// a signature inside one trusted process (sign/verify/unforgeability-by-
+// honest-code), sized and energy-accounted as the scheme it emulates. The
+// energy model (energy/cost_model.hpp) charges Table 2's calibrated
+// per-operation costs, not the cost of the hashes actually computed.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
+#include "src/crypto/hmac.hpp"
 
 namespace eesmr::crypto {
 
@@ -39,7 +35,6 @@ enum class SchemeId : std::uint8_t {
 struct SchemeInfo {
   const char* name;
   std::size_t signature_bytes;
-  bool symmetric;
 };
 
 /// Static metadata for a scheme (name, wire size of one signature).
@@ -48,54 +43,48 @@ const SchemeInfo& scheme_info(SchemeId id);
 /// All schemes, in Table-2 order (for sweeps).
 std::vector<SchemeId> all_schemes();
 
-/// Private signing half, bound to one node.
-class Signer {
+/// One node's key. A signature is HMAC-SHA256(secret, msg), truncated or
+/// padded with 0xee to the emulated scheme's wire width. Secure inside
+/// one trusted process because only honest simulation code can reach
+/// another node's secret.
+class NodeKey {
  public:
-  virtual ~Signer() = default;
-  [[nodiscard]] virtual Bytes sign(BytesView msg) const = 0;
-  [[nodiscard]] virtual SchemeId scheme() const = 0;
-};
+  NodeKey(BytesView secret, std::size_t width) : key_(secret), width_(width) {}
 
-/// Public verifying half, bound to one node's key.
-class Verifier {
- public:
-  virtual ~Verifier() = default;
-  [[nodiscard]] virtual bool verify(BytesView msg, BytesView sig) const = 0;
-  [[nodiscard]] virtual SchemeId scheme() const = 0;
+  [[nodiscard]] Bytes sign(BytesView msg) const;
+  /// False for a signature of the wrong width, without computing a MAC.
+  [[nodiscard]] bool verify(BytesView msg, BytesView sig) const;
+
+ private:
+  HmacSha256Key key_;
+  std::size_t width_;
 };
 
 /// Key directory for an n-node system: node i signs with signer(i); anyone
 /// verifies node i's signatures with verify(i, ...). Immutable once built.
 class Keyring {
  public:
-  /// Generate real keys for every node. Deterministic in `seed`.
-  /// RSA/ECDSA key generation is comparatively slow; callers that only
-  /// need protocol-level behaviour should prefer `simulated`.
-  static std::shared_ptr<Keyring> generate(SchemeId scheme, std::size_t n,
-                                           std::uint64_t seed);
-
-  /// Keyed-hash signature simulation emulating `scheme`'s wire size.
+  /// Keys for nodes 0..n-1 emulating `scheme`'s wire size. Deterministic
+  /// in `seed`.
   static std::shared_ptr<Keyring> simulated(SchemeId scheme, std::size_t n,
                                             std::uint64_t seed);
 
-  [[nodiscard]] const Signer& signer(NodeId id) const;
+  /// Throws std::out_of_range for an id outside the directory.
+  [[nodiscard]] const NodeKey& signer(NodeId id) const { return keys_.at(id); }
+  /// False for an id outside the directory.
   [[nodiscard]] bool verify(NodeId claimed, BytesView msg,
-                            BytesView sig) const;
+                            BytesView sig) const {
+    return claimed < keys_.size() && keys_[claimed].verify(msg, sig);
+  }
 
   [[nodiscard]] SchemeId scheme() const { return scheme_; }
-  [[nodiscard]] bool is_simulated() const { return simulated_; }
-  [[nodiscard]] std::size_t signature_bytes() const {
-    return scheme_info(scheme_).signature_bytes;
-  }
-  [[nodiscard]] std::size_t size() const { return signers_.size(); }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
 
  private:
-  Keyring() = default;
+  explicit Keyring(SchemeId scheme) : scheme_(scheme) {}
 
-  SchemeId scheme_ = SchemeId::kHmacSha256;
-  bool simulated_ = false;
-  std::vector<std::unique_ptr<Signer>> signers_;
-  std::vector<std::unique_ptr<Verifier>> verifiers_;
+  SchemeId scheme_;
+  std::vector<NodeKey> keys_;
 };
 
 }  // namespace eesmr::crypto

@@ -91,45 +91,20 @@ Experiment::Experiment(std::string name, std::string paper_ref, int argc,
 }
 
 std::size_t Experiment::threads() const {
-  if (serial_only_) return 1;
   return opts_.threads == 0 ? default_threads() : opts_.threads;
 }
 
-void Experiment::force_serial(const char* reason) {
-  if (!serial_only_ && threads() > 1) {
-    std::fprintf(stderr, "[%s] running single-threaded: %s\n", name_.c_str(),
-                 reason);
-  }
-  serial_only_ = true;
-}
-
 bool Experiment::report_unknown_args() const {
-  bool unknown = false;
   for (const std::string& e : opts_.extra) {
-    bool known = false;
-    for (const std::string& r : recognized_extra_) known |= (r == e);
-    if (!known) {
-      std::fprintf(stderr, "[%s] ERROR: unrecognized argument '%s'\n",
-                   name_.c_str(), e.c_str());
-      unknown = true;
-    }
+    std::fprintf(stderr, "[%s] ERROR: unrecognized argument '%s'\n",
+                 name_.c_str(), e.c_str());
   }
-  return unknown;
-}
-
-bool Experiment::flag(std::string_view name) const {
-  recognized_extra_.emplace_back(name);
-  for (const std::string& e : opts_.extra) {
-    if (e == name) return true;
-  }
-  return false;
+  return !opts_.extra.empty();
 }
 
 Report& Experiment::run(std::string section, const Grid& grid,
                         const RunFn& fn) {
-  // By the first run() every bench-specific flag has been queried
-  // (benches read them before building grids), so leftovers are typos:
-  // abort before burning cycles on a configuration nobody asked for.
+  // Abort before burning cycles on a configuration nobody asked for.
   if (report_unknown_args()) std::exit(2);
 
   RunnerOptions ro;
@@ -165,10 +140,8 @@ void Experiment::note(const std::string& text) {
 }
 
 int Experiment::finish() {
-  // Arguments neither the shared CLI nor the bench (via flag())
-  // recognized are typos: fail loudly rather than silently reporting a
-  // different configuration than the caller intended. (run() already
-  // aborts on these; this catches benches that never ran a grid.)
+  // run() already aborts on unknown arguments; this catches benches
+  // that never ran a grid.
   if (report_unknown_args()) return 2;
 
   Json doc = Json::object();

@@ -50,7 +50,7 @@ struct Options {
   std::string trace_out;    ///< empty = no Chrome trace
   std::size_t trace_requests = 0;  ///< sampled requests per run (flows)
   bool write_json = true;
-  std::vector<std::string> extra;  ///< unrecognized args (bench-specific)
+  std::vector<std::string> extra;  ///< unknown args (Experiment rejects them)
 };
 
 /// Parse the shared CLI. Unknown arguments land in Options::extra.
@@ -70,17 +70,6 @@ class Experiment {
   [[nodiscard]] bool smoke() const { return opts_.smoke; }
   [[nodiscard]] std::uint64_t seed() const { return opts_.seed; }
   [[nodiscard]] std::size_t threads() const;
-  /// Bench-specific flag passthrough (e.g. "--host-timing"). Querying a
-  /// flag marks it as recognized; run()/finish() reject any leftover
-  /// arguments nobody asked about, so a CLI typo (--smoek, --thread)
-  /// fails the run instead of silently changing its configuration.
-  [[nodiscard]] bool flag(std::string_view name) const;
-
-  /// Clamp the runner to one worker thread (overriding --threads), for
-  /// benches whose measurements would be skewed by concurrency — e.g.
-  /// --host-timing wall-clock loops contending for cores. Logs the
-  /// reason to stderr.
-  void force_serial(const char* reason);
 
   /// Run one section's grid through the parallel runner; the returned
   /// Report lives until finish() and may be post-processed (derived
@@ -97,7 +86,7 @@ class Experiment {
 
   /// Write BENCH_<name>.json (+ CSV when requested). Returns the
   /// process exit code: 0 on success, 1 when writing failed, 2 when
-  /// the command line carried arguments no one recognized.
+  /// the command line carried an unknown argument.
   int finish();
 
  private:
@@ -105,13 +94,11 @@ class Experiment {
   std::string paper_ref_;
   Options opts_;
   /// True (after printing an ERROR per offender) when the command line
-  /// carried arguments neither the shared CLI nor flag() recognized.
+  /// carried arguments the shared CLI does not know. No bench takes a
+  /// flag of its own, so every one is a typo (--smoek, --thread) that
+  /// would otherwise silently change the run's configuration.
   [[nodiscard]] bool report_unknown_args() const;
 
-  /// Extra args a bench queried via flag() (recognized bench-specific
-  /// flags); the rest are typos run()/finish() report.
-  mutable std::vector<std::string> recognized_extra_;
-  bool serial_only_ = false;
   std::vector<std::unique_ptr<Report>> sections_;
 
   /// Per-section observability artifacts (one slot per grid point),

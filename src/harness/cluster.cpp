@@ -232,9 +232,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   }
 
   // Keys (the directory also covers client ids).
-  keyring_ = cfg_.simulated_keys
-                 ? crypto::Keyring::simulated(cfg_.scheme, world, cfg_.seed)
-                 : crypto::Keyring::generate(cfg_.scheme, world, cfg_.seed);
+  keyring_ = crypto::Keyring::simulated(cfg_.scheme, world, cfg_.seed);
   // Aggregate share directory: replicas only (clients hold it to verify
   // reply shares and fold acceptance certs, never to sign).
   if (cfg_.cert_scheme == smr::CertScheme::kAggregate) {

@@ -58,9 +58,6 @@ struct ClusterConfig {
   energy::Medium medium = energy::Medium::kBle;
   sim::Duration hop_delay = sim::milliseconds(10);
   crypto::SchemeId scheme = crypto::SchemeId::kRsa1024;
-  /// Use the keyed-hash simulation keyring (sized/energy-accounted as
-  /// `scheme`); set false for real RSA/ECDSA keys.
-  bool simulated_keys = true;
   /// Certificate scheme for quorum certificates, checkpoint certificates
   /// and reply acceptance. kAggregate replaces O(n) signature lists with
   /// {signer bitset, one 48-byte aggregate} (simulated BLS, src/crypto/
@@ -161,6 +158,8 @@ struct ClusterConfig {
 
   /// Unused; still assigned by perfbench/perfbench.cpp.
   std::size_t crypto_workers = 0;
+  /// Unused; still assigned by perfbench/perfbench.cpp.
+  bool simulated_keys = true;
 };
 
 class Cluster {

@@ -394,8 +394,11 @@ void ReplicaBase::connect_orphans() {
 }
 
 void ReplicaBase::buffer_future(const Msg& msg) {
-  if (future_.size() > 4096) return;  // bound Byzantine memory pressure
-  future_.push_back(msg);
+  if (future_.size() < kMaxParked) future_.push_back(msg);
+}
+
+void ReplicaBase::retry_on_connect(const Msg& msg) {
+  if (retry_.size() < kMaxParked) retry_.push_back(msg);
 }
 
 void ReplicaBase::drain_buffered() {
@@ -841,7 +844,7 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
 
   st_timer_.cancel();
   const sim::Duration took = ckpt_.finish_transfer(sched_.now());
-  trace_end("recovery", "state_transfer", ckpt_.transfer_height(),
+  trace_end("recovery", "state_transfer", ckpt_.transfer_opened_height(),
             {{"height", exp::Json(cert.id.height)},
              {"ms", exp::Json(sim::to_milliseconds(took))}});
 

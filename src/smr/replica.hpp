@@ -334,8 +334,10 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
 
   // -- out-of-order messages -------------------------------------------------------
-  /// Park a message for a view this replica has not entered yet (bounded
-  /// against Byzantine memory pressure).
+  /// Each parking buffer holds at most this many messages; later ones
+  /// are dropped (bounded against Byzantine memory pressure).
+  static constexpr std::size_t kMaxParked = 4096;
+  /// Park a message for a view this replica has not entered yet.
   void buffer_future(const Msg& msg);
   /// True for a message of the current view. A later view's message is
   /// parked by buffer_future(); an earlier view's is dropped.
@@ -345,7 +347,11 @@ class ReplicaBase : public net::FloodClient {
   }
   /// Park a message whose block waits on chain sync: re-dispatched just
   /// before the next on_chain_connected().
-  void retry_on_connect(const Msg& msg) { retry_.push_back(msg); }
+  void retry_on_connect(const Msg& msg);
+  /// Messages parked by buffer_future() and retry_on_connect().
+  [[nodiscard]] std::size_t parked() const {
+    return future_.size() + retry_.size();
+  }
   /// Re-dispatch every parked message through handle(): the chain-sync
   /// retries first, then the future-view messages.
   void drain_buffered();

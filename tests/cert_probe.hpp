@@ -2,9 +2,9 @@
 // tests verify quorum and checkpoint certificates by the rules replicas
 // run: replica-range and distinct signers, the verified-signature cache,
 // and, under the aggregate scheme, the signer-bitset width and the
-// membership-generation gate. It also exposes the block intake, commit
-// and request-flow hooks, so tests can drive the chain without a
-// protocol.
+// membership-generation gate. It also exposes the block intake, commit,
+// request-flow and message-parking hooks, so tests can drive the chain
+// without a protocol.
 #pragma once
 
 #include <memory>
@@ -24,7 +24,10 @@ class QcProbe final : public ReplicaBase {
   using ReplicaBase::ReplicaBase;
   using ReplicaBase::commit_chain;
   using ReplicaBase::integrate_block;
+  using ReplicaBase::kMaxParked;
+  using ReplicaBase::parked;
   using ReplicaBase::prof_flow_block;
+  using ReplicaBase::retry_on_connect;
   using ReplicaBase::verify_checkpoint_cert;
   using ReplicaBase::verify_qc;
   void start() override {}

@@ -144,6 +144,10 @@ TEST(CostModel, HashEnergyLinearInSize) {
   EXPECT_LT(h2, h1 * 110);
   // Paper: HMAC over short input costs 0.19 J.
   EXPECT_NEAR(mac_energy_mj(32), 190.0, 1.0);
+  // Exact model values at the sizes the simulator's hashes take.
+  EXPECT_EQ(hash_energy_mj(64), 95.0);
+  EXPECT_EQ(hash_energy_mj(4096), 3087.5);
+  EXPECT_EQ(mac_energy_mj(64), 237.5);
 }
 
 // -- BLE k-cast model (Fig 2a calibration) -------------------------------------

@@ -350,5 +350,16 @@ TEST(Cli, RejectsMalformedValues) {
                std::invalid_argument);
 }
 
+// No bench takes a flag of its own, so any argument the shared CLI does
+// not know fails the run with exit code 2 instead of being ignored.
+TEST(Cli, UnknownArgumentFailsTheRun) {
+  const char* clean[] = {"bench", "--no-json"};
+  exp::Experiment ok("cli_probe", "test", 2, const_cast<char**>(clean));
+  EXPECT_EQ(ok.finish(), 0);
+  const char* extra[] = {"bench", "--no-json", "--host-timing"};
+  exp::Experiment bad("cli_probe", "test", 3, const_cast<char**>(extra));
+  EXPECT_EQ(bad.finish(), 2);
+}
+
 }  // namespace
 }  // namespace eesmr

@@ -597,5 +597,22 @@ TEST(FuzzDecode, BadHeightOrphanIsDroppedWhenItsParentArrives) {
   EXPECT_EQ(p.node.replica.store().orphan_count(), 0u);
 }
 
+TEST(FuzzDecode, UnconnectableProposalsParkBounded) {
+  // A Byzantine leader's proposals whose parents never arrive are parked
+  // for a chain-sync connect that never comes: the buffer stops growing
+  // at its cap.
+  SyncProbe p;
+  const std::size_t cap = smr::QcProbe::kMaxParked;
+  for (std::uint64_t i = 0; i < cap + 100; ++i) {
+    smr::Msg m;
+    m.type = smr::MsgType::kPropose;
+    m.view = 1;
+    m.author = 1;
+    m.data = block_at(smr::BlockHash(32, 0xab), i + 2).encode();
+    p.node.replica.retry_on_connect(m);
+  }
+  EXPECT_EQ(p.node.replica.parked(), cap);
+}
+
 }  // namespace
 }  // namespace eesmr

@@ -114,20 +114,6 @@ TEST(Cluster, EnergyMetersWiredToAllCategories) {
   }
 }
 
-TEST(Cluster, RealCryptoClusterCommits) {
-  // End-to-end with REAL ECDSA keys (generation + sign + verify on the
-  // actual curve implementation) rather than the simulation keyring.
-  ClusterConfig cfg;
-  cfg.n = 3;
-  cfg.f = 1;
-  cfg.simulated_keys = false;
-  cfg.scheme = crypto::SchemeId::kEcdsaSecp192r1;
-  Cluster cluster(cfg);
-  const RunResult r = cluster.run_until_commits(2, sim::seconds(60));
-  EXPECT_TRUE(r.safety_ok());
-  EXPECT_GE(r.min_committed(), 2u);
-}
-
 // Cross-protocol sweep: every protocol must be safe and live on both
 // topologies with honest nodes.
 class ProtocolSweep

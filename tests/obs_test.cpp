@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/exp/json.hpp"
@@ -17,6 +19,7 @@
 #include "src/harness/cluster.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/sim/rng.hpp"
 
 namespace eesmr {
 namespace {
@@ -365,6 +368,59 @@ TEST(Trace, ChromeDocumentIsValid) {
       EXPECT_TRUE(ev.contains("s"));  // instant scope
     } else {
       EXPECT_TRUE(ev.contains("id"));  // async span id
+    }
+  }
+}
+
+// A late joiner whose state transfer is retargeted while in flight: the
+// n = 4 run of bench_fig_certsize's smoke grid. Checkpoints stabilize
+// faster than a transfer's round trip, so the transfer opened at one
+// stable height closes at a higher one.
+TEST(Trace, AsyncSpansPairAcrossARetargetedStateTransfer) {
+  obs::Tracer tracer;
+  harness::ClusterConfig cfg;
+  cfg.protocol = harness::Protocol::kSyncHotStuff;
+  cfg.n = 4;
+  cfg.f = 1;
+  cfg.seed = sim::derive_seed(42, 0);
+  cfg.batch_size = 8;
+  cfg.clients = 2;
+  cfg.workload.mode = client::WorkloadSpec::Mode::kClosedLoop;
+  cfg.workload.outstanding = 4;
+  cfg.workload.max_requests = 600;
+  cfg.checkpoint_interval = 8;
+  cfg.late_starts.push_back({3, sim::seconds(2)});
+  cfg.tracer = &tracer;
+  harness::Cluster cluster(cfg);
+  const harness::RunResult r = cluster.run_until_commits(40, sim::seconds(120));
+  ASSERT_GE(r.state_transfers, 1u);
+
+  // Chrome pairs an async end with the open begin of the same
+  // (process, category, name, id); a node's spans never overlap under
+  // one key. Block spans may still be open when the run stops; every
+  // recovery span must have closed.
+  using Key = std::tuple<std::uint32_t, std::int64_t, std::string,
+                         std::string, std::uint64_t>;
+  std::map<Key, int> open;
+  std::size_t retargeted = 0;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.ph != 'b' && ev.ph != 'e') continue;
+    const Key key{ev.epoch, ev.node, ev.cat, ev.name, ev.id};
+    if (ev.ph == 'b') {
+      EXPECT_EQ(open[key]++, 0) << ev.name << " " << ev.id << " reopened";
+      continue;
+    }
+    EXPECT_EQ(open[key]--, 1) << ev.name << " " << ev.id << " never opened";
+    for (const auto& [name, value] : ev.args) {
+      if (name == "height" && static_cast<std::uint64_t>(value.as_int()) != ev.id) {
+        ++retargeted;
+      }
+    }
+  }
+  EXPECT_GE(retargeted, 1u);  // the run exercises a retarget
+  for (const auto& [key, count] : open) {
+    if (std::get<2>(key) == "recovery") {
+      EXPECT_EQ(count, 0) << "state transfer " << std::get<4>(key);
     }
   }
 }

@@ -14,8 +14,6 @@ TEST(SchemeInfo, SignatureSizesMatchSchemes) {
   EXPECT_EQ(scheme_info(SchemeId::kRsa1024).signature_bytes, 128u);
   EXPECT_EQ(scheme_info(SchemeId::kRsa1260).signature_bytes, 158u);
   EXPECT_EQ(scheme_info(SchemeId::kRsa2048).signature_bytes, 256u);
-  EXPECT_TRUE(scheme_info(SchemeId::kHmacSha256).symmetric);
-  EXPECT_FALSE(scheme_info(SchemeId::kRsa1024).symmetric);
 }
 
 TEST(SchemeInfo, AllSchemesEnumerated) {
@@ -28,7 +26,6 @@ TEST(Keyring, SimulatedSignVerify) {
   const Bytes sig = ring->signer(0).sign(msg);
   EXPECT_EQ(sig.size(), 128u);  // emulates RSA-1024 wire size
   EXPECT_TRUE(ring->verify(0, msg, sig));
-  EXPECT_TRUE(ring->is_simulated());
 }
 
 // Wire bytes of one simulated RSA-1024 signature: the 32-byte HMAC
@@ -44,12 +41,35 @@ TEST(Keyring, SimulatedTagIsPinned) {
   EXPECT_TRUE(ring->verify(1, msg, sig));
 }
 
+// The HMAC ring is the full 32-byte HMAC-SHA256 (no padding), so it
+// runs the same wrong-signer checks as an emulated public-key width.
 TEST(Keyring, SimulatedRejectsWrongSigner) {
-  auto ring = Keyring::simulated(SchemeId::kEcdsaSecp256r1, 4, 1);
-  const Bytes msg = to_bytes(std::string("hello"));
+  for (const SchemeId scheme :
+       {SchemeId::kEcdsaSecp256r1, SchemeId::kHmacSha256}) {
+    auto ring = Keyring::simulated(scheme, 4, 1);
+    const Bytes msg = to_bytes(std::string("hello"));
+    const Bytes sig = ring->signer(0).sign(msg);
+    EXPECT_EQ(sig.size(), scheme_info(scheme).signature_bytes);
+    EXPECT_TRUE(ring->verify(0, msg, sig));
+    EXPECT_FALSE(ring->verify(1, msg, sig));
+    EXPECT_FALSE(ring->verify(99, msg, sig));  // unknown node
+  }
+}
+
+// A signature that is too short, too long (a valid tag plus one padding
+// byte) or empty is rejected, and none of these throws.
+TEST(Keyring, SimulatedRejectsWrongWidth) {
+  auto ring = Keyring::simulated(SchemeId::kRsa1024, 2, 3);
+  const Bytes msg = to_bytes(std::string("width"));
   const Bytes sig = ring->signer(0).sign(msg);
-  EXPECT_FALSE(ring->verify(1, msg, sig));
-  EXPECT_FALSE(ring->verify(99, msg, sig));  // unknown node
+  Bytes longer = sig;
+  longer.push_back(0xee);
+  const Bytes shorter(sig.begin(), sig.end() - 1);
+  for (const Bytes& bad : {shorter, longer, Bytes{}}) {
+    bool ok = true;
+    EXPECT_NO_THROW(ok = ring->verify(0, msg, bad));
+    EXPECT_FALSE(ok);
+  }
 }
 
 TEST(Keyring, SimulatedRejectsTamperedMessage) {
@@ -66,25 +86,6 @@ TEST(Keyring, SimulatedDeterministicAcrossInstances) {
   // Different seed -> different keys.
   auto r3 = Keyring::simulated(SchemeId::kRsa1024, 3, 43);
   EXPECT_NE(r1->signer(2).sign(msg), r3->signer(2).sign(msg));
-}
-
-TEST(Keyring, RealHmacRing) {
-  auto ring = Keyring::generate(SchemeId::kHmacSha256, 3, 5);
-  const Bytes msg = to_bytes(std::string("mac me"));
-  const Bytes sig = ring->signer(2).sign(msg);
-  EXPECT_EQ(sig.size(), 32u);
-  EXPECT_TRUE(ring->verify(2, msg, sig));
-  EXPECT_FALSE(ring->verify(0, msg, sig));
-  EXPECT_FALSE(ring->is_simulated());
-}
-
-TEST(Keyring, RealEcdsaRing) {
-  auto ring = Keyring::generate(SchemeId::kEcdsaSecp192r1, 2, 5);
-  const Bytes msg = to_bytes(std::string("sign me"));
-  const Bytes sig = ring->signer(0).sign(msg);
-  EXPECT_EQ(sig.size(), 48u);
-  EXPECT_TRUE(ring->verify(0, msg, sig));
-  EXPECT_FALSE(ring->verify(1, msg, sig));
 }
 
 TEST(Keyring, SignerOutOfRangeThrows) {
