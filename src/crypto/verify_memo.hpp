@@ -11,13 +11,15 @@
 // verification, hit or miss.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <string>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "src/common/bytes.hpp"
+#include "src/crypto/fingerprint.hpp"
 
 namespace eesmr::crypto {
 
@@ -29,28 +31,52 @@ class VerifyMemo {
   /// only on the sequence of checks and is deterministic.
   static constexpr std::size_t kMaxEntries = 4096;
 
-  /// Verdict of `verify_fn()` for this triple. The first call per key
+  /// Verdict of `verify_fn()` for this triple. The first call per triple
   /// runs `verify_fn`; later calls return the stored verdict.
   template <typename VerifyFn>
   bool check(std::uint32_t author, BytesView preimage, BytesView sig,
              VerifyFn&& verify_fn) {
-    std::string key = make_key(author, preimage, sig);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
+    return check(fingerprint(author, preimage, sig), author, preimage, sig,
+                 verify_fn);
+  }
+
+  /// As above, with the triple's fingerprint(author, preimage, sig)
+  /// already computed by the caller.
+  template <typename VerifyFn>
+  bool check(std::uint64_t fp, std::uint32_t author, BytesView preimage,
+             BytesView sig, VerifyFn&& verify_fn) {
+    if (Entry* e = find(fp, author, preimage, sig)) {
       ++hits_;
-      it->second.hit = true;
-      return it->second.ok;
+      e->hit = true;
+      return e->ok;
     }
     const bool ok = verify_fn();
-    fifo_.push_back(key);
-    entries_.emplace(std::move(key), Entry{ok, false});
-    if (entries_.size() > kMaxEntries) {
-      const auto old = entries_.find(fifo_.front());
+    Bytes triple;
+    triple.reserve(preimage.size() + sig.size());
+    triple.insert(triple.end(), preimage.begin(), preimage.end());
+    triple.insert(triple.end(), sig.begin(), sig.end());
+    fifo_.push_back(
+        Entry{fp, author, preimage.size(), std::move(triple), ok, false});
+    index_.emplace(fp, &fifo_.back());
+    if (fifo_.size() > kMaxEntries) {
+      const Entry& old = fifo_.front();
+      auto it = index_.equal_range(old.fp).first;
+      while (it->second != &old) ++it;
+      index_.erase(it);
+      if (!old.hit) ++wasted_;
       fifo_.pop_front();
-      if (!old->second.hit) ++wasted_;
-      entries_.erase(old);
     }
     return ok;
+  }
+
+  /// The stored verdict for this triple, if any. Counts no hit and
+  /// stores nothing.
+  [[nodiscard]] std::optional<bool> peek(std::uint64_t fp,
+                                         std::uint32_t author,
+                                         BytesView preimage,
+                                         BytesView sig) const {
+    const Entry* e = find(fp, author, preimage, sig);
+    return e != nullptr ? std::optional<bool>(e->ok) : std::nullopt;
   }
 
   /// Checks answered from a stored verdict.
@@ -59,31 +85,40 @@ class VerifyMemo {
   [[nodiscard]] std::uint64_t wasted() const { return wasted_; }
 
  private:
-  /// Canonical key of one (author, preimage, signature) verification.
-  /// Raw concatenation, not a hash: for simulated keys a SHA-256 over the
-  /// preimage costs as much as the verify it would save.
-  static std::string make_key(std::uint32_t author, BytesView preimage,
-                              BytesView sig) {
-    std::string k;
-    k.reserve(8 + preimage.size() + sig.size());
-    for (int i = 0; i < 4; ++i) {
-      k.push_back(static_cast<char>(author >> (8 * i)));
-    }
-    const auto plen = static_cast<std::uint32_t>(preimage.size());
-    for (int i = 0; i < 4; ++i) {
-      k.push_back(static_cast<char>(plen >> (8 * i)));
-    }
-    k.append(preimage.begin(), preimage.end());
-    k.append(sig.begin(), sig.end());
-    return k;
-  }
-
+  /// One stored verdict with its exact triple: `triple` holds the
+  /// preimage (its first `preimage_len` bytes) followed by the signature.
   struct Entry {
+    std::uint64_t fp;
+    std::uint32_t author;
+    std::size_t preimage_len;
+    Bytes triple;
     bool ok;
     bool hit;
   };
-  std::unordered_map<std::string, Entry> entries_;
-  std::deque<std::string> fifo_;
+
+  /// The entry whose exact triple matches, among those sharing `fp`.
+  Entry* find(std::uint64_t fp, std::uint32_t author, BytesView preimage,
+              BytesView sig) const {
+    for (auto [it, end] = index_.equal_range(fp); it != end; ++it) {
+      const Entry& e = *it->second;
+      if (e.author == author && e.preimage_len == preimage.size() &&
+          e.triple.size() == preimage.size() + sig.size() &&
+          std::equal(preimage.begin(), preimage.end(), e.triple.begin()) &&
+          std::equal(sig.begin(), sig.end(),
+                     e.triple.begin() + static_cast<std::ptrdiff_t>(
+                                            preimage.size()))) {
+        return it->second;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Entries in insertion order (front = oldest). A deque keeps element
+  /// addresses stable under push_back and pop_front, so index_ can point
+  /// into it.
+  std::deque<Entry> fifo_;
+  /// fingerprint -> entries with that fingerprint.
+  std::unordered_multimap<std::uint64_t, Entry*> index_;
   std::uint64_t hits_ = 0;
   std::uint64_t wasted_ = 0;
 };

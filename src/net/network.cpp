@@ -63,6 +63,19 @@ std::size_t Network::hops(NodeId from, NodeId to) const {
   return hop_matrix_.at(from).at(to);
 }
 
+std::size_t Network::kcast_redundancy(std::size_t bytes, std::size_t k) {
+  const std::uint64_t key =
+      (std::uint64_t{energy::ble_adv_packets(bytes)} << 32) | k;
+  if (const auto it = kcast_redundancy_.find(key);
+      it != kcast_redundancy_.end()) {
+    return it->second;
+  }
+  const std::size_t r =
+      energy::kcast_redundancy_for(bytes, k, config_.kcast_reliability);
+  kcast_redundancy_.emplace(key, r);
+  return r;
+}
+
 void Network::attach(NodeId node, PacketSink* sink) {
   sinks_.at(node) = sink;
 }
@@ -80,8 +93,7 @@ void Network::charge_energy(const HyperEdge& edge, std::size_t bytes,
   if (config_.medium == energy::Medium::kBle) {
     if (k > 1) {
       // Advertisement k-cast with redundancy for the reliability target.
-      const std::size_t r =
-          energy::kcast_redundancy_for(bytes, k, config_.kcast_reliability);
+      const std::size_t r = kcast_redundancy(bytes, k);
       send_mj = energy::kcast_send_energy_mj(bytes, r);
       recv_mj = energy::kcast_recv_energy_mj(bytes, r);
     } else {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/bytes.hpp"
@@ -166,6 +167,12 @@ class Network {
   /// distance paths (point-to-point routing over the hypergraph).
   [[nodiscard]] std::size_t hops(NodeId from, NodeId to) const;
 
+  /// energy::kcast_redundancy_for(bytes, k, config().kcast_reliability),
+  /// memoized per (advertisement packets of `bytes`, k): the redundancy
+  /// depends on `bytes` only through its packet count, and the
+  /// reliability target is fixed per network.
+  [[nodiscard]] std::size_t kcast_redundancy(std::size_t bytes, std::size_t k);
+
   // Run statistics (for Table-3 communication-complexity measurements).
   [[nodiscard]] std::uint64_t transmissions() const { return transmissions_; }
   [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
@@ -209,6 +216,8 @@ class Network {
   std::vector<bool> relay_;
   std::vector<bool> online_;
   std::vector<std::vector<std::size_t>> hop_matrix_;
+  /// kcast_redundancy memo: (packets << 32 | k) -> redundancy.
+  std::unordered_map<std::uint64_t, std::size_t> kcast_redundancy_;
   std::vector<InFlight> in_flight_;
   std::uint32_t free_in_flight_ = kNoSlot;
 

@@ -7,17 +7,21 @@
 namespace eesmr::smr {
 
 bool Mempool::submit(Command cmd) {
-  std::string key = to_string(cmd.data);
-  if (committed_keys_.count(key) > 0) return false;
-  if (pending_keys_.count(key) > 0) return false;  // duplicate, not a drop
+  if (committed_keys_.contains(BytesView(cmd.data))) return false;
+  if (pending_keys_.contains(BytesView(cmd.data))) {
+    return false;  // duplicate, not a drop
+  }
   if (capacity_ > 0 && queue_.size() >= capacity_) {
     ++dropped_;  // admission control: shed fresh load when full
     return false;
   }
-  const auto req = ClientRequest::decode(cmd.data);
-  if (req.has_value()) ++client_pending_[req->client];
-  pending_keys_.insert(std::move(key));
-  queue_.push_back(std::move(cmd));
+  std::optional<NodeId> client;
+  if (const auto req = ClientRequest::decode(cmd.data)) {
+    client = req->client;
+    ++client_pending_[req->client];
+  }
+  pending_keys_.insert(cmd.data);
+  queue_.push_back(Queued{std::move(cmd), client});
   return true;
 }
 
@@ -25,7 +29,7 @@ std::vector<Command> Mempool::next_batch(std::size_t max_cmds) {
   std::vector<Command> batch;
   batch.reserve(max_cmds);
   for (std::size_t i = 0; i < std::min(max_cmds, queue_.size()); ++i) {
-    batch.push_back(queue_[i]);
+    batch.push_back(queue_[i].cmd);
   }
   while (batch.size() < max_cmds && synthetic_bytes_ > 0) {
     // Deterministic filler: counter stamped into a fixed-size payload.
@@ -48,21 +52,19 @@ void Mempool::remove_committed(const Block& block) {
   // Classification uses the same full decode as the replica commit path
   // (a prefix sniff would disagree on bytes that merely start with the
   // tag, e.g. filler whose stamped counter hits 0xC11E).
-  std::set<std::string> block_keys;
+  BytesSet<BytesView> block_keys;
   for (const Command& c : block.cmds) {
-    auto [it, fresh] = block_keys.insert(to_string(c.data));
-    if (fresh && ClientRequest::decode(c.data).has_value()) {
-      committed_keys_.insert(*it);
+    if (block_keys.insert(BytesView(c.data)).second &&
+        ClientRequest::decode(c.data).has_value()) {
+      committed_keys_.insert(c.data);
     }
   }
   if (block_keys.empty()) return;
-  const auto is_committed = [&](const Command& c) {
-    const std::string key = to_string(c.data);
-    if (block_keys.count(key) == 0) return false;
-    pending_keys_.erase(key);
-    const auto req = ClientRequest::decode(c.data);
-    if (req.has_value()) {
-      const auto it = client_pending_.find(req->client);
+  const auto is_committed = [&](const Queued& q) {
+    if (!block_keys.contains(BytesView(q.cmd.data))) return false;
+    pending_keys_.erase(pending_keys_.find(BytesView(q.cmd.data)));
+    if (q.client.has_value()) {
+      const auto it = client_pending_.find(*q.client);
       if (it != client_pending_.end() && it->second > 0) --it->second;
     }
     return true;

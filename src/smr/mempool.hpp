@@ -13,13 +13,15 @@
 // re-submitted after commit are a new operation and stay orderable.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
-#include <string>
+#include <optional>
+#include <unordered_set>
 #include <vector>
 
+#include "src/crypto/fingerprint.hpp"
 #include "src/smr/block.hpp"
 
 namespace eesmr::smr {
@@ -57,8 +59,9 @@ class Mempool {
   /// tagged-request key. Requests below the checkpoint stay deduplicated
   /// via the replica's per-client watermarks, so the key set no longer
   /// needs to remember them.
-  void forget_committed(const Bytes& cmd_bytes) {
-    committed_keys_.erase(to_string(cmd_bytes));
+  void forget_committed(BytesView cmd_bytes) {
+    const auto it = committed_keys_.find(cmd_bytes);
+    if (it != committed_keys_.end()) committed_keys_.erase(it);
   }
   [[nodiscard]] std::size_t committed_keys() const {
     return committed_keys_.size();
@@ -79,12 +82,36 @@ class Mempool {
   std::size_t synthetic_bytes_;
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
+  /// Hash and equality over exact command bytes, transparent so that a
+  /// lookup by BytesView copies nothing. Iteration order is never used.
+  /// Not noexcept, so the sets cache each node's hash instead of
+  /// re-fingerprinting nodes while walking a bucket.
+  struct BytesHash {
+    using is_transparent = void;
+    std::size_t operator()(BytesView v) const {
+      return crypto::fingerprint(v);
+    }
+  };
+  struct BytesEqual {
+    using is_transparent = void;
+    bool operator()(BytesView a, BytesView b) const {
+      return std::ranges::equal(a, b);
+    }
+  };
+  template <typename Key>
+  using BytesSet = std::unordered_set<Key, BytesHash, BytesEqual>;
+
+  /// A queued command and, for a tagged client request, its client.
+  struct Queued {
+    Command cmd;
+    std::optional<NodeId> client;
+  };
   std::map<NodeId, std::size_t> client_pending_;
-  std::deque<Command> queue_;
+  std::deque<Queued> queue_;
   /// Commands currently in queue_ (dedup on submit).
-  std::set<std::string> pending_keys_;
+  BytesSet<Bytes> pending_keys_;
   /// Committed tagged client requests (rejects late retransmits).
-  std::set<std::string> committed_keys_;
+  BytesSet<Bytes> committed_keys_;
   std::uint64_t synth_counter_ = 0;
 };
 

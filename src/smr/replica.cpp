@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "src/common/serde.hpp"
+#include "src/crypto/fingerprint.hpp"
 #include "src/crypto/sha256.hpp"
 
 namespace eesmr::smr {
@@ -13,19 +14,6 @@ namespace {
 /// Cap on blocks per SyncResponse (a Byzantine peer can request often;
 /// the per-response size must stay bounded).
 constexpr std::size_t kMaxSyncBlocks = 64;
-
-/// Verified-signature cache key: digest of (author, preimage, sig), so
-/// an entry costs 32 bytes regardless of payload size. Like
-/// RequestIntake's verified-bytes cache, the digest is a data-structure
-/// detail (a real node would index by pointer) and is not charged.
-crypto::Sha256Digest sig_digest(NodeId author, BytesView preimage,
-                                BytesView sig) {
-  Writer w;
-  w.u32(author);
-  w.bytes(preimage);
-  w.raw(sig);
-  return crypto::Sha256::hash(w.buffer());
-}
 }  // namespace
 
 ReplicaBase::ReplicaBase(net::Network& net, ReplicaConfig cfg,
@@ -186,35 +174,46 @@ bool ReplicaBase::verify_msg(const Msg& m) {
     return false;
   }
   const Bytes preimage = m.preimage();
+  const std::uint64_t fp = crypto::fingerprint(m.author, preimage, m.sig);
   const bool ok =
-      verify_metered(m.author, preimage, m.sig,
+      verify_metered(fp, m.author, preimage, m.sig,
                      aggregate_certs() && certificate_bound(m.type),
                      crypto_site(m.type));
-  if (ok && certificate_bound(m.type)) {
-    sig_verified_.emplace(sig_digest(m.author, preimage, m.sig),
-                          committed_height_);
+  // Only individual-form certificates consult the cache; under the
+  // aggregate scheme an entry would never be read.
+  if (ok && certificate_bound(m.type) && !aggregate_certs()) {
+    sig_verified_.emplace(fp, committed_height_);
   }
   return ok;
 }
 
-bool ReplicaBase::memo_verify(NodeId author, BytesView preimage,
-                              BytesView sig, bool share) {
+bool ReplicaBase::memo_verify(std::uint64_t fp, NodeId author,
+                              BytesView preimage, BytesView sig, bool share) {
   const auto verify = [&] {
     return share ? cfg_.agg->verify_share(author, preimage, sig)
                  : cfg_.keyring->verify(author, preimage, sig);
   };
-  return cfg_.memo != nullptr ? cfg_.memo->check(author, preimage, sig, verify)
-                              : verify();
+  return cfg_.memo != nullptr
+             ? cfg_.memo->check(fp, author, preimage, sig, verify)
+             : verify();
 }
 
-bool ReplicaBase::verify_metered(NodeId author, BytesView preimage,
-                                 BytesView sig, bool share, const char* site) {
+bool ReplicaBase::verify_metered(std::uint64_t fp, NodeId author,
+                                 BytesView preimage, BytesView sig, bool share,
+                                 const char* site) {
   // A share check is priced as a one-signer aggregate verification.
   charge(energy::Category::kVerify,
          share ? energy::agg_verify_energy_mj(1)
                : energy::verify_energy_mj(cfg_.keyring->scheme()));
   prof_crypto("verify", site);
-  return memo_verify(author, preimage, sig, share);
+  return memo_verify(fp, author, preimage, sig, share);
+}
+
+bool ReplicaBase::verify_request(const ClientRequest& req) {
+  const Bytes preimage = req.preimage();
+  return verify_metered(crypto::fingerprint(req.client, preimage, req.sig),
+                        req.client, preimage, req.sig, /*share=*/false,
+                        "request");
 }
 
 bool ReplicaBase::verify_individual_cert(
@@ -224,29 +223,42 @@ bool ReplicaBase::verify_individual_cert(
   // verification per contained signature — minus the signatures this
   // node already verified individually when the votes arrived, which
   // the verified-signature cache answers for free at tally time.
-  std::vector<std::size_t> uncached;
-  uncached.reserve(sigs.size());
+  std::vector<std::uint64_t> fps(sigs.size());
+  std::vector<bool> cached(sigs.size());
   for (std::size_t i = 0; i < sigs.size(); ++i) {
-    if (sig_verified_.count(sig_digest(sigs[i].first, preimage,
-                                       sigs[i].second)) > 0) {
+    fps[i] = crypto::fingerprint(sigs[i].first, preimage, sigs[i].second);
+    if (sig_verified_.contains(fps[i])) {
       ++sig_cache_hits_;
+      cached[i] = true;
       continue;
     }
     charge(energy::Category::kVerify,
            energy::verify_energy_mj(cfg_.keyring->scheme()));
     prof_crypto("verify", site);
-    uncached.push_back(i);
   }
-  // Validity: count, replica and distinct authors, then the
-  // not-yet-verified signatures.
+  // Validity: count, replica and distinct authors, then every signature.
   if (sigs.size() < quorum_size) return false;
   std::set<NodeId> authors;
   for (const auto& [author, sig] : sigs) {
     if (author >= cfg_.n) return false;
     if (!authors.insert(author).second) return false;  // duplicate author
   }
-  for (std::size_t i : uncached) {
-    if (!memo_verify(sigs[i].first, preimage, sigs[i].second)) return false;
+  for (std::size_t i = 0; i < sigs.size(); ++i) {
+    const auto& [author, sig] = sigs[i];
+    if (!cached[i]) {
+      if (!memo_verify(fps[i], author, preimage, sig)) return false;
+      continue;
+    }
+    // A cache hit is matched by fingerprint only, so it settles the
+    // accounting, not validity: confirm the exact signature from the
+    // memo's stored verdict, else by an unmetered, unmemoized verify.
+    const auto memo = cfg_.memo != nullptr
+                          ? cfg_.memo->peek(fps[i], author, preimage, sig)
+                          : std::nullopt;
+    if (!(memo.has_value() ? *memo
+                           : cfg_.keyring->verify(author, preimage, sig))) {
+      return false;
+    }
   }
   return true;
 }
@@ -289,7 +301,7 @@ bool ReplicaBase::verify_agg_cert(BytesView preimage,
   // Whole-certificate cache: an aggregate is one pairing-based check, so
   // the cache keys the (preimage, signers, aggregate) triple as a unit.
   const auto digest = agg_cert_digest(preimage, signers, agg_sig);
-  if (sig_verified_.count(digest) > 0) {
+  if (agg_verified_.contains(digest)) {
     ++sig_cache_hits_;
     return true;
   }
@@ -297,7 +309,7 @@ bool ReplicaBase::verify_agg_cert(BytesView preimage,
          energy::agg_verify_energy_mj(signers.count()));
   prof_crypto("verify", site);
   if (!cfg_.agg->verify_aggregate(signers, preimage, agg_sig)) return false;
-  sig_verified_.emplace(digest, committed_height_);
+  agg_verified_.emplace(digest, committed_height_);
   return true;
 }
 
@@ -471,8 +483,7 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
       bool valid =
           req->client >= cfg_.n && req->client < cfg_.keyring->size();
       if (valid && !intake_.take_verified(cmd.data)) {
-        valid = verify_metered(req->client, req->preimage(), req->sig,
-                               /*share=*/false, "request");
+        valid = verify_request(*req);
       }
       if (!valid) continue;
       Bytes result;
@@ -612,16 +623,16 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   }
   if (cp.id.height <= ckpt_.stable_height()) return;
   const Bytes preimage = cp.id.preimage();
+  const std::uint64_t fp = crypto::fingerprint(msg.author, preimage, cp.sig);
   // Aggregate scheme: a share-signed attestation (it folds into the
   // checkpoint certificate).
-  if (!verify_metered(msg.author, preimage, cp.sig, aggregate_certs(),
+  if (!verify_metered(fp, msg.author, preimage, cp.sig, aggregate_certs(),
                       "checkpoint")) {
     return;
   }
   // Remember the attestation: a checkpoint certificate tallied later
   // (state transfer, snapshot push) re-carries this exact signature.
-  sig_verified_.emplace(sig_digest(msg.author, preimage, cp.sig),
-                        committed_height_);
+  if (!aggregate_certs()) sig_verified_.emplace(fp, committed_height_);
   if (const auto cert = ckpt_.add_signature(msg.author, cp.id, cp.sig)) {
     settle_low_water(committed_height_);
     broadcast_checkpoint_cert(*cert);
@@ -682,13 +693,16 @@ void ReplicaBase::advance_low_water() {
   trace_instant("checkpoint", "checkpoint_stable",
                 {{"height", exp::Json(cert.id.height)}});
 
-  // Both verification caches drop what was recorded at or below the
-  // previous low-water mark: bytes that sat uncommitted, and votes or
-  // attestations that certificates no longer re-carry, for a full
-  // checkpoint interval.
+  // The verification caches drop what was recorded at or below the
+  // previous low-water mark: bytes that sat uncommitted, and votes,
+  // attestations or aggregate certificates that certificates no longer
+  // re-carry, for a full checkpoint interval.
   intake_.gc_verified(prev_lwm);
-  std::erase_if(sig_verified_,
-                [prev_lwm](const auto& kv) { return kv.second <= prev_lwm; });
+  const auto stale = [prev_lwm](const auto& kv) {
+    return kv.second <= prev_lwm;
+  };
+  std::erase_if(sig_verified_, stale);
+  std::erase_if(agg_verified_, stale);
 
   // Drop the retained-log prefix at or below the mark. Mempool
   // committed-key GC is pool-side: a forgotten key's late retransmit can
@@ -698,11 +712,9 @@ void ReplicaBase::advance_low_water() {
   while (cut < log_.size() && log_[cut].height <= cert.id.height) {
     const Block& old = log_[cut];
     committed_.erase(old.hash());
-    for (const Command& c : old.cmds) {
-      if (ClientRequest::decode(c.data).has_value()) {
-        mempool_.forget_committed(c.data);
-      }
-    }
+    // Only tagged requests are in the key set; forgetting any other
+    // command is a no-op, so nothing is decoded here.
+    for (const Command& c : old.cmds) mempool_.forget_committed(c.data);
     ++cut;
   }
   log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(cut));
@@ -882,8 +894,7 @@ void ReplicaBase::handle_request(const Msg& m) {
   }
   // Every replica pools the same flooded request: the memo lets one
   // physical check of the embedded client signature serve the cluster.
-  const bool ok = verify_metered(req->client, req->preimage(), req->sig,
-                                 /*share=*/false, "request");
+  const bool ok = verify_request(*req);
   intake_.verified(req->client, ok);
   if (!ok) return;
   // Retransmit of an already-committed request: replay the stored

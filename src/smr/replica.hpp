@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -497,14 +498,19 @@ class ReplicaBase : public net::FloodClient {
                                      const char* site);
   /// Verify `sig` by `author` over `preimage` through cfg_.memo: a
   /// directory signature, or an aggregate-scheme share when `share`.
-  /// Pure of energy accounting — callers charge the modeled verify.
-  [[nodiscard]] bool memo_verify(NodeId author, BytesView preimage,
-                                 BytesView sig, bool share = false);
+  /// `fp` is crypto::fingerprint(author, preimage, sig), computed once
+  /// per check by the caller. Pure of energy accounting — callers charge
+  /// the modeled verify.
+  [[nodiscard]] bool memo_verify(std::uint64_t fp, NodeId author,
+                                 BytesView preimage, BytesView sig,
+                                 bool share = false);
   /// memo_verify plus the modeled verify charge (a one-signer aggregate
   /// check for a share) and one prof_crypto("verify", site).
-  [[nodiscard]] bool verify_metered(NodeId author, BytesView preimage,
-                                    BytesView sig, bool share,
-                                    const char* site);
+  [[nodiscard]] bool verify_metered(std::uint64_t fp, NodeId author,
+                                    BytesView preimage, BytesView sig,
+                                    bool share, const char* site);
+  /// verify_metered for the client signature embedded in `req`.
+  [[nodiscard]] bool verify_request(const ClientRequest& req);
   /// This replica's signature over `preimage`: an aggregate-scheme share
   /// when `share`, else its directory signature. Charges the modeled
   /// sign and counts it at `site` unless `metered` is false.
@@ -520,8 +526,10 @@ class ReplicaBase : public net::FloodClient {
   /// verify_checkpoint_cert. Charges one metered verification per
   /// signature the verified-signature cache does not answer, then checks
   /// the count against `quorum_size`, that every author is a replica
-  /// (the keyring also holds client keys) and distinct, and last the
-  /// uncached signatures over `preimage`.
+  /// (the keyring also holds client keys) and distinct, and last every
+  /// signature over `preimage`: an uncached one through memo_verify, a
+  /// cached one by the memo's stored verdict (VerifyMemo::peek) or else
+  /// an unmetered, unmemoized verify.
   [[nodiscard]] bool verify_individual_cert(
       const Bytes& preimage,
       const std::vector<std::pair<NodeId, Bytes>>& sigs,
@@ -574,17 +582,25 @@ class ReplicaBase : public net::FloodClient {
   bool tolerate_fork_ = false;
   ExecutionLog exec_;
   RequestIntake intake_{cfg_.client_pending_cap};
-  /// Verified-signature cache: digests of (author, preimage, signature)
-  /// triples this node verified individually — vote-class messages and
-  /// checkpoint attestations — mapped to the committed height current
-  /// when recorded. Certificate tallies (verify_qc /
-  /// verify_checkpoint_cert) consult it per contained signature: a hit
-  /// means this exact signature already passed on this node, so the
-  /// tally skips the metered re-verification. Unlike RequestIntake's
+  /// Verified-signature cache: crypto::fingerprint of each (author,
+  /// preimage, signature) triple this node verified individually —
+  /// vote-class messages and checkpoint attestations, under the
+  /// individual certificate scheme — mapped to the committed height
+  /// current when recorded. Certificate tallies
+  /// (verify_individual_cert) consult it per contained signature. A hit
+  /// decides only the accounting: the tally skips the metered
+  /// re-verification, but still confirms the exact signature, so a
+  /// fingerprint collision can at worst skip one modeled charge and
+  /// never admit an invalid signature. Unlike RequestIntake's
   /// verified-bytes cache, entries are multi-use (a commitQC and a status
   /// message may both carry the same vote) and GC'd by the same
   /// low-water-mark rule.
-  std::map<crypto::Sha256Digest, std::uint64_t> sig_verified_;
+  std::unordered_map<std::uint64_t, std::uint64_t> sig_verified_;
+  /// Aggregate-certificate cache (verify_agg_cert): agg_cert_digest ->
+  /// committed height when recorded. A hit accepts the certificate
+  /// without re-checking it (that would cost the n-signer verify it
+  /// saves), so the key stays a SHA-256 digest; GC'd like sig_verified_.
+  std::map<crypto::Sha256Digest, std::uint64_t> agg_verified_;
   std::uint64_t sig_cache_hits_ = 0;
   /// Reused outbound encoder (broadcast/send): clear() keeps the
   /// allocation across encodes.

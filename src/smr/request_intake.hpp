@@ -4,18 +4,19 @@
 // request whose exact bytes already passed at pool time.
 //
 // Pure logic — no I/O, no crypto, no meter; the replica verifies, pools,
-// forwards and charges (src/smr/replica.cpp). The cache's SHA-256 index
-// is a data-structure detail (a real node would index by pointer) and is
-// not charged.
+// forwards and charges (src/smr/replica.cpp). The cache is indexed by a
+// 64-bit crypto::fingerprint of the command bytes, a data-structure
+// detail (a real node would index by pointer) that is not charged; each
+// entry keeps the exact bytes, and only a byte-equal command matches.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
-#include "src/crypto/sha256.hpp"
 
 namespace eesmr::smr {
 
@@ -79,12 +80,16 @@ class RequestIntake {
   /// Frames seen from a throttled client (drives the 1-in-kBadSigRecheck
   /// re-admission).
   std::map<NodeId, std::uint64_t> flood_seen_;
-  /// SHA-256 of verified request bytes -> committed height when
-  /// remembered: an entry costs 32 bytes, not a payload copy. The digest
-  /// covers the exact command bytes a block carries, so a Byzantine
+  /// Verified request bytes and the committed height when remembered.
+  struct Verified {
+    Bytes cmd;
+    std::uint64_t height;
+  };
+  /// Fingerprint of the command bytes -> entries with that fingerprint.
+  /// A take matches the exact bytes a block carries, so a Byzantine
   /// leader proposing altered bytes misses and still pays (and fails)
-  /// the re-check.
-  std::map<crypto::Sha256Digest, std::uint64_t> verified_;
+  /// the re-check, even if its bytes share a fingerprint.
+  std::unordered_multimap<std::uint64_t, Verified> verified_;
   std::uint64_t cap_drops_ = 0;
   std::uint64_t early_drops_ = 0;
   std::uint64_t verified_hits_ = 0;

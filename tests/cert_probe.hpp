@@ -29,6 +29,7 @@ class QcProbe final : public ReplicaBase {
   using ReplicaBase::prof_flow_block;
   using ReplicaBase::retry_on_connect;
   using ReplicaBase::verify_checkpoint_cert;
+  using ReplicaBase::verify_msg;
   using ReplicaBase::verify_qc;
   void start() override {}
 

@@ -156,6 +156,34 @@ TEST(ReplicaVerifyQc, RejectsClientKeyedSignature) {
       node.replica.verify_qc(QuorumCert::combine({vote1, client}), 2));
 }
 
+TEST(ReplicaVerifyQc, ReplayedVoteSignatureOverAnotherPreimageIsRejected) {
+  // The verified-signature cache is indexed by a 64-bit fingerprint, so
+  // a hit only skips the metered re-verify; the certificate still checks
+  // each exact (author, preimage, signature). With and without the
+  // cluster's verdict memo, whose stored verdict confirms a hit.
+  for (const bool with_memo : {false, true}) {
+    crypto::VerifyMemo memo;
+    ReplicaConfig cfg = probe4();
+    if (with_memo) cfg.memo = &memo;
+    ProbeNode node(cfg);
+    const Bytes block_a(32, 0xab);
+    const Msg vote1 = signed_msg(1, MsgType::kVote, 2, block_a);
+    const Msg vote2 = signed_msg(2, MsgType::kVote, 2, block_a);
+    ASSERT_TRUE(node.replica.verify_msg(vote1));
+    ASSERT_TRUE(node.replica.verify_msg(vote2));
+    const std::uint64_t hits = node.replica.sig_cache_hits();
+    // The same two signatures re-carried over another block digest.
+    QuorumCert replay = QuorumCert::combine({vote1, vote2});
+    replay.data = Bytes(32, 0xcd);
+    EXPECT_FALSE(node.replica.verify_qc(replay, 2)) << with_memo;
+    EXPECT_EQ(node.replica.sig_cache_hits(), hits) << with_memo;
+    // The matching certificate: one cache hit per signature.
+    EXPECT_TRUE(node.replica.verify_qc(QuorumCert::combine({vote1, vote2}), 2))
+        << with_memo;
+    EXPECT_EQ(node.replica.sig_cache_hits(), hits + 2) << with_memo;
+  }
+}
+
 TEST(MsgTypeNames, AllNamed) {
   EXPECT_STREQ(msg_type_name(MsgType::kPropose), "Propose");
   EXPECT_STREQ(msg_type_name(MsgType::kBlame), "Blame");

@@ -202,6 +202,24 @@ TEST(Network, FrameNamingANodeOutsideTheGraphIsDropped) {
   }
 }
 
+TEST(Network, KcastRedundancyMemoMatchesTheDirectCall) {
+  // The memo is keyed by (advertisement packets, k); every byte size
+  // that maps onto a cached key must get the direct call's value.
+  for (const double reliability : {0.9999, 0.99}) {
+    sim::Scheduler sched;
+    TransportConfig cfg;
+    cfg.kcast_reliability = reliability;
+    Network net(sched, Hypergraph::full_mesh(4), cfg, nullptr);
+    for (std::size_t bytes = 1; bytes <= 2000; ++bytes) {
+      for (std::size_t k = 2; k <= 19; ++k) {
+        ASSERT_EQ(net.kcast_redundancy(bytes, k),
+                  energy::kcast_redundancy_for(bytes, k, reliability))
+            << bytes << " " << k << " " << reliability;
+      }
+    }
+  }
+}
+
 TEST(Network, MeterSizeMismatchThrows) {
   sim::Scheduler sched;
   std::vector<energy::Meter> meters(2);

@@ -71,6 +71,29 @@ TEST(RequestIntake, VerifiedBytesAreSingleUse) {
   EXPECT_EQ(intake.verified_hits(), 1u);
 }
 
+TEST(RequestIntake, AlteredBytesMissAndFirstHeightIsKept) {
+  RequestIntake intake(0);
+  const Bytes cmd = to_bytes(std::string("signed request bytes"));
+  intake.remember_verified(cmd, 4);
+  // Remembering the same bytes again keeps the first height.
+  intake.remember_verified(cmd, 9);
+  // Every one-byte alteration, a truncation and an extension miss.
+  for (std::size_t i = 0; i < cmd.size(); ++i) {
+    Bytes altered = cmd;
+    altered[i] ^= 0x01;
+    EXPECT_FALSE(intake.take_verified(altered)) << i;
+  }
+  EXPECT_FALSE(intake.take_verified(BytesView(cmd).first(cmd.size() - 1)));
+  Bytes extended = cmd;
+  extended.push_back(0);
+  EXPECT_FALSE(intake.take_verified(extended));
+  EXPECT_EQ(intake.verified_hits(), 0u);
+  // One entry, at height 4: the GC at 4 drops it.
+  intake.gc_verified(4);
+  EXPECT_FALSE(intake.take_verified(cmd));
+  EXPECT_EQ(intake.verified_hits(), 0u);
+}
+
 TEST(RequestIntake, VerifiedBytesAreGcdAtTheLowWaterMark) {
   RequestIntake intake(0);
   const Bytes old_cmd = to_bytes(std::string("old"));

@@ -1,10 +1,13 @@
 // Signature-verdict memo (src/crypto/verify_memo.hpp): one physical
-// verify per (author, preimage, signature) key, per-key verdicts, and
-// FIFO eviction accounting.
+// verify per (author, preimage, signature) key, per-key verdicts, FIFO
+// eviction accounting, exact matching under a shared fingerprint, and
+// the fingerprint itself (src/crypto/fingerprint.hpp).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
+#include "src/crypto/fingerprint.hpp"
 #include "src/crypto/signer.hpp"
 #include "src/crypto/verify_memo.hpp"
 
@@ -78,6 +81,127 @@ TEST(VerifyMemo, FifoEvictionCountsNeverHitEntriesAsWasted) {
     return true;
   }));
   EXPECT_EQ(runs, 1);
+}
+
+TEST(VerifyMemo, TriplesSharingAFingerprintKeepSeparateVerdicts) {
+  // The fingerprint only indexes the memo: every entry keeps its exact
+  // triple, so triples forced onto one fingerprint keep their own
+  // verdicts, including two that split the same bytes differently
+  // between preimage and signature.
+  VerifyMemo memo;
+  constexpr std::uint64_t kFp = 42;
+  const Bytes a = to_bytes(std::string("vote A"));
+  const Bytes b = to_bytes(std::string("vote B"));
+  const Bytes sig = to_bytes(std::string("sig"));
+  const Bytes a_head = to_bytes(std::string("vote "));
+  const Bytes a_tail_sig = to_bytes(std::string("Asig"));
+  int runs = 0;
+  const auto verdict = [&runs](bool ok) {
+    return [&runs, ok] {
+      ++runs;
+      return ok;
+    };
+  };
+  EXPECT_TRUE(memo.check(kFp, 1, a, sig, verdict(true)));
+  EXPECT_FALSE(memo.check(kFp, 1, b, sig, verdict(false)));
+  EXPECT_FALSE(memo.check(kFp, 2, a, sig, verdict(false)));
+  EXPECT_FALSE(memo.check(kFp, 1, a_head, a_tail_sig, verdict(false)));
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_TRUE(memo.check(kFp, 1, a, sig, verdict(false)));
+  EXPECT_FALSE(memo.check(kFp, 1, b, sig, verdict(true)));
+  EXPECT_FALSE(memo.check(kFp, 2, a, sig, verdict(true)));
+  EXPECT_FALSE(memo.check(kFp, 1, a_head, a_tail_sig, verdict(true)));
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(memo.hits(), 4u);
+}
+
+TEST(VerifyMemo, EvictionRemovesTheOldestOfTriplesSharingAFingerprint) {
+  VerifyMemo memo;
+  constexpr std::uint64_t kFp = 7;
+  const Bytes sig = to_bytes(std::string("s"));
+  for (std::size_t i = 0; i <= VerifyMemo::kMaxEntries; ++i) {
+    EXPECT_TRUE(memo.check(kFp, 0, to_bytes("k" + std::to_string(i)), sig,
+                           [] { return true; }));
+  }
+  EXPECT_EQ(memo.wasted(), 1u);
+  // "k0" went; "k1" and the newest entry stay.
+  const auto peek = [&](std::size_t i) {
+    return memo.peek(kFp, 0, to_bytes("k" + std::to_string(i)), sig);
+  };
+  EXPECT_EQ(peek(0), std::nullopt);
+  EXPECT_EQ(peek(1), std::optional<bool>(true));
+  EXPECT_EQ(peek(VerifyMemo::kMaxEntries), std::optional<bool>(true));
+}
+
+TEST(VerifyMemo, PeekCountsNoHitAndInsertsNothing) {
+  VerifyMemo memo;
+  const Bytes preimage = to_bytes(std::string("frame"));
+  const Bytes other = to_bytes(std::string("other frame"));
+  const Bytes sig = to_bytes(std::string("sig"));
+  const std::uint64_t fp = fingerprint(3, preimage, sig);
+  // A peek at an unknown triple stores nothing: the next check runs.
+  EXPECT_EQ(memo.peek(fp, 3, preimage, sig), std::nullopt);
+  int runs = 0;
+  EXPECT_FALSE(memo.check(3, preimage, sig, [&runs] {
+    ++runs;
+    return false;
+  }));
+  EXPECT_EQ(runs, 1);
+  // A peek at a stored triple reads its verdict and counts no hit.
+  EXPECT_EQ(memo.peek(fp, 3, preimage, sig), std::optional<bool>(false));
+  EXPECT_EQ(memo.peek(fp, 3, preimage, sig), std::optional<bool>(false));
+  EXPECT_EQ(memo.hits(), 0u);
+  // A triple sharing the fingerprint has no verdict.
+  EXPECT_EQ(memo.peek(fp, 3, other, sig), std::nullopt);
+  // A peeked-only entry is never hit: its eviction counts as wasted.
+  for (std::size_t i = 0; i < VerifyMemo::kMaxEntries; ++i) {
+    EXPECT_TRUE(memo.check(3, to_bytes("k" + std::to_string(i)), sig,
+                           [] { return true; }));
+  }
+  EXPECT_EQ(memo.wasted(), 1u);
+  EXPECT_EQ(memo.peek(fp, 3, preimage, sig), std::nullopt);
+}
+
+TEST(VerifyMemo, PrecomputedFingerprintMatchesTheComputedOne) {
+  VerifyMemo memo;
+  const Bytes preimage = to_bytes(std::string("frame"));
+  const Bytes sig = to_bytes(std::string("sig"));
+  EXPECT_TRUE(memo.check(5, preimage, sig, [] { return true; }));
+  EXPECT_TRUE(memo.check(fingerprint(5, preimage, sig), 5, preimage, sig,
+                         [] { return false; }));
+  EXPECT_EQ(memo.hits(), 1u);
+}
+
+TEST(Fingerprint, IgnoresAlignmentAndSeesEveryByte) {
+  // Loads go through memcpy: the same bytes at an odd address give the
+  // same fingerprint. Flipping any one bit of any one byte changes it,
+  // at every length across the tail cases (0-3, 4-8, 9-16, > 16 bytes).
+  Bytes buf(72);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const BytesView at0(buf.data(), len);
+    const BytesView at1(buf.data() + 1, len);
+    const Bytes copy(at1.begin(), at1.end());
+    EXPECT_EQ(fingerprint(at1), fingerprint(copy)) << len;
+    const std::uint64_t fp = fingerprint(at0);
+    for (std::size_t i = 0; i < len; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes flipped(at0.begin(), at0.end());
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_NE(fingerprint(flipped), fp) << len << " " << i << " " << bit;
+      }
+    }
+  }
+  // Length, seed and the preimage/signature split all count.
+  EXPECT_NE(fingerprint(Bytes{0}), fingerprint(Bytes{0, 0}));
+  EXPECT_NE(fingerprint(buf, 1), fingerprint(buf, 2));
+  EXPECT_NE(fingerprint(1, Bytes{1, 2}, Bytes{3}),
+            fingerprint(1, Bytes{1}, Bytes{2, 3}));
+  EXPECT_NE(fingerprint(1, Bytes{1}, Bytes{2}),
+            fingerprint(2, Bytes{1}, Bytes{2}));
 }
 
 }  // namespace

@@ -1,0 +1,71 @@
+#!/usr/bin/env bash
+# Check that two source checkouts agree on every simulated number of the
+# benchmark: for each workload in BENCHMARK.json, run
+#
+#   python3 perfbench/run.py --workload W --seed 1 --seconds 1
+#
+# in both checkouts and compare correct, attempted, failed and the seven
+# simulated end-to-end metrics. The host metrics are wall-clock and are
+# not compared.
+#
+#   tools/compare_perfbench.sh BASE_DIR HEAD_DIR
+#
+# CARGO_TARGET_DIR is unset, so each checkout builds its benchmark into
+# its own .bench_build. Exits 0 when every workload matches; otherwise
+# prints each difference and exits 1. Exits 2 if a run fails.
+set -eu
+
+usage="usage: compare_perfbench.sh BASE_DIR HEAD_DIR"
+base=$(cd "${1:?$usage}" && pwd)
+head=$(cd "${2:?$usage}" && pwd)
+unset CARGO_TARGET_DIR
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+workloads=$(python3 -c '
+import json, sys
+for w in json.load(open(sys.argv[1]))["workloads"]:
+    print(w["name"])' "$head/BENCHMARK.json")
+
+# The fields compared, one "name=value" line each, from the last stdout
+# line of run.py.
+summarize() {  # RUN_STDOUT
+  python3 -c '
+import json, sys
+lines = open(sys.argv[1]).read().strip().splitlines()
+out = json.loads(lines[-1])
+for key in ("correct", "attempted", "failed"):
+    print(f"{key}={out[key]!r}")
+for name in ("energy_per_request_mj", "energy_per_block_mj",
+             "latency_p50_ms", "latency_p99_ms", "goodput_rps",
+             "failed_request_frac", "max_stall_ms"):
+    value = out["metrics"][name]["value"]
+    print(f"{name}={value!r}")' "$1"
+}
+
+run_one() {  # CHECKOUT SIDE WORKLOAD
+  local log="$out/$2.$3"
+  local rc=0
+  (cd "$1" && python3 perfbench/run.py --workload "$3" --seed 1 \
+    --seconds 1) >"$log.stdout" 2>"$log.stderr" || rc=$?
+  # run.py exits 1 for a run that fails a correctness check: that is a
+  # result to compare. Any other failure ends the comparison.
+  if [ "$rc" -gt 1 ] || ! summarize "$log.stdout" >"$log.txt"; then
+    cat "$log.stderr" >&2
+    echo "compare_perfbench: $3 failed in $1 (exit $rc)" >&2
+    exit 2
+  fi
+}
+
+status=0
+for w in $workloads; do
+  run_one "$base" base "$w"
+  run_one "$head" head "$w"
+  if diff -u --label "base $w" --label "head $w" \
+      "$out/base.$w.txt" "$out/head.$w.txt"; then
+    echo "identical: $w"
+  else
+    status=1
+  fi
+done
+exit "$status"
