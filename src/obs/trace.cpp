@@ -1,5 +1,7 @@
 #include "src/obs/trace.hpp"
 
+#include <string>
+
 namespace eesmr::obs {
 
 std::uint32_t Tracer::open_epoch(const std::string& label) {
@@ -99,7 +101,10 @@ int Tracer::append_chrome(exp::Json& trace_events, int first_pid,
       // Bind flow termination to the enclosing slice, not the next one.
       if (ev.ph == 'f') j.set("bp", "e");
     } else if (ev.ph != 'C') {
-      j.set("id", static_cast<unsigned long long>(ev.id));
+      // Async spans are per node, and every node of an epoch shares its
+      // pid: scope the id by node so Chrome pairs each node's begin with
+      // its own end, not with another node's span of the same height.
+      j.set("id", std::to_string(ev.node) + "." + std::to_string(ev.id));
     }
     if (!ev.args.empty()) {
       exp::Json args = exp::Json::object();

@@ -5,7 +5,8 @@
 // checkpoints, state transfers and injected faults emit typed events
 // here. Each Cluster opens one *epoch* (one Chrome "process"); nodes map
 // to Chrome threads; block and view-change lifetimes are async spans
-// keyed by height / view number.
+// keyed by height / view number, exported as "<node>.<id>" so the nodes'
+// spans of one height stay apart.
 //
 // SimTime is already integer microseconds — exactly Chrome's `ts` unit —
 // so timestamps pass through untouched.

@@ -372,6 +372,29 @@ TEST(Trace, ChromeDocumentIsValid) {
   }
 }
 
+// Every node of an epoch shares one Chrome pid, and Chrome pairs async
+// events by (pid, cat, name, id): the exported id keeps the n block spans
+// of one height, one per node, under n different keys.
+TEST(Trace, NodesNeverShareAnAsyncSpanKey) {
+  obs::Tracer tracer;
+  traced_run(tracer, 3, harness::Protocol::kSyncHotStuff);
+  Json events = Json::array();
+  tracer.append_chrome(events, 1, "test ");
+  std::map<std::string, std::int64_t> owner;  // exported key -> tid
+  std::size_t begins = 0;
+  for (const Json& ev : events.items()) {
+    if (ev.at("ph").as_string() != "b") continue;
+    ++begins;
+    const std::string key = std::to_string(ev.at("pid").as_int()) + "/" +
+                            ev.at("cat").as_string() + "/" +
+                            ev.at("name").as_string() + "/" +
+                            ev.at("id").as_string();
+    const std::int64_t tid = ev.at("tid").as_int();
+    EXPECT_EQ(owner.emplace(key, tid).first->second, tid) << key;
+  }
+  EXPECT_GT(begins, 4u);  // more than one height's worth of block spans
+}
+
 // A late joiner whose state transfer is retargeted while in flight: the
 // n = 4 run of bench_fig_certsize's smoke grid. Checkpoints stabilize
 // faster than a transfer's round trip, so the transfer opened at one
