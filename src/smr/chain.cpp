@@ -21,7 +21,7 @@ bool BlockStore::add(const Block& block) {
 }
 
 void BlockStore::add_orphan(const Block& block) {
-  orphans_.emplace(block.hash(), block);
+  if (orphans_.size() < kMaxOrphans) orphans_.emplace(block.hash(), block);
 }
 
 void BlockStore::adopt_root(const Block& block) {

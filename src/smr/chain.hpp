@@ -24,7 +24,13 @@ class BlockStore {
   /// harmless no-op (returns true).
   bool add(const Block& block);
 
-  /// Buffer a block whose ancestry is not yet connected.
+  /// Orphans buffered at most: a peer can send made-up blocks whose
+  /// ancestry never arrives, so the pool is bounded like the replica's
+  /// parking buffers.
+  static constexpr std::size_t kMaxOrphans = 4096;
+
+  /// Buffer a block whose ancestry is not yet connected; refused once
+  /// kMaxOrphans are buffered.
   void add_orphan(const Block& block);
 
   /// Insert `block` unconditionally, with no parent check — the anchor a

@@ -10,12 +10,6 @@
 
 namespace eesmr::smr {
 
-namespace {
-/// Cap on blocks per SyncResponse (a Byzantine peer can request often;
-/// the per-response size must stay bounded).
-constexpr std::size_t kMaxSyncBlocks = 64;
-}  // namespace
-
 ReplicaBase::ReplicaBase(net::Network& net, ReplicaConfig cfg,
                          energy::Meter* meter)
     : sched_(net.scheduler()),

@@ -338,6 +338,9 @@ class ReplicaBase : public net::FloodClient {
   /// Each parking buffer holds at most this many messages; later ones
   /// are dropped (bounded against Byzantine memory pressure).
   static constexpr std::size_t kMaxParked = 4096;
+  /// Cap on blocks per SyncResponse (a Byzantine peer can request often;
+  /// the per-response size must stay bounded).
+  static constexpr std::size_t kMaxSyncBlocks = 64;
   /// Park a message for a view this replica has not entered yet.
   void buffer_future(const Msg& msg);
   /// True for a message of the current view. A later view's message is

@@ -25,6 +25,7 @@ class QcProbe final : public ReplicaBase {
   using ReplicaBase::commit_chain;
   using ReplicaBase::integrate_block;
   using ReplicaBase::kMaxParked;
+  using ReplicaBase::kMaxSyncBlocks;
   using ReplicaBase::parked;
   using ReplicaBase::prof_flow_block;
   using ReplicaBase::retry_on_connect;

@@ -614,5 +614,35 @@ TEST(FuzzDecode, UnconnectableProposalsParkBounded) {
   EXPECT_EQ(p.node.replica.parked(), cap);
 }
 
+TEST(FuzzDecode, UnsolicitedSyncResponsesCannotGrowTheOrphanPool) {
+  // Any replica may send a signed kSyncResponse nobody asked for. Made-up
+  // blocks whose ancestry never arrives stop parking at the cap.
+  SyncProbe p;
+  const std::size_t cap = smr::BlockStore::kMaxOrphans;
+  const std::size_t per = smr::QcProbe::kMaxSyncBlocks;
+  for (std::uint64_t r = 0; r * per < cap + 2 * per; ++r) {
+    std::vector<smr::Block> made_up;
+    for (std::uint64_t i = 0; i < per; ++i) {
+      made_up.push_back(
+          block_at(smr::BlockHash(32, static_cast<std::uint8_t>(r)),
+                   r * per + i + 2));
+    }
+    p.sync_response(made_up);
+  }
+  EXPECT_EQ(p.node.replica.store().orphan_count(), cap);
+
+  // An honest gap of kMaxSyncBlocks still connects through the full pool:
+  // deepest first, each block's parent is already stored.
+  std::vector<smr::Block> gap{block_at(smr::genesis_hash(), 1)};
+  while (gap.size() < per) {
+    gap.push_back(block_at(gap.back().hash(), gap.back().height + 1));
+  }
+  p.sync_response(gap);
+  for (const smr::Block& b : gap) {
+    EXPECT_TRUE(p.node.replica.store().contains(b.hash())) << b.height;
+  }
+  EXPECT_EQ(p.node.replica.store().orphan_count(), cap);
+}
+
 }  // namespace
 }  // namespace eesmr
