@@ -43,6 +43,62 @@ TEST(CheckpointWire, IdAndCertRoundTrip) {
   EXPECT_EQ(back.sigs, cert.sigs);
 }
 
+std::string hex(const Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t c : b) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+// The wire bytes of both forms, pinned to literals: a round trip alone
+// would not notice a format change made on the encode and decode sides
+// together.
+TEST(CheckpointWire, CertBytesArePinnedInBothForms) {
+  CheckpointCert cert;
+  cert.id.height = 16;
+  cert.id.block = Bytes(32, 0x11);
+  cert.id.digest = Bytes(32, 0x22);
+  cert.sigs = {{1, Bytes{0x01}}, {3, Bytes{0x02, 0x03}}};
+  const std::string id_hex =
+      "500000001000000000000000200000001111111111111111111111111111111111"
+      "111111111111111111111111111111200000002222222222222222222222222222"
+      "222222222222222222222222222222222222";
+  EXPECT_EQ(hex(cert.encode()),
+            id_hex + "0200000001000000010000000103000000020000000203");
+  const CheckpointCert back = CheckpointCert::decode(cert.encode());
+  EXPECT_EQ(back.id, cert.id);
+  EXPECT_EQ(back.scheme, smr::CertScheme::kIndividual);
+  EXPECT_EQ(back.sigs, cert.sigs);
+  EXPECT_EQ(back.encode(), cert.encode());
+
+  CheckpointCert agg;
+  agg.id = cert.id;
+  agg.scheme = smr::CertScheme::kAggregate;
+  agg.gen = 2;
+  agg.signers = crypto::SignerBitset(5);
+  for (const NodeId id : {1u, 3u}) agg.signers.set(id);
+  agg.agg_sig = Bytes(crypto::kAggSignatureBytes);
+  for (std::size_t i = 0; i < agg.agg_sig.size(); ++i) {
+    agg.agg_sig[i] = static_cast<std::uint8_t>(0x40 + i);
+  }
+  EXPECT_EQ(hex(agg.encode()),
+            id_hex +
+                "ffffffff0200000000000000050000000a30000000404142434445464748"
+                "494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f60616263646566"
+                "6768696a6b6c6d6e6f");
+  const CheckpointCert agg_back = CheckpointCert::decode(agg.encode());
+  EXPECT_EQ(agg_back.id, agg.id);
+  EXPECT_EQ(agg_back.scheme, smr::CertScheme::kAggregate);
+  EXPECT_EQ(agg_back.gen, 2u);
+  EXPECT_EQ(agg_back.signers, agg.signers);
+  EXPECT_EQ(agg_back.agg_sig, agg.agg_sig);
+  EXPECT_TRUE(agg_back.sigs.empty());
+  EXPECT_EQ(agg_back.encode(), agg.encode());
+}
+
 TEST(CheckpointWire, MsgAndSnapshotPayloadRoundTrip) {
   CheckpointMsg m;
   m.id = make_id(32, "d");

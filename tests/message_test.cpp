@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tests/cert_probe.hpp"
 
 namespace eesmr::smr {
@@ -94,6 +96,57 @@ TEST(QuorumCert, EncodeDecodeRoundTrip) {
   ASSERT_EQ(d.sigs.size(), qc.sigs.size());
   ProbeNode node(probe4());
   EXPECT_TRUE(node.replica.verify_qc(d, 2));
+}
+
+std::string hex(const Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t c : b) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+// The wire bytes of both forms, pinned to literals: a round trip alone
+// would not notice a format change made on the encode and decode sides
+// together.
+TEST(QuorumCert, WireBytesArePinnedInBothForms) {
+  QuorumCert qc;
+  qc.type = MsgType::kCommitQC;
+  qc.view = 7;
+  qc.round = 3;
+  qc.data = Bytes{0x01, 0x02, 0x03};
+  qc.sigs = {{0, Bytes{0xAA, 0xBB}}, {2, Bytes{0xCC}}};
+  EXPECT_EQ(hex(qc.encode()),
+            "0607000000000000000300000000000000030000000102030200000000000000"
+            "02000000aabb0200000001000000cc");
+  const QuorumCert back = QuorumCert::decode(qc.encode());
+  EXPECT_EQ(back.scheme, CertScheme::kIndividual);
+  EXPECT_EQ(back.sigs, qc.sigs);
+  EXPECT_EQ(back.encode(), qc.encode());
+
+  QuorumCert agg = qc;
+  agg.sigs.clear();
+  agg.scheme = CertScheme::kAggregate;
+  agg.gen = 5;
+  agg.signers = crypto::SignerBitset(7);
+  for (const NodeId id : {0u, 1u, 4u}) agg.signers.set(id);
+  agg.agg_sig = Bytes(crypto::kAggSignatureBytes);
+  for (std::size_t i = 0; i < agg.agg_sig.size(); ++i) {
+    agg.agg_sig[i] = static_cast<std::uint8_t>(3 * i);
+  }
+  EXPECT_EQ(hex(agg.encode()),
+            "060700000000000000030000000000000003000000010203ffffffff05000000"
+            "00000000070000001330000000000306090c0f1215181b1e2124272a2d303336"
+            "393c3f4245484b4e5154575a5d606366696c6f7275787b7e8184878a8d");
+  const QuorumCert agg_back = QuorumCert::decode(agg.encode());
+  EXPECT_EQ(agg_back.scheme, CertScheme::kAggregate);
+  EXPECT_EQ(agg_back.gen, 5u);
+  EXPECT_EQ(agg_back.signers, agg.signers);
+  EXPECT_EQ(agg_back.agg_sig, agg.agg_sig);
+  EXPECT_TRUE(agg_back.sigs.empty());
+  EXPECT_EQ(agg_back.encode(), agg.encode());
 }
 
 TEST(QuorumCert, CombineRejectsMismatchedMessages) {
