@@ -1,7 +1,6 @@
 #include "src/checkpoint/checkpoint.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "src/common/serde.hpp"
@@ -65,18 +64,7 @@ CheckpointMsg CheckpointMsg::decode(BytesView data) {
 Bytes CheckpointCert::encode() const {
   Writer w;
   w.bytes(id.encode());
-  if (scheme == smr::CertScheme::kAggregate) {
-    w.u32(smr::kAggCertSentinel);
-    w.u64(gen);
-    signers.encode_into(w);
-    w.bytes(agg_sig);
-  } else {
-    w.u32(static_cast<std::uint32_t>(sigs.size()));
-    for (const auto& [author, sig] : sigs) {
-      w.u32(author);
-      w.bytes(sig);
-    }
-  }
+  encode_sigs(w);
   return w.take();
 }
 
@@ -84,55 +72,8 @@ CheckpointCert CheckpointCert::decode(BytesView data) {
   Reader r(data);
   CheckpointCert c;
   c.id = CheckpointId::decode(r.bytes());
-  const std::uint32_t n = r.u32();
-  if (n == smr::kAggCertSentinel) {
-    c.scheme = smr::CertScheme::kAggregate;
-    c.gen = r.u64();
-    c.signers = crypto::SignerBitset::decode_from(r);
-    c.agg_sig = r.bytes();
-    if (c.agg_sig.size() != crypto::kAggSignatureBytes) {
-      throw SerdeError("CheckpointCert: bad aggregate signature size");
-    }
-  } else {
-    // Clamp against hostile counts (see Block::decode).
-    c.sigs.reserve(std::min<std::size_t>(n, r.remaining() / 8 + 1));
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const NodeId author = r.u32();
-      c.sigs.emplace_back(author, r.bytes());
-    }
-  }
+  c.decode_sigs(r);
   r.expect_done();
-  return c;
-}
-
-std::size_t CheckpointCert::signer_count() const {
-  return scheme == smr::CertScheme::kAggregate ? signers.count()
-                                               : sigs.size();
-}
-
-std::vector<NodeId> CheckpointCert::signer_list() const {
-  if (scheme == smr::CertScheme::kAggregate) return signers.members();
-  std::vector<NodeId> out;
-  out.reserve(sigs.size());
-  for (const auto& [author, sig] : sigs) out.push_back(author);
-  return out;
-}
-
-CheckpointCert CheckpointCert::to_aggregate(std::size_t universe,
-                                            std::uint64_t generation) const {
-  CheckpointCert c;
-  c.id = id;
-  c.scheme = smr::CertScheme::kAggregate;
-  c.gen = generation;
-  c.signers = crypto::SignerBitset(universe);
-  c.agg_sig = crypto::AggKeyring::empty_aggregate();
-  for (const auto& [author, sig] : sigs) {
-    if (c.signers.test(author)) {
-      throw std::invalid_argument("CheckpointCert::to_aggregate: duplicate");
-    }
-    c.signers.set(author);
-    crypto::AggKeyring::fold_into(c.agg_sig, sig);
-  }
   return c;
 }
 

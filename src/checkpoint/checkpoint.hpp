@@ -33,7 +33,6 @@
 
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
-#include "src/crypto/agg.hpp"
 #include "src/sim/time.hpp"
 #include "src/smr/block.hpp"
 #include "src/smr/message.hpp"
@@ -71,30 +70,13 @@ struct CheckpointMsg {
 
 /// f+1 replica signatures over the same CheckpointId — a stable
 /// checkpoint. Transferable: anyone can verify it against the directory.
-/// Like QuorumCert it has two wire forms (smr::CertScheme): individual
-/// (author, signature) pairs, or a generation-tagged {signer bitset, one
-/// aggregate signature} that stays O(1) as n grows.
-struct CheckpointCert {
+/// Like QuorumCert it carries its signatures in either wire form
+/// (smr::CertSignatures).
+struct CheckpointCert : smr::CertSignatures {
   CheckpointId id;
-  std::vector<std::pair<NodeId, Bytes>> sigs;  ///< (author, signature)
-
-  smr::CertScheme scheme = smr::CertScheme::kIndividual;
-  // Aggregate form only:
-  std::uint64_t gen = 0;         ///< membership generation of the signers
-  crypto::SignerBitset signers;  ///< who contributed shares
-  Bytes agg_sig;                 ///< XOR-fold of the members' shares
 
   [[nodiscard]] Bytes encode() const;
   static CheckpointCert decode(BytesView data);
-
-  /// Signer count / node-ids, across both forms.
-  [[nodiscard]] std::size_t signer_count() const;
-  [[nodiscard]] std::vector<NodeId> signer_list() const;
-
-  /// Fold this (individual-form, share-signed) cert into the aggregate
-  /// form over a `universe`-wide bitset tagged with `generation`.
-  [[nodiscard]] CheckpointCert to_aggregate(std::size_t universe,
-                                            std::uint64_t generation) const;
 };
 
 /// One live entry of the exactly-once reply cache, carried inside a

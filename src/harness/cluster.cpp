@@ -699,9 +699,9 @@ RunResult Cluster::snapshot() const {
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (!correct_[i] || !counted_[i]) continue;
     out.membership_changes = std::max<std::uint64_t>(
-        out.membership_changes, replicas_[i]->membership_changes());
+        out.membership_changes, replicas_[i]->membership().generation());
     out.membership_generation = std::max<std::uint64_t>(
-        out.membership_generation, replicas_[i]->membership_generation());
+        out.membership_generation, replicas_[i]->membership().generation());
   }
   if (cfg_.protocol == Protocol::kTrustedBaseline) {
     const auto* ctl = dynamic_cast<const baselines::TrustedController*>(

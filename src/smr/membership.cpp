@@ -1,5 +1,6 @@
 #include "src/smr/membership.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/common/serde.hpp"
@@ -82,8 +83,38 @@ bool MembershipState::apply(const MembershipPolicy& p) {
   return true;
 }
 
+bool MembershipState::apply_committed(const MembershipPolicy& p,
+                                      std::size_t replicas,
+                                      std::size_t quorum) {
+  const bool in_range =
+      std::all_of(p.signers.begin(), p.signers.end(),
+                  [&](const PolicyEntry& e) { return e.node < replicas; });
+  return in_range && p.signers.size() >= quorum && apply(p);
+}
+
 bool MembershipState::known(std::uint64_t gen) const {
   return gen >= oldest_ && gen <= generation_;
+}
+
+bool MembershipState::recent_signer(NodeId id) const {
+  // The current generation, then the bounded window of earlier ones:
+  // certificates and votes formed just before a flip are still in flight.
+  for (std::uint64_t g = generation_;; --g) {
+    if (is_signer(id, g)) return true;
+    if (g == 0 || !known(g - 1)) return false;
+  }
+}
+
+std::uint64_t MembershipState::generation_for_signers(
+    const std::vector<NodeId>& ids) const {
+  for (std::uint64_t g = generation_;; --g) {
+    if (known(g) && std::all_of(ids.begin(), ids.end(), [&](NodeId id) {
+          return is_signer(id, g);
+        })) {
+      return g;
+    }
+    if (g == 0) return generation_;
+  }
 }
 
 const std::vector<PolicyEntry>& MembershipState::signers(

@@ -72,8 +72,40 @@ class MembershipState {
   /// current generation. Returns whether it was applied.
   bool apply(const MembershipPolicy& p);
 
+  /// apply() at a commit boundary among `replicas` nodes with vote quorum
+  /// `quorum`: `p` must also name only replicas (ids below `replicas`)
+  /// and keep at least `quorum` signers. Duplicates and stale
+  /// re-proposals are no-ops, so every correct replica flips at the same
+  /// deterministic log position.
+  bool apply_committed(const MembershipPolicy& p, std::size_t replicas,
+                       std::size_t quorum);
+
   /// Is `gen` still inside the queryable history window?
   [[nodiscard]] bool known(std::uint64_t gen) const;
+
+  /// Is `id` a signer of the current generation or of an earlier one
+  /// still in the window? Gates vote-class traffic once membership is
+  /// enforced: a departed member's votes stop counting, modulo
+  /// certificates still in flight from just before the flip.
+  [[nodiscard]] bool recent_signer(NodeId id) const;
+  /// Whether the signer gate is live among `replicas` nodes: after any
+  /// policy flip, or from genesis when spares exist (fewer genesis
+  /// signers than replicas — a spare's votes must not count before a
+  /// policy admits it).
+  [[nodiscard]] bool enforced(std::size_t replicas) const {
+    return generation_ > 0 || active_count() < replicas;
+  }
+  /// Whether `id` may sign vote-class traffic and checkpoint attestations
+  /// among `replicas` nodes: anyone while the gate is off, else only a
+  /// recent signer.
+  [[nodiscard]] bool admits(NodeId id, std::size_t replicas) const {
+    return !enforced(replicas) || recent_signer(id);
+  }
+  /// Latest known generation whose signer set contains every node in
+  /// `ids`, else the current generation: the tag for an aggregate
+  /// certificate folded from these signers' shares.
+  [[nodiscard]] std::uint64_t generation_for_signers(
+      const std::vector<NodeId>& ids) const;
 
   [[nodiscard]] const std::vector<PolicyEntry>& signers(
       std::uint64_t gen) const;

@@ -207,24 +207,75 @@ Msg Msg::decode(BytesView bytes) {
   return m;
 }
 
+void CertSignatures::encode_sigs(Writer& w) const {
+  if (scheme == CertScheme::kAggregate) {
+    w.u32(kAggCertSentinel);
+    w.u64(gen);
+    signers.encode_into(w);
+    w.bytes(agg_sig);
+    return;
+  }
+  w.u32(static_cast<std::uint32_t>(sigs.size()));
+  for (const auto& [author, sig] : sigs) {
+    w.u32(author);
+    w.bytes(sig);
+  }
+}
+
+void CertSignatures::decode_sigs(Reader& r) {
+  const std::uint32_t n = r.u32();
+  if (n == kAggCertSentinel) {
+    scheme = CertScheme::kAggregate;
+    gen = r.u64();
+    signers = crypto::SignerBitset::decode_from(r);
+    agg_sig = r.bytes();
+    if (agg_sig.size() != crypto::kAggSignatureBytes) {
+      throw SerdeError("certificate: bad aggregate signature size");
+    }
+    return;
+  }
+  // Clamp against hostile counts (see Block::decode).
+  sigs.reserve(std::min<std::size_t>(n, r.remaining() / 8 + 1));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const NodeId author = r.u32();
+    sigs.emplace_back(author, r.bytes());
+  }
+}
+
+std::size_t CertSignatures::signer_count() const {
+  return scheme == CertScheme::kAggregate ? signers.count() : sigs.size();
+}
+
+std::vector<NodeId> CertSignatures::signer_list() const {
+  if (scheme == CertScheme::kAggregate) return signers.members();
+  std::vector<NodeId> out;
+  out.reserve(sigs.size());
+  for (const auto& [author, sig] : sigs) out.push_back(author);
+  return out;
+}
+
+void CertSignatures::fold(std::size_t universe, std::uint64_t generation) {
+  scheme = CertScheme::kAggregate;
+  gen = generation;
+  signers = crypto::SignerBitset(universe);
+  agg_sig = crypto::AggKeyring::empty_aggregate();
+  for (const auto& [author, sig] : sigs) {
+    if (signers.test(author)) {
+      throw std::invalid_argument("CertSignatures::fold: duplicate signer");
+    }
+    signers.set(author);
+    crypto::AggKeyring::fold_into(agg_sig, sig);
+  }
+  sigs.clear();
+}
+
 Bytes QuorumCert::encode() const {
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(view);
   w.u64(round);
   w.bytes(data);
-  if (scheme == CertScheme::kAggregate) {
-    w.u32(kAggCertSentinel);
-    w.u64(gen);
-    signers.encode_into(w);
-    w.bytes(agg_sig);
-  } else {
-    w.u32(static_cast<std::uint32_t>(sigs.size()));
-    for (const auto& [author, sig] : sigs) {
-      w.u32(author);
-      w.bytes(sig);
-    }
-  }
+  encode_sigs(w);
   return w.take();
 }
 
@@ -235,23 +286,7 @@ QuorumCert QuorumCert::decode(BytesView bytes) {
   qc.view = r.u64();
   qc.round = r.u64();
   qc.data = r.bytes();
-  const std::uint32_t n = r.u32();
-  if (n == kAggCertSentinel) {
-    qc.scheme = CertScheme::kAggregate;
-    qc.gen = r.u64();
-    qc.signers = crypto::SignerBitset::decode_from(r);
-    qc.agg_sig = r.bytes();
-    if (qc.agg_sig.size() != crypto::kAggSignatureBytes) {
-      throw SerdeError("QuorumCert: bad aggregate signature size");
-    }
-  } else {
-    // Clamp against hostile counts (see Block::decode).
-    qc.sigs.reserve(std::min<std::size_t>(n, r.remaining() / 8 + 1));
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const NodeId author = r.u32();
-      qc.sigs.emplace_back(author, r.bytes());
-    }
-  }
+  qc.decode_sigs(r);
   r.expect_done();
   return qc;
 }
@@ -262,39 +297,6 @@ std::optional<QuorumCert> QuorumCert::try_decode(BytesView bytes) {
   } catch (const SerdeError&) {
     return std::nullopt;
   }
-}
-
-std::size_t QuorumCert::signer_count() const {
-  return scheme == CertScheme::kAggregate ? signers.count() : sigs.size();
-}
-
-std::vector<NodeId> QuorumCert::signer_list() const {
-  if (scheme == CertScheme::kAggregate) return signers.members();
-  std::vector<NodeId> out;
-  out.reserve(sigs.size());
-  for (const auto& [author, sig] : sigs) out.push_back(author);
-  return out;
-}
-
-QuorumCert QuorumCert::to_aggregate(std::size_t universe,
-                                    std::uint64_t generation) const {
-  QuorumCert qc;
-  qc.type = type;
-  qc.view = view;
-  qc.round = round;
-  qc.data = data;
-  qc.scheme = CertScheme::kAggregate;
-  qc.gen = generation;
-  qc.signers = crypto::SignerBitset(universe);
-  qc.agg_sig = crypto::AggKeyring::empty_aggregate();
-  for (const auto& [author, sig] : sigs) {
-    if (qc.signers.test(author)) {
-      throw std::invalid_argument("QuorumCert::to_aggregate: duplicate");
-    }
-    qc.signers.set(author);
-    crypto::AggKeyring::fold_into(qc.agg_sig, sig);
-  }
-  return qc;
 }
 
 Bytes QuorumCert::preimage() const {

@@ -122,16 +122,12 @@ struct Msg {
   }
 };
 
-/// f+1 signatures on the same (type, view, round, data) — the paper's QC
-/// function (Algorithm 1, line 114). Two wire forms (CertScheme): the
-/// individual form carries (author, signature) pairs; the aggregate form
-/// carries {membership generation, signer bitset, one aggregate
-/// signature} and is O(1)-size regardless of quorum.
-struct QuorumCert {
-  MsgType type = MsgType::kBlame;
-  std::uint64_t view = 0;
-  std::uint64_t round = 0;
-  Bytes data;
+/// The signatures a certificate carries, in either wire form
+/// (CertScheme): (author, signature) pairs, or {membership generation,
+/// signer bitset, one aggregate signature}, which stays O(1)-size
+/// regardless of quorum. QuorumCert and CheckpointCert add what the
+/// signatures cover.
+struct CertSignatures {
   std::vector<std::pair<NodeId, Bytes>> sigs;  ///< (author, signature)
 
   CertScheme scheme = CertScheme::kIndividual;
@@ -140,22 +136,38 @@ struct QuorumCert {
   crypto::SignerBitset signers;  ///< who contributed shares
   Bytes agg_sig;                 ///< XOR-fold of the members' shares
 
-  [[nodiscard]] Bytes encode() const;
-  static QuorumCert decode(BytesView bytes);
-  /// decode(), with nullopt for a malformed frame instead of SerdeError.
-  static std::optional<QuorumCert> try_decode(BytesView bytes);
+  /// Append the wire tail: the u32 pair count and the pairs, or
+  /// kAggCertSentinel and {gen, bitset, aggregate}.
+  void encode_sigs(Writer& w) const;
+  /// Read the tail encode_sigs() writes. Throws SerdeError on a malformed
+  /// tail or an aggregate of the wrong size.
+  void decode_sigs(Reader& r);
 
   /// Signer count, across both forms.
   [[nodiscard]] std::size_t signer_count() const;
   /// Signer node-ids, across both forms.
   [[nodiscard]] std::vector<NodeId> signer_list() const;
 
-  /// Fold this (individual-form, share-signed) cert into the aggregate
-  /// form over a `universe`-wide bitset tagged with generation `gen`.
-  /// Throws std::invalid_argument on out-of-range signers or non-share
-  /// signature sizes.
-  [[nodiscard]] QuorumCert to_aggregate(std::size_t universe,
-                                        std::uint64_t generation) const;
+  /// Fold the (share-signed) pairs into the aggregate form over a
+  /// `universe`-wide bitset tagged with `generation`; the pairs are
+  /// dropped. Throws std::invalid_argument on a duplicate signer or a
+  /// non-share signature size, std::out_of_range on a signer outside
+  /// the universe.
+  void fold(std::size_t universe, std::uint64_t generation);
+};
+
+/// f+1 signatures on the same (type, view, round, data) — the paper's QC
+/// function (Algorithm 1, line 114).
+struct QuorumCert : CertSignatures {
+  MsgType type = MsgType::kBlame;
+  std::uint64_t view = 0;
+  std::uint64_t round = 0;
+  Bytes data;
+
+  [[nodiscard]] Bytes encode() const;
+  static QuorumCert decode(BytesView bytes);
+  /// decode(), with nullopt for a malformed frame instead of SerdeError.
+  static std::optional<QuorumCert> try_decode(BytesView bytes);
 
   /// The preimage each contained signature covers (a Msg preimage with
   /// this cert's type/view/round/data). Exposed so verifiers can check

@@ -1,8 +1,6 @@
 #include "src/smr/replica.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <string_view>
 
 #include "src/common/serde.hpp"
 #include "src/crypto/fingerprint.hpp"
@@ -150,21 +148,11 @@ Bytes ReplicaBase::sign_preimage(BytesView preimage, bool share,
   return sig;
 }
 
-bool ReplicaBase::recent_signer(NodeId id) const {
-  // The current generation, then the bounded window of earlier ones:
-  // certificates and votes formed just before a flip are still in flight.
-  for (std::uint64_t g = membership_.generation();; --g) {
-    if (membership_.is_signer(id, g)) return true;
-    if (g == 0 || !membership_.known(g - 1)) return false;
-  }
-}
-
 bool ReplicaBase::verify_msg(const Msg& m) {
   if (m.author >= cfg_.n) return false;
   // Post-reconfiguration gate (free, before any energy is charged): a
   // departed member's vote-class traffic no longer counts.
-  if (membership_enforced() && certificate_bound(m.type) &&
-      !recent_signer(m.author)) {
+  if (certificate_bound(m.type) && !membership_.admits(m.author, cfg_.n)) {
     return false;
   }
   const Bytes preimage = m.preimage();
@@ -176,20 +164,22 @@ bool ReplicaBase::verify_msg(const Msg& m) {
   // Only individual-form certificates consult the cache; under the
   // aggregate scheme an entry would never be read.
   if (ok && certificate_bound(m.type) && !aggregate_certs()) {
-    sig_verified_.emplace(fp, committed_height_);
+    certs_.remember_sig(fp, committed_height_);
   }
   return ok;
 }
 
 bool ReplicaBase::memo_verify(std::uint64_t fp, NodeId author,
-                              BytesView preimage, BytesView sig, bool share) {
+                              BytesView preimage, BytesView sig, bool share,
+                              bool record) {
   const auto verify = [&] {
     return share ? cfg_.agg->verify_share(author, preimage, sig)
                  : cfg_.keyring->verify(author, preimage, sig);
   };
-  return cfg_.memo != nullptr
-             ? cfg_.memo->check(fp, author, preimage, sig, verify)
-             : verify();
+  if (cfg_.memo == nullptr) return verify();
+  if (record) return cfg_.memo->check(fp, author, preimage, sig, verify);
+  const auto stored = cfg_.memo->peek(fp, author, preimage, sig);
+  return stored.has_value() ? *stored : verify();
 }
 
 bool ReplicaBase::verify_metered(std::uint64_t fp, NodeId author,
@@ -210,110 +200,53 @@ bool ReplicaBase::verify_request(const ClientRequest& req) {
                         "request");
 }
 
-bool ReplicaBase::verify_individual_cert(
-    const Bytes& preimage, const std::vector<std::pair<NodeId, Bytes>>& sigs,
-    std::size_t quorum_size, const char* site) {
+bool ReplicaBase::verify_cert(const CertSignatures& cert,
+                              const Bytes& preimage, std::size_t quorum_size,
+                              const char* site) {
+  // Under the aggregate scheme certificate-bound messages carry shares,
+  // not directory signatures: a cert in the other form cannot be honest.
+  if (cert.scheme != cfg_.cert_scheme) return false;
+  if (aggregate_certs()) {
+    if (!certs_.aggregate_ok(cert, quorum_size, membership_)) return false;
+    // Whole-certificate cache: an aggregate is one pairing-based check, so
+    // the cache keys the (preimage, signers, aggregate) triple as a unit.
+    const auto key = CertRules::agg_key(preimage, cert);
+    if (certs_.agg_cached(key)) return true;
+    charge(energy::Category::kVerify,
+           energy::agg_verify_energy_mj(cert.signers.count()));
+    prof_crypto("verify", site);
+    const bool ok =
+        cfg_.agg->verify_aggregate(cert.signers, preimage, cert.agg_sig);
+    if (ok) certs_.remember_agg(key, committed_height_);
+    return ok;
+  }
   // Accounting first, before any validity check can return: one metered
   // verification per contained signature — minus the signatures this
   // node already verified individually when the votes arrived, which
   // the verified-signature cache answers for free at tally time.
-  std::vector<std::uint64_t> fps(sigs.size());
-  std::vector<bool> cached(sigs.size());
-  for (std::size_t i = 0; i < sigs.size(); ++i) {
-    fps[i] = crypto::fingerprint(sigs[i].first, preimage, sigs[i].second);
-    if (sig_verified_.contains(fps[i])) {
-      ++sig_cache_hits_;
-      cached[i] = true;
-      continue;
-    }
+  const auto& found = certs_.lookup(cert, preimage);
+  for (const auto& [fp, cached] : found) {
+    if (cached) continue;
     charge(energy::Category::kVerify,
            energy::verify_energy_mj(cfg_.keyring->scheme()));
     prof_crypto("verify", site);
   }
-  // Validity: count, replica and distinct authors, then every signature.
-  if (sigs.size() < quorum_size) return false;
-  std::set<NodeId> authors;
-  for (const auto& [author, sig] : sigs) {
-    if (author >= cfg_.n) return false;
-    if (!authors.insert(author).second) return false;  // duplicate author
-  }
-  for (std::size_t i = 0; i < sigs.size(); ++i) {
-    const auto& [author, sig] = sigs[i];
-    if (!cached[i]) {
-      if (!memo_verify(fps[i], author, preimage, sig)) return false;
-      continue;
-    }
-    // A cache hit is matched by fingerprint only, so it settles the
-    // accounting, not validity: confirm the exact signature from the
-    // memo's stored verdict, else by an unmetered, unmemoized verify.
-    const auto memo = cfg_.memo != nullptr
-                          ? cfg_.memo->peek(fps[i], author, preimage, sig)
-                          : std::nullopt;
-    if (!(memo.has_value() ? *memo
-                           : cfg_.keyring->verify(author, preimage, sig))) {
+  if (!certs_.individual_ok(cert, quorum_size)) return false;
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    const auto& [author, sig] = cert.sigs[i];
+    // A cache hit settles the accounting, not validity: its exact
+    // signature is still confirmed, unmetered and without a new verdict.
+    if (!memo_verify(found[i].fp, author, preimage, sig, /*share=*/false,
+                     /*record=*/!found[i].cached)) {
       return false;
     }
   }
   return true;
 }
 
-crypto::Sha256Digest ReplicaBase::agg_cert_digest(
-    BytesView preimage, const crypto::SignerBitset& signers,
-    BytesView agg_sig) {
-  Writer w;
-  w.bytes(preimage);
-  signers.encode_into(w);
-  w.raw(agg_sig);
-  return crypto::Sha256::hash(w.buffer());
-}
-
-std::uint64_t ReplicaBase::generation_for_signers(
-    const std::vector<NodeId>& signer_ids) const {
-  for (std::uint64_t g = membership_.generation();; --g) {
-    if (membership_.known(g) &&
-        std::all_of(signer_ids.begin(), signer_ids.end(),
-                    [&](NodeId id) { return membership_.is_signer(id, g); })) {
-      return g;
-    }
-    if (g == 0) return membership_.generation();
-  }
-}
-
-bool ReplicaBase::verify_agg_cert(BytesView preimage,
-                                  const crypto::SignerBitset& signers,
-                                  std::uint64_t gen, BytesView agg_sig,
-                                  std::size_t quorum_size, const char* site) {
-  if (cfg_.agg == nullptr) return false;
-  if (signers.size() > cfg_.n) return false;
-  if (signers.count() < quorum_size) return false;
-  // Signers must all be members of the cert's tagged generation, and the
-  // generation must still be inside the policy-history window.
-  if (!membership_.known(gen)) return false;
-  for (NodeId id = 0; id < signers.size(); ++id) {
-    if (signers.test(id) && !membership_.is_signer(id, gen)) return false;
-  }
-  // Whole-certificate cache: an aggregate is one pairing-based check, so
-  // the cache keys the (preimage, signers, aggregate) triple as a unit.
-  const auto digest = agg_cert_digest(preimage, signers, agg_sig);
-  if (agg_verified_.contains(digest)) {
-    ++sig_cache_hits_;
-    return true;
-  }
-  charge(energy::Category::kVerify,
-         energy::agg_verify_energy_mj(signers.count()));
-  prof_crypto("verify", site);
-  if (!cfg_.agg->verify_aggregate(signers, preimage, agg_sig)) return false;
-  agg_verified_.emplace(digest, committed_height_);
-  return true;
-}
-
 QuorumCert ReplicaBase::make_cert(const std::vector<Msg>& msgs) {
   QuorumCert qc = QuorumCert::combine(msgs);
-  if (aggregate_certs()) {
-    charge(energy::Category::kSign,
-           energy::agg_combine_energy_mj(qc.sigs.size()));
-    qc = qc.to_aggregate(cfg_.n, generation_for_signers(qc.signer_list()));
-  }
+  if (aggregate_certs()) fold_cert(qc);
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("cert", "encode", stream_of(qc.type),
                                qc.encode().size());
@@ -321,31 +254,10 @@ QuorumCert ReplicaBase::make_cert(const std::vector<Msg>& msgs) {
   return qc;
 }
 
-bool ReplicaBase::verify_qc(const QuorumCert& qc, std::size_t quorum_size) {
-  if (qc.scheme == CertScheme::kAggregate) {
-    return aggregate_certs() &&
-           verify_agg_cert(qc.preimage(), qc.signers, qc.gen, qc.agg_sig,
-                           quorum_size, "vote");
-  }
-  // Under the aggregate scheme votes carry shares, not directory
-  // signatures — an individual-form cert cannot be honest.
-  return !aggregate_certs() &&
-         verify_individual_cert(qc.preimage(), qc.sigs, quorum_size, "vote");
-}
-
-bool ReplicaBase::verify_checkpoint_cert(
-    const checkpoint::CheckpointCert& cert) {
-  if (cert.scheme == CertScheme::kAggregate) {
-    // Checkpoint quorum is always f+1 (one correct attester suffices).
-    return aggregate_certs() &&
-           verify_agg_cert(cert.id.preimage(), cert.signers, cert.gen,
-                           cert.agg_sig, cfg_.f + 1, "checkpoint");
-  }
-  // Checkpoint quorum is always f+1 (one correct attester suffices),
-  // independent of the protocol's vote quorum (cfg_.quorum).
-  return !aggregate_certs() &&
-         verify_individual_cert(cert.id.preimage(), cert.sigs, cfg_.f + 1,
-                                "checkpoint");
+void ReplicaBase::fold_cert(CertSignatures& cert) {
+  charge(energy::Category::kSign,
+         energy::agg_combine_energy_mj(cert.sigs.size()));
+  cert.fold(cfg_.n, membership_.generation_for_signers(cert.signer_list()));
 }
 
 BlockHash ReplicaBase::hash_block(const Block& b) {
@@ -387,8 +299,6 @@ bool ReplicaBase::integrate_block(const Block& block, NodeId origin) {
   }
   return false;
 }
-
-void ReplicaBase::on_chain_connected(const Block&) {}
 
 void ReplicaBase::connect_orphans() {
   for (const Block& connected : store_.adopt_orphans()) {
@@ -494,13 +404,7 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
     // replica-range signers, and every correct replica flips here — the
     // same deterministic log position.
     for (const MembershipPolicy& p : pending_policies) {
-      const bool in_range =
-          std::all_of(p.signers.begin(), p.signers.end(),
-                      [&](const PolicyEntry& e) { return e.node < cfg_.n; });
-      if (p.signers.size() < quorum() || !in_range || !membership_.apply(p)) {
-        continue;
-      }
-      ++membership_changes_;
+      if (!membership_.apply_committed(p, cfg_.n, quorum())) continue;
       trace_instant("membership", "policy_applied",
                     {{"generation", exp::Json(p.generation)},
                      {"signers", exp::Json(p.signers.size())}});
@@ -522,12 +426,6 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
   // height becomes actionable once our commits pass it.
   settle_low_water(committed_height_);
 }
-
-void ReplicaBase::on_commit(const Block&) {}
-void ReplicaBase::on_low_water(const Block&) {}
-void ReplicaBase::on_state_transfer(const Block&) {}
-void ReplicaBase::on_restart() {}
-void ReplicaBase::on_membership_change(const MembershipPolicy&) {}
 
 // ---------------------------------------------------------------------------
 // Checkpointing (src/checkpoint/): snapshot, stabilize, truncate
@@ -608,7 +506,7 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   if (!ckpt_.enabled() || msg.author >= cfg_.n) return;
   // Departed members no longer attest state (joiners start attesting as
   // soon as their generation commits).
-  if (membership_enforced() && !recent_signer(msg.author)) return;
+  if (!membership_.admits(msg.author, cfg_.n)) return;
   checkpoint::CheckpointMsg cp;
   try {
     cp = checkpoint::CheckpointMsg::decode(msg.data);
@@ -626,7 +524,7 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   }
   // Remember the attestation: a checkpoint certificate tallied later
   // (state transfer, snapshot push) re-carries this exact signature.
-  if (!aggregate_certs()) sig_verified_.emplace(fp, committed_height_);
+  if (!aggregate_certs()) certs_.remember_sig(fp, committed_height_);
   if (const auto cert = ckpt_.add_signature(msg.author, cp.id, cp.sig)) {
     settle_low_water(committed_height_);
     broadcast_checkpoint_cert(*cert);
@@ -636,15 +534,9 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
 void ReplicaBase::broadcast_checkpoint_cert(
     const checkpoint::CheckpointCert& cert) {
   if (!aggregate_certs()) return;
-  broadcast(unsigned_msg(MsgType::kCheckpointCert, r_cur_,
-                         fold_checkpoint_cert(cert).encode()));
-}
-
-checkpoint::CheckpointCert ReplicaBase::fold_checkpoint_cert(
-    const checkpoint::CheckpointCert& cert) {
-  charge(energy::Category::kSign,
-         energy::agg_combine_energy_mj(cert.sigs.size()));
-  return cert.to_aggregate(cfg_.n, generation_for_signers(cert.signer_list()));
+  checkpoint::CheckpointCert folded = cert;
+  fold_cert(folded);
+  broadcast(unsigned_msg(MsgType::kCheckpointCert, r_cur_, folded.encode()));
 }
 
 void ReplicaBase::handle_checkpoint_cert(const Msg& msg) {
@@ -655,7 +547,6 @@ void ReplicaBase::handle_checkpoint_cert(const Msg& msg) {
   } catch (const SerdeError&) {
     return;
   }
-  if (cert.scheme != CertScheme::kAggregate) return;
   if (cert.id.height <= ckpt_.stable_height()) return;
   if (!verify_checkpoint_cert(cert)) return;
   if (ckpt_.install_certified(cert)) settle_low_water(committed_height_);
@@ -692,11 +583,7 @@ void ReplicaBase::advance_low_water() {
   // attestations or aggregate certificates that certificates no longer
   // re-carry, for a full checkpoint interval.
   intake_.gc_verified(prev_lwm);
-  const auto stale = [prev_lwm](const auto& kv) {
-    return kv.second <= prev_lwm;
-  };
-  std::erase_if(sig_verified_, stale);
-  std::erase_if(agg_verified_, stale);
+  certs_.gc(prev_lwm);
 
   // Drop the retained-log prefix at or below the mark. Mempool
   // committed-key GC is pool-side: a forgotten key's late retransmit can
@@ -758,14 +645,14 @@ void ReplicaBase::serve_checkpoint(NodeId from) {
   if (withhold_snap_) return;
   const auto* snap = ckpt_.serve_to(from);
   if (snap == nullptr) return;
-  const checkpoint::CheckpointCert& cert = *ckpt_.stable_cert();
+  checkpoint::CheckpointCert cert = *ckpt_.stable_cert();
   // A cert assembled from share attestations goes out in the O(1)
-  // aggregate form, tagged with the latest generation containing every
-  // signer (a cert received already-aggregated is forwarded as is).
-  const Bytes cert_wire =
-      aggregate_certs() && cert.scheme == CertScheme::kIndividual
-          ? fold_checkpoint_cert(cert).encode()
-          : cert.encode();
+  // aggregate form (a cert received already-aggregated is forwarded as
+  // is).
+  if (aggregate_certs() && cert.scheme == CertScheme::kIndividual) {
+    fold_cert(cert);
+  }
+  const Bytes cert_wire = cert.encode();
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("cert", "encode",
                                energy::Stream::kStateTransfer,

@@ -1,26 +1,27 @@
 // Shared replica plumbing for every protocol implementation: signing and
 // verification with energy metering, flood-router communication, the
 // block store with chain synchronization, the committed log, and the I/O
-// of checkpointing and state transfer. Three pure-logic components decide
+// of checkpointing and state transfer. Four pure-logic components decide
 // and the replica acts: RequestIntake (pool-time drops and the
 // verified-bytes cache), ExecutionLog (exactly-once execution and the
-// reply cache checkpoints snapshot) and checkpoint::CheckpointManager,
-// the checkpoint agent (schedule, stable checkpoint, low-water mark,
-// snapshot serving and the requester side of state transfer).
+// reply cache checkpoints snapshot), checkpoint::CheckpointManager, the
+// checkpoint agent (schedule, stable checkpoint, low-water mark,
+// snapshot serving and the requester side of state transfer), and
+// CertRules (certificate validity rules and the verified-signature and
+// verified-aggregate caches). MembershipState holds the membership rules:
+// the recent-signer gate, certificate generation tags and the commit
+// boundary's policy check.
 #pragma once
 
 #include <array>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/checkpoint/checkpoint.hpp"
 #include "src/common/serde.hpp"
-#include "src/crypto/sha256.hpp"
 #include "src/crypto/verify_memo.hpp"
 #include "src/energy/cost_model.hpp"
 #include "src/energy/meter.hpp"
@@ -30,6 +31,7 @@
 #include "src/obs/trace.hpp"
 #include "src/sim/scheduler.hpp"
 #include "src/smr/app.hpp"
+#include "src/smr/cert_rules.hpp"
 #include "src/smr/chain.hpp"
 #include "src/smr/execution_log.hpp"
 #include "src/smr/mempool.hpp"
@@ -193,9 +195,7 @@ class ReplicaBase : public net::FloodClient {
   }
   /// Verified-signature cache (votes / checkpoint attestations): metered
   /// re-verifications skipped at certificate tallies.
-  [[nodiscard]] std::uint64_t sig_cache_hits() const {
-    return sig_cache_hits_;
-  }
+  [[nodiscard]] std::uint64_t sig_cache_hits() const { return certs_.hits(); }
   /// Sparse flood-router dedup entries currently held (seen-window
   /// tails; bounded even under adversarial duplication/reordering).
   [[nodiscard]] std::size_t flood_dedup_entries() const {
@@ -248,13 +248,6 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] const MembershipState& membership() const {
     return membership_;
   }
-  [[nodiscard]] std::uint64_t membership_generation() const {
-    return membership_.generation();
-  }
-  /// Committed policy blocks applied by this replica.
-  [[nodiscard]] std::uint64_t membership_changes() const {
-    return membership_changes_;
-  }
 
   // -- Byzantine checkpoint harness hooks (src/adversary) ----------------------
   /// Broadcast checkpoint attestations over a forged snapshot digest
@@ -293,20 +286,23 @@ class ReplicaBase : public net::FloodClient {
                Bytes data);
   /// Verify a message signature (drops author range errors too).
   [[nodiscard]] bool verify_msg(const Msg& m);
-  [[nodiscard]] bool verify_qc(const QuorumCert& qc, std::size_t quorum_size);
-  /// Verify a checkpoint certificate, charging one verification per
-  /// contained signature (mirrors verify_qc).
+  [[nodiscard]] bool verify_qc(const QuorumCert& qc, std::size_t quorum_size) {
+    return verify_cert(qc, qc.preimage(), quorum_size, "vote");
+  }
+  /// A checkpoint certificate needs f+1 signatures (one correct attester
+  /// suffices), independent of the protocol's vote quorum (cfg_.quorum).
   [[nodiscard]] bool verify_checkpoint_cert(
-      const checkpoint::CheckpointCert& cert);
+      const checkpoint::CheckpointCert& cert) {
+    return verify_cert(cert, cert.id.preimage(), cfg_.f + 1, "checkpoint");
+  }
   /// Running the aggregate certificate scheme?
   [[nodiscard]] bool aggregate_certs() const {
     return cfg_.cert_scheme == CertScheme::kAggregate;
   }
   /// Assemble a certificate from verified matching messages under the
-  /// configured scheme: QuorumCert::combine, folded into the bitset +
-  /// aggregate form (tagged with the current membership generation) when
-  /// the aggregate scheme is on. Charges the combine cost and counts the
-  /// certificate's wire bytes against the profiler's "cert" component.
+  /// configured scheme: QuorumCert::combine, folded (fold_cert) when the
+  /// aggregate scheme is on. Counts the certificate's wire bytes against
+  /// the profiler's "cert" component.
   [[nodiscard]] QuorumCert make_cert(const std::vector<Msg>& msgs);
   /// Hash a block, charging hash energy.
   [[nodiscard]] BlockHash hash_block(const Block& b);
@@ -377,13 +373,13 @@ class ReplicaBase : public net::FloodClient {
   bool integrate_block(const Block& block, NodeId origin);
   /// Called when a previously-orphaned block becomes connected, after
   /// the chain-sync retries were re-dispatched.
-  virtual void on_chain_connected(const Block& block);
+  virtual void on_chain_connected(const Block& /*block*/) {}
 
   /// Commit `h` and all its uncommitted ancestors (Algorithm 2 line 280).
   /// No-op if already committed. Throws std::logic_error if `h` conflicts
   /// with the committed tip — a correct replica must never do that.
   void commit_chain(const BlockHash& h);
-  virtual void on_commit(const Block& block);
+  virtual void on_commit(const Block& /*block*/) {}
 
   // -- checkpointing hooks ------------------------------------------------------
   /// Called as the low-water mark advances to `root` (the checkpoint
@@ -391,19 +387,19 @@ class ReplicaBase : public net::FloodClient {
   /// GC their per-block side state (vote tallies, equivocation records)
   /// here — the doomed blocks are still inspectable, so side state for
   /// a block that simply has not arrived yet can be told apart and kept.
-  virtual void on_low_water(const Block& root);
+  virtual void on_low_water(const Block& /*root*/) {}
   /// Called after a completed state transfer re-rooted the chain at
   /// `root`. Protocols re-anchor their locks / certified tips here.
-  virtual void on_state_transfer(const Block& root);
+  virtual void on_state_transfer(const Block& /*root*/) {}
   /// Called on the offline→online edge (crash recovery). Protocols
   /// re-arm their progress/blame timers here: a timeout that fired
   /// while offline was swallowed and never re-scheduled itself.
-  virtual void on_restart();
+  virtual void on_restart() {}
   /// Called after a committed policy block flipped the active signer
   /// set to `policy` (at the commit boundary, after the block's commands
   /// executed). Protocols rebase per-sender state here — e.g. MinBFT
   /// drops AttestationTracker lanes for departed members.
-  virtual void on_membership_change(const MembershipPolicy& policy);
+  virtual void on_membership_change(const MembershipPolicy& /*policy*/) {}
 
   // -- client request/reply path ----------------------------------------------------
   /// Verify and pool a client-submitted kRequest (authors live above the
@@ -468,45 +464,16 @@ class ReplicaBase : public net::FloodClient {
 
  private:
   void handle_sync(NodeId from, const Msg& msg);
-  /// Is `id` a signer of the current or a recent (windowed) generation?
-  /// Gates vote-class traffic once membership has changed: a departed
-  /// member's votes stop counting, modulo certificates still in flight
-  /// from just before the flip.
-  [[nodiscard]] bool recent_signer(NodeId id) const;
-  /// Whether the signer gate is live: after any policy flip, or from
-  /// genesis when spares exist (initial_members < n — a spare's votes
-  /// must not count before a policy admits it).
-  [[nodiscard]] bool membership_enforced() const {
-    return membership_.generation() > 0 ||
-           membership_.active_count() < cfg_.n;
-  }
-  /// Latest known generation whose signer set contains every node in
-  /// `signer_ids` (falls back to the current generation): the tag for an
-  /// aggregate certificate folded from these signers' shares.
-  [[nodiscard]] std::uint64_t generation_for_signers(
-      const std::vector<NodeId>& signer_ids) const;
-  /// Whole-certificate cache digest for an aggregate cert (covers
-  /// preimage, signer bitset and aggregate signature).
-  static crypto::Sha256Digest agg_cert_digest(
-      BytesView preimage, const crypto::SignerBitset& signers,
-      BytesView agg_sig);
-  /// Aggregate-cert validity shared by verify_qc /
-  /// verify_checkpoint_cert: quorum count, known generation, signers all
-  /// members of it, then the cached-or-metered aggregate verification
-  /// over `preimage`.
-  [[nodiscard]] bool verify_agg_cert(BytesView preimage,
-                                     const crypto::SignerBitset& signers,
-                                     std::uint64_t gen, BytesView agg_sig,
-                                     std::size_t quorum_size,
-                                     const char* site);
   /// Verify `sig` by `author` over `preimage` through cfg_.memo: a
   /// directory signature, or an aggregate-scheme share when `share`.
   /// `fp` is crypto::fingerprint(author, preimage, sig), computed once
-  /// per check by the caller. Pure of energy accounting — callers charge
-  /// the modeled verify.
+  /// per check by the caller. Without `record`, the memo only answers
+  /// from a stored verdict (VerifyMemo::peek) and a miss verifies without
+  /// storing one. Pure of energy accounting — callers charge the modeled
+  /// verify.
   [[nodiscard]] bool memo_verify(std::uint64_t fp, NodeId author,
                                  BytesView preimage, BytesView sig,
-                                 bool share = false);
+                                 bool share = false, bool record = true);
   /// memo_verify plus the modeled verify charge (a one-signer aggregate
   /// check for a share) and one prof_crypto("verify", site).
   [[nodiscard]] bool verify_metered(std::uint64_t fp, NodeId author,
@@ -525,18 +492,21 @@ class ReplicaBase : public net::FloodClient {
   /// Adopt the orphans the store can now connect; each is announced to
   /// on_chain_connected() after the parked retries are re-dispatched.
   void connect_orphans();
-  /// Individual-form cert validity shared by verify_qc /
-  /// verify_checkpoint_cert. Charges one metered verification per
-  /// signature the verified-signature cache does not answer, then checks
-  /// the count against `quorum_size`, that every author is a replica
-  /// (the keyring also holds client keys) and distinct, and last every
-  /// signature over `preimage`: an uncached one through memo_verify, a
-  /// cached one by the memo's stored verdict (VerifyMemo::peek) or else
-  /// an unmetered, unmemoized verify.
-  [[nodiscard]] bool verify_individual_cert(
-      const Bytes& preimage,
-      const std::vector<std::pair<NodeId, Bytes>>& sigs,
-      std::size_t quorum_size, const char* site);
+  /// The one certificate check (verify_qc, verify_checkpoint_cert): the
+  /// signatures `cert` carries over `preimage`, with `quorum_size`
+  /// signers, in the configured scheme's form. An aggregate passes
+  /// CertRules::aggregate_ok, then the verified-aggregate cache or one
+  /// metered aggregate verify. An individual cert first charges one
+  /// metered verify per signature the verified-signature cache does not
+  /// answer, then passes CertRules::individual_ok, and last every
+  /// signature through memo_verify, without `record` for a cached one.
+  [[nodiscard]] bool verify_cert(const CertSignatures& cert,
+                                 const Bytes& preimage,
+                                 std::size_t quorum_size, const char* site);
+  /// Fold `cert`'s share signatures into the O(1) aggregate form, tagged
+  /// with the latest generation containing every signer. Charges the
+  /// combine.
+  void fold_cert(CertSignatures& cert);
 
   /// One typed channel per stream, opened in the constructor with the
   /// configured (or protocol-default) policy.
@@ -551,11 +521,6 @@ class ReplicaBase : public net::FloodClient {
   /// Collector side of the aggregate scheme: fold a freshly assembled
   /// share tally into the O(1) aggregate form and flood kCheckpointCert.
   void broadcast_checkpoint_cert(const checkpoint::CheckpointCert& cert);
-  /// An individual-form cert of share signatures folded into the O(1)
-  /// aggregate form, tagged with the latest generation containing every
-  /// signer. Charges the combine.
-  [[nodiscard]] checkpoint::CheckpointCert fold_checkpoint_cert(
-      const checkpoint::CheckpointCert& cert);
   void handle_checkpoint_cert(const Msg& msg);
   void handle_state_request(NodeId from, const Msg& msg);
   /// Send the current stable checkpoint snapshot to `from` (once per
@@ -585,26 +550,12 @@ class ReplicaBase : public net::FloodClient {
   bool tolerate_fork_ = false;
   ExecutionLog exec_;
   RequestIntake intake_{cfg_.client_pending_cap};
-  /// Verified-signature cache: crypto::fingerprint of each (author,
-  /// preimage, signature) triple this node verified individually —
-  /// vote-class messages and checkpoint attestations, under the
-  /// individual certificate scheme — mapped to the committed height
-  /// current when recorded. Certificate tallies
-  /// (verify_individual_cert) consult it per contained signature. A hit
-  /// decides only the accounting: the tally skips the metered
-  /// re-verification, but still confirms the exact signature, so a
-  /// fingerprint collision can at worst skip one modeled charge and
-  /// never admit an invalid signature. Unlike RequestIntake's
-  /// verified-bytes cache, entries are multi-use (a commitQC and a status
-  /// message may both carry the same vote) and GC'd by the same
-  /// low-water-mark rule.
-  std::unordered_map<std::uint64_t, std::uint64_t> sig_verified_;
-  /// Aggregate-certificate cache (verify_agg_cert): agg_cert_digest ->
-  /// committed height when recorded. A hit accepts the certificate
-  /// without re-checking it (that would cost the n-signer verify it
-  /// saves), so the key stays a SHA-256 digest; GC'd like sig_verified_.
-  std::map<crypto::Sha256Digest, std::uint64_t> agg_verified_;
-  std::uint64_t sig_cache_hits_ = 0;
+  /// Certificate rules and the verification caches. Signatures enter
+  /// the signature cache only under the individual scheme (an aggregate
+  /// certificate never reads it). Unlike RequestIntake's verified-bytes
+  /// cache, entries are multi-use (a commitQC and a status message may
+  /// both carry the same vote) and GC'd by the same low-water-mark rule.
+  CertRules certs_{cfg_.n};
   /// Reused outbound encoder (broadcast/send): clear() keeps the
   /// allocation across encodes.
   Writer wire_writer_;
@@ -625,7 +576,6 @@ class ReplicaBase : public net::FloodClient {
   sim::Timer st_timer_;
 
   // -- membership & Byzantine-checkpoint state ----------------------------------
-  std::uint64_t membership_changes_ = 0;
   bool forge_ckpt_ = false;
   bool withhold_snap_ = false;
 

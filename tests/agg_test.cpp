@@ -220,7 +220,7 @@ smr::QuorumCert share_signed_qc(const AggKeyring& agg,
 TEST(AggregateQuorumCert, ToAggregateRoundTripsAndVerifies) {
   const auto agg = AggKeyring::simulated(7, 3);
   const smr::QuorumCert qc = share_signed_qc(*agg, {0, 1, 4});
-  const smr::QuorumCert aqc = qc.to_aggregate(7, 0);
+  const smr::QuorumCert aqc = smr::to_aggregate(qc, 7, 0);
   EXPECT_EQ(aqc.scheme, smr::CertScheme::kAggregate);
   EXPECT_EQ(aqc.gen, 0u);
   EXPECT_EQ(aqc.signer_count(), 3u);
@@ -245,11 +245,11 @@ TEST(AggregateQuorumCert, ReplicaRejectsUnknownGeneration) {
   const auto agg = AggKeyring::simulated(7, 3);
   const smr::QuorumCert qc = share_signed_qc(*agg, {0, 1, 4});
   const smr::QuorumCert tagged =
-      smr::QuorumCert::decode(qc.to_aggregate(7, 2).encode());
+      smr::QuorumCert::decode(smr::to_aggregate(qc, 7, 2).encode());
   EXPECT_EQ(tagged.gen, 2u);
   smr::ProbeNode node(agg_probe(7, 2, agg));
   EXPECT_FALSE(node.replica.verify_qc(tagged, 3));
-  EXPECT_TRUE(node.replica.verify_qc(qc.to_aggregate(7, 0), 3));
+  EXPECT_TRUE(node.replica.verify_qc(smr::to_aggregate(qc, 7, 0), 3));
 }
 
 TEST(AggregateQuorumCert, ReplicaRejectsSignerBitsetWiderThanN) {
@@ -258,20 +258,21 @@ TEST(AggregateQuorumCert, ReplicaRejectsSignerBitsetWiderThanN) {
   const auto agg = AggKeyring::simulated(7, 3);
   const smr::QuorumCert qc = share_signed_qc(*agg, {0, 1, 2});
   smr::ProbeNode node(agg_probe(4, 1, agg));
-  EXPECT_FALSE(node.replica.verify_qc(qc.to_aggregate(7, 0), 2));
-  EXPECT_TRUE(node.replica.verify_qc(qc.to_aggregate(4, 0), 2));
+  EXPECT_FALSE(node.replica.verify_qc(smr::to_aggregate(qc, 7, 0), 2));
+  EXPECT_TRUE(node.replica.verify_qc(smr::to_aggregate(qc, 4, 0), 2));
 }
 
 TEST(AggregateQuorumCert, DuplicateSignerThrowsOnFold) {
   const auto agg = AggKeyring::simulated(7, 3);
   smr::QuorumCert qc = share_signed_qc(*agg, {0, 1});
   qc.sigs.emplace_back(1, agg->share(1, qc.preimage()));
-  EXPECT_THROW(qc.to_aggregate(7, 0), std::invalid_argument);
+  EXPECT_THROW(smr::to_aggregate(qc, 7, 0), std::invalid_argument);
 }
 
 TEST(AggregateQuorumCert, ForgedAggregateRejected) {
   const auto agg = AggKeyring::simulated(7, 3);
-  smr::QuorumCert aqc = share_signed_qc(*agg, {0, 1, 4}).to_aggregate(7, 0);
+  smr::QuorumCert aqc =
+      smr::to_aggregate(share_signed_qc(*agg, {0, 1, 4}), 7, 0);
   aqc.agg_sig[10] ^= 0x40;
   smr::ProbeNode node(agg_probe(7, 2, agg));
   EXPECT_FALSE(node.replica.verify_qc(aqc, 3));
@@ -283,10 +284,10 @@ TEST(AggregateQuorumCert, WireSizeIsConstantInSignerCount) {
   // individual form grows by a whole signature per signer.
   const auto agg = AggKeyring::simulated(32, 3);
   const smr::QuorumCert small =
-      share_signed_qc(*agg, {0, 1, 2}).to_aggregate(32, 0);
+      smr::to_aggregate(share_signed_qc(*agg, {0, 1, 2}), 32, 0);
   const smr::QuorumCert large =
-      share_signed_qc(*agg, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-          .to_aggregate(32, 0);
+      smr::to_aggregate(
+          share_signed_qc(*agg, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}), 32, 0);
   EXPECT_EQ(small.encode().size(), large.encode().size());
 }
 
@@ -300,7 +301,7 @@ TEST(AggregateCheckpointCert, RoundTripAndTamperRejection) {
   cert.id = id;
   const Bytes preimage = id.preimage();
   for (NodeId n : {1, 3}) cert.sigs.emplace_back(n, agg->share(n, preimage));
-  const checkpoint::CheckpointCert acert = cert.to_aggregate(5, 0);
+  const checkpoint::CheckpointCert acert = smr::to_aggregate(cert, 5, 0);
   // The checkpoint quorum is f+1: 2 at f = 1, 3 at f = 2.
   smr::ProbeNode f1(agg_probe(5, 1, agg));
   smr::ProbeNode f2(agg_probe(5, 2, agg));

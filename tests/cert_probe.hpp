@@ -38,6 +38,14 @@ class QcProbe final : public ReplicaBase {
   void handle(NodeId, const Msg&) override {}
 };
 
+/// `cert` with its share signatures folded into the aggregate form
+/// (CertSignatures::fold).
+template <class Cert>
+Cert to_aggregate(Cert cert, std::size_t universe, std::uint64_t gen) {
+  cert.fold(universe, gen);
+  return cert;
+}
+
 /// Replica 0 of `n` with fault budget `f` (checkpoint quorum f+1). A
 /// non-null `agg` selects the aggregate certificate scheme.
 inline ReplicaConfig probe_config(std::size_t n, std::size_t f,

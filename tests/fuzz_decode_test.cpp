@@ -376,7 +376,7 @@ TEST(FuzzDecode, MutatedAggregateAndPolicyWireFormatsRejectCleanly) {
   for (NodeId i = 0; i < 3; ++i) {
     qc.sigs.emplace_back(i, agg->share(i, qc_preimage));
   }
-  const smr::QuorumCert aqc = qc.to_aggregate(kN, 0);
+  const smr::QuorumCert aqc = smr::to_aggregate(qc, kN, 0);
 
   smr::MembershipPolicy pol;
   pol.generation = 4;
@@ -391,7 +391,7 @@ TEST(FuzzDecode, MutatedAggregateAndPolicyWireFormatsRejectCleanly) {
   for (NodeId i = 2; i < 4; ++i) {
     ckpt.sigs.emplace_back(i, agg->share(i, id.preimage()));
   }
-  const checkpoint::CheckpointCert ackpt = ckpt.to_aggregate(kN, 0);
+  const checkpoint::CheckpointCert ackpt = smr::to_aggregate(ckpt, kN, 0);
 
   smr::AcceptanceCert acc;
   acc.client = 7;

@@ -120,6 +120,81 @@ TEST(MembershipState, HistoryWindowEvicts) {
 }
 
 // ---------------------------------------------------------------------------
+// MembershipState rules a replica applies: the recent-signer gate,
+// certificate generation tags and the commit-boundary policy check
+// ---------------------------------------------------------------------------
+
+TEST(MembershipState, RecentSignerWindowSpansAFlipUntilEviction) {
+  MembershipState st(4);
+  EXPECT_FALSE(st.enforced(4));  // no flip, no spare: the gate is off
+  EXPECT_TRUE(st.enforced(5));   // replica 4 is a spare from genesis
+  EXPECT_TRUE(st.admits(4, 4));
+  EXPECT_FALSE(st.admits(4, 5));
+  EXPECT_TRUE(st.recent_signer(3));
+  EXPECT_FALSE(st.recent_signer(4));
+
+  // Generation 1 drops node 3: its in-flight votes still count while
+  // generation 0 stays inside the window.
+  ASSERT_TRUE(st.apply(make_policy(1, {0, 1, 2})));
+  EXPECT_TRUE(st.enforced(4));
+  EXPECT_TRUE(st.recent_signer(3));
+  EXPECT_TRUE(st.admits(3, 4));
+  for (std::uint64_t g = 2; g <= MembershipState::kHistoryWindow; ++g) {
+    ASSERT_TRUE(st.apply(make_policy(g, {0, 1, 2})));
+  }
+  ASSERT_TRUE(st.known(0));  // the window's oldest generation
+  EXPECT_TRUE(st.recent_signer(3));
+
+  // One more flip evicts generation 0, and node 3 with it.
+  ASSERT_TRUE(
+      st.apply(make_policy(MembershipState::kHistoryWindow + 1, {0, 1, 2})));
+  EXPECT_FALSE(st.known(0));
+  EXPECT_FALSE(st.recent_signer(3));
+  EXPECT_FALSE(st.admits(3, 4));
+  EXPECT_TRUE(st.recent_signer(2));
+}
+
+TEST(MembershipState, GenerationTagIsTheLatestHoldingEverySigner) {
+  MembershipState st(4);
+  ASSERT_TRUE(st.apply(make_policy(1, {0, 1, 2, 5})));
+  EXPECT_EQ(st.generation_for_signers({0, 1}), 1u);
+  EXPECT_EQ(st.generation_for_signers({0, 5}), 1u);
+  EXPECT_EQ(st.generation_for_signers({0, 3}), 0u);  // 3 left at the flip
+  // No known generation holds both 3 and 5: the current one is the tag.
+  EXPECT_EQ(st.generation_for_signers({3, 5}), 1u);
+  EXPECT_EQ(st.generation_for_signers({7}), 1u);
+  // Once generation 0 leaves the window, 3 falls back the same way.
+  for (std::uint64_t g = 2; g <= MembershipState::kHistoryWindow + 1; ++g) {
+    ASSERT_TRUE(st.apply(make_policy(g, {0, 1, 2, 5})));
+  }
+  EXPECT_EQ(st.generation_for_signers({0, 3}), st.generation());
+}
+
+TEST(MembershipState, CommitBoundaryRefusesOutOfRangeSmallOrNonSuccessor) {
+  MembershipState st(4);
+  constexpr std::size_t kReplicas = 5;
+  constexpr std::size_t kQuorum = 3;
+  // Node 5 is not a replica of a 5-node cluster.
+  EXPECT_FALSE(st.apply_committed(make_policy(1, {0, 1, 5}), kReplicas,
+                                  kQuorum));
+  // Fewer signers than a quorum.
+  EXPECT_FALSE(
+      st.apply_committed(make_policy(1, {0, 1}), kReplicas, kQuorum));
+  // Not the direct successor of generation 0.
+  EXPECT_FALSE(
+      st.apply_committed(make_policy(2, {0, 1, 2}), kReplicas, kQuorum));
+  EXPECT_EQ(st.generation(), 0u);
+
+  ASSERT_TRUE(
+      st.apply_committed(make_policy(1, {0, 1, 4}), kReplicas, kQuorum));
+  EXPECT_EQ(st.generation(), 1u);
+  EXPECT_TRUE(st.is_signer(4, 1));
+  // The same policy again (a re-proposal) is a no-op.
+  EXPECT_FALSE(
+      st.apply_committed(make_policy(1, {0, 1, 4}), kReplicas, kQuorum));
+}
+
+// ---------------------------------------------------------------------------
 // Cluster-level: policy-generation handoff under every protocol
 // ---------------------------------------------------------------------------
 
