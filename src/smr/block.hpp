@@ -17,6 +17,7 @@
 
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
+#include "src/common/serde.hpp"
 
 namespace eesmr::smr {
 
@@ -69,6 +70,8 @@ struct Block {
   std::vector<Command> cmds;    ///< Cmds
 
   [[nodiscard]] Bytes encode() const;
+  /// Append encode()'s bytes to `w`.
+  void encode_into(Writer& w) const;
   static Block decode(BytesView data);
   /// encode().size(), without encoding.
   [[nodiscard]] std::size_t encoded_size() const;

@@ -20,10 +20,6 @@ bool BlockStore::add(const Block& block) {
   return true;
 }
 
-void BlockStore::add_orphan(const Block& block) {
-  if (orphans_.size() < kMaxOrphans) orphans_.emplace(block.hash(), block);
-}
-
 void BlockStore::adopt_root(const Block& block) {
   blocks_.insert_or_assign(block.hash(), block);
 }
@@ -34,46 +30,8 @@ void BlockStore::truncate_below(const BlockHash& root) {
     throw std::invalid_argument("BlockStore::truncate_below: unknown root");
   }
   const std::uint64_t floor = r->height;
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    if (it->second.height < floor) {
-      it = blocks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = orphans_.begin(); it != orphans_.end();) {
-    if (it->second.height <= floor) {
-      it = orphans_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::optional<Block> BlockStore::deepest_orphan() const {
-  const Block* best = nullptr;
-  for (const auto& [k, b] : orphans_) {
-    if (best == nullptr || b.height < best->height) best = &b;
-  }
-  return best == nullptr ? std::nullopt : std::optional<Block>(*best);
-}
-
-std::vector<Block> BlockStore::adopt_orphans() {
-  std::vector<Block> adopted;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = orphans_.begin(); it != orphans_.end();) {
-      if (blocks_.count(it->second.parent) > 0) {
-        if (add(it->second)) adopted.push_back(it->second);
-        it = orphans_.erase(it);
-        progress = true;
-      } else {
-        ++it;
-      }
-    }
-  }
-  return adopted;
+  std::erase_if(blocks_,
+                [floor](const auto& kv) { return kv.second.height < floor; });
 }
 
 bool BlockStore::contains(const BlockHash& h) const {

@@ -1,10 +1,7 @@
-// Hash-chained block store with ancestry queries and an orphan pool for
-// chain synchronization ("when a node obtains a block and does not know
-// its parent blocks, it will request them from the sender", §3.2).
+// Hash-chained block store with ancestry queries. Blocks whose parent is
+// not stored wait in chain sync's orphan pool (src/smr/chain_sync.hpp).
 #pragma once
 
-#include <map>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -18,20 +15,11 @@ class BlockStore {
   BlockStore();
 
   /// Insert a block whose parent is already known. Returns false (and
-  /// stores nothing) when the parent is missing — use add_orphan then —
-  /// or when the height does not follow the parent's: such a block is
-  /// malformed and is never stored. Re-inserting an existing block is a
-  /// harmless no-op (returns true).
+  /// stores nothing) when the parent is missing, or when the height does
+  /// not follow the parent's: such a block is malformed and is never
+  /// stored. Re-inserting an existing block is a harmless no-op (returns
+  /// true).
   bool add(const Block& block);
-
-  /// Orphans buffered at most: a peer can send made-up blocks whose
-  /// ancestry never arrives, so the pool is bounded like the replica's
-  /// parking buffers.
-  static constexpr std::size_t kMaxOrphans = 4096;
-
-  /// Buffer a block whose ancestry is not yet connected; refused once
-  /// kMaxOrphans are buffered.
-  void add_orphan(const Block& block);
 
   /// Insert `block` unconditionally, with no parent check — the anchor a
   /// state transfer re-roots the chain on (the block's ancestry is
@@ -39,19 +27,10 @@ class BlockStore {
   void adopt_root(const Block& block);
 
   /// Advance the low-water mark: drop every block strictly below `root`'s
-  /// height (including genesis) and every orphan at or below it. `root`
-  /// must be present; it becomes the new deepest block, so ancestry
-  /// queries terminate there. Throws std::invalid_argument if `root` is
-  /// unknown.
+  /// height (including genesis). `root` must be present; it becomes the
+  /// new deepest block, so ancestry queries terminate there. Throws
+  /// std::invalid_argument if `root` is unknown.
   void truncate_below(const BlockHash& root);
-
-  /// The lowest-height buffered orphan (for backward chain sync), if any.
-  [[nodiscard]] std::optional<Block> deepest_orphan() const;
-
-  /// Try to connect orphans after new blocks arrived. Returns the blocks
-  /// adopted (in ancestry order); an orphan whose height does not follow
-  /// its now-known parent's is dropped.
-  std::vector<Block> adopt_orphans();
 
   [[nodiscard]] bool contains(const BlockHash& h) const;
   [[nodiscard]] const Block* get(const BlockHash& h) const;
@@ -75,12 +54,10 @@ class BlockStore {
                                                  const BlockHash& until) const;
 
   [[nodiscard]] std::size_t size() const { return blocks_.size(); }
-  [[nodiscard]] std::size_t orphan_count() const { return orphans_.size(); }
 
  private:
   /// Keyed by block.hash().
   std::unordered_map<BlockHash, Block, BlockHashHasher> blocks_;
-  std::unordered_map<BlockHash, Block, BlockHashHasher> orphans_;
 };
 
 }  // namespace eesmr::smr

@@ -288,42 +288,25 @@ void ReplicaBase::send(NodeId to, const Msg& m) {
 }
 
 bool ReplicaBase::integrate_block(const Block& block, NodeId origin) {
-  if (store_.add(block)) return true;
-  // Parent held, so the height does not follow it: malformed, dropped.
-  if (store_.contains(block.parent)) return false;
-  store_.add_orphan(block);
-  // Request the missing ancestry once per parent hash.
-  if (sync_requested_.insert(block.parent).second) {
-    if (sync_started_ == 0) sync_started_ = sched_.now();
+  const ChainSync::Offer offer = sync_.offer(block);
+  if (offer == ChainSync::Offer::kOrphan &&
+      sync_.ask(block.parent, sched_.now())) {
     send(origin, make_msg(MsgType::kSyncRequest, r_cur_, block.parent));
   }
-  return false;
+  return offer == ChainSync::Offer::kStored;
 }
 
 void ReplicaBase::connect_orphans() {
-  for (const Block& connected : store_.adopt_orphans()) {
-    std::vector<Msg> retry;
-    retry.swap(retry_);
-    for (const Msg& m : retry) handle(m.author, m);
+  for (const Block& connected : sync_.adopt()) {
+    redispatch(sync_.take_retries());
     on_chain_connected(connected);
   }
 }
 
-void ReplicaBase::buffer_future(const Msg& msg) {
-  if (future_.size() < kMaxParked) future_.push_back(msg);
-}
-
-void ReplicaBase::retry_on_connect(const Msg& msg) {
-  if (retry_.size() < kMaxParked) retry_.push_back(msg);
-}
-
 void ReplicaBase::drain_buffered() {
-  std::vector<Msg> retry;
-  retry.swap(retry_);
-  std::vector<Msg> pending;
-  pending.swap(future_);
-  for (const Msg& m : retry) handle(m.author, m);
-  for (const Msg& m : pending) handle(m.author, m);
+  const std::vector<Msg> pending = sync_.take_future();
+  redispatch(sync_.take_retries());
+  redispatch(pending);
 }
 
 void ReplicaBase::commit_chain(const BlockHash& h) {
@@ -606,8 +589,7 @@ void ReplicaBase::advance_low_water() {
   // The flow-hook cache entries of the truncated blocks go with them.
   prof_block_cache_.erase(prof_block_cache_.begin(),
                           prof_block_cache_.lower_bound(root->height));
-  store_.truncate_below(cert.id.block);
-  sync_requested_.clear();  // pending ancestry below the mark is moot
+  sync_.truncate_below(cert.id.block);
 }
 
 // ---------------------------------------------------------------------------
@@ -711,17 +693,18 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   // transfer: one that failed above must leave no transfer in flight,
   // or a genuine certificate below its claimed height would never open
   // one. An unsolicited snapshot is always an answer to a kSyncRequest
-  // we sent: the recovery began when chain sync did.
+  // we sent: the recovery began when chain sync did, and the transfer
+  // ends that sync episode.
+  const sim::SimTime began = sync_.end_episode(sched_.now());
   if (!ckpt_.transferring()) {
-    ckpt_.open_transfer(cert.id.height,
-                        sync_started_ != 0 ? sync_started_ : sched_.now());
+    ckpt_.open_transfer(cert.id.height, began);
     trace_begin("recovery", "state_transfer", cert.id.height,
                 {{"height", exp::Json(cert.id.height)}});
   }
 
   // Re-root the chain at the checkpoint block and fast-forward.
   store_.adopt_root(root);
-  store_.truncate_below(cert.id.block);
+  sync_.truncate_below(cert.id.block);
   committed_tip_ = cert.id.block;
   committed_height_ = cert.id.height;
   committed_.clear();
@@ -732,8 +715,6 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   intake_.clear_verified();
   ckpt_.install_stable(cert, payload.executed_cmds, std::move(payload_bytes),
                        root);
-  sync_requested_.clear();
-  sync_started_ = 0;
 
   st_timer_.cancel();
   const sim::Duration took = ckpt_.finish_transfer(sched_.now());
@@ -879,57 +860,25 @@ void ReplicaBase::handle_sync(NodeId from, const Msg& msg) {
   if (!verify_msg(msg)) return;
   if (msg.type == MsgType::kSyncRequest) {
     // data = hash of the block the peer is missing. Reply with that block
-    // and up to kMaxSyncBlocks of its ancestors (deepest first).
-    const BlockHash& want = msg.data;
-    const Block* b = store_.get(want);
-    if (b == nullptr) {
-      // A request for history we truncated below the stable checkpoint:
-      // the asker is lagged past what chain sync can serve. Send the
-      // checkpoint snapshot instead — the f+1-signed certificate inside
-      // is self-authenticating, so the receiver needs no prior knowledge
-      // of the cert (it may have missed every one-shot checkpoint vote
-      // while crashed).
-      serve_checkpoint(from);
-      return;
-    }
+    // and its ancestors. A request for history we truncated below the
+    // stable checkpoint means the asker is lagged past what chain sync
+    // can serve: send the checkpoint snapshot instead — the f+1-signed
+    // certificate inside is self-authenticating, so the receiver needs no
+    // prior knowledge of the cert (it may have missed every one-shot
+    // checkpoint vote while crashed).
     Writer w;
-    std::vector<Bytes> chain;
-    const Block* cur = b;
-    while (cur != nullptr && chain.size() < kMaxSyncBlocks) {
-      chain.push_back(cur->encode());
-      if (cur->height == 0) break;
-      cur = store_.get(cur->parent);
-    }
-    w.u32(static_cast<std::uint32_t>(chain.size()));
-    // Deepest-first so the receiver can connect as it reads.
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) w.bytes(*it);
-    Msg resp = make_msg(MsgType::kSyncResponse, r_cur_, w.take());
-    send(from, resp);
-    return;
+    if (sync_.serve(msg.data, w) == 0) return serve_checkpoint(from);
+    return send(from, make_msg(MsgType::kSyncResponse, r_cur_, w.take()));
   }
   // SyncResponse: adopt blocks then retry orphans.
-  try {
-    Reader r(msg.data);
-    const std::uint32_t count = r.u32();
-    for (std::uint32_t i = 0; i < count && i < kMaxSyncBlocks; ++i) {
-      const Block b = Block::decode(r.bytes());
-      if (!store_.add(b) && !store_.contains(b.parent)) store_.add_orphan(b);
-    }
-  } catch (const SerdeError&) {
-    return;
-  }
+  if (!sync_.accept(msg.data)) return;
   connect_orphans();
   // Backward sync: a response can land entirely above our frontier (a
   // deep gap after a crash). Walk further down the ancestry of the
   // deepest orphan until the chains meet — or a stable checkpoint makes
   // state transfer take over.
-  const auto deepest = store_.deepest_orphan();
-  if (deepest.has_value() && !store_.contains(deepest->parent) &&
-      sync_requested_.insert(deepest->parent).second) {
-    if (sync_started_ == 0) sync_started_ = sched_.now();
-    send(from, make_msg(MsgType::kSyncRequest, r_cur_, deepest->parent));
-  } else if (!deepest.has_value()) {
-    sync_started_ = 0;  // chains met: this sync episode is over
+  if (const BlockHash* parent = sync_.walk_back(sched_.now())) {
+    send(from, make_msg(MsgType::kSyncRequest, r_cur_, *parent));
   }
 }
 

@@ -1,16 +1,18 @@
 // Shared replica plumbing for every protocol implementation: signing and
 // verification with energy metering, flood-router communication, the
-// block store with chain synchronization, the committed log, and the I/O
-// of checkpointing and state transfer. Four pure-logic components decide
+// block store, the committed log, and the I/O of chain synchronization,
+// checkpointing and state transfer. Five pure-logic components decide
 // and the replica acts: RequestIntake (pool-time drops and the
 // verified-bytes cache), ExecutionLog (exactly-once execution and the
 // reply cache checkpoints snapshot), checkpoint::CheckpointManager, the
 // checkpoint agent (schedule, stable checkpoint, low-water mark,
-// snapshot serving and the requester side of state transfer), and
-// CertRules (certificate validity rules and the verified-signature and
-// verified-aggregate caches). MembershipState holds the membership rules:
-// the recent-signer gate, certificate generation tags and the commit
-// boundary's policy check.
+// snapshot serving and the requester side of state transfer), CertRules
+// (certificate validity rules and the verified-signature and
+// verified-aggregate caches), and ChainSync (the orphan pool, the
+// ancestry requests and their episode clock, the blocks a sync request
+// is served, and the parked messages). MembershipState holds the
+// membership rules: the recent-signer gate, certificate generation tags
+// and the commit boundary's policy check.
 #pragma once
 
 #include <array>
@@ -33,6 +35,7 @@
 #include "src/smr/app.hpp"
 #include "src/smr/cert_rules.hpp"
 #include "src/smr/chain.hpp"
+#include "src/smr/chain_sync.hpp"
 #include "src/smr/execution_log.hpp"
 #include "src/smr/mempool.hpp"
 #include "src/smr/membership.hpp"
@@ -167,6 +170,8 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] const std::vector<Block>& log() const { return log_; }
   [[nodiscard]] std::uint64_t current_view() const { return v_cur_; }
   [[nodiscard]] const BlockStore& store() const { return store_; }
+  /// Chain synchronization: the orphan pool and the parked messages.
+  [[nodiscard]] const ChainSync& chain_sync() const { return sync_; }
   [[nodiscard]] Mempool& mempool() { return mempool_; }
   [[nodiscard]] const Mempool& mempool() const { return mempool_; }
   [[nodiscard]] const BlockHash& committed_tip() const {
@@ -331,14 +336,10 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
 
   // -- out-of-order messages -------------------------------------------------------
-  /// Each parking buffer holds at most this many messages; later ones
-  /// are dropped (bounded against Byzantine memory pressure).
-  static constexpr std::size_t kMaxParked = 4096;
-  /// Cap on blocks per SyncResponse (a Byzantine peer can request often;
-  /// the per-response size must stay bounded).
-  static constexpr std::size_t kMaxSyncBlocks = 64;
+  // Each parking buffer holds at most ChainSync::kMaxParked messages;
+  // later ones are dropped.
   /// Park a message for a view this replica has not entered yet.
-  void buffer_future(const Msg& msg);
+  void buffer_future(const Msg& msg) { sync_.park_future(msg); }
   /// True for a message of the current view. A later view's message is
   /// parked by buffer_future(); an earlier view's is dropped.
   bool for_current_view(const Msg& msg) {
@@ -347,11 +348,9 @@ class ReplicaBase : public net::FloodClient {
   }
   /// Park a message whose block waits on chain sync: re-dispatched just
   /// before the next on_chain_connected().
-  void retry_on_connect(const Msg& msg);
+  void retry_on_connect(const Msg& msg) { sync_.park_retry(msg); }
   /// Messages parked by buffer_future() and retry_on_connect().
-  [[nodiscard]] std::size_t parked() const {
-    return future_.size() + retry_.size();
-  }
+  [[nodiscard]] std::size_t parked() const { return sync_.parked(); }
   /// Re-dispatch every parked message through handle(): the chain-sync
   /// retries first, then the future-view messages.
   void drain_buffered();
@@ -367,7 +366,7 @@ class ReplicaBase : public net::FloodClient {
   }
 
   // -- chain handling --------------------------------------------------------------
-  /// Add `block` to the store. If the parent is unknown, stash it as an
+  /// Add `block` to the store. If the parent is unknown, pool it as an
   /// orphan and request ancestors from `origin` (chain synchronization).
   /// Returns true when the block is connected.
   bool integrate_block(const Block& block, NodeId origin);
@@ -492,6 +491,10 @@ class ReplicaBase : public net::FloodClient {
   /// Adopt the orphans the store can now connect; each is announced to
   /// on_chain_connected() after the parked retries are re-dispatched.
   void connect_orphans();
+  /// Re-dispatch taken parked messages through handle(), in order.
+  void redispatch(const std::vector<Msg>& msgs) {
+    for (const Msg& m : msgs) handle(m.author, m);
+  }
   /// The one certificate check (verify_qc, verify_checkpoint_cert): the
   /// signatures `cert` carries over `preimage`, with `quorum_size`
   /// signers, in the configured scheme's form. An aggregate passes
@@ -541,10 +544,7 @@ class ReplicaBase : public net::FloodClient {
   BlockHashSet committed_;  // retained block hashes
   BlockHash committed_tip_;
   std::uint64_t committed_height_ = 0;
-  BlockHashSet sync_requested_;
-  /// When the current chain-sync episode began (0 = none outstanding);
-  /// the recovery clock for snapshot pushes answering a sync request.
-  sim::SimTime sync_started_ = 0;
+  ChainSync sync_{store_};
   StateMachine* app_ = nullptr;
   OutboundPolicy* outbound_ = nullptr;
   bool tolerate_fork_ = false;
@@ -566,10 +566,6 @@ class ReplicaBase : public net::FloodClient {
   std::map<std::uint64_t,
            BlockHashMap<std::vector<std::pair<NodeId, std::uint64_t>>>>
       prof_block_cache_;
-
-  /// Messages parked by buffer_future() / retry_on_connect().
-  std::vector<Msg> future_;
-  std::vector<Msg> retry_;
 
   checkpoint::CheckpointManager ckpt_;
   /// Re-asks for the snapshot while a state transfer is in flight.

@@ -159,34 +159,6 @@ TEST(BlockStore, HeightMismatchIsRefused) {
   EXPECT_FALSE(store.contains(bad.hash()));
 }
 
-TEST(BlockStore, OrphanWithHeightMismatchIsDroppedOnAdoption) {
-  BlockStore store;
-  const Block b1 = make_child(genesis_block(), 3, "a");
-  Block bad = make_child(b1, 4, "b");
-  bad.height = 7;
-  store.add_orphan(bad);
-  store.add(b1);
-  EXPECT_TRUE(store.adopt_orphans().empty());
-  EXPECT_FALSE(store.contains(bad.hash()));
-  EXPECT_EQ(store.orphan_count(), 0u);
-}
-
-TEST(BlockStore, OrphanAdoption) {
-  BlockStore store;
-  const Block b1 = make_child(genesis_block(), 3, "a");
-  const Block b2 = make_child(b1, 4, "b");
-  const Block b3 = make_child(b2, 5, "c");
-  store.add_orphan(b3);
-  store.add_orphan(b2);
-  EXPECT_EQ(store.orphan_count(), 2u);
-  EXPECT_TRUE(store.adopt_orphans().empty());  // b1 still missing
-  store.add(b1);
-  const auto adopted = store.adopt_orphans();
-  EXPECT_EQ(adopted.size(), 2u);
-  EXPECT_TRUE(store.contains(b3.hash()));
-  EXPECT_EQ(store.orphan_count(), 0u);
-}
-
 TEST(BlockStore, ChainBetween) {
   BlockStore store;
   const Block b1 = make_child(genesis_block(), 3, "a");
@@ -344,8 +316,8 @@ TEST(BlockHashKey, OrderedMapIteratesLikeStringKeys) {
 }
 
 TEST(BlockHashKey, UnorderedMapIteratesLikeStringKeys) {
-  // BlockStore's orphan adoption and deepest-orphan tie-break follow the
-  // iteration order of its hash tables; the same insertions and erasures
+  // Chain sync's orphan adoption and deepest-orphan tie-break follow the
+  // iteration order of its hash table; the same insertions and erasures
   // must visit keys in the same order as string-keyed tables did.
   std::unordered_map<BlockHash, int, BlockHashHasher> by_digest;
   std::unordered_map<std::string, int> by_string;

@@ -569,7 +569,7 @@ TEST(FuzzDecode, BadHeightBlockFromSyncIsDropped) {
   const smr::Block bad = block_at(smr::genesis_hash(), 5);
   EXPECT_NO_THROW(p.sync_response({bad}));
   EXPECT_FALSE(p.node.replica.store().contains(bad.hash()));
-  EXPECT_EQ(p.node.replica.store().orphan_count(), 0u);
+  EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), 0u);
   EXPECT_EQ(p.log.count(smr::MsgType::kSyncRequest), 0u);
 }
 
@@ -581,7 +581,7 @@ TEST(FuzzDecode, BadHeightProposedBlockIsDropped) {
   EXPECT_NO_THROW(integrated = p.node.replica.integrate_block(bad, 1));
   EXPECT_FALSE(integrated);
   EXPECT_FALSE(p.node.replica.store().contains(bad.hash()));
-  EXPECT_EQ(p.node.replica.store().orphan_count(), 0u);
+  EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), 0u);
   EXPECT_EQ(p.log.count(smr::MsgType::kSyncRequest), 0u);
 }
 
@@ -590,11 +590,11 @@ TEST(FuzzDecode, BadHeightOrphanIsDroppedWhenItsParentArrives) {
   const smr::Block b1 = block_at(smr::genesis_hash(), 1);
   const smr::Block bad = block_at(b1.hash(), 5);
   p.sync_response({bad});  // parent unknown: parked as an orphan
-  EXPECT_EQ(p.node.replica.store().orphan_count(), 1u);
+  EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), 1u);
   EXPECT_NO_THROW(p.sync_response({b1}));
   EXPECT_TRUE(p.node.replica.store().contains(b1.hash()));
   EXPECT_FALSE(p.node.replica.store().contains(bad.hash()));
-  EXPECT_EQ(p.node.replica.store().orphan_count(), 0u);
+  EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), 0u);
 }
 
 TEST(FuzzDecode, UnconnectableProposalsParkBounded) {
@@ -602,7 +602,7 @@ TEST(FuzzDecode, UnconnectableProposalsParkBounded) {
   // for a chain-sync connect that never comes: the buffer stops growing
   // at its cap.
   SyncProbe p;
-  const std::size_t cap = smr::QcProbe::kMaxParked;
+  const std::size_t cap = smr::ChainSync::kMaxParked;
   for (std::uint64_t i = 0; i < cap + 100; ++i) {
     smr::Msg m;
     m.type = smr::MsgType::kPropose;
@@ -618,8 +618,8 @@ TEST(FuzzDecode, UnsolicitedSyncResponsesCannotGrowTheOrphanPool) {
   // Any replica may send a signed kSyncResponse nobody asked for. Made-up
   // blocks whose ancestry never arrives stop parking at the cap.
   SyncProbe p;
-  const std::size_t cap = smr::BlockStore::kMaxOrphans;
-  const std::size_t per = smr::QcProbe::kMaxSyncBlocks;
+  const std::size_t cap = smr::ChainSync::kMaxParked;
+  const std::size_t per = smr::ChainSync::kMaxSyncBlocks;
   for (std::uint64_t r = 0; r * per < cap + 2 * per; ++r) {
     std::vector<smr::Block> made_up;
     for (std::uint64_t i = 0; i < per; ++i) {
@@ -629,7 +629,7 @@ TEST(FuzzDecode, UnsolicitedSyncResponsesCannotGrowTheOrphanPool) {
     }
     p.sync_response(made_up);
   }
-  EXPECT_EQ(p.node.replica.store().orphan_count(), cap);
+  EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), cap);
 
   // An honest gap of kMaxSyncBlocks still connects through the full pool:
   // deepest first, each block's parent is already stored.
@@ -641,7 +641,7 @@ TEST(FuzzDecode, UnsolicitedSyncResponsesCannotGrowTheOrphanPool) {
   for (const smr::Block& b : gap) {
     EXPECT_TRUE(p.node.replica.store().contains(b.hash())) << b.height;
   }
-  EXPECT_EQ(p.node.replica.store().orphan_count(), cap);
+  EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), cap);
 }
 
 }  // namespace
