@@ -5,10 +5,25 @@
 
 namespace eesmr::smr {
 
+namespace {
+constexpr auto kHeight = [](const auto& kv) { return kv.second.height; };
+}  // namespace
+
 ChainSync::Offer ChainSync::offer(const Block& block) {
   if (store_.add(block)) return Offer::kStored;
   if (store_.contains(block.parent)) return Offer::kMalformed;
-  if (orphans_.size() < kMaxParked) orphans_.emplace(block.hash(), block);
+  // A full pool keeps its lowest orphans, the ones a backward walk
+  // connects first: the highest makes room for a lower block, and any
+  // other block is refused.
+  if (orphans_.size() >= kMaxParked) {
+    const auto highest = std::ranges::max_element(orphans_, {}, kHeight);
+    if (highest->second.height <= block.height ||
+        orphans_.contains(block.hash())) {
+      return Offer::kOrphan;
+    }
+    orphans_.erase(highest);
+  }
+  orphans_.emplace(block.hash(), block);
   return Offer::kOrphan;
 }
 
@@ -33,8 +48,7 @@ std::vector<Block> ChainSync::adopt() {
 }
 
 const Block* ChainSync::deepest_orphan() const {
-  const auto it = std::ranges::min_element(
-      orphans_, {}, [](const auto& kv) { return kv.second.height; });
+  const auto it = std::ranges::min_element(orphans_, {}, kHeight);
   return it == orphans_.end() ? nullptr : &it->second;
 }
 

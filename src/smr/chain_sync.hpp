@@ -38,10 +38,12 @@ class ChainSync {
   // -- blocks ------------------------------------------------------------------
   /// What offer() made of a block: stored (its parent was known),
   /// malformed (the parent is known but the height does not follow it:
-  /// dropped), or an orphan (the parent is unknown: pooled unless the
-  /// pool is full).
+  /// dropped), or an orphan (the parent is unknown).
   enum class Offer { kStored, kMalformed, kOrphan };
   /// Store `block`, or pool it as an orphan when its parent is unknown.
+  /// A full pool evicts its highest orphan for a lower block and refuses
+  /// any other, so an honest gap deeper than the pool still connects
+  /// from the bottom up.
   Offer offer(const Block& block);
   /// The ask rule: true the first time `parent` is asked for since the
   /// last truncation or episode end. The first ask of an episode starts

@@ -252,6 +252,30 @@ TEST(ChainSync, OnePoolCapBoundsOrphans) {
   EXPECT_EQ(sync.orphan_count(), ChainSync::kMaxParked);
 }
 
+TEST(ChainSync, AFullPoolKeepsItsLowestOrphans) {
+  const std::size_t cap = ChainSync::kMaxParked;
+  const std::vector<Block> chain = chain_of(cap + 2);
+  BlockStore store;
+  ChainSync sync(store);
+  for (std::size_t h = cap + 2; h >= 3; --h) sync.offer(chain[h]);
+  ASSERT_EQ(sync.orphan_count(), cap);
+
+  // Not lower than the highest orphan: refused. Already pooled: kept,
+  // and nothing is evicted for it.
+  EXPECT_EQ(sync.offer(made_up(0xcd, cap + 2)), ChainSync::Offer::kOrphan);
+  EXPECT_EQ(sync.offer(chain[5]), ChainSync::Offer::kOrphan);
+  EXPECT_EQ(sync.orphan_count(), cap);
+  // Lower: the highest orphan makes room.
+  EXPECT_EQ(sync.offer(chain[2]), ChainSync::Offer::kOrphan);
+  EXPECT_EQ(sync.orphan_count(), cap);
+
+  store.add(chain[1]);
+  EXPECT_EQ(sync.adopt().size(), cap);  // heights 2 to cap + 1
+  EXPECT_TRUE(store.contains(chain[cap + 1].hash()));
+  EXPECT_FALSE(store.contains(chain[cap + 2].hash()));
+  EXPECT_EQ(sync.orphan_count(), 0u);
+}
+
 TEST(ChainSync, BothParkingsAreCappedAndRetriesKeepTheirOrder) {
   BlockStore store;
   ChainSync sync(store);

@@ -514,18 +514,20 @@ TEST(FuzzDecode, LengthPrefixBombsRejected) {
 // Well-encoded blocks whose height does not follow their parent's
 // ---------------------------------------------------------------------------
 
-/// Records the type of every message the probe sends (it has no peers,
-/// so nothing leaves).
+/// Records the type of every message the probe sends, and the hash each
+/// kSyncRequest asks for (it has no peers, so nothing leaves).
 class SendLog final : public smr::OutboundPolicy {
  public:
   bool allow(const smr::Msg& m, NodeId) override {
     types.push_back(m.type);
+    if (m.type == smr::MsgType::kSyncRequest) asked.push_back(m.data);
     return false;
   }
   [[nodiscard]] std::size_t count(smr::MsgType t) const {
     return static_cast<std::size_t>(std::count(types.begin(), types.end(), t));
   }
   std::vector<smr::MsgType> types;
+  std::vector<smr::BlockHash> asked;
 };
 
 /// Probe replica 0 of n = 4 that hears replica 1's signed kSyncResponses.
@@ -540,11 +542,15 @@ struct SyncProbe {
     Writer w;
     w.u32(static_cast<std::uint32_t>(blocks.size()));
     for (const smr::Block& b : blocks) w.bytes(b.encode());
+    sync_response(w.take());
+  }
+  /// Deliver replica 1's kSyncResponse with payload `data`.
+  void sync_response(Bytes data) {
     smr::Msg m;
     m.type = smr::MsgType::kSyncResponse;
     m.view = 1;
     m.author = 1;
-    m.data = w.take();
+    m.data = std::move(data);
     m.sig = ring->signer(1).sign(m.preimage());
     net::FloodClient& client = node.replica;
     client.on_deliver(1, m.encode());
@@ -642,6 +648,40 @@ TEST(FuzzDecode, UnsolicitedSyncResponsesCannotGrowTheOrphanPool) {
     EXPECT_TRUE(p.node.replica.store().contains(b.hash())) << b.height;
   }
   EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), cap);
+}
+
+TEST(FuzzDecode, HonestGapDeeperThanTheOrphanPoolConnects) {
+  // A replica more than kMaxParked blocks behind, with checkpoints off,
+  // walks backward from the top of the gap, so the pool fills with the
+  // highest blocks first. The walk must still reach its own chain, and
+  // a later proposal must fetch what the full pool could not hold.
+  SyncProbe p;
+  smr::BlockStore honest;
+  const smr::ChainSync server(honest);
+  std::vector<smr::Block> chain{smr::genesis_block()};
+  while (chain.size() <= smr::ChainSync::kMaxParked + 500) {
+    chain.push_back(block_at(chain.back().hash(), chain.size()));
+    honest.add(chain.back());
+  }
+  const smr::Block next = block_at(chain.back().hash(), chain.size());
+  std::size_t served = 0;
+  // Answer every sync request the replica sends, as peer 1 would.
+  const auto serve_all = [&] {
+    while (served < p.log.asked.size()) {
+      Writer w;
+      ASSERT_GT(server.serve(p.log.asked[served++], w), 0u);
+      p.sync_response(w.take());
+    }
+  };
+  EXPECT_FALSE(p.node.replica.integrate_block(chain.back(), 1));
+  serve_all();
+  (void)p.node.replica.integrate_block(next, 1);  // a new proposal on top
+  serve_all();
+  for (const smr::Block& b : chain) {
+    ASSERT_TRUE(p.node.replica.store().contains(b.hash())) << b.height;
+  }
+  EXPECT_TRUE(p.node.replica.store().contains(next.hash()));
+  EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), 0u);
 }
 
 }  // namespace
