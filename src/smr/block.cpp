@@ -11,11 +11,6 @@ namespace eesmr::smr {
 
 Bytes Block::encode() const {
   Writer w;
-  encode_into(w);
-  return w.take();
-}
-
-void Block::encode_into(Writer& w) const {
   w.bytes(parent);
   w.u64(height);
   w.u64(view);
@@ -23,6 +18,7 @@ void Block::encode_into(Writer& w) const {
   w.u32(proposer);
   w.u32(static_cast<std::uint32_t>(cmds.size()));
   for (const Command& c : cmds) w.bytes(c.data);
+  return w.take();
 }
 
 Block Block::decode(BytesView data) {

@@ -17,7 +17,6 @@
 
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
-#include "src/common/serde.hpp"
 
 namespace eesmr::smr {
 
@@ -70,8 +69,6 @@ struct Block {
   std::vector<Command> cmds;    ///< Cmds
 
   [[nodiscard]] Bytes encode() const;
-  /// Append encode()'s bytes to `w`.
-  void encode_into(Writer& w) const;
   static Block decode(BytesView data);
   /// encode().size(), without encoding.
   [[nodiscard]] std::size_t encoded_size() const;

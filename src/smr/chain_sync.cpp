@@ -87,10 +87,7 @@ std::size_t ChainSync::serve(const BlockHash& want, Writer& w) const {
   }
   if (n > 0) w.u32(static_cast<std::uint32_t>(n));
   // Deepest first, so the receiver can connect as it reads.
-  for (std::size_t i = n; i-- > 0;) {
-    w.u32(static_cast<std::uint32_t>(chain[i]->encoded_size()));
-    chain[i]->encode_into(w);
-  }
+  for (std::size_t i = n; i-- > 0;) w.bytes(chain[i]->encode());
   return n;
 }
 
