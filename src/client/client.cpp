@@ -131,12 +131,9 @@ Bytes Client::build_request(std::uint64_t req_id, Bytes op) {
 }
 
 void Client::on_deliver(NodeId, BytesView payload) {
-  smr::Msg m;
-  try {
-    m = smr::Msg::decode(payload);
-  } catch (const SerdeError&) {
-    return;
-  }
+  const std::optional<smr::Msg> decoded = try_decode<smr::Msg>(payload);
+  if (!decoded) return;
+  const smr::Msg& m = *decoded;
   if (m.type != smr::MsgType::kReply) return;  // flooded protocol traffic
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("client", "decode", energy::Stream::kReply,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -83,5 +84,16 @@ class Reader {
   BytesView data_;
   std::size_t pos_ = 0;
 };
+
+/// T::decode(bytes), with std::nullopt for malformed bytes instead of
+/// SerdeError.
+template <class T>
+std::optional<T> try_decode(BytesView bytes) {
+  try {
+    return T::decode(bytes);
+  } catch (const SerdeError&) {
+    return std::nullopt;
+  }
+}
 
 }  // namespace eesmr

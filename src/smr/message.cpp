@@ -291,14 +291,6 @@ QuorumCert QuorumCert::decode(BytesView bytes) {
   return qc;
 }
 
-std::optional<QuorumCert> QuorumCert::try_decode(BytesView bytes) {
-  try {
-    return decode(bytes);
-  } catch (const SerdeError&) {
-    return std::nullopt;
-  }
-}
-
 Bytes QuorumCert::preimage() const {
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));

@@ -167,7 +167,9 @@ struct QuorumCert : CertSignatures {
   [[nodiscard]] Bytes encode() const;
   static QuorumCert decode(BytesView bytes);
   /// decode(), with nullopt for a malformed frame instead of SerdeError.
-  static std::optional<QuorumCert> try_decode(BytesView bytes);
+  static std::optional<QuorumCert> try_decode(BytesView bytes) {
+    return eesmr::try_decode<QuorumCert>(bytes);
+  }
 
   /// The preimage each contained signature covers (a Msg preimage with
   /// this cert's type/view/round/data). Exposed so verifiers can check

@@ -490,25 +490,21 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   // Departed members no longer attest state (joiners start attesting as
   // soon as their generation commits).
   if (!membership_.admits(msg.author, cfg_.n)) return;
-  checkpoint::CheckpointMsg cp;
-  try {
-    cp = checkpoint::CheckpointMsg::decode(msg.data);
-  } catch (const SerdeError&) {
-    return;
-  }
-  if (cp.id.height <= ckpt_.stable_height()) return;
-  const Bytes preimage = cp.id.preimage();
-  const std::uint64_t fp = crypto::fingerprint(msg.author, preimage, cp.sig);
+  const auto cp = try_decode<checkpoint::CheckpointMsg>(msg.data);
+  if (!cp) return;
+  if (cp->id.height <= ckpt_.stable_height()) return;
+  const Bytes preimage = cp->id.preimage();
+  const std::uint64_t fp = crypto::fingerprint(msg.author, preimage, cp->sig);
   // Aggregate scheme: a share-signed attestation (it folds into the
   // checkpoint certificate).
-  if (!verify_metered(fp, msg.author, preimage, cp.sig, aggregate_certs(),
+  if (!verify_metered(fp, msg.author, preimage, cp->sig, aggregate_certs(),
                       "checkpoint")) {
     return;
   }
   // Remember the attestation: a checkpoint certificate tallied later
   // (state transfer, snapshot push) re-carries this exact signature.
   if (!aggregate_certs()) certs_.remember_sig(fp, committed_height_);
-  if (const auto cert = ckpt_.add_signature(msg.author, cp.id, cp.sig)) {
+  if (const auto cert = ckpt_.add_signature(msg.author, cp->id, cp->sig)) {
     settle_low_water(committed_height_);
     broadcast_checkpoint_cert(*cert);
   }
@@ -524,15 +520,10 @@ void ReplicaBase::broadcast_checkpoint_cert(
 
 void ReplicaBase::handle_checkpoint_cert(const Msg& msg) {
   if (!ckpt_.enabled() || !aggregate_certs()) return;
-  checkpoint::CheckpointCert cert;
-  try {
-    cert = checkpoint::CheckpointCert::decode(msg.data);
-  } catch (const SerdeError&) {
-    return;
-  }
-  if (cert.id.height <= ckpt_.stable_height()) return;
-  if (!verify_checkpoint_cert(cert)) return;
-  if (ckpt_.install_certified(cert)) settle_low_water(committed_height_);
+  const auto cert = try_decode<checkpoint::CheckpointCert>(msg.data);
+  if (!cert || cert->id.height <= ckpt_.stable_height()) return;
+  if (!verify_checkpoint_cert(*cert)) return;
+  if (ckpt_.install_certified(*cert)) settle_low_water(committed_height_);
 }
 
 void ReplicaBase::settle_low_water(std::uint64_t committed) {
@@ -819,12 +810,9 @@ void ReplicaBase::reply_to_client(const ClientRequest& req,
 void ReplicaBase::on_deliver(NodeId origin, BytesView payload) {
   if (!online_) return;  // crashed / not yet joined: hears nothing
   const prof::Scope scope(cfg_.profiler, "replica.on_deliver");
-  Msg m;
-  try {
-    m = Msg::decode(payload);
-  } catch (const SerdeError&) {
-    return;  // malformed: drop
-  }
+  const std::optional<Msg> decoded = try_decode<Msg>(payload);
+  if (!decoded) return;  // malformed: drop
+  const Msg& m = *decoded;
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("replica", "decode", stream_of(m.type),
                                payload.size());

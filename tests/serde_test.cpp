@@ -102,6 +102,29 @@ TEST(Serde, RawReadWritesExactCount) {
   EXPECT_THROW(r.raw(3), SerdeError);
 }
 
+/// A one-field type with the decode() that try_decode wraps.
+struct Tagged {
+  std::uint32_t v = 0;
+  static Tagged decode(BytesView bytes) {
+    Reader r(bytes);
+    Tagged t{r.u32()};
+    r.expect_done();
+    return t;
+  }
+};
+
+TEST(Serde, TryDecodeTurnsMalformedInputIntoNullopt) {
+  Writer w;
+  w.u32(7);
+  const auto ok = try_decode<Tagged>(w.buffer());
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->v, 7u);
+  const Bytes truncated(w.buffer().begin(), w.buffer().end() - 1);
+  EXPECT_FALSE(try_decode<Tagged>(truncated).has_value());
+  w.u8(0);  // trailing byte
+  EXPECT_FALSE(try_decode<Tagged>(w.buffer()).has_value());
+}
+
 TEST(Hex, EncodeDecodeRoundTrip) {
   const Bytes data{0x00, 0x01, 0xab, 0xff};
   EXPECT_EQ(hex_encode(data), "0001abff");
