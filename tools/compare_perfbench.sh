@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
 # Check that two source checkouts agree on every simulated number of the
-# benchmark: for each workload in BENCHMARK.json, run
+# benchmark: for each workload in BENCHMARK.json and each seed S in 1, 2
+# and 3, run
 #
-#   python3 perfbench/run.py --workload W --seed 1 --seconds 1
+#   python3 perfbench/run.py --workload W --seed S --seconds 1
 #
 # in both checkouts and compare correct, attempted, failed and the seven
-# simulated end-to-end metrics. The host metrics are wall-clock and are
-# not compared.
+# simulated end-to-end metrics. Several seeds, because which paths a run
+# takes (chain sync on the crash-chase workload, for one) depends on the
+# seed. The host metrics are wall-clock and are not compared.
 #
 #   tools/compare_perfbench.sh BASE_DIR HEAD_DIR
 #
 # CARGO_TARGET_DIR is unset, so each checkout builds its benchmark into
-# its own .bench_build. Exits 0 when every workload matches; otherwise
-# prints each difference and exits 1. Exits 2 if a run fails.
+# its own .bench_build. Exits 0 when every workload matches at every
+# seed; otherwise prints each difference and exits 1. Exits 2 if a run
+# fails.
 set -eu
 
 usage="usage: compare_perfbench.sh BASE_DIR HEAD_DIR"
@@ -43,29 +46,31 @@ for name in ("energy_per_request_mj", "energy_per_block_mj",
     print(f"{name}={value!r}")' "$1"
 }
 
-run_one() {  # CHECKOUT SIDE WORKLOAD
-  local log="$out/$2.$3"
+run_one() {  # CHECKOUT SIDE WORKLOAD SEED
+  local log="$out/$2.$3.$4"
   local rc=0
-  (cd "$1" && python3 perfbench/run.py --workload "$3" --seed 1 \
+  (cd "$1" && python3 perfbench/run.py --workload "$3" --seed "$4" \
     --seconds 1) >"$log.stdout" 2>"$log.stderr" || rc=$?
   # run.py exits 1 for a run that fails a correctness check: that is a
   # result to compare. Any other failure ends the comparison.
   if [ "$rc" -gt 1 ] || ! summarize "$log.stdout" >"$log.txt"; then
     cat "$log.stderr" >&2
-    echo "compare_perfbench: $3 failed in $1 (exit $rc)" >&2
+    echo "compare_perfbench: $3 seed $4 failed in $1 (exit $rc)" >&2
     exit 2
   fi
 }
 
 status=0
 for w in $workloads; do
-  run_one "$base" base "$w"
-  run_one "$head" head "$w"
-  if diff -u --label "base $w" --label "head $w" \
-      "$out/base.$w.txt" "$out/head.$w.txt"; then
-    echo "identical: $w"
-  else
-    status=1
-  fi
+  for seed in 1 2 3; do
+    run_one "$base" base "$w" "$seed"
+    run_one "$head" head "$w" "$seed"
+    if diff -u --label "base $w seed $seed" --label "head $w seed $seed" \
+        "$out/base.$w.$seed.txt" "$out/head.$w.$seed.txt"; then
+      echo "identical: $w seed $seed"
+    else
+      status=1
+    fi
+  done
 done
 exit "$status"
