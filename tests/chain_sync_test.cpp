@@ -243,37 +243,40 @@ TEST(ChainSync, TruncationCutsTheStoreAndThePoolAtOneFloor) {
                std::invalid_argument);
 }
 
-TEST(ChainSync, OnePoolCapBoundsOrphans) {
-  BlockStore store;
-  ChainSync sync(store);
-  for (std::uint64_t h = 2; h < ChainSync::kMaxParked + 12; ++h) {
-    EXPECT_EQ(sync.offer(made_up(0xab, h)), ChainSync::Offer::kOrphan);
-  }
-  EXPECT_EQ(sync.orphan_count(), ChainSync::kMaxParked);
-}
-
 TEST(ChainSync, AFullPoolKeepsItsLowestOrphans) {
   const std::size_t cap = ChainSync::kMaxParked;
   const std::vector<Block> chain = chain_of(cap + 2);
-  BlockStore store;
-  ChainSync sync(store);
-  for (std::size_t h = cap + 2; h >= 3; --h) sync.offer(chain[h]);
-  ASSERT_EQ(sync.orphan_count(), cap);
+  // A pool filled with heights 3 to cap + 2, top down.
+  const auto fill = [&](ChainSync& sync) {
+    for (std::size_t h = cap + 2; h >= 3; --h) sync.offer(chain[h]);
+    ASSERT_EQ(sync.orphan_count(), cap);
+  };
 
-  // Not lower than the highest orphan: refused. Already pooled: kept,
-  // and nothing is evicted for it.
-  EXPECT_EQ(sync.offer(made_up(0xcd, cap + 2)), ChainSync::Offer::kOrphan);
-  EXPECT_EQ(sync.offer(chain[5]), ChainSync::Offer::kOrphan);
-  EXPECT_EQ(sync.orphan_count(), cap);
-  // Lower: the highest orphan makes room.
-  EXPECT_EQ(sync.offer(chain[2]), ChainSync::Offer::kOrphan);
-  EXPECT_EQ(sync.orphan_count(), cap);
-
-  store.add(chain[1]);
-  EXPECT_EQ(sync.adopt().size(), cap);  // heights 2 to cap + 1
-  EXPECT_TRUE(store.contains(chain[cap + 1].hash()));
-  EXPECT_FALSE(store.contains(chain[cap + 2].hash()));
-  EXPECT_EQ(sync.orphan_count(), 0u);
+  {  // Not lower than the highest orphan: refused. Already pooled: kept,
+     // and nothing is evicted for it.
+    BlockStore store;
+    ChainSync sync(store);
+    fill(sync);
+    EXPECT_EQ(sync.offer(made_up(0xcd, cap + 2)), ChainSync::Offer::kOrphan);
+    EXPECT_EQ(sync.offer(made_up(0xcd, cap + 3)), ChainSync::Offer::kOrphan);
+    EXPECT_EQ(sync.offer(chain[5]), ChainSync::Offer::kOrphan);
+    EXPECT_EQ(sync.orphan_count(), cap);
+    store.add(chain[1]);
+    store.add(chain[2]);
+    EXPECT_EQ(sync.adopt().size(), cap);  // all of 3 to cap + 2
+    EXPECT_EQ(sync.orphan_count(), 0u);   // no made-up block was pooled
+  }
+  {  // Lower: the highest orphan makes room.
+    BlockStore store;
+    ChainSync sync(store);
+    fill(sync);
+    EXPECT_EQ(sync.offer(chain[2]), ChainSync::Offer::kOrphan);
+    EXPECT_EQ(sync.orphan_count(), cap);
+    store.add(chain[1]);
+    EXPECT_EQ(sync.adopt().size(), cap);  // 2 to cap + 1
+    EXPECT_FALSE(store.contains(chain[cap + 2].hash()));
+    EXPECT_EQ(sync.orphan_count(), 0u);
+  }
 }
 
 TEST(ChainSync, BothParkingsAreCappedAndRetriesKeepTheirOrder) {
