@@ -54,7 +54,10 @@ const Block* ChainSync::deepest_orphan() const {
 
 const BlockHash* ChainSync::walk_back(sim::SimTime now) {
   const Block* deepest = deepest_orphan();
-  if (deepest == nullptr) started_ = 0;
+  // The chains met: the episode is over, and its asks go with it. One
+  // left behind would silence the next walk that reaches its hash (a
+  // block the full pool evicted is fetched again that way).
+  if (deepest == nullptr) end_episode(now);
   // A retried proposal can store an orphan's parent without adopting
   // the orphan, so the parent is checked here as well.
   const bool next = deepest != nullptr &&

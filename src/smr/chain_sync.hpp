@@ -45,9 +45,9 @@ class ChainSync {
   /// any other, so an honest gap deeper than the pool still connects
   /// from the bottom up.
   Offer offer(const Block& block);
-  /// The ask rule: true the first time `parent` is asked for since the
-  /// last truncation or episode end. The first ask of an episode starts
-  /// its clock at `now`.
+  /// The ask rule: true the first time `parent` is asked for in this
+  /// episode (since the last truncation or episode end). The first ask
+  /// of an episode starts its clock at `now`.
   bool ask(const BlockHash& parent, sim::SimTime now);
   /// Connect every orphan whose parent is now stored. Returns the blocks
   /// adopted, in ancestry order; an orphan whose height does not follow
@@ -56,14 +56,15 @@ class ChainSync {
   /// The backward-walk step after a sync response: the parent of the
   /// deepest orphan, when it is neither stored nor asked yet (so the
   /// walk goes on from there), else nullptr. An empty pool ends the
-  /// episode: the chains met. The pointer is valid until the pool next
-  /// changes.
+  /// episode (end_episode): the chains met. The pointer is valid until
+  /// the pool next changes.
   const BlockHash* walk_back(sim::SimTime now);
   /// Drop every stored block below `root` (BlockStore::truncate_below)
   /// and every orphan at or below it; the pending asks go too.
   void truncate_below(const BlockHash& root);
-  /// A state transfer closed the gap: the asks are cleared and the clock
-  /// reset. Returns when the episode began, or `now` when none was open.
+  /// The gap closed (a state transfer, or the chains met): the asks are
+  /// cleared and the clock reset. Returns when the episode began, or
+  /// `now` when none was open.
   sim::SimTime end_episode(sim::SimTime now);
 
   // -- serving -------------------------------------------------------------------

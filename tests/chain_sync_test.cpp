@@ -214,11 +214,13 @@ TEST(ChainSync, WalkBackAsksForTheDeepestOrphansParentOnce) {
   ASSERT_NE(ask, nullptr);
   EXPECT_EQ(*ask, chain[5].hash());
 
-  // An empty pool ends the episode.
+  // An empty pool ends the episode: the clock started at 80 and the
+  // asks go.
   store.add(chain[5]);
   EXPECT_EQ(sync.adopt(), std::vector<Block>{chain[6]});
   EXPECT_EQ(sync.walk_back(100), nullptr);
-  EXPECT_EQ(sync.end_episode(110), 110);  // the clock started at 80 is reset
+  EXPECT_TRUE(sync.ask(chain[5].hash(), 105));
+  EXPECT_EQ(sync.end_episode(110), 105);
 }
 
 TEST(ChainSync, TruncationCutsTheStoreAndThePoolAtOneFloor) {

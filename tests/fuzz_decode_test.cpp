@@ -650,16 +650,19 @@ TEST(FuzzDecode, UnsolicitedSyncResponsesCannotGrowTheOrphanPool) {
   EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), cap);
 }
 
-TEST(FuzzDecode, HonestGapDeeperThanTheOrphanPoolConnects) {
-  // A replica more than kMaxParked blocks behind, with checkpoints off,
-  // walks backward from the top of the gap, so the pool fills with the
-  // highest blocks first. The walk must still reach its own chain, and
-  // a later proposal must fetch what the full pool could not hold.
+/// A replica more than kMaxParked blocks behind, with checkpoints off,
+/// walks backward from the top of the gap, so the pool fills with the
+/// highest blocks first. The walk must still reach its own chain, and a
+/// proposal `later` heights above the first top must fetch what the full
+/// pool could not hold.
+void expect_deep_gap_connects(std::size_t later) {
+  SCOPED_TRACE(later);
   SyncProbe p;
   smr::BlockStore honest;
   const smr::ChainSync server(honest);
+  const std::size_t top = smr::ChainSync::kMaxParked + 500;
   std::vector<smr::Block> chain{smr::genesis_block()};
-  while (chain.size() <= smr::ChainSync::kMaxParked + 500) {
+  while (chain.size() < top + later) {
     chain.push_back(block_at(chain.back().hash(), chain.size()));
     honest.add(chain.back());
   }
@@ -673,15 +676,22 @@ TEST(FuzzDecode, HonestGapDeeperThanTheOrphanPoolConnects) {
       p.sync_response(w.take());
     }
   };
-  EXPECT_FALSE(p.node.replica.integrate_block(chain.back(), 1));
+  EXPECT_FALSE(p.node.replica.integrate_block(chain[top], 1));
   serve_all();
-  (void)p.node.replica.integrate_block(next, 1);  // a new proposal on top
+  (void)p.node.replica.integrate_block(next, 1);  // a later proposal
   serve_all();
   for (const smr::Block& b : chain) {
     ASSERT_TRUE(p.node.replica.store().contains(b.hash())) << b.height;
   }
   EXPECT_TRUE(p.node.replica.store().contains(next.hash()));
   EXPECT_EQ(p.node.replica.chain_sync().orphan_count(), 0u);
+}
+
+TEST(FuzzDecode, HonestGapDeeperThanTheOrphanPoolConnects) {
+  expect_deep_gap_connects(1);
+  // The re-walk from 64 heights up asks again for the first top's
+  // parent, which the first walk asked already.
+  expect_deep_gap_connects(64);
 }
 
 }  // namespace
