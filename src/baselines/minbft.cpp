@@ -69,7 +69,7 @@ void MinBftReplica::send_proposal(const Block& b) {
   const Msg prop = unsigned_msg(MsgType::kPropose, b.height, w.take());
   broadcast(prop);
   prof_flow_block("propose", b, energy::Stream::kProposal,
-                  prop.encode().size());
+                  prop.wire_size());
   if (tracing()) {
     trace_instant("commit", "propose",
                   {{"height", exp::Json(b.height)},
@@ -193,7 +193,7 @@ void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
   w.bytes(h);
   w.bytes(own.encode());
   const Msg commit = unsigned_msg(MsgType::kCommit, b.height, w.take());
-  prof_flow_block("vote", b, energy::Stream::kVote, commit.encode().size());
+  prof_flow_block("vote", b, energy::Stream::kVote, commit.wire_size());
   broadcast(commit);
   tally_commit(cfg_.id, h);
 }

@@ -61,7 +61,7 @@ void PbftReplica::send_proposal(const Block& b) {
   Msg prop = make_msg(MsgType::kPropose, b.height, b.encode());
   broadcast(prop);
   prof_flow_block("propose", b, energy::Stream::kProposal,
-                  prop.encode().size());
+                  prop.wire_size());
   if (tracing()) {
     trace_instant("commit", "propose",
                   {{"height", exp::Json(b.height)},
@@ -91,7 +91,7 @@ void PbftReplica::handle_propose(NodeId from, const Msg& msg) {
   if (prepares_.has({b.view, h}, cfg_.id)) return;
   trace_vote(b);
   Msg prep = make_msg(MsgType::kPrepare, b.height, h);
-  prof_flow_block("vote", b, energy::Stream::kVote, prep.encode().size());
+  prof_flow_block("vote", b, energy::Stream::kVote, prep.wire_size());
   broadcast(prep);
   handle_prepare(prep);  // count own prepare
 }

@@ -76,7 +76,7 @@ void SyncHsReplica::propose(std::uint64_t height) {
     Msg prop = make_msg(MsgType::kPropose, height, w.take());
     broadcast(prop);
     prof_flow_block("propose", b, energy::Stream::kProposal,
-                    prop.encode().size());
+                    prop.wire_size());
     if (tracing()) {
       trace_instant("commit", "propose",
                     {{"round", exp::Json(height)},
@@ -159,7 +159,7 @@ void SyncHsReplica::handle_propose(NodeId from, const Msg& msg) {
 void SyncHsReplica::vote_for(const Block& block, const BlockHash& h) {
   trace_vote(block);  // opens the 2Δ per-height block span
   Msg vote = make_msg(MsgType::kVote, 0, h);
-  prof_flow_block("vote", block, energy::Stream::kVote, vote.encode().size());
+  prof_flow_block("vote", block, energy::Stream::kVote, vote.wire_size());
   // Disseminated per the vote channel's policy (LocalKcast by default;
   // a Flood or RoutedUnicast sweep plugs in via ReplicaConfig::channels).
   broadcast(vote);

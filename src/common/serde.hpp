@@ -24,6 +24,11 @@ class SerdeError : public std::runtime_error {
 /// Append-only encoder.
 class Writer {
  public:
+  Writer() = default;
+  /// Reserve `capacity` bytes up front: an encoder that knows its exact
+  /// size allocates once.
+  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

@@ -56,6 +56,8 @@ class SignerBitset {
   [[nodiscard]] std::vector<NodeId> members() const;
 
   void encode_into(Writer& w) const;
+  /// Bytes encode_into() appends.
+  [[nodiscard]] std::size_t encoded_size() const { return 4 + bits_.size(); }
   static SignerBitset decode_from(Reader& r);
 
   [[nodiscard]] bool operator==(const SignerBitset& o) const {

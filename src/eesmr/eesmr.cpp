@@ -81,7 +81,7 @@ void EesmrReplica::propose_block(std::uint64_t round) {
   Msg prop = make_msg(MsgType::kPropose, round, b.encode());
   broadcast(prop);
   prof_flow_block("propose", b, energy::Stream::kProposal,
-                  prop.encode().size());
+                  prop.wire_size());
   if (tracing()) {
     trace_instant("commit", "propose",
                   {{"round", exp::Json(round)},

@@ -1,12 +1,30 @@
 #include "src/harness/cluster.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <stdexcept>
 
 #include "src/adversary/adversary.hpp"
 
 namespace eesmr::harness {
+
+namespace {
+
+/// Bring `mirror` level with a replica's retained `log`. Blocks below the
+/// log's first height are gone from the replica: a checkpoint truncated
+/// them, or a state transfer re-rooted the log above every height the
+/// mirror holds. The rest of the mirror is the log's prefix, so only the
+/// blocks committed since the last call are copied.
+void sync_log(smr::BlockLog& mirror, const std::vector<smr::Block>& log) {
+  mirror.drop_below(log.empty() ? UINT64_MAX : log.front().height);
+  assert(mirror.size() <= log.size());
+  for (std::size_t i = mirror.size(); i < log.size(); ++i) {
+    mirror.append(log[i]);
+  }
+}
+
+}  // namespace
 
 const char* protocol_name(Protocol p) {
   switch (p) {
@@ -650,9 +668,11 @@ RunResult Cluster::snapshot() const {
   out.meters = meters_;
   out.correct = correct_;
   out.counted = counted_;
-  for (const auto& r : replicas_) {
-    out.logs.push_back(r->log());
-    out.committed_blocks.push_back(r->committed_height());
+  logs_.resize(replicas_.size());
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    sync_log(logs_[i], replicas_[i]->log());
+    out.logs.push_back(logs_[i]);
+    out.committed_blocks.push_back(replicas_[i]->committed_height());
   }
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (correct_[i] && counted_[i]) {

@@ -242,6 +242,10 @@ class Cluster {
   LivenessChecker liveness_;
   /// Owned per-run profiler, wired into every replica and client.
   prof::Profiler prof_;
+  /// Each replica's retained log as the last snapshot() saw it. The
+  /// RunResults share its blocks, so a snapshot copies only the blocks
+  /// committed since the previous one.
+  mutable std::vector<smr::BlockLog> logs_;
 };
 
 }  // namespace eesmr::harness

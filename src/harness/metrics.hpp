@@ -37,7 +37,7 @@ struct ReplicaFootprint {
 
 struct RunResult {
   std::vector<energy::Meter> meters;            ///< per node
-  std::vector<std::vector<smr::Block>> logs;    ///< retained, per node
+  std::vector<smr::BlockLog> logs;              ///< retained, per node
   /// Total blocks ever committed per node (>= logs[i].size(); the
   /// difference is what checkpoint GC truncated). Empty when a RunResult
   /// is assembled by hand — accessors then fall back to logs sizes.

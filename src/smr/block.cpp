@@ -10,7 +10,7 @@
 namespace eesmr::smr {
 
 Bytes Block::encode() const {
-  Writer w;
+  Writer w(encoded_size());
   w.bytes(parent);
   w.u64(height);
   w.u64(view);
@@ -77,6 +77,19 @@ const Block& genesis_block() {
 const BlockHash& genesis_hash() {
   static const BlockHash h = genesis_block().hash();
   return h;
+}
+
+void BlockLog::drop_below(std::uint64_t height) {
+  const auto keep = std::find_if(
+      blocks_.begin(), blocks_.end(),
+      [height](const auto& b) { return b->height >= height; });
+  blocks_.erase(blocks_.begin(), keep);
+}
+
+bool operator==(const BlockLog& a, const BlockLog& b) {
+  return std::equal(
+      a.blocks_.begin(), a.blocks_.end(), b.blocks_.begin(), b.blocks_.end(),
+      [](const auto& x, const auto& y) { return x == y || *x == *y; });
 }
 
 }  // namespace eesmr::smr

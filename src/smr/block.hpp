@@ -7,10 +7,14 @@
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 #include <string_view>
 #include <vector>
@@ -98,5 +102,104 @@ struct Block {
 /// Its digest is memoized at initialization, so threads may share it.
 const Block& genesis_block();
 const BlockHash& genesis_hash();
+
+/// A read-only committed log: blocks in ascending height, each one a
+/// shared `const Block`. Copying a BlockLog copies pointers, not blocks,
+/// and a copy never sees what is appended to or dropped from the
+/// original later. Its iterators are random-access and yield
+/// `const Block&`.
+class BlockLog {
+  using Slots = std::vector<std::shared_ptr<const Block>>;
+
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::random_access_iterator_tag;
+    using iterator_concept = std::random_access_iterator_tag;
+    using value_type = Block;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Block*;
+    using reference = const Block&;
+
+    const_iterator() = default;
+    explicit const_iterator(Slots::const_iterator it) : it_(it) {}
+
+    reference operator*() const { return **it_; }
+    pointer operator->() const { return it_->get(); }
+    reference operator[](difference_type n) const { return *it_[n]; }
+    const_iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    const_iterator operator++(int) { return const_iterator(it_++); }
+    const_iterator& operator--() {
+      --it_;
+      return *this;
+    }
+    const_iterator operator--(int) { return const_iterator(it_--); }
+    const_iterator& operator+=(difference_type n) {
+      it_ += n;
+      return *this;
+    }
+    const_iterator& operator-=(difference_type n) {
+      it_ -= n;
+      return *this;
+    }
+    friend const_iterator operator+(const_iterator it, difference_type n) {
+      return it += n;
+    }
+    friend const_iterator operator+(difference_type n, const_iterator it) {
+      return it += n;
+    }
+    friend const_iterator operator-(const_iterator it, difference_type n) {
+      return it -= n;
+    }
+    friend difference_type operator-(const const_iterator& a,
+                                     const const_iterator& b) {
+      return a.it_ - b.it_;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.it_ == b.it_;
+    }
+    friend std::strong_ordering operator<=>(const const_iterator& a,
+                                            const const_iterator& b) {
+      return (a.it_ - b.it_) <=> 0;
+    }
+
+   private:
+    Slots::const_iterator it_;
+  };
+  using iterator = const_iterator;
+
+  BlockLog() = default;
+  BlockLog(std::initializer_list<Block> blocks) {
+    for (const Block& b : blocks) append(b);
+  }
+
+  [[nodiscard]] std::size_t size() const { return blocks_.size(); }
+  [[nodiscard]] bool empty() const { return blocks_.empty(); }
+  const Block& operator[](std::size_t i) const { return *blocks_[i]; }
+  [[nodiscard]] const Block& front() const { return *blocks_.front(); }
+  [[nodiscard]] const Block& back() const { return *blocks_.back(); }
+  [[nodiscard]] const_iterator begin() const {
+    return const_iterator(blocks_.begin());
+  }
+  [[nodiscard]] const_iterator end() const {
+    return const_iterator(blocks_.end());
+  }
+
+  /// Append a copy of `b`.
+  void append(const Block& b) {
+    blocks_.push_back(std::make_shared<const Block>(b));
+  }
+  /// Drop the leading blocks below `height`.
+  void drop_below(std::uint64_t height);
+
+  /// Block by block, as the wire fields compare.
+  friend bool operator==(const BlockLog& a, const BlockLog& b);
+
+ private:
+  Slots blocks_;
+};
 
 }  // namespace eesmr::smr

@@ -11,7 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "src/common/bytes.hpp"
@@ -20,6 +20,38 @@
 #include "src/smr/message.hpp"
 
 namespace eesmr::smr {
+
+/// Fingerprint -> height table: open addressing over a power-of-two
+/// number of slots, linear probing, doubled before it passes half load.
+/// Every 64-bit key works, 0 included.
+class FingerprintHeights {
+ public:
+  /// Insert `fp` at `height` (below UINT64_MAX); a key already present
+  /// keeps its height.
+  void emplace(std::uint64_t fp, std::uint64_t height);
+  /// The height `fp` was inserted at, if present.
+  [[nodiscard]] std::optional<std::uint64_t> find(std::uint64_t fp) const;
+  [[nodiscard]] bool contains(std::uint64_t fp) const {
+    return find(fp).has_value();
+  }
+  /// Drop every entry at or below `height`, rebuilding the table.
+  void drop_at_or_below(std::uint64_t height);
+
+ private:
+  struct Slot {
+    std::uint64_t fp = 0;
+    std::uint64_t height_plus_one = 0;  ///< 0: the slot is empty
+  };
+  /// The first slot of `fp`'s probe sequence.
+  [[nodiscard]] std::size_t home(std::uint64_t fp) const;
+  /// Rebuild over `slots` slots: a power of two, at most half loaded by
+  /// the entries in slots_.
+  void rehash(std::size_t slots);
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64;  ///< 64 - log2(slots_.size())
+};
 
 class CertRules {
  public:
@@ -59,6 +91,12 @@ class CertRules {
   void remember_sig(std::uint64_t fp, std::uint64_t height) {
     sigs_.emplace(fp, height);
   }
+  /// The height at which signature fingerprint `fp` was first
+  /// remembered, if the cache holds it.
+  [[nodiscard]] std::optional<std::uint64_t> sig_height(
+      std::uint64_t fp) const {
+    return sigs_.find(fp);
+  }
 
   // -- verified-aggregate cache ----------------------------------------------
   /// Whole-certificate key of an aggregate over `preimage`: SHA-256 of
@@ -83,8 +121,8 @@ class CertRules {
 
  private:
   std::size_t n_;
-  /// Fingerprint -> committed height when remembered.
-  std::unordered_map<std::uint64_t, std::uint64_t> sigs_;
+  /// Fingerprint -> committed height when first remembered.
+  FingerprintHeights sigs_;
   /// agg_key -> committed height when remembered.
   std::map<crypto::Sha256Digest, std::uint64_t> aggs_;
   std::uint64_t hits_ = 0;

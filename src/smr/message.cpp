@@ -171,16 +171,20 @@ const char* crypto_site(MsgType t) {
 }
 
 Bytes Msg::preimage() const {
-  Writer w;
+  Writer w(preimage_size());
+  preimage_into(w);
+  return w.take();
+}
+
+void Msg::preimage_into(Writer& w) const {
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(view);
   w.u64(round);
   w.bytes(data);
-  return w.take();
 }
 
 Bytes Msg::encode() const {
-  Writer w;
+  Writer w(wire_size());
   encode_into(w);
   return w.take();
 }
@@ -242,6 +246,15 @@ void CertSignatures::decode_sigs(Reader& r) {
   }
 }
 
+std::size_t CertSignatures::sigs_size() const {
+  if (scheme == CertScheme::kAggregate) {
+    return 4 + 8 + signers.encoded_size() + 4 + agg_sig.size();
+  }
+  std::size_t size = 4;
+  for (const auto& [author, sig] : sigs) size += 4 + 4 + sig.size();
+  return size;
+}
+
 std::size_t CertSignatures::signer_count() const {
   return scheme == CertScheme::kAggregate ? signers.count() : sigs.size();
 }
@@ -270,11 +283,8 @@ void CertSignatures::fold(std::size_t universe, std::uint64_t generation) {
 }
 
 Bytes QuorumCert::encode() const {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(view);
-  w.u64(round);
-  w.bytes(data);
+  Writer w(encoded_size());
+  preimage_into(w);
   encode_sigs(w);
   return w.take();
 }
@@ -292,12 +302,16 @@ QuorumCert QuorumCert::decode(BytesView bytes) {
 }
 
 Bytes QuorumCert::preimage() const {
-  Writer w;
+  Writer w(preimage_size());
+  preimage_into(w);
+  return w.take();
+}
+
+void QuorumCert::preimage_into(Writer& w) const {
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(view);
   w.u64(round);
   w.bytes(data);
-  return w.take();
 }
 
 QuorumCert QuorumCert::combine(const std::vector<Msg>& msgs) {

@@ -111,6 +111,13 @@ struct Msg {
 
   /// Bytes the signature covers.
   [[nodiscard]] Bytes preimage() const;
+  /// Append preimage() to `w`: into a reused Writer, a preimage costs no
+  /// allocation.
+  void preimage_into(Writer& w) const;
+  /// preimage().size(), without encoding.
+  [[nodiscard]] std::size_t preimage_size() const {
+    return 1 + 8 + 8 + 4 + data.size();
+  }
   [[nodiscard]] Bytes encode() const;
   /// Append the wire encoding to `w` — the zero-allocation variant for
   /// hot paths that reuse a cleared Writer across encodes.
@@ -118,7 +125,7 @@ struct Msg {
   static Msg decode(BytesView bytes);
   /// Exact wire size, computed arithmetically (no encode-and-discard).
   [[nodiscard]] std::size_t wire_size() const {
-    return 1 + 8 + 8 + 4 + (4 + data.size()) + (4 + sig.size());
+    return preimage_size() + 4 + 4 + sig.size();
   }
 };
 
@@ -142,6 +149,8 @@ struct CertSignatures {
   /// Read the tail encode_sigs() writes. Throws SerdeError on a malformed
   /// tail or an aggregate of the wrong size.
   void decode_sigs(Reader& r);
+  /// Size of the tail encode_sigs() writes, without encoding.
+  [[nodiscard]] std::size_t sigs_size() const;
 
   /// Signer count, across both forms.
   [[nodiscard]] std::size_t signer_count() const;
@@ -176,6 +185,16 @@ struct QuorumCert : CertSignatures {
   /// signatures individually — against a cache or as a batch — without
   /// rebuilding a probe Msg.
   [[nodiscard]] Bytes preimage() const;
+  /// Append preimage() to `w` (encode() starts with it).
+  void preimage_into(Writer& w) const;
+  /// preimage().size(), without encoding.
+  [[nodiscard]] std::size_t preimage_size() const {
+    return 1 + 8 + 8 + 4 + data.size();
+  }
+  /// encode().size(), without encoding.
+  [[nodiscard]] std::size_t encoded_size() const {
+    return preimage_size() + sigs_size();
+  }
 
   /// Assemble from verified messages sharing (type, view, round, data).
   /// Throws std::invalid_argument if the messages do not match.

@@ -155,7 +155,9 @@ bool ReplicaBase::verify_msg(const Msg& m) {
   if (certificate_bound(m.type) && !membership_.admits(m.author, cfg_.n)) {
     return false;
   }
-  const Bytes preimage = m.preimage();
+  preimage_writer_.clear();
+  m.preimage_into(preimage_writer_);
+  const BytesView preimage = preimage_writer_.buffer();
   const std::uint64_t fp = crypto::fingerprint(m.author, preimage, m.sig);
   const bool ok =
       verify_metered(fp, m.author, preimage, m.sig,
@@ -249,7 +251,7 @@ QuorumCert ReplicaBase::make_cert(const std::vector<Msg>& msgs) {
   if (aggregate_certs()) fold_cert(qc);
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("cert", "encode", stream_of(qc.type),
-                               qc.encode().size());
+                               qc.encoded_size());
   }
   return qc;
 }
@@ -311,7 +313,7 @@ void ReplicaBase::drain_buffered() {
 
 void ReplicaBase::commit_chain(const BlockHash& h) {
   const prof::Scope scope(cfg_.profiler, "replica.commit_chain");
-  if (committed_.count(h) > 0 || h == genesis_hash()) return;
+  if (h == committed_tip_ || h == genesis_hash()) return;
   const Block* target = store_.get(h);
   if (target == nullptr) {
     // After checkpoint truncation an unknown hash can name a block at or
@@ -332,7 +334,6 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
   std::vector<MembershipPolicy> pending_policies;
   for (const Block& b : store_.chain_between(h, committed_tip_)) {
     log_.push_back(b);
-    committed_.insert(b.hash());
     mempool_.remove_committed(b);
     for (const Command& cmd : b.cmds) {
       // Committed membership-policy command: collect it; the active
@@ -566,7 +567,6 @@ void ReplicaBase::advance_low_water() {
   std::size_t cut = 0;
   while (cut < log_.size() && log_[cut].height <= cert.id.height) {
     const Block& old = log_[cut];
-    committed_.erase(old.hash());
     // Only tagged requests are in the key set; forgetting any other
     // command is a no-op, so nothing is decoded here.
     for (const Command& c : old.cmds) mempool_.forget_committed(c.data);
@@ -698,8 +698,6 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   sync_.truncate_below(cert.id.block);
   committed_tip_ = cert.id.block;
   committed_height_ = cert.id.height;
-  committed_.clear();
-  committed_.insert(cert.id.block);
   prof_block_cache_.clear();
   log_.clear();
   exec_.restore(payload);

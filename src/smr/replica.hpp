@@ -541,7 +541,6 @@ class ReplicaBase : public net::FloodClient {
   void send_state_request();
 
   std::vector<Block> log_;
-  BlockHashSet committed_;  // retained block hashes
   BlockHash committed_tip_;
   std::uint64_t committed_height_ = 0;
   ChainSync sync_{store_};
@@ -559,6 +558,9 @@ class ReplicaBase : public net::FloodClient {
   /// Reused outbound encoder (broadcast/send): clear() keeps the
   /// allocation across encodes.
   Writer wire_writer_;
+  /// Reused by verify_msg for the signing preimage; the view it hands on
+  /// does not outlive the call.
+  Writer preimage_writer_;
 
   /// Sampled requests per block, keyed by height then digest, so
   /// vote/commit flow hooks do not re-decode every command on every call.

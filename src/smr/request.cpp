@@ -4,12 +4,24 @@
 
 namespace eesmr::smr {
 
-Bytes ClientRequest::preimage() const {
-  Writer w;
+namespace {
+/// ClientRequest::preimage().size(): tag, client, req_id and the
+/// length-prefixed op.
+std::size_t preimage_size(const ClientRequest& req) {
+  return 2 + 4 + 8 + 4 + req.op.size();
+}
+
+void preimage_into(const ClientRequest& req, Writer& w) {
   w.u16(kRequestTag);
-  w.u32(client);
-  w.u64(req_id);
-  w.bytes(op);
+  w.u32(req.client);
+  w.u64(req.req_id);
+  w.bytes(req.op);
+}
+}  // namespace
+
+Bytes ClientRequest::preimage() const {
+  Writer w(preimage_size(*this));
+  preimage_into(*this, w);
   return w.take();
 }
 
@@ -19,8 +31,8 @@ bool ClientRequest::verify(const crypto::Keyring& keyring) const {
 }
 
 Bytes ClientRequest::encode() const {
-  Writer w;
-  w.raw(preimage());
+  Writer w(preimage_size(*this) + 4 + sig.size());
+  preimage_into(*this, w);
   w.bytes(sig);
   return w.take();
 }
@@ -42,7 +54,7 @@ std::optional<ClientRequest> ClientRequest::decode(BytesView data) {
 }
 
 Bytes ClientReply::encode() const {
-  Writer w;
+  Writer w(4 + 8 + 4 + result.size() + 4);
   w.u32(client);
   w.u64(req_id);
   w.bytes(result);

@@ -136,5 +136,71 @@ TEST(CertRules, GcDropsEntriesAtOrBelowTheMark) {
   EXPECT_EQ(rules.hits(), 1u);  // the one hit before the second GC
 }
 
+TEST(CertRules, ARepeatedFingerprintKeepsItsFirstHeight) {
+  CertRules rules(kN);
+  rules.remember_sig(42, 3);
+  rules.remember_sig(42, 9);
+  EXPECT_EQ(rules.sig_height(42), 3u);
+  // Kept at its first height, it goes with the entries at or below 3.
+  rules.gc(3);
+  EXPECT_EQ(rules.sig_height(42), std::nullopt);
+}
+
+TEST(CertRules, FingerprintZeroIsAnOrdinaryKey) {
+  CertRules rules(kN);
+  EXPECT_EQ(rules.sig_height(0), std::nullopt);
+  rules.remember_sig(0, 0);
+  rules.remember_sig(1, 0);
+  EXPECT_EQ(rules.sig_height(0), 0u);
+  EXPECT_EQ(rules.sig_height(1), 0u);
+  rules.gc(0);
+  EXPECT_EQ(rules.sig_height(0), std::nullopt);
+  rules.remember_sig(0, 2);
+  EXPECT_EQ(rules.sig_height(0), 2u);
+}
+
+TEST(CertRules, SignatureCacheGrowsPastAHundredThousandEntries) {
+  CertRules rules(kN);
+  constexpr std::uint64_t kEntries = 150'000;
+  // Keys that differ only in their high bits, and sequential ones.
+  const auto key = [](std::uint64_t i) {
+    return i % 2 == 0 ? i << 40 : i;
+  };
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    rules.remember_sig(key(i), i / 1000);
+  }
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    ASSERT_EQ(rules.sig_height(key(i)), i / 1000) << i;
+  }
+  EXPECT_EQ(rules.sig_height(key(kEntries)), std::nullopt);
+  EXPECT_EQ(rules.sig_height(key(kEntries + 1)), std::nullopt);
+}
+
+TEST(CertRules, GcDropsExactlyTheSignaturesAtOrBelowTheHeight) {
+  CertRules rules(kN);
+  constexpr std::uint64_t kEntries = 5'000;
+  const auto key = [](std::uint64_t i) { return i * 0x10001; };
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    rules.remember_sig(key(i), i % 100);
+  }
+  rules.gc(49);
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    if (i % 100 <= 49) {
+      ASSERT_EQ(rules.sig_height(key(i)), std::nullopt) << i;
+    } else {
+      ASSERT_EQ(rules.sig_height(key(i)), i % 100) << i;
+    }
+  }
+  // The rebuilt table takes new entries; a GC below every height keeps
+  // them all.
+  rules.remember_sig(key(0), 200);
+  rules.gc(10);
+  EXPECT_EQ(rules.sig_height(key(0)), 200u);
+  EXPECT_EQ(rules.sig_height(key(50)), 50u);
+  rules.gc(UINT64_MAX);
+  EXPECT_EQ(rules.sig_height(key(0)), std::nullopt);
+  EXPECT_EQ(rules.sig_height(key(99)), std::nullopt);
+}
+
 }  // namespace
 }  // namespace eesmr::smr

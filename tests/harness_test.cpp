@@ -148,5 +148,119 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// Snapshots share blocks with the cluster's per-replica log mirror and
+// copy only what was committed since the previous one. Stepping a run in
+// 1 s slices (a multiple of the 4-hop checker tick, so the simulation is
+// the same) must return what one run_for returns, and a RunResult taken
+// at an earlier slice must not change as the cluster truncates, re-roots
+// or extends its logs.
+enum class SliceCase { kSyncHotStuff, kCheckpoints, kLateJoiner };
+
+ClusterConfig slice_config(SliceCase c) {
+  ClusterConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  cfg.batch_size = 4;
+  cfg.seed = 23;
+  switch (c) {
+    case SliceCase::kSyncHotStuff:
+      cfg.protocol = Protocol::kSyncHotStuff;
+      break;
+    case SliceCase::kCheckpoints:
+      cfg.protocol = Protocol::kSyncHotStuff;
+      cfg.checkpoint_interval = 8;
+      break;
+    case SliceCase::kLateJoiner:
+      cfg.clients = 2;
+      cfg.workload.mode = client::WorkloadSpec::Mode::kClosedLoop;
+      cfg.workload.outstanding = 4;
+      cfg.checkpoint_interval = 16;
+      cfg.client_retry = sim::milliseconds(500);
+      cfg.late_starts.push_back({3, sim::seconds(5)});
+      break;
+  }
+  return cfg;
+}
+
+std::vector<std::vector<smr::Block>> deep_copy(const RunResult& r) {
+  std::vector<std::vector<smr::Block>> out;
+  for (const smr::BlockLog& log : r.logs) {
+    out.emplace_back(log.begin(), log.end());
+  }
+  return out;
+}
+
+class SlicedSnapshots : public ::testing::TestWithParam<SliceCase> {};
+
+TEST_P(SlicedSnapshots, MatchOneRunAndNeverChangeLater) {
+  constexpr int kSlices = 10;
+  const ClusterConfig cfg = slice_config(GetParam());
+  Cluster whole(cfg);
+  const RunResult one = whole.run_for(sim::seconds(kSlices));
+
+  Cluster sliced(cfg);
+  std::vector<RunResult> results;
+  std::vector<std::vector<std::vector<smr::Block>>> copies;
+  for (int i = 0; i < kSlices; ++i) {
+    results.push_back(sliced.run_for(sim::seconds(1)));
+    copies.push_back(deep_copy(results.back()));
+  }
+  for (std::size_t s = 0; s < results.size(); ++s) {
+    const RunResult& r = results[s];
+    ASSERT_EQ(r.logs.size(), copies[s].size());
+    for (std::size_t i = 0; i < r.logs.size(); ++i) {
+      ASSERT_EQ(r.logs[i].size(), copies[s][i].size())
+          << "slice " << s << " node " << i;
+      for (std::size_t b = 0; b < r.logs[i].size(); ++b) {
+        EXPECT_EQ(r.logs[i][b], copies[s][i][b])
+            << "slice " << s << " node " << i << " pos " << b;
+      }
+    }
+  }
+
+  const RunResult& last = results.back();
+  ASSERT_EQ(last.logs.size(), one.logs.size());
+  for (std::size_t i = 0; i < one.logs.size(); ++i) {
+    EXPECT_EQ(last.logs[i], one.logs[i]) << "node " << i;
+  }
+  EXPECT_TRUE(one.safety_ok());
+  EXPECT_EQ(last.safety_ok(), one.safety_ok());
+  EXPECT_GT(one.min_committed(), 0u);
+
+  // Each cluster exercises the path it is named for.
+  switch (GetParam()) {
+    case SliceCase::kSyncHotStuff:
+      ASSERT_FALSE(last.logs[0].empty());
+      EXPECT_EQ(last.logs[0].front().height, 1u);
+      break;
+    case SliceCase::kCheckpoints:
+      // The first slice's blocks were truncated since, yet it kept them.
+      EXPECT_GT(last.footprints[0].low_water_mark,
+                results[0].committed_at(0));
+      EXPECT_FALSE(results[0].logs[0].empty());
+      break;
+    case SliceCase::kLateJoiner:
+      EXPECT_GE(last.footprints[3].state_transfers, 1u);
+      EXPECT_TRUE(results[0].logs[3].empty());
+      break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Clusters, SlicedSnapshots,
+    ::testing::Values(SliceCase::kSyncHotStuff, SliceCase::kCheckpoints,
+                      SliceCase::kLateJoiner),
+    [](const auto& info) {
+      switch (info.param) {
+        case SliceCase::kSyncHotStuff:
+          return std::string("SyncHotStuff");
+        case SliceCase::kCheckpoints:
+          return std::string("Checkpoints");
+        case SliceCase::kLateJoiner:
+          return std::string("LateJoiner");
+      }
+      return std::string("?");
+    });
+
 }  // namespace
 }  // namespace eesmr::harness

@@ -2,9 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <string>
 
+#include "src/smr/block.hpp"
+#include "src/smr/request.hpp"
 #include "tests/cert_probe.hpp"
+
+// Counting replacement of the global allocator for this test binary: the
+// encoder tests below assert how many heap allocations an encode makes.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Kept out of line: inlined next to a `new`, GCC flags the free() as a
+// mismatched deallocation.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace eesmr::smr {
 namespace {
@@ -235,6 +257,69 @@ TEST(ReplicaVerifyQc, ReplayedVoteSignatureOverAnotherPreimageIsRejected) {
         << with_memo;
     EXPECT_EQ(node.replica.sig_cache_hits(), hits + 2) << with_memo;
   }
+}
+
+/// Heap allocations one call of `encode` makes. The bytes it returns
+/// must fill their buffer exactly: the encoder reserved its exact size.
+template <class Encode>
+std::size_t allocations_of(const Encode& encode) {
+  const std::size_t before = g_allocations;
+  const Bytes out = encode();
+  const std::size_t allocations = g_allocations - before;
+  EXPECT_EQ(out.capacity(), out.size());
+  return allocations;
+}
+
+TEST(EncodeAllocations, EveryEncoderAllocatesOnce) {
+  const Msg m = signed_msg(2, MsgType::kVote, 7, Bytes(100, 0xAB));
+  EXPECT_EQ(allocations_of([&] { return m.encode(); }), 1u);
+  EXPECT_EQ(allocations_of([&] { return m.preimage(); }), 1u);
+
+  QuorumCert qc = QuorumCert::combine(
+      {signed_msg(0, MsgType::kVote, 3, Bytes{1, 2}),
+       signed_msg(1, MsgType::kVote, 3, Bytes{1, 2}),
+       signed_msg(3, MsgType::kVote, 3, Bytes{1, 2})});
+  EXPECT_EQ(allocations_of([&] { return qc.encode(); }), 1u);
+  EXPECT_EQ(allocations_of([&] { return qc.preimage(); }), 1u);
+  qc.sigs.clear();
+  qc.scheme = CertScheme::kAggregate;
+  qc.signers = crypto::SignerBitset(19);
+  for (const NodeId id : {0u, 4u, 18u}) qc.signers.set(id);
+  qc.agg_sig = Bytes(crypto::kAggSignatureBytes, 0x33);
+  EXPECT_EQ(allocations_of([&] { return qc.encode(); }), 1u);
+
+  Block b;
+  b.parent = genesis_hash();
+  b.height = 1;
+  b.cmds = {Command{Bytes(16, 1)}, Command{Bytes(300, 2)}, Command{}};
+  EXPECT_EQ(allocations_of([&] { return b.encode(); }), 1u);
+
+  ClientRequest req;
+  req.client = 5;
+  req.req_id = 9;
+  req.op = Bytes(40, 'k');
+  req.sig = Bytes(128, 0x5A);
+  EXPECT_EQ(allocations_of([&] { return req.preimage(); }), 1u);
+  EXPECT_EQ(allocations_of([&] { return req.encode(); }), 1u);
+
+  ClientReply rep;
+  rep.client = 5;
+  rep.req_id = 9;
+  rep.result = Bytes(24, 'v');
+  rep.leader = 1;
+  EXPECT_EQ(allocations_of([&] { return rep.encode(); }), 1u);
+}
+
+TEST(EncodeAllocations, PreimageIntoAUsedWriterAllocatesNothing) {
+  const Msg m = signed_msg(2, MsgType::kVote, 7, Bytes(100, 0xAB));
+  Writer w;
+  m.preimage_into(w);
+  EXPECT_EQ(w.buffer(), m.preimage());
+  w.clear();
+  const std::size_t before = g_allocations;
+  m.preimage_into(w);
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(w.buffer(), m.preimage());
 }
 
 TEST(MsgTypeNames, AllNamed) {
