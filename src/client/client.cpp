@@ -207,7 +207,7 @@ void Client::on_deliver(NodeId, BytesView payload) {
     }
     if (cfg_.profiler != nullptr) {
       cfg_.profiler->count_codec("client", "encode", energy::Stream::kReply,
-                                 cert.encode().size());
+                                 cert.encoded_size());
     }
     ++certs_folded_;
     if (acceptance_certs_.size() < kMaxStoredResults) {

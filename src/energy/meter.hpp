@@ -56,6 +56,10 @@ struct StreamStats {
   std::uint64_t bytes_received = 0;
 
   [[nodiscard]] double total_mj() const { return send_mj + recv_mj; }
+  /// No send and nothing received: the stream is left out of exports.
+  [[nodiscard]] bool idle() const {
+    return transmissions == 0 && bytes_received == 0 && recv_mj == 0;
+  }
   StreamStats& operator+=(const StreamStats& other);
 };
 

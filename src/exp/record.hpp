@@ -12,17 +12,12 @@ namespace eesmr::exp {
 /// Flat summary record (harness::RunSummary) as an ordered JSON object.
 Json summary_json(const harness::RunSummary& s);
 
-/// Per-stream radio breakdown over correct nodes (clients included):
-/// {"proposal": {"send_mj": ..., "recv_mj": ..., "tx": ...,
-///  "bytes_sent": ..., "bytes_received": ...}, ...}. Streams with no
-/// traffic are omitted.
-Json stream_json(const harness::RunResult& r);
-
 /// Full serialized RunResult: {"summary": ..., "streams": ...,
 /// "node_energy_mj": [...], "footprints": [...]}. Round-trippable
-/// through Json::parse (see tests/exp_test.cpp). Every section is read
-/// back out of one obs::Registry snapshot (RunResult::to_registry) — the
-/// registry is the single source the record derives from.
+/// through Json::parse (see tests/exp_test.cpp). The summary and
+/// footprint keys come from the same field walks (RunSummary::visit,
+/// ReplicaFootprint::visit) that name RunResult::to_registry's families,
+/// so the record and the registry list one set of metrics.
 Json run_result_json(const harness::RunResult& r);
 
 }  // namespace eesmr::exp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 
 namespace eesmr::harness {
 
@@ -19,151 +20,30 @@ double RunResult::adversary_energy_mj() const {
 // Registry snapshot: the canonical metric surface of a run
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Registry family of a RunSummary key (see RunSummary::visit).
+std::string run_family(const char* key, obs::MetricKind kind) {
+  if (std::string_view(key) == "end_time_s") {
+    return "eesmr_run_end_time_seconds";
+  }
+  return std::string("eesmr_run_") + key +
+         (kind == obs::MetricKind::kCounter ? "_total" : "");
+}
+
+}  // namespace
+
 void RunResult::to_registry(obs::Registry& reg,
                             const obs::Labels& base) const {
-  const auto g = [&](const char* name, const char* help, double v) {
-    reg.set_gauge(name, help, base, v);
-  };
-  const auto c = [&](const char* name, const char* help, double v) {
-    reg.set_counter(name, help, base, v);
-  };
-
-  // Run-level families, one per RunSummary field, in RunSummary order —
-  // summary_from_registry reads them back by name.
-  g("eesmr_run_nodes", "Metered nodes (protocol nodes + clients)",
-    static_cast<double>(meters.size()));
-  g("eesmr_run_safety_ok",
-    "1 when the final-log cross-check and the in-run SafetyChecker agree "
-    "no conflicting honest commits happened",
-    safety_ok() && safety_violations == 0 ? 1 : 0);
-  g("eesmr_run_min_committed", "Minimum committed blocks over correct nodes",
-    static_cast<double>(min_committed()));
-  g("eesmr_run_max_committed", "Maximum committed blocks over correct nodes",
-    static_cast<double>(max_committed()));
-  c("eesmr_run_view_changes_total", "View changes (max over correct nodes)",
-    static_cast<double>(view_changes));
-  c("eesmr_run_transmissions_total", "Radio send operations, cluster-wide",
-    static_cast<double>(transmissions));
-  c("eesmr_run_bytes_transmitted_total", "Bytes transmitted, cluster-wide",
-    static_cast<double>(bytes_transmitted));
-  g("eesmr_run_end_time_seconds", "Simulated run duration",
-    sim::to_seconds(end_time));
-  g("eesmr_run_total_energy_mj",
-    "Total energy over counted correct nodes (mJ)", total_energy_mj());
-  g("eesmr_run_energy_per_block_mj",
-    "Total energy / min committed blocks (the paper's energy per SMR)",
-    energy_per_block_mj());
-
-  c("eesmr_run_requests_submitted_total", "Client requests submitted",
-    static_cast<double>(requests_submitted));
-  c("eesmr_run_requests_accepted_total",
-    "Client requests accepted (f+1 matching replies)",
-    static_cast<double>(requests_accepted));
-  c("eesmr_run_request_retransmissions_total", "Client retransmissions",
-    static_cast<double>(request_retransmissions));
-  c("eesmr_run_requests_dropped_total", "Mempool-capacity request drops",
-    static_cast<double>(requests_dropped));
-  c("eesmr_run_requests_rate_limited_total",
-    "Per-client pending-cap rejections",
-    static_cast<double>(requests_rate_limited));
-  c("eesmr_run_request_failovers_total",
-    "Client-side submission subset rotations",
-    static_cast<double>(request_failovers));
-  c("eesmr_run_requests_forwarded_total",
-    "Replica-side request forwards to the leader",
-    static_cast<double>(requests_forwarded));
-  c("eesmr_run_request_hints_applied_total",
-    "Reply-metadata leader hints applied by clients",
-    static_cast<double>(request_hints_applied));
-  c("eesmr_run_controller_dedup_saved_total",
-    "Duplicate orderings the trusted controller dedup skipped",
-    static_cast<double>(controller_dedup_saved));
-  c("eesmr_run_controller_dedup_bytes_saved_total",
-    "Downlink command bytes the controller dedup saved",
-    static_cast<double>(controller_dedup_bytes_saved));
-  g("eesmr_run_accepted_per_sec",
-    "Accepted client requests per simulated second (goodput)",
-    accepted_per_sec());
-  g("eesmr_run_latency_samples", "Request latency sample count",
-    static_cast<double>(latency.count()));
-  // Exact nearest-rank quantiles from the raw samples; the bucketed form
-  // of the SAME observations is the histogram family below.
-  g("eesmr_run_latency_p50_ms", "Exact request-latency p50 (ms)",
-    sim::to_milliseconds(latency.p50()));
-  g("eesmr_run_latency_p90_ms", "Exact request-latency p90 (ms)",
-    sim::to_milliseconds(latency.p90()));
-  g("eesmr_run_latency_p99_ms", "Exact request-latency p99 (ms)",
-    sim::to_milliseconds(latency.p99()));
-  g("eesmr_run_latency_mean_ms", "Mean request latency (ms)",
-    latency.mean_ms());
-
-  c("eesmr_run_state_transfers_total", "Completed snapshot catch-ups",
-    static_cast<double>(state_transfers));
-  g("eesmr_run_max_recovery_ms",
-    "Slowest request-to-restore state transfer (ms)",
-    sim::to_milliseconds(max_recovery_latency));
-  g("eesmr_run_max_retained_log",
-    "Largest retained log over correct protocol nodes",
-    static_cast<double>(max_retained_log()));
-  g("eesmr_run_max_dedup_entries",
-    "Largest dedup-set size over correct protocol nodes",
-    static_cast<double>(max_dedup_entries()));
-  std::size_t max_store = 0;
-  std::uint64_t max_ckpts = 0;
-  for (std::size_t i = 0; i < footprints.size(); ++i) {
-    if (i < correct.size() && correct[i] && i < counted.size() && counted[i]) {
-      max_store = std::max(max_store, footprints[i].store_blocks);
-      max_ckpts = std::max(max_ckpts, footprints[i].checkpoints_taken);
+  summarize().visit([&](const char* key, const char* help,
+                        obs::MetricKind kind, auto value) {
+    const auto x = static_cast<double>(value);
+    if (kind == obs::MetricKind::kCounter) {
+      reg.set_counter(run_family(key, kind), help, base, x);
+    } else {
+      reg.set_gauge(run_family(key, kind), help, base, x);
     }
-  }
-  g("eesmr_run_max_store_blocks",
-    "Largest block store over counted correct nodes",
-    static_cast<double>(max_store));
-  g("eesmr_run_max_checkpoints_taken",
-    "Most checkpoints taken by a counted correct node",
-    static_cast<double>(max_ckpts));
-
-  c("eesmr_run_safety_violations_total",
-    "Conflicting honest commits the in-run SafetyChecker detected",
-    static_cast<double>(safety_violations));
-  g("eesmr_run_liveness_ok",
-    "1 when the honest commit frontier never stalled past the bound",
-    liveness_ok() ? 1 : 0);
-  g("eesmr_run_max_commit_stall_ms",
-    "Longest honest commit-frontier stall (ms)",
-    sim::to_milliseconds(max_commit_stall));
-  c("eesmr_run_faults_dropped_total", "Injected delivery drops",
-    static_cast<double>(faults_dropped));
-  c("eesmr_run_faults_duplicated_total", "Injected delivery duplicates",
-    static_cast<double>(faults_duplicated));
-  c("eesmr_run_faults_reordered_total", "Injected delivery reorder delays",
-    static_cast<double>(faults_reordered));
-  c("eesmr_run_msgs_withheld_total",
-    "Messages suppressed by Byzantine withhold filters",
-    static_cast<double>(msgs_withheld));
-  c("eesmr_run_byz_requests_sent_total",
-    "Requests flooded by Byzantine clients",
-    static_cast<double>(byz_requests_sent));
-  g("eesmr_run_adversary_energy_mj",
-    "Energy spent by adversarial nodes (mJ)", adversary_energy_mj());
-  // Membership / certificate-scheme families only exist on runs that
-  // used them — legacy registries (and the JSON records derived from
-  // them) keep their historical key set.
-  if (membership_changes != 0) {
-    c("eesmr_run_membership_changes_total",
-      "Committed membership policy blocks applied",
-      static_cast<double>(membership_changes));
-  }
-  if (membership_generation != 0) {
-    g("eesmr_run_membership_generation",
-      "Highest active membership generation",
-      static_cast<double>(membership_generation));
-  }
-  if (acceptance_certs != 0) {
-    c("eesmr_run_acceptance_certs_total",
-      "O(1) acceptance certificates folded by clients",
-      static_cast<double>(acceptance_certs));
-  }
+  });
 
   reg.set_histogram("eesmr_request_latency_ms",
                     "Submit-to-accept request latency, bucketed (ms)", base,
@@ -189,47 +69,24 @@ void RunResult::to_registry(obs::Registry& reg,
   for (std::size_t i = 0; i < footprints.size(); ++i) {
     obs::Labels labels = base;
     labels.emplace_back("node", std::to_string(i));
-    const ReplicaFootprint& fp = footprints[i];
-    const auto fg = [&](const char* name, const char* help, double v) {
-      reg.set_gauge(name, help, labels, v);
-    };
-    fg("eesmr_footprint_retained_log", "Retained committed-log blocks",
-       static_cast<double>(fp.retained_log));
-    fg("eesmr_footprint_store_blocks", "BlockStore entries",
-       static_cast<double>(fp.store_blocks));
-    fg("eesmr_footprint_executed_entries", "Exactly-once reply cache size",
-       static_cast<double>(fp.executed_entries));
-    fg("eesmr_footprint_mempool_pending", "Pending mempool requests",
-       static_cast<double>(fp.mempool_pending));
-    fg("eesmr_footprint_mempool_committed_keys", "Mempool committed-key set",
-       static_cast<double>(fp.mempool_committed_keys));
-    fg("eesmr_footprint_flood_dedup_tail", "Flood-router dedup tail entries",
-       static_cast<double>(fp.flood_dedup_tail));
-    fg("eesmr_footprint_committed_blocks", "Blocks ever committed",
-       static_cast<double>(fp.committed_blocks));
-    fg("eesmr_footprint_low_water_mark", "Stable-checkpoint truncation height",
-       static_cast<double>(fp.low_water_mark));
-    fg("eesmr_footprint_checkpoints_taken", "Checkpoints taken",
-       static_cast<double>(fp.checkpoints_taken));
-    fg("eesmr_footprint_stable_height", "Highest stable checkpoint",
-       static_cast<double>(fp.stable_height));
-    fg("eesmr_footprint_state_transfers", "Completed snapshot catch-ups",
-       static_cast<double>(fp.state_transfers));
+    footprints[i].visit(
+        [&](const char* key, const char* help, auto value) {
+          reg.set_gauge(std::string("eesmr_footprint_") + key, help, labels,
+                        static_cast<double>(value));
+        },
+        /*with_flood_tail=*/true);
   }
 
   // Per-stream radio stats, in stream order, one sample per
-  // (stream, scope). Streams with no received traffic are skipped — the
-  // same condition the BENCH_*.json stream section uses.
+  // (stream, scope). Idle streams are skipped, as in the BENCH_*.json
+  // stream section.
   for (const char* scope : {"all", "counted"}) {
     for (std::size_t s = 0; s < energy::kNumStreams; ++s) {
       const auto stream = static_cast<energy::Stream>(s);
       const energy::StreamStats st = std::string(scope) == "all"
                                          ? stream_totals_all(stream)
                                          : stream_totals(stream);
-      if (st.transmissions == 0 && st.bytes_received == 0 &&
-          st.recv_mj == 0) {
-        continue;
-      }
+      if (st.idle()) continue;
       obs::Labels labels = base;
       labels.emplace_back("stream", energy::stream_name(stream));
       labels.emplace_back("scope", scope);
@@ -277,71 +134,61 @@ void RunResult::to_registry(obs::Registry& reg,
   if (!prof.empty()) prof.to_registry(reg, base);
 }
 
-RunSummary summary_from_registry(const obs::Registry& reg,
-                                 const obs::Labels& base) {
-  const auto v = [&](const char* name) { return reg.value(name, base); };
-  const auto u = [&](const char* name) {
-    return static_cast<std::uint64_t>(v(name));
-  };
-  RunSummary s;
-  s.nodes = static_cast<std::size_t>(v("eesmr_run_nodes"));
-  s.safety_ok = v("eesmr_run_safety_ok") != 0;
-  s.min_committed = u("eesmr_run_min_committed");
-  s.max_committed = u("eesmr_run_max_committed");
-  s.view_changes = u("eesmr_run_view_changes_total");
-  s.transmissions = u("eesmr_run_transmissions_total");
-  s.bytes_transmitted = u("eesmr_run_bytes_transmitted_total");
-  s.end_time_s = v("eesmr_run_end_time_seconds");
-  s.total_energy_mj = v("eesmr_run_total_energy_mj");
-  s.energy_per_block_mj = v("eesmr_run_energy_per_block_mj");
-  s.requests_submitted = u("eesmr_run_requests_submitted_total");
-  s.requests_accepted = u("eesmr_run_requests_accepted_total");
-  s.request_retransmissions = u("eesmr_run_request_retransmissions_total");
-  s.requests_dropped = u("eesmr_run_requests_dropped_total");
-  s.requests_rate_limited = u("eesmr_run_requests_rate_limited_total");
-  s.request_failovers = u("eesmr_run_request_failovers_total");
-  s.requests_forwarded = u("eesmr_run_requests_forwarded_total");
-  s.request_hints_applied = u("eesmr_run_request_hints_applied_total");
-  s.controller_dedup_saved = u("eesmr_run_controller_dedup_saved_total");
-  s.controller_dedup_bytes_saved =
-      u("eesmr_run_controller_dedup_bytes_saved_total");
-  s.accepted_per_sec = v("eesmr_run_accepted_per_sec");
-  s.latency_samples = u("eesmr_run_latency_samples");
-  s.latency_p50_ms = v("eesmr_run_latency_p50_ms");
-  s.latency_p90_ms = v("eesmr_run_latency_p90_ms");
-  s.latency_p99_ms = v("eesmr_run_latency_p99_ms");
-  s.latency_mean_ms = v("eesmr_run_latency_mean_ms");
-  s.state_transfers = u("eesmr_run_state_transfers_total");
-  s.max_recovery_ms = v("eesmr_run_max_recovery_ms");
-  s.max_retained_log = static_cast<std::size_t>(v("eesmr_run_max_retained_log"));
-  s.max_dedup_entries =
-      static_cast<std::size_t>(v("eesmr_run_max_dedup_entries"));
-  s.max_store_blocks =
-      static_cast<std::size_t>(v("eesmr_run_max_store_blocks"));
-  s.max_checkpoints_taken = u("eesmr_run_max_checkpoints_taken");
-  s.safety_violations = u("eesmr_run_safety_violations_total");
-  s.liveness_ok = v("eesmr_run_liveness_ok") != 0;
-  s.max_commit_stall_ms = v("eesmr_run_max_commit_stall_ms");
-  s.faults_dropped = u("eesmr_run_faults_dropped_total");
-  s.faults_duplicated = u("eesmr_run_faults_duplicated_total");
-  s.faults_reordered = u("eesmr_run_faults_reordered_total");
-  s.msgs_withheld = u("eesmr_run_msgs_withheld_total");
-  s.byz_requests_sent = u("eesmr_run_byz_requests_sent_total");
-  s.adversary_energy_mj = v("eesmr_run_adversary_energy_mj");
-  // Optional families (registered only when nonzero).
-  const auto opt_u = [&](const char* name) -> std::uint64_t {
-    return reg.find(name) == nullptr ? 0 : u(name);
-  };
-  s.membership_changes = opt_u("eesmr_run_membership_changes_total");
-  s.membership_generation = opt_u("eesmr_run_membership_generation");
-  s.acceptance_certs = opt_u("eesmr_run_acceptance_certs_total");
-  return s;
-}
-
 RunSummary RunResult::summarize() const {
-  obs::Registry reg;
-  to_registry(reg);
-  return summary_from_registry(reg);
+  std::size_t max_store = 0;
+  std::uint64_t max_ckpts = 0;
+  for (std::size_t i = 0; i < footprints.size(); ++i) {
+    if (i < correct.size() && correct[i] && i < counted.size() && counted[i]) {
+      max_store = std::max(max_store, footprints[i].store_blocks);
+      max_ckpts = std::max(max_ckpts, footprints[i].checkpoints_taken);
+    }
+  }
+  return RunSummary{
+      .nodes = meters.size(),
+      .safety_ok = safety_ok() && safety_violations == 0,
+      .min_committed = min_committed(),
+      .max_committed = max_committed(),
+      .view_changes = view_changes,
+      .transmissions = transmissions,
+      .bytes_transmitted = bytes_transmitted,
+      .end_time_s = sim::to_seconds(end_time),
+      .total_energy_mj = total_energy_mj(),
+      .energy_per_block_mj = energy_per_block_mj(),
+      .requests_submitted = requests_submitted,
+      .requests_accepted = requests_accepted,
+      .request_retransmissions = request_retransmissions,
+      .requests_dropped = requests_dropped,
+      .requests_rate_limited = requests_rate_limited,
+      .request_failovers = request_failovers,
+      .requests_forwarded = requests_forwarded,
+      .request_hints_applied = request_hints_applied,
+      .controller_dedup_saved = controller_dedup_saved,
+      .controller_dedup_bytes_saved = controller_dedup_bytes_saved,
+      .accepted_per_sec = accepted_per_sec(),
+      .latency_samples = latency.count(),
+      .latency_p50_ms = sim::to_milliseconds(latency.p50()),
+      .latency_p90_ms = sim::to_milliseconds(latency.p90()),
+      .latency_p99_ms = sim::to_milliseconds(latency.p99()),
+      .latency_mean_ms = latency.mean_ms(),
+      .state_transfers = state_transfers,
+      .max_recovery_ms = sim::to_milliseconds(max_recovery_latency),
+      .max_retained_log = max_retained_log(),
+      .max_dedup_entries = max_dedup_entries(),
+      .max_store_blocks = max_store,
+      .max_checkpoints_taken = max_ckpts,
+      .safety_violations = safety_violations,
+      .liveness_ok = liveness_ok(),
+      .max_commit_stall_ms = sim::to_milliseconds(max_commit_stall),
+      .faults_dropped = faults_dropped,
+      .faults_duplicated = faults_duplicated,
+      .faults_reordered = faults_reordered,
+      .msgs_withheld = msgs_withheld,
+      .byz_requests_sent = byz_requests_sent,
+      .adversary_energy_mj = adversary_energy_mj(),
+      .membership_changes = membership_changes,
+      .membership_generation = membership_generation,
+      .acceptance_certs = acceptance_certs,
+  };
 }
 
 }  // namespace eesmr::harness

@@ -33,6 +33,30 @@ struct ReplicaFootprint {
   [[nodiscard]] std::size_t dedup_entries() const {
     return executed_entries + mempool_committed_keys;
   }
+
+  /// Walk every field once, in export order: `v(key, help, value)`. Each
+  /// is the gauge family `eesmr_footprint_<key>` and the key `<key>` of a
+  /// BENCH_*.json footprint. flood_dedup_tail is registry-only (the JSON
+  /// record predates it), so it is walked only when `with_flood_tail`.
+  template <class Visit>
+  void visit(Visit&& v, bool with_flood_tail) const {
+    v("retained_log", "Retained committed-log blocks", retained_log);
+    v("store_blocks", "BlockStore entries", store_blocks);
+    v("executed_entries", "Exactly-once reply cache size", executed_entries);
+    v("mempool_pending", "Pending mempool requests", mempool_pending);
+    v("mempool_committed_keys", "Mempool committed-key set",
+      mempool_committed_keys);
+    if (with_flood_tail) {
+      v("flood_dedup_tail", "Flood-router dedup tail entries",
+        flood_dedup_tail);
+    }
+    v("committed_blocks", "Blocks ever committed", committed_blocks);
+    v("low_water_mark", "Stable-checkpoint truncation height",
+      low_water_mark);
+    v("checkpoints_taken", "Checkpoints taken", checkpoints_taken);
+    v("stable_height", "Highest stable checkpoint", stable_height);
+    v("state_transfers", "Completed snapshot catch-ups", state_transfers);
+  }
 };
 
 struct RunResult {
@@ -162,28 +186,22 @@ struct RunResult {
   /// Register every measurement of this run into `reg` under the
   /// canonical `eesmr_*` metric families, `base` labels prepended to
   /// every sample: the flat `eesmr_run_*` families (one per RunSummary
-  /// field), the request-latency histogram, per-node gauges (label
-  /// `node`), per-stream radio stats (labels `stream`, `scope`), and
-  /// per-category energy/ops totals (label `category`). This snapshot is
-  /// the single source the summary and BENCH_*.json records derive from.
+  /// field, named by RunSummary::visit), the request-latency histogram,
+  /// per-node gauges and footprints (label `node`; the footprint families
+  /// named by ReplicaFootprint::visit), per-stream radio stats (labels
+  /// `stream`, `scope`), and per-category energy/ops totals (label
+  /// `category`).
   void to_registry(obs::Registry& reg, const obs::Labels& base = {}) const;
 
-  /// Flatten into the serializable summary record below — derived from a
-  /// registry snapshot (to_registry + summary_from_registry), not
-  /// plumbed field by field.
+  /// Flatten into the serializable summary record below.
   [[nodiscard]] struct RunSummary summarize() const;
 };
 
-/// Read a RunSummary back out of a registry populated by
-/// RunResult::to_registry with the same `base` labels. Throws
-/// std::out_of_range when a run-level family is missing.
-[[nodiscard]] struct RunSummary summary_from_registry(
-    const obs::Registry& reg, const obs::Labels& base = {});
-
 /// The flat, serialization-ready digest of a RunResult: every scalar the
-/// paper's figures plot, with times in milliseconds/seconds. This is the
-/// record the experiment engine writes into BENCH_*.json (alongside the
-/// per-stream breakdown, which keeps its own structure).
+/// paper's figures plot, with times in milliseconds/seconds. visit() is
+/// the one list of these metrics: the experiment engine writes it into
+/// BENCH_*.json (alongside the per-stream breakdown, which keeps its own
+/// structure) and RunResult::to_registry into the `eesmr_run_*` families.
 struct RunSummary {
   std::size_t nodes = 0;  ///< meters (protocol nodes + clients)
   /// Final-log cross-check AND zero in-run SafetyChecker violations.
@@ -239,6 +257,125 @@ struct RunSummary {
   std::uint64_t membership_changes = 0;
   std::uint64_t membership_generation = 0;
   std::uint64_t acceptance_certs = 0;
+
+  /// Walk every field once, in declaration order:
+  /// `v(key, help, kind, value)`, `value` keeping the field's type. `key`
+  /// is the BENCH_*.json summary key; the registry family is
+  /// `eesmr_run_<key>`, plus `_total` for counters, except that
+  /// `end_time_s` is `eesmr_run_end_time_seconds`. The membership and
+  /// certificate-scheme fields are walked only when nonzero, so runs that
+  /// never used them keep their historical key set in both outputs.
+  template <class Visit>
+  void visit(Visit&& v) const;
 };
+
+template <class Visit>
+void RunSummary::visit(Visit&& v) const {
+  using enum obs::MetricKind;
+  v("nodes", "Metered nodes (protocol nodes + clients)", kGauge, nodes);
+  v("safety_ok",
+    "1 when the final-log cross-check and the in-run SafetyChecker agree "
+    "no conflicting honest commits happened",
+    kGauge, safety_ok);
+  v("min_committed", "Minimum committed blocks over correct nodes", kGauge,
+    min_committed);
+  v("max_committed", "Maximum committed blocks over correct nodes", kGauge,
+    max_committed);
+  v("view_changes", "View changes (max over correct nodes)", kCounter,
+    view_changes);
+  v("transmissions", "Radio send operations, cluster-wide", kCounter,
+    transmissions);
+  v("bytes_transmitted", "Bytes transmitted, cluster-wide", kCounter,
+    bytes_transmitted);
+  v("end_time_s", "Simulated run duration", kGauge, end_time_s);
+  v("total_energy_mj", "Total energy over counted correct nodes (mJ)", kGauge,
+    total_energy_mj);
+  v("energy_per_block_mj",
+    "Total energy / min committed blocks (the paper's energy per SMR)",
+    kGauge, energy_per_block_mj);
+
+  v("requests_submitted", "Client requests submitted", kCounter,
+    requests_submitted);
+  v("requests_accepted", "Client requests accepted (f+1 matching replies)",
+    kCounter, requests_accepted);
+  v("request_retransmissions", "Client retransmissions", kCounter,
+    request_retransmissions);
+  v("requests_dropped", "Mempool-capacity request drops", kCounter,
+    requests_dropped);
+  v("requests_rate_limited", "Per-client pending-cap rejections", kCounter,
+    requests_rate_limited);
+  v("request_failovers", "Client-side submission subset rotations", kCounter,
+    request_failovers);
+  v("requests_forwarded", "Replica-side request forwards to the leader",
+    kCounter, requests_forwarded);
+  v("request_hints_applied", "Reply-metadata leader hints applied by clients",
+    kCounter, request_hints_applied);
+  v("controller_dedup_saved",
+    "Duplicate orderings the trusted controller dedup skipped", kCounter,
+    controller_dedup_saved);
+  v("controller_dedup_bytes_saved",
+    "Downlink command bytes the controller dedup saved", kCounter,
+    controller_dedup_bytes_saved);
+  v("accepted_per_sec",
+    "Accepted client requests per simulated second (goodput)", kGauge,
+    accepted_per_sec);
+  v("latency_samples", "Request latency sample count", kGauge,
+    latency_samples);
+  // Exact nearest-rank quantiles from the raw samples; the bucketed form
+  // of the SAME observations is the eesmr_request_latency_ms histogram.
+  v("latency_p50_ms", "Exact request-latency p50 (ms)", kGauge,
+    latency_p50_ms);
+  v("latency_p90_ms", "Exact request-latency p90 (ms)", kGauge,
+    latency_p90_ms);
+  v("latency_p99_ms", "Exact request-latency p99 (ms)", kGauge,
+    latency_p99_ms);
+  v("latency_mean_ms", "Mean request latency (ms)", kGauge, latency_mean_ms);
+
+  v("state_transfers", "Completed snapshot catch-ups", kCounter,
+    state_transfers);
+  v("max_recovery_ms", "Slowest request-to-restore state transfer (ms)",
+    kGauge, max_recovery_ms);
+  v("max_retained_log", "Largest retained log over correct protocol nodes",
+    kGauge, max_retained_log);
+  v("max_dedup_entries", "Largest dedup-set size over correct protocol nodes",
+    kGauge, max_dedup_entries);
+  v("max_store_blocks", "Largest block store over counted correct nodes",
+    kGauge, max_store_blocks);
+  v("max_checkpoints_taken", "Most checkpoints taken by a counted correct node",
+    kGauge, max_checkpoints_taken);
+
+  v("safety_violations",
+    "Conflicting honest commits the in-run SafetyChecker detected", kCounter,
+    safety_violations);
+  v("liveness_ok",
+    "1 when the honest commit frontier never stalled past the bound", kGauge,
+    liveness_ok);
+  v("max_commit_stall_ms", "Longest honest commit-frontier stall (ms)", kGauge,
+    max_commit_stall_ms);
+  v("faults_dropped", "Injected delivery drops", kCounter, faults_dropped);
+  v("faults_duplicated", "Injected delivery duplicates", kCounter,
+    faults_duplicated);
+  v("faults_reordered", "Injected delivery reorder delays", kCounter,
+    faults_reordered);
+  v("msgs_withheld", "Messages suppressed by Byzantine withhold filters",
+    kCounter, msgs_withheld);
+  v("byz_requests_sent", "Requests flooded by Byzantine clients", kCounter,
+    byz_requests_sent);
+  v("adversary_energy_mj", "Energy spent by adversarial nodes (mJ)", kGauge,
+    adversary_energy_mj);
+
+  if (membership_changes != 0) {
+    v("membership_changes", "Committed membership policy blocks applied",
+      kCounter, membership_changes);
+  }
+  if (membership_generation != 0) {
+    v("membership_generation", "Highest active membership generation", kGauge,
+      membership_generation);
+  }
+  if (acceptance_certs != 0) {
+    v("acceptance_certs", "O(1) acceptance certificates folded by clients",
+      kCounter, acceptance_certs);
+  }
+}
 
 }  // namespace eesmr::harness

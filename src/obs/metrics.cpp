@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "src/exp/json.hpp"
+
 namespace eesmr::obs {
 
 const char* kind_name(MetricKind k) {
@@ -23,13 +25,6 @@ bool name_start(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
 bool name_rest(char c) { return name_start(c) || (c >= '0' && c <= '9'); }
-
-MetricKind kind_from_name(const std::string& s) {
-  if (s == "counter") return MetricKind::kCounter;
-  if (s == "gauge") return MetricKind::kGauge;
-  if (s == "histogram") return MetricKind::kHistogram;
-  throw std::invalid_argument("obs: unknown metric kind '" + s + "'");
-}
 
 }  // namespace
 
@@ -136,11 +131,6 @@ std::uint64_t Histogram::cumulative(std::size_t i) const {
   return c;
 }
 
-bool operator==(const Histogram& a, const Histogram& b) {
-  return a.bounds_ == b.bounds_ && a.counts_ == b.counts_ && a.sum_ == b.sum_ &&
-         a.count_ == b.count_;
-}
-
 // ---------------------------------------------------------------------------
 // Family
 
@@ -155,24 +145,6 @@ const Sample* Family::find(const Labels& labels) const {
   for (const auto& s : samples)
     if (s.labels == labels) return &s;
   return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Counter / Gauge handles
-
-void Counter::inc(double d) {
-  if (d < 0)
-    throw std::invalid_argument("obs: counter increment must be >= 0");
-  reg_->families_[fam_].samples[idx_].value += d;
-}
-double Counter::value() const {
-  return reg_->families_[fam_].samples[idx_].value;
-}
-
-void Gauge::set(double v) { reg_->families_[fam_].samples[idx_].value = v; }
-void Gauge::add(double d) { reg_->families_[fam_].samples[idx_].value += d; }
-double Gauge::value() const {
-  return reg_->families_[fam_].samples[idx_].value;
 }
 
 // ---------------------------------------------------------------------------
@@ -207,41 +179,6 @@ void check_labels(const Labels& labels) {
   }
 }
 }  // namespace
-
-Counter Registry::counter(const std::string& name, const std::string& help,
-                          const Labels& labels) {
-  check_labels(labels);
-  Family& f = family(name, help, MetricKind::kCounter);
-  f.with(labels);
-  std::size_t fam = static_cast<std::size_t>(&f - families_.data());
-  std::size_t idx = f.samples.size();
-  for (std::size_t i = 0; i < f.samples.size(); ++i)
-    if (f.samples[i].labels == labels) idx = i;
-  return Counter(this, fam, idx);
-}
-
-Gauge Registry::gauge(const std::string& name, const std::string& help,
-                      const Labels& labels) {
-  check_labels(labels);
-  Family& f = family(name, help, MetricKind::kGauge);
-  f.with(labels);
-  std::size_t fam = static_cast<std::size_t>(&f - families_.data());
-  std::size_t idx = f.samples.size();
-  for (std::size_t i = 0; i < f.samples.size(); ++i)
-    if (f.samples[i].labels == labels) idx = i;
-  return Gauge(this, fam, idx);
-}
-
-Histogram& Registry::histogram(const std::string& name, const std::string& help,
-                               std::vector<double> bounds,
-                               const Labels& labels) {
-  check_labels(labels);
-  Family& f = family(name, help, MetricKind::kHistogram);
-  Sample& s = f.with(labels);
-  if (s.hist.bounds().empty() && s.hist.count() == 0)
-    s.hist = Histogram(std::move(bounds));
-  return s.hist;
-}
 
 void Registry::set_counter(const std::string& name, const std::string& help,
                            const Labels& labels, double total) {
@@ -353,95 +290,6 @@ std::string Registry::text() const {
     }
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// JSON snapshot
-
-exp::Json Registry::to_json() const {
-  exp::Json fams = exp::Json::array();
-  for (const auto& f : families_) {
-    exp::Json jf = exp::Json::object();
-    jf.set("name", f.name);
-    jf.set("kind", kind_name(f.kind));
-    jf.set("help", f.help);
-    exp::Json samples = exp::Json::array();
-    for (const auto& s : f.samples) {
-      exp::Json js = exp::Json::object();
-      exp::Json labels = exp::Json::object();
-      for (const auto& [k, v] : s.labels) labels.set(k, v);
-      js.set("labels", std::move(labels));
-      if (f.kind == MetricKind::kHistogram) {
-        exp::Json bounds = exp::Json::array();
-        for (double b : s.hist.bounds()) bounds.push_back(b);
-        exp::Json counts = exp::Json::array();
-        for (std::uint64_t c : s.hist.bucket_counts()) counts.push_back(c);
-        js.set("bounds", std::move(bounds));
-        js.set("counts", std::move(counts));
-        js.set("sum", s.hist.sum());
-        js.set("count", s.hist.count());
-      } else {
-        js.set("value", s.value);
-      }
-      samples.push_back(std::move(js));
-    }
-    jf.set("samples", std::move(samples));
-    fams.push_back(std::move(jf));
-  }
-  exp::Json doc = exp::Json::object();
-  doc.set("families", std::move(fams));
-  return doc;
-}
-
-Registry Registry::from_json(const exp::Json& doc) {
-  Registry reg;
-  for (const auto& jf : doc.at("families").items()) {
-    MetricKind kind = kind_from_name(jf.at("kind").as_string());
-    Family& f =
-        reg.family(jf.at("name").as_string(), jf.at("help").as_string(), kind);
-    for (const auto& js : jf.at("samples").items()) {
-      Labels labels;
-      for (const auto& [k, v] : js.at("labels").members())
-        labels.emplace_back(k, v.as_string());
-      Sample& s = f.with(labels);
-      if (kind == MetricKind::kHistogram) {
-        std::vector<double> bounds;
-        for (const auto& b : js.at("bounds").items())
-          bounds.push_back(b.as_double());
-        Histogram h(std::move(bounds));
-        // Reconstitute counts/sum directly: observations are gone.
-        std::vector<std::uint64_t> counts;
-        for (const auto& c : js.at("counts").items())
-          counts.push_back(static_cast<std::uint64_t>(c.as_int()));
-        h.counts_ = std::move(counts);
-        h.sum_ = js.at("sum").as_double();
-        h.count_ = static_cast<std::uint64_t>(js.at("count").as_int());
-        s.hist = std::move(h);
-      } else {
-        s.value = js.at("value").as_double();
-      }
-    }
-  }
-  return reg;
-}
-
-bool operator==(const Registry& a, const Registry& b) {
-  if (a.families_.size() != b.families_.size()) return false;
-  for (std::size_t i = 0; i < a.families_.size(); ++i) {
-    const Family& fa = a.families_[i];
-    const Family& fb = b.families_[i];
-    if (fa.name != fb.name || fa.help != fb.help || fa.kind != fb.kind)
-      return false;
-    if (fa.samples.size() != fb.samples.size()) return false;
-    for (std::size_t j = 0; j < fa.samples.size(); ++j) {
-      const Sample& sa = fa.samples[j];
-      const Sample& sb = fb.samples[j];
-      if (sa.labels != sb.labels || sa.value != sb.value ||
-          !(sa.hist == sb.hist))
-        return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace eesmr::obs

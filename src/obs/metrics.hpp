@@ -1,12 +1,13 @@
-// Prometheus-style metric registry: labeled Counter / Gauge / Histogram
-// families with deterministic text exposition and a JSON snapshot form.
+// Prometheus-style metric registry: labeled counter / gauge / histogram
+// families with deterministic text exposition.
 //
 // This is the uniform metric surface over the simulator's existing
 // meters: harness::RunResult registers everything it measures here
-// (RunResult::to_registry), RunSummary is *derived from* the registry
-// (harness::summary_from_registry) instead of hand-plumbed field by
-// field, and any bench run can expose the whole registry as Prometheus
-// text (`--prom-out`) or a JSON snapshot.
+// (RunResult::to_registry), and any bench run can expose the whole
+// registry as Prometheus text (`--prom-out`). The run-level and
+// footprint families are named by the same field walks
+// (harness::RunSummary::visit, harness::ReplicaFootprint::visit) that
+// write the BENCH_*.json record, so one list of metrics feeds both.
 //
 // Determinism contract (the same one the experiment engine holds):
 // families expose in registration order, samples in registration order,
@@ -19,8 +20,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "src/exp/json.hpp"
 
 namespace eesmr::obs {
 
@@ -69,10 +68,7 @@ class Histogram {
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  friend bool operator==(const Histogram& a, const Histogram& b);
-
  private:
-  friend class Registry;  // from_json reconstitutes counts_/sum_/count_
   std::vector<double> bounds_;
   std::vector<std::uint64_t> counts_;  ///< bounds_.size() + 1 (+Inf last)
   double sum_ = 0;
@@ -99,51 +95,13 @@ struct Family {
   [[nodiscard]] const Sample* find(const Labels& labels) const;
 };
 
-class Registry;
-
-/// Lightweight handle to a counter sample. inc() rejects negative
-/// increments (counters are monotonic by definition).
-class Counter {
- public:
-  void inc(double d = 1);
-  [[nodiscard]] double value() const;
-
- private:
-  friend class Registry;
-  Counter(Registry* reg, std::size_t fam, std::size_t idx)
-      : reg_(reg), fam_(fam), idx_(idx) {}
-  Registry* reg_;
-  std::size_t fam_, idx_;
-};
-
-class Gauge {
- public:
-  void set(double v);
-  void add(double d);
-  [[nodiscard]] double value() const;
-
- private:
-  friend class Registry;
-  Gauge(Registry* reg, std::size_t fam, std::size_t idx)
-      : reg_(reg), fam_(fam), idx_(idx) {}
-  Registry* reg_;
-  std::size_t fam_, idx_;
-};
-
 class Registry {
  public:
-  // -- live instruments --------------------------------------------------------
-  /// Register (or re-acquire) a sample. Throws std::invalid_argument on
-  /// an invalid metric/label name or when `name` is already registered
-  /// with a different kind or help string.
-  Counter counter(const std::string& name, const std::string& help,
-                  const Labels& labels = {});
-  Gauge gauge(const std::string& name, const std::string& help,
-              const Labels& labels = {});
-  Histogram& histogram(const std::string& name, const std::string& help,
-                       std::vector<double> bounds, const Labels& labels = {});
-
-  // -- collect-style registration (snapshot an already-measured value) ---------
+  /// Register a sample holding an already-measured value, overwriting
+  /// the sample with the same labels. Throws std::invalid_argument on an
+  /// invalid metric/label name, a reserved `le` label, a negative counter
+  /// total, or when `name` is already registered with a different kind or
+  /// help string.
   void set_counter(const std::string& name, const std::string& help,
                    const Labels& labels, double total);
   void set_gauge(const std::string& name, const std::string& help,
@@ -151,10 +109,6 @@ class Registry {
   void set_histogram(const std::string& name, const std::string& help,
                      const Labels& labels, const Histogram& h);
 
-  [[nodiscard]] const std::vector<Family>& families() const {
-    return families_;
-  }
-  [[nodiscard]] bool empty() const { return families_.empty(); }
   [[nodiscard]] const Family* find(const std::string& name) const;
   /// Value of a counter/gauge sample; throws std::out_of_range when the
   /// family or the exact label set is absent.
@@ -165,24 +119,14 @@ class Registry {
   /// each sample (how per-run registries merge into one bench-level
   /// exposition, labeled {section, run}).
   void merge(const Registry& other, const Labels& extra = {});
-  void clear() { families_.clear(); }
 
   // -- exposition --------------------------------------------------------------
   /// Prometheus text exposition format (# HELP / # TYPE / samples, the
   /// `le`-cumulative histogram series with the +Inf bucket, _sum and
   /// _count). Deterministic: a pure function of registration order.
   [[nodiscard]] std::string text() const;
-  /// JSON snapshot: {"families":[{name, kind, help, samples:[...]}]}.
-  [[nodiscard]] exp::Json to_json() const;
-  /// Inverse of to_json (snapshot round-trip). Throws exp::JsonError /
-  /// std::out_of_range on malformed input.
-  static Registry from_json(const exp::Json& doc);
-
-  friend bool operator==(const Registry& a, const Registry& b);
 
  private:
-  friend class Counter;
-  friend class Gauge;
   Family& family(const std::string& name, const std::string& help,
                  MetricKind kind);
   std::vector<Family> families_;

@@ -94,7 +94,7 @@ Bytes acceptance_preimage(NodeId client, std::uint64_t req_id,
 }
 
 Bytes AcceptanceCert::encode() const {
-  Writer w;
+  Writer w(encoded_size());
   w.u32(client);
   w.u64(req_id);
   w.bytes(result);

@@ -82,6 +82,11 @@ struct AcceptanceCert {
   Bytes agg_sig;
 
   [[nodiscard]] Bytes encode() const;
+  /// encode().size(), without encoding.
+  [[nodiscard]] std::size_t encoded_size() const {
+    return 4 + 8 + 4 + result.size() + 8 + signers.encoded_size() + 4 +
+           agg_sig.size();
+  }
   static AcceptanceCert decode(BytesView data);
 
   /// Aggregate verifies over acceptance_preimage() and count >= quorum.

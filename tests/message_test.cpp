@@ -308,6 +308,32 @@ TEST(EncodeAllocations, EveryEncoderAllocatesOnce) {
   rep.result = Bytes(24, 'v');
   rep.leader = 1;
   EXPECT_EQ(allocations_of([&] { return rep.encode(); }), 1u);
+
+  AcceptanceCert cert;
+  cert.client = 5;
+  cert.req_id = 9;
+  cert.result = Bytes(24, 'v');
+  cert.gen = 1;
+  cert.signers = crypto::SignerBitset(19);
+  for (const NodeId id : {0u, 4u, 18u}) cert.signers.set(id);
+  cert.agg_sig = Bytes(crypto::kAggSignatureBytes, 0x33);
+  EXPECT_EQ(allocations_of([&] { return cert.encode(); }), 1u);
+}
+
+TEST(AcceptanceCert, EncodedSizeMatchesEncode) {
+  for (const std::size_t result_size : {0u, 1u, 24u, 1000u}) {
+    for (const std::size_t universe : {1u, 4u, 8u, 9u, 19u, 64u}) {
+      AcceptanceCert cert;
+      cert.client = 7;
+      cert.req_id = 3;
+      cert.result = Bytes(result_size, 'r');
+      cert.signers = crypto::SignerBitset(universe);
+      for (NodeId id = 0; id < universe; id += 2) cert.signers.set(id);
+      cert.agg_sig = Bytes(crypto::kAggSignatureBytes, 0x44);
+      EXPECT_EQ(cert.encoded_size(), cert.encode().size())
+          << "result " << result_size << ", universe " << universe;
+    }
+  }
 }
 
 TEST(EncodeAllocations, PreimageIntoAUsedWriterAllocatesNothing) {

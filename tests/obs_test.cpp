@@ -1,19 +1,21 @@
 // Observability-layer tests: Prometheus text-exposition conformance
 // (label escaping, stable ordering, the +Inf bucket, counter
-// monotonicity), registry snapshot <-> JSON round-trip, the
-// RunSummary-matches-registry cross-check, Chrome trace validity, and
-// the byte-identical --prom-out/--trace-out contract across thread
-// counts.
+// monotonicity), the registry-matches-record cross-check, Chrome trace
+// validity, and the byte-identical --prom-out/--trace-out contract
+// across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <algorithm>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "src/exp/json.hpp"
+#include "src/exp/record.hpp"
 #include "src/exp/run_helpers.hpp"
 #include "src/exp/runner.hpp"
 #include "src/harness/cluster.hpp"
@@ -35,24 +37,12 @@ using obs::Registry;
 
 TEST(Metrics, CounterIsMonotonic) {
   Registry reg;
-  obs::Counter c = reg.counter("eesmr_test_total", "help");
-  c.inc();
-  c.inc(2.5);
-  EXPECT_DOUBLE_EQ(c.value(), 3.5);
-  EXPECT_THROW(c.inc(-1), std::invalid_argument);
-  EXPECT_DOUBLE_EQ(c.value(), 3.5);
-  // Collect-style registration enforces the same rule.
+  reg.set_counter("eesmr_test_total", "help", {}, 3.5);
+  EXPECT_DOUBLE_EQ(reg.value("eesmr_test_total"), 3.5);
+  // A negative total is rejected and registers nothing.
   EXPECT_THROW(reg.set_counter("eesmr_other_total", "h", {}, -4),
                std::invalid_argument);
-}
-
-TEST(Metrics, GaugeSetsAndAdds) {
-  Registry reg;
-  obs::Gauge g = reg.gauge("eesmr_temp", "help", {{"node", "0"}});
-  g.set(5);
-  g.add(-2);
-  EXPECT_DOUBLE_EQ(g.value(), 3);
-  EXPECT_DOUBLE_EQ(reg.value("eesmr_temp", {{"node", "0"}}), 3);
+  EXPECT_EQ(reg.find("eesmr_other_total"), nullptr);
 }
 
 TEST(Metrics, HistogramBucketsAndInfOverflow) {
@@ -81,17 +71,23 @@ TEST(Metrics, HistogramBucketsAndInfOverflow) {
 
 TEST(Metrics, NameAndLabelValidation) {
   Registry reg;
-  EXPECT_THROW(reg.gauge("2bad", "h"), std::invalid_argument);
-  EXPECT_THROW(reg.gauge("has space", "h"), std::invalid_argument);
-  EXPECT_THROW(reg.gauge("ok_name", "h", {{"0bad", "v"}}),
+  EXPECT_THROW(reg.set_gauge("2bad", "h", {}, 1), std::invalid_argument);
+  EXPECT_THROW(reg.set_gauge("has space", "h", {}, 1), std::invalid_argument);
+  EXPECT_THROW(reg.set_gauge("ok_name", "h", {{"0bad", "v"}}, 1),
                std::invalid_argument);
   // "le" is reserved for histogram bucket series.
-  EXPECT_THROW(reg.gauge("ok_name", "h", {{"le", "1"}}),
+  EXPECT_THROW(reg.set_gauge("ok_name", "h", {{"le", "1"}}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(reg.set_histogram("ok_hist", "h", {{"le", "1"}}, Histogram{}),
                std::invalid_argument);
   // Re-registering a name with a different kind or help is a bug.
-  reg.gauge("eesmr_x", "first help");
-  EXPECT_THROW(reg.counter("eesmr_x", "first help"), std::invalid_argument);
-  EXPECT_THROW(reg.gauge("eesmr_x", "second help"), std::invalid_argument);
+  reg.set_gauge("eesmr_x", "first help", {}, 1);
+  EXPECT_THROW(reg.set_counter("eesmr_x", "first help", {}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(reg.set_histogram("eesmr_x", "first help", {}, Histogram{}),
+               std::invalid_argument);
+  EXPECT_THROW(reg.set_gauge("eesmr_x", "second help", {}, 1),
+               std::invalid_argument);
 }
 
 TEST(Metrics, ValueThrowsOnMissingSample) {
@@ -152,16 +148,15 @@ TEST(Metrics, TextExpositionOrderIsRegistrationOrder) {
   twin.set_gauge("eesmr_aaa", "h", {{"b", "1"}}, 2);
   twin.set_gauge("eesmr_aaa", "h", {{"a", "1"}}, 3);
   EXPECT_EQ(twin.text(), text);
-  EXPECT_TRUE(twin == reg);
 }
 
 TEST(Metrics, HistogramExpositionHasCumulativeBucketsAndInf) {
-  Registry reg;
-  Histogram& h = reg.histogram("eesmr_lat_ms", "Latency", {1.0, 10.0},
-                               {{"node", "0"}});
+  Histogram h({1.0, 10.0});
   h.observe(0.5);
   h.observe(4.0);
   h.observe(50.0);
+  Registry reg;
+  reg.set_histogram("eesmr_lat_ms", "Latency", {{"node", "0"}}, h);
   const std::string text = reg.text();
   EXPECT_NE(text.find("# TYPE eesmr_lat_ms histogram\n"), std::string::npos);
   EXPECT_NE(text.find("eesmr_lat_ms_bucket{node=\"0\",le=\"1\"} 1\n"),
@@ -178,23 +173,8 @@ TEST(Metrics, HistogramExpositionHasCumulativeBucketsAndInf) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON snapshot round-trip / merge
+// Merge
 // ---------------------------------------------------------------------------
-
-TEST(Metrics, JsonSnapshotRoundTrip) {
-  Registry reg;
-  reg.set_counter("eesmr_c_total", "counter help", {{"node", "0"}}, 5);
-  reg.set_gauge("eesmr_g", "gauge help", {}, -2.25);
-  Histogram h({1.0, 2.0});
-  h.observe(0.5);
-  h.observe(9.0);
-  reg.set_histogram("eesmr_h_ms", "hist help", {{"s", "x"}}, h);
-
-  const Json doc = reg.to_json();
-  const Registry back = Registry::from_json(Json::parse(doc.dump()));
-  EXPECT_TRUE(back == reg);
-  EXPECT_EQ(back.text(), reg.text());
-}
 
 TEST(Metrics, MergePrependsLabels) {
   Registry run0;
@@ -244,23 +224,6 @@ TEST(Obs, SummaryMatchesRegistryExactly) {
             static_cast<double>(r.requests_accepted));
   EXPECT_EQ(reg.value("eesmr_run_accepted_per_sec"), r.accepted_per_sec());
 
-  // And the flat summary is exactly the registry read back.
-  const harness::RunSummary s = r.summarize();
-  const harness::RunSummary derived = harness::summary_from_registry(reg);
-  EXPECT_EQ(s.nodes, derived.nodes);
-  EXPECT_EQ(s.safety_ok, derived.safety_ok);
-  EXPECT_EQ(s.min_committed, derived.min_committed);
-  EXPECT_EQ(s.max_committed, derived.max_committed);
-  EXPECT_EQ(s.transmissions, derived.transmissions);
-  EXPECT_EQ(s.total_energy_mj, derived.total_energy_mj);
-  EXPECT_EQ(s.energy_per_block_mj, derived.energy_per_block_mj);
-  EXPECT_EQ(s.requests_accepted, derived.requests_accepted);
-  EXPECT_EQ(s.latency_p50_ms, derived.latency_p50_ms);
-  EXPECT_EQ(s.latency_p99_ms, derived.latency_p99_ms);
-  EXPECT_EQ(s.max_retained_log, derived.max_retained_log);
-  EXPECT_EQ(s.max_store_blocks, derived.max_store_blocks);
-  EXPECT_EQ(s.adversary_energy_mj, derived.adversary_energy_mj);
-
   // Per-node and per-stream families carry the same numbers as the
   // RunResult accessors.
   for (std::size_t i = 0; i < r.meters.size(); ++i) {
@@ -272,6 +235,95 @@ TEST(Obs, SummaryMatchesRegistryExactly) {
   EXPECT_EQ(reg.value("eesmr_stream_send_mj",
                       {{"stream", "proposal"}, {"scope", "all"}}),
             prop.send_mj);
+}
+
+/// A run that fills all three optional run-level entries: clients under
+/// the aggregate scheme fold acceptance certificates, and one membership
+/// event commits a policy block.
+harness::RunResult run_with_every_summary_entry() {
+  harness::ClusterConfig cfg;
+  cfg.n = 5;
+  cfg.f = 1;
+  cfg.spares = 1;  // node 4 joins
+  cfg.seed = 0x10af;
+  cfg.cert_scheme = smr::CertScheme::kAggregate;
+  cfg.checkpoint_interval = 8;
+  cfg.clients = 2;
+  cfg.workload.max_requests = 30;
+  harness::ClusterConfig::MembershipEvent join;
+  join.at = sim::milliseconds(500);
+  for (NodeId i = 0; i < 5; ++i) join.policy.signers.push_back({i, 1});
+  cfg.membership_events.push_back(join);
+  harness::Cluster cluster(cfg);
+  return cluster.run_until_commits(30, sim::seconds(60));
+}
+
+/// Sample lines of a text exposition whose family starts with `prefix`:
+/// `{family, labels, value}`, labels as rendered ("" or `{...}`).
+std::vector<std::tuple<std::string, std::string, double>> exposed(
+    const Registry& reg, const std::string& prefix) {
+  std::vector<std::tuple<std::string, std::string, double>> out;
+  std::istringstream in(reg.text());
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t space = line.rfind(' ');
+    const std::size_t name_end = std::min(line.find('{'), space);
+    out.emplace_back(line.substr(0, name_end),
+                     line.substr(name_end, space - name_end),
+                     std::stod(line.substr(space + 1)));
+  }
+  return out;
+}
+
+double number(const Json& j) {
+  return j.type() == Json::Type::kBool ? (j.as_bool() ? 1 : 0)
+                                       : j.as_double();
+}
+
+// The registry and the BENCH_*.json record name one list of run-level
+// and footprint metrics: each side has exactly the other's entries, with
+// the same values.
+TEST(Obs, RegistryAndRecordListTheSameMetrics) {
+  const harness::RunResult r = run_with_every_summary_entry();
+  ASSERT_NE(r.membership_changes, 0u);
+  ASSERT_NE(r.membership_generation, 0u);
+  ASSERT_NE(r.acceptance_certs, 0u);
+  Registry reg;
+  r.to_registry(reg);
+  const Json doc = exp::run_result_json(r);
+
+  const Json& summary = doc.at("summary");
+  std::size_t run_samples = 0;
+  for (const auto& [family, labels, value] : exposed(reg, "eesmr_run_")) {
+    ++run_samples;
+    EXPECT_EQ(labels, "") << family;
+    std::string key = family.substr(std::string("eesmr_run_").size());
+    if (key == "end_time_seconds") key = "end_time_s";
+    if (key.ends_with("_total")) key.resize(key.size() - 6);
+    ASSERT_TRUE(summary.contains(key)) << family;
+    EXPECT_EQ(number(summary.at(key)), value) << family;
+  }
+  EXPECT_EQ(run_samples, summary.size());  // and no summary key unexposed
+  EXPECT_TRUE(summary.contains("membership_changes"));
+  EXPECT_TRUE(summary.contains("membership_generation"));
+  EXPECT_TRUE(summary.contains("acceptance_certs"));
+
+  const Json& fps = doc.at("footprints");
+  ASSERT_EQ(fps.size(), r.footprints.size());
+  std::size_t footprint_samples = 0, record_entries = 0;
+  for (const auto& [family, labels, value] : exposed(reg, "eesmr_footprint_")) {
+    const std::string key = family.substr(std::string("eesmr_footprint_").size());
+    if (key == "flood_dedup_tail") continue;  // registry-only
+    ++footprint_samples;
+    const std::size_t node = std::stoul(labels.substr(std::string("{node=\"").size()));
+    ASSERT_LT(node, fps.size()) << labels;
+    ASSERT_TRUE(fps.at(node).contains(key)) << family;
+    EXPECT_EQ(fps.at(node).at(key).as_double(), value) << family << labels;
+  }
+  for (const Json& fp : fps.items()) record_entries += fp.size();
+  EXPECT_EQ(footprint_samples, record_entries);
+  EXPECT_GT(record_entries, 0u);
 }
 
 TEST(Obs, LatencyHistogramBucketsTrackSamples) {
