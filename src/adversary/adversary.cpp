@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "src/energy/cost_model.hpp"
 #include "src/smr/request.hpp"
 
 namespace eesmr::adversary {
@@ -97,59 +96,35 @@ ByzantineClient::ByzantineClient(net::Network& net, NodeId id,
     : router_(net, id, this),
       sched_(net.scheduler()),
       id_(id),
-      keyring_(std::move(keyring)),
       spec_(spec),
       rng_(seed),
-      meter_(meter) {
-  if (!keyring_ || keyring_->size() <= id_) {
+      crypto_(id, "client", /*replicas=*/0, keyring, /*agg=*/nullptr, meter,
+              /*profiler=*/nullptr, /*memo=*/nullptr) {
+  if (!keyring || keyring->size() <= id_) {
     throw std::invalid_argument("ByzantineClient: keyring must cover id");
   }
 }
 
 Bytes ByzantineClient::next_request() {
+  // Replay flood: one genuinely signed request, replayed byte-identically
+  // forever: the first copy orders and executes; every later copy probes
+  // the pool dedup, reply-cache replay, and (after GC) the per-client
+  // watermark's free drop.
+  const bool replay =
+      spec_.kind == AdversarySpec::ByzClient::Kind::kReplayFlood;
+  if (replay && !replay_wire_.empty()) return replay_wire_;
   smr::ClientRequest req;
   req.client = id_;
+  req.req_id = replay ? 1 : next_req_id_++;
   req.op.resize(spec_.op_bytes);
   for (auto& b : req.op) b = static_cast<std::uint8_t>(rng_.next());
-  if (spec_.kind == AdversarySpec::ByzClient::Kind::kReplayFlood) {
-    // One genuinely signed request, replayed byte-identically forever:
-    // the first copy orders and executes; every later copy probes the
-    // pool dedup, reply-cache replay, and (after GC) the per-client
-    // watermark's free drop.
-    if (replay_wire_.empty()) {
-      req.req_id = 1;
-      req.sig = keyring_->signer(id_).sign(req.preimage());
-      if (meter_ != nullptr) {
-        meter_->charge(energy::Category::kSign,
-                       energy::sign_energy_mj(keyring_->scheme()));
-      }
-      smr::Msg m;
-      m.type = smr::MsgType::kRequest;
-      m.view = 0;
-      m.round = req.req_id;
-      m.author = id_;
-      m.data = req.encode();
-      replay_wire_ = m.encode();
-    }
-    return replay_wire_;
-  }
+  req.sig = crypto_.sign(req.preimage(), /*share=*/false, "request");
+  if (replay) return replay_wire_ = smr::request_frame(req);
   // Garbage flood: fresh req_id, correctly sized but corrupted signature
   // — every replica pays one metered verification and must reject.
-  req.req_id = next_req_id_++;
-  req.sig = keyring_->signer(id_).sign(req.preimage());
-  if (meter_ != nullptr) {
-    meter_->charge(energy::Category::kSign,
-                   energy::sign_energy_mj(keyring_->scheme()));
-  }
   req.sig[rng_.below(req.sig.size())] ^=
       static_cast<std::uint8_t>(1 + rng_.below(255));
-  smr::Msg m;
-  m.type = smr::MsgType::kRequest;
-  m.view = 0;
-  m.round = req.req_id;
-  m.author = id_;
-  m.data = req.encode();
-  return m.encode();
+  return smr::request_frame(req);
 }
 
 void ByzantineClient::start() { fire(); }

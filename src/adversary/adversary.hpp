@@ -110,10 +110,11 @@ class ByzantineClient final : public net::FloodClient {
   net::FloodRouter router_;
   sim::Scheduler& sched_;
   NodeId id_;
-  std::shared_ptr<crypto::Keyring> keyring_;
   AdversarySpec::ByzClient spec_;
   sim::Rng rng_;
-  energy::Meter* meter_;
+  /// Signs its requests, charged to its meter; no profiler, so its ops
+  /// are not counted.
+  smr::NodeCrypto crypto_;
   Bytes replay_wire_;  ///< kReplayFlood: the one signed request
   std::uint64_t next_req_id_ = 1;
   std::uint64_t sent_ = 0;

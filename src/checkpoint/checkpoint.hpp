@@ -175,6 +175,13 @@ class CheckpointManager {
   /// like a quorum assembled by add_signature. False for heights at or
   /// below the current stable checkpoint.
   bool install_certified(const CheckpointCert& cert);
+  /// Keep `cert`, the stable checkpoint's certificate in another form
+  /// (the aggregate a collector folds from its share tally), as the
+  /// stable certificate. The served snapshot and its serving budget stay.
+  /// A certificate for another checkpoint changes nothing.
+  void replace_stable_form(const CheckpointCert& cert) {
+    if (stable_ && stable_->id == cert.id) stable_ = cert;
+  }
   /// Install a verified snapshot fetched by state transfer, taken after
   /// `executed_cmds` commands: it becomes the stable checkpoint, the
   /// served snapshot and the low-water mark, and the schedule restarts

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/common/serde.hpp"
-#include "src/energy/cost_model.hpp"
 #include "src/smr/message.hpp"
 
 namespace eesmr::client {
@@ -12,7 +11,8 @@ namespace eesmr::client {
 Client::Client(net::Network& net, ClientConfig cfg, energy::Meter* meter)
     : router_(net, cfg.id, this),
       cfg_(std::move(cfg)),
-      meter_(meter),
+      crypto_(cfg_.id, "client", cfg_.n, cfg_.keyring, cfg_.agg, meter,
+              cfg_.profiler, /*memo=*/nullptr),
       sched_(net.scheduler()),
       rng_(cfg_.seed ^ (0xC11E00ull + cfg_.id)) {
   if (!cfg_.keyring) throw std::invalid_argument("Client: keyring required");
@@ -80,7 +80,12 @@ void Client::submit_one() {
   const std::uint64_t req_id = next_req_id_++;
   pending_.emplace(req_id, Pending(sched_.now(), cfg_.f));
   ++submitted_;
-  Bytes wire = build_request(req_id, gen_->next());
+  smr::ClientRequest req{
+      .client = cfg_.id, .req_id = req_id, .op = gen_->next(), .sig = {}};
+  // The signature lives inside the request so replicas can re-verify it
+  // at commit time; the transport Msg needs no second signature.
+  req.sig = crypto_.sign(req.preimage(), /*share=*/false, "request");
+  Bytes wire = smr::request_frame(req);
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("client", "encode", energy::Stream::kRequest,
                                wire.size());
@@ -105,31 +110,6 @@ void Client::submit_one() {
   channel_->submit(req_id, std::move(wire));
 }
 
-Bytes Client::build_request(std::uint64_t req_id, Bytes op) {
-  smr::ClientRequest req;
-  req.client = cfg_.id;
-  req.req_id = req_id;
-  req.op = std::move(op);
-  // The signature lives inside the request so replicas can re-verify it
-  // at commit time; the transport Msg needs no second signature.
-  req.sig = cfg_.keyring->signer(cfg_.id).sign(req.preimage());
-  if (meter_ != nullptr) {
-    meter_->charge(energy::Category::kSign,
-                   energy::sign_energy_mj(cfg_.keyring->scheme()));
-  }
-  if (cfg_.profiler != nullptr) {
-    cfg_.profiler->count_crypto("client", "sign", "request");
-  }
-
-  smr::Msg m;
-  m.type = smr::MsgType::kRequest;
-  m.view = 0;
-  m.round = req_id;
-  m.author = cfg_.id;
-  m.data = req.encode();
-  return m.encode();
-}
-
 void Client::on_deliver(NodeId, BytesView payload) {
   const std::optional<smr::Msg> decoded = try_decode<smr::Msg>(payload);
   if (!decoded) return;
@@ -152,26 +132,14 @@ void Client::on_deliver(NodeId, BytesView payload) {
   // scheme the reply carries a 48-byte share over the acceptance
   // preimage (client, req_id, result) instead of a directory signature
   // over the Msg — the same bytes that later fold into the cert.
+  // Each reply has exactly one verifier (its client), so this node has
+  // no verdict memo.
   const bool aggregate = cfg_.cert_scheme == smr::CertScheme::kAggregate;
-  if (meter_ != nullptr) {
-    meter_->charge(energy::Category::kVerify,
-                   aggregate
-                       ? energy::agg_verify_energy_mj(1)
-                       : energy::verify_energy_mj(cfg_.keyring->scheme()));
-  }
-  if (cfg_.profiler != nullptr) {
-    cfg_.profiler->count_crypto("client", "verify", "reply");
-  }
-  // Each reply has exactly one verifier (its client), so it is checked
-  // directly rather than through the replicas' verdict memo.
   const Bytes preimage =
       aggregate
           ? smr::acceptance_preimage(rep->client, rep->req_id, rep->result)
           : m.preimage();
-  const bool sig_ok =
-      aggregate ? cfg_.agg->verify_share(m.author, preimage, m.sig)
-                : cfg_.keyring->verify(m.author, preimage, m.sig);
-  if (!sig_ok) return;
+  if (!crypto_.verify(m.author, preimage, m.sig, aggregate, "reply")) return;
 
   // The verified reply names the replier's current leader: steer the
   // next submissions there, so they reach the leader directly instead of
@@ -201,10 +169,7 @@ void Client::on_deliver(NodeId, BytesView payload) {
       cert.signers.set(author);
       crypto::AggKeyring::fold_into(cert.agg_sig, rs.second);
     }
-    if (meter_ != nullptr) {
-      meter_->charge(energy::Category::kSign,
-                     energy::agg_combine_energy_mj(cert.signers.count()));
-    }
+    crypto_.combine(cert.signers.count());
     if (cfg_.profiler != nullptr) {
       cfg_.profiler->count_codec("client", "encode", energy::Stream::kReply,
                                  cert.encoded_size());

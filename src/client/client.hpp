@@ -22,6 +22,7 @@
 #include "src/sim/rng.hpp"
 #include "src/smr/app.hpp"
 #include "src/smr/message.hpp"
+#include "src/smr/node_crypto.hpp"
 #include "src/smr/request.hpp"
 
 namespace eesmr::client {
@@ -136,7 +137,6 @@ class Client final : public net::FloodClient {
 
   void fill_window();
   void submit_one();
-  [[nodiscard]] Bytes build_request(std::uint64_t req_id, Bytes op);
   void schedule_next_arrival();
   [[nodiscard]] bool budget_left() const {
     return cfg_.workload.max_requests == 0 ||
@@ -145,7 +145,9 @@ class Client final : public net::FloodClient {
 
   net::FloodRouter router_;
   ClientConfig cfg_;
-  energy::Meter* meter_;
+  /// Signs requests, verifies replies and folds acceptance certificates,
+  /// charged to the client's meter and counted under "client".
+  smr::NodeCrypto crypto_;
   sim::Scheduler& sched_;
   sim::Rng rng_;
   std::unique_ptr<CommandGen> gen_;

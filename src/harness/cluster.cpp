@@ -618,49 +618,37 @@ bool Cluster::load_pending() const {
   return false;
 }
 
-RunResult Cluster::run_until_commits(std::size_t target_blocks,
-                                     sim::Duration max_time) {
+RunResult Cluster::step_until(sim::Duration max_time,
+                              const std::function<bool()>& done) {
   start();
   const sim::SimTime deadline = sched_.now() + max_time;
   tick_checkers();
-  while (sched_.now() < deadline &&
-         min_committed_correct() < target_blocks && !sched_.empty()) {
+  while (sched_.now() < deadline && !done()) {
     sched_.run_until(std::min<sim::SimTime>(
         deadline, sched_.now() + cfg_.hop_delay * 4));
     tick_checkers();
   }
   return snapshot();
+}
+
+RunResult Cluster::run_until_commits(std::size_t target_blocks,
+                                     sim::Duration max_time) {
+  return step_until(max_time, [&] {
+    return min_committed_correct() >= target_blocks || sched_.empty();
+  });
 }
 
 RunResult Cluster::run_until_accepted(std::uint64_t target_requests,
                                       sim::Duration max_time) {
-  start();
-  const sim::SimTime deadline = sched_.now() + max_time;
-  const auto accepted_total = [this] {
-    std::uint64_t total = 0;
-    for (const auto& c : clients_) total += c->accepted();
-    return total;
-  };
-  tick_checkers();
-  while (sched_.now() < deadline && accepted_total() < target_requests &&
-         !sched_.empty()) {
-    sched_.run_until(std::min<sim::SimTime>(
-        deadline, sched_.now() + cfg_.hop_delay * 4));
-    tick_checkers();
-  }
-  return snapshot();
+  return step_until(max_time, [&] {
+    std::uint64_t accepted = 0;
+    for (const auto& c : clients_) accepted += c->accepted();
+    return accepted >= target_requests || sched_.empty();
+  });
 }
 
 RunResult Cluster::run_for(sim::Duration time) {
-  start();
-  const sim::SimTime deadline = sched_.now() + time;
-  tick_checkers();
-  while (sched_.now() < deadline) {
-    sched_.run_until(std::min<sim::SimTime>(
-        deadline, sched_.now() + cfg_.hop_delay * 4));
-    tick_checkers();
-  }
-  return snapshot();
+  return step_until(time, [] { return false; });
 }
 
 RunResult Cluster::snapshot() const {
@@ -757,7 +745,9 @@ RunResult Cluster::snapshot() const {
     pl.join_hits = memo_.hits();
     pl.wasted = memo_.wasted();
     pl.bytes_copy_saved = net_->bytes_copy_saved();
-    for (const auto& r : replicas_) pl.sig_cache_hits += r->sig_cache_hits();
+    for (const auto& r : replicas_) {
+      pl.sig_cache_hits += r->crypto().certs().hits();
+    }
     out.prof.pipeline = pl;
   }
   return out;

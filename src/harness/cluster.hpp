@@ -3,6 +3,7 @@
 // paper reports (per-node energy, commits, view changes, traffic).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -210,6 +211,11 @@ class Cluster {
   void chase_leader_tick();
   /// Feed the safety/liveness checkers from the honest replicas.
   void tick_checkers();
+  /// Start, then step the scheduler 4·hop_delay at a time, ticking the
+  /// checkers before the first step and after each, until `done()` holds
+  /// or simulated `max_time` elapses. Returns the snapshot.
+  RunResult step_until(sim::Duration max_time,
+                       const std::function<bool()>& done);
   /// Whether any client (honest or Byzantine) still offers load the
   /// chain has not committed — the LivenessChecker's workload input.
   [[nodiscard]] bool load_pending() const;

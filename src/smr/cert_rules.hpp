@@ -4,8 +4,8 @@
 // say which signatures and aggregates this node already verified, so the
 // replica skips their metered re-verification.
 //
-// Pure logic — no I/O, no crypto, no meter; the replica computes
-// fingerprints, charges, verifies and traces (src/smr/replica.cpp).
+// Pure logic — no I/O, no crypto, no meter; the node's metered crypto
+// computes fingerprints, charges and verifies (src/smr/node_crypto.cpp).
 #pragma once
 
 #include <cstddef>
@@ -57,6 +57,7 @@ class CertRules {
  public:
   /// Signers must be replicas: ids below `replicas` (n).
   explicit CertRules(std::size_t replicas) : n_(replicas) {}
+  [[nodiscard]] std::size_t replicas() const { return n_; }
 
   /// Individual form: at least `quorum` pairs, every author a replica
   /// (the keyring also holds client keys), and no author twice.
@@ -79,7 +80,7 @@ class CertRules {
   };
   /// Look every signature of individual-form `cert` over `preimage` up,
   /// in order, counting each hit. A hit is matched by fingerprint only,
-  /// so it settles the accounting, not validity: the replica still
+  /// so it settles the accounting, not validity: the node still
   /// confirms the exact signature, and a collision can at worst skip one
   /// modeled charge. The result is valid until the next lookup.
   const std::vector<Lookup>& lookup(const CertSignatures& cert,

@@ -3,8 +3,6 @@
 #include <stdexcept>
 
 #include "src/common/serde.hpp"
-#include "src/crypto/fingerprint.hpp"
-#include "src/crypto/sha256.hpp"
 
 namespace eesmr::smr {
 
@@ -43,10 +41,6 @@ ReplicaBase::ReplicaBase(net::Network& net, ReplicaConfig cfg,
   }
 }
 
-void ReplicaBase::charge(energy::Category cat, double mj) {
-  if (meter_ != nullptr) meter_->charge(cat, mj);
-}
-
 void ReplicaBase::trace_instant(const char* cat, std::string name,
                                 obs::Tracer::Args args) {
   if (cfg_.tracer != nullptr) {
@@ -75,12 +69,6 @@ void ReplicaBase::trace_end(const char* cat, std::string name,
   if (cfg_.tracer != nullptr) {
     cfg_.tracer->async_end(sched_.now(), cfg_.id, cat, std::move(name), id,
                            std::move(args));
-  }
-}
-
-void ReplicaBase::prof_crypto(const char* op, const char* site) {
-  if (cfg_.profiler != nullptr) {
-    cfg_.profiler->count_crypto("replica", op, site);
   }
 }
 
@@ -129,143 +117,29 @@ Msg ReplicaBase::make_msg(MsgType type, std::uint64_t view,
   m.view = view;
   // Vote-class signatures are 48-byte aggregate-scheme shares, so the
   // certificates they fold into stay O(1) on the wire.
-  m.sig = sign_preimage(m.preimage(),
-                        aggregate_certs() && certificate_bound(type),
-                        crypto_site(type));
+  m.sig = crypto_.sign(m.preimage(),
+                       aggregate_certs() && certificate_bound(type),
+                       crypto_site(type));
   return m;
-}
-
-Bytes ReplicaBase::sign_preimage(BytesView preimage, bool share,
-                                 const char* site, bool metered) {
-  Bytes sig = share ? cfg_.agg->share(cfg_.id, preimage)
-                    : cfg_.keyring->signer(cfg_.id).sign(preimage);
-  if (metered) {
-    charge(energy::Category::kSign,
-           share ? energy::agg_sign_energy_mj()
-                 : energy::sign_energy_mj(cfg_.keyring->scheme()));
-    prof_crypto("sign", site);
-  }
-  return sig;
 }
 
 bool ReplicaBase::verify_msg(const Msg& m) {
   if (m.author >= cfg_.n) return false;
   // Post-reconfiguration gate (free, before any energy is charged): a
   // departed member's vote-class traffic no longer counts.
-  if (certificate_bound(m.type) && !membership_.admits(m.author, cfg_.n)) {
-    return false;
-  }
-  preimage_writer_.clear();
-  m.preimage_into(preimage_writer_);
-  const BytesView preimage = preimage_writer_.buffer();
-  const std::uint64_t fp = crypto::fingerprint(m.author, preimage, m.sig);
-  const bool ok =
-      verify_metered(fp, m.author, preimage, m.sig,
-                     aggregate_certs() && certificate_bound(m.type),
-                     crypto_site(m.type));
-  // Only individual-form certificates consult the cache; under the
-  // aggregate scheme an entry would never be read.
-  if (ok && certificate_bound(m.type) && !aggregate_certs()) {
-    certs_.remember_sig(fp, committed_height_);
-  }
-  return ok;
-}
-
-bool ReplicaBase::memo_verify(std::uint64_t fp, NodeId author,
-                              BytesView preimage, BytesView sig, bool share,
-                              bool record) {
-  const auto verify = [&] {
-    return share ? cfg_.agg->verify_share(author, preimage, sig)
-                 : cfg_.keyring->verify(author, preimage, sig);
-  };
-  if (cfg_.memo == nullptr) return verify();
-  if (record) return cfg_.memo->check(fp, author, preimage, sig, verify);
-  const auto stored = cfg_.memo->peek(fp, author, preimage, sig);
-  return stored.has_value() ? *stored : verify();
-}
-
-bool ReplicaBase::verify_metered(std::uint64_t fp, NodeId author,
-                                 BytesView preimage, BytesView sig, bool share,
-                                 const char* site) {
-  // A share check is priced as a one-signer aggregate verification.
-  charge(energy::Category::kVerify,
-         share ? energy::agg_verify_energy_mj(1)
-               : energy::verify_energy_mj(cfg_.keyring->scheme()));
-  prof_crypto("verify", site);
-  return memo_verify(fp, author, preimage, sig, share);
-}
-
-bool ReplicaBase::verify_request(const ClientRequest& req) {
-  const Bytes preimage = req.preimage();
-  return verify_metered(crypto::fingerprint(req.client, preimage, req.sig),
-                        req.client, preimage, req.sig, /*share=*/false,
-                        "request");
-}
-
-bool ReplicaBase::verify_cert(const CertSignatures& cert,
-                              const Bytes& preimage, std::size_t quorum_size,
-                              const char* site) {
-  // Under the aggregate scheme certificate-bound messages carry shares,
-  // not directory signatures: a cert in the other form cannot be honest.
-  if (cert.scheme != cfg_.cert_scheme) return false;
-  if (aggregate_certs()) {
-    if (!certs_.aggregate_ok(cert, quorum_size, membership_)) return false;
-    // Whole-certificate cache: an aggregate is one pairing-based check, so
-    // the cache keys the (preimage, signers, aggregate) triple as a unit.
-    const auto key = CertRules::agg_key(preimage, cert);
-    if (certs_.agg_cached(key)) return true;
-    charge(energy::Category::kVerify,
-           energy::agg_verify_energy_mj(cert.signers.count()));
-    prof_crypto("verify", site);
-    const bool ok =
-        cfg_.agg->verify_aggregate(cert.signers, preimage, cert.agg_sig);
-    if (ok) certs_.remember_agg(key, committed_height_);
-    return ok;
-  }
-  // Accounting first, before any validity check can return: one metered
-  // verification per contained signature — minus the signatures this
-  // node already verified individually when the votes arrived, which
-  // the verified-signature cache answers for free at tally time.
-  const auto& found = certs_.lookup(cert, preimage);
-  for (const auto& [fp, cached] : found) {
-    if (cached) continue;
-    charge(energy::Category::kVerify,
-           energy::verify_energy_mj(cfg_.keyring->scheme()));
-    prof_crypto("verify", site);
-  }
-  if (!certs_.individual_ok(cert, quorum_size)) return false;
-  for (std::size_t i = 0; i < found.size(); ++i) {
-    const auto& [author, sig] = cert.sigs[i];
-    // A cache hit settles the accounting, not validity: its exact
-    // signature is still confirmed, unmetered and without a new verdict.
-    if (!memo_verify(found[i].fp, author, preimage, sig, /*share=*/false,
-                     /*record=*/!found[i].cached)) {
-      return false;
-    }
-  }
-  return true;
+  const bool bound = certificate_bound(m.type);
+  if (bound && !membership_.admits(m.author, cfg_.n)) return false;
+  return crypto_.verify_msg(m, aggregate_certs() && bound, cache_at(bound));
 }
 
 QuorumCert ReplicaBase::make_cert(const std::vector<Msg>& msgs) {
   QuorumCert qc = QuorumCert::combine(msgs);
-  if (aggregate_certs()) fold_cert(qc);
+  if (aggregate_certs()) crypto_.fold(qc, membership_);
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("cert", "encode", stream_of(qc.type),
                                qc.encoded_size());
   }
   return qc;
-}
-
-void ReplicaBase::fold_cert(CertSignatures& cert) {
-  charge(energy::Category::kSign,
-         energy::agg_combine_energy_mj(cert.sigs.size()));
-  cert.fold(cfg_.n, membership_.generation_for_signers(cert.signer_list()));
-}
-
-BlockHash ReplicaBase::hash_block(const Block& b) {
-  charge(energy::Category::kHash, energy::hash_energy_mj(b.encoded_size()));
-  prof_crypto("hash", "block");
-  return b.hash();
 }
 
 const Bytes& ReplicaBase::encode_wire(const Msg& m) {
@@ -371,7 +245,7 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
       bool valid =
           req->client >= cfg_.n && req->client < cfg_.keyring->size();
       if (valid && !intake_.take_verified(cmd.data)) {
-        valid = verify_request(*req);
+        valid = crypto_.verify_request(*req);
       }
       if (!valid) continue;
       Bytes result;
@@ -424,13 +298,11 @@ void ReplicaBase::maybe_checkpoint(const Block& b) {
   checkpoint::SnapshotPayload payload = exec_.snapshot();
   if (app_ != nullptr) payload.app_snapshot = app_->snapshot();
   Bytes bytes = payload.encode();
-  charge(energy::Category::kHash, energy::hash_energy_mj(bytes.size()));
-  prof_crypto("hash", "checkpoint");
 
   checkpoint::CheckpointId id;
+  id.digest = crypto_.hash(bytes, "checkpoint");
   id.height = b.height;
   id.block = b.hash();
-  id.digest = crypto::sha256(bytes);
 
   trace_instant("checkpoint", "checkpoint_taken",
                 {{"height", exp::Json(b.height)}});
@@ -442,7 +314,7 @@ void ReplicaBase::maybe_checkpoint(const Block& b) {
   // stays internally consistent). f+1 matching attestations are needed
   // for stability, so honest nodes can never stabilize the forgery.
   if (forge_ckpt_) cp.id.digest[0] ^= 0xFF;
-  cp.sig = sign_preimage(cp.id.preimage(), aggregate_certs(), "checkpoint");
+  cp.sig = crypto_.sign(cp.id.preimage(), aggregate_certs(), "checkpoint");
   ckpt_.record_local(id, exec_.executed_cmds(), std::move(bytes), b);
 
   // The flooded message carries the dedicated checkpoint signature; the
@@ -475,8 +347,8 @@ void ReplicaBase::maybe_checkpoint(const Block& b) {
   // stability from its certificate.
   if (aggregate_certs() && collector != cfg_.id) return;
   const Bytes own_sig =
-      forge_ckpt_ ? sign_preimage(id.preimage(), aggregate_certs(),
-                                  "checkpoint", /*metered=*/false)
+      forge_ckpt_ ? crypto_.sign(id.preimage(), aggregate_certs(),
+                                 "checkpoint", /*metered=*/false)
                   : cp.sig;
   if (const auto cert = ckpt_.add_signature(cfg_.id, id, own_sig)) {
     // Inside the commit loop: this block is committed, committed_height_
@@ -494,17 +366,14 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   const auto cp = try_decode<checkpoint::CheckpointMsg>(msg.data);
   if (!cp) return;
   if (cp->id.height <= ckpt_.stable_height()) return;
-  const Bytes preimage = cp->id.preimage();
-  const std::uint64_t fp = crypto::fingerprint(msg.author, preimage, cp->sig);
   // Aggregate scheme: a share-signed attestation (it folds into the
-  // checkpoint certificate).
-  if (!verify_metered(fp, msg.author, preimage, cp->sig, aggregate_certs(),
-                      "checkpoint")) {
+  // checkpoint certificate). Otherwise the attestation is cached: a
+  // checkpoint certificate tallied later (state transfer, snapshot push)
+  // re-carries this exact signature.
+  if (!crypto_.verify(msg.author, cp->id.preimage(), cp->sig,
+                      aggregate_certs(), "checkpoint", cache_at(true))) {
     return;
   }
-  // Remember the attestation: a checkpoint certificate tallied later
-  // (state transfer, snapshot push) re-carries this exact signature.
-  if (!aggregate_certs()) certs_.remember_sig(fp, committed_height_);
   if (const auto cert = ckpt_.add_signature(msg.author, cp->id, cp->sig)) {
     settle_low_water(committed_height_);
     broadcast_checkpoint_cert(*cert);
@@ -515,7 +384,9 @@ void ReplicaBase::broadcast_checkpoint_cert(
     const checkpoint::CheckpointCert& cert) {
   if (!aggregate_certs()) return;
   checkpoint::CheckpointCert folded = cert;
-  fold_cert(folded);
+  crypto_.fold(folded, membership_);
+  // Snapshots go out with the folded form, so no serve folds it again.
+  ckpt_.replace_stable_form(folded);
   broadcast(unsigned_msg(MsgType::kCheckpointCert, r_cur_, folded.encode()));
 }
 
@@ -558,7 +429,7 @@ void ReplicaBase::advance_low_water() {
   // attestations or aggregate certificates that certificates no longer
   // re-carry, for a full checkpoint interval.
   intake_.gc_verified(prev_lwm);
-  certs_.gc(prev_lwm);
+  crypto_.certs().gc(prev_lwm);
 
   // Drop the retained-log prefix at or below the mark. Mempool
   // committed-key GC is pool-side: a forgotten key's late retransmit can
@@ -618,14 +489,9 @@ void ReplicaBase::serve_checkpoint(NodeId from) {
   if (withhold_snap_) return;
   const auto* snap = ckpt_.serve_to(from);
   if (snap == nullptr) return;
-  checkpoint::CheckpointCert cert = *ckpt_.stable_cert();
-  // A cert assembled from share attestations goes out in the O(1)
-  // aggregate form (a cert received already-aggregated is forwarded as
-  // is).
-  if (aggregate_certs() && cert.scheme == CertScheme::kIndividual) {
-    fold_cert(cert);
-  }
-  const Bytes cert_wire = cert.encode();
+  // Under the aggregate scheme the stable certificate is already in the
+  // O(1) form: received that way, or folded by its collector.
+  const Bytes cert_wire = ckpt_.stable_cert()->encode();
   if (cfg_.profiler != nullptr) {
     cfg_.profiler->count_codec("cert", "encode",
                                energy::Stream::kStateTransfer,
@@ -669,10 +535,7 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   if (!verify_checkpoint_cert(cert)) return;
   if (root.height != cert.id.height) return;
   if (hash_block(root) != cert.id.block) return;
-  charge(energy::Category::kHash,
-         energy::hash_energy_mj(payload_bytes.size()));
-  prof_crypto("hash", "state_transfer");
-  if (crypto::sha256(payload_bytes) != cert.id.digest) return;
+  if (crypto_.hash(payload_bytes, "state_transfer") != cert.id.digest) return;
   if (app_ != nullptr) {
     try {
       app_->restore(payload.app_snapshot);
@@ -745,7 +608,7 @@ void ReplicaBase::handle_request(const Msg& m) {
   }
   // Every replica pools the same flooded request: the memo lets one
   // physical check of the embedded client signature serve the cluster.
-  const bool ok = verify_request(*req);
+  const bool ok = crypto_.verify_request(*req);
   intake_.verified(req->client, ok);
   if (!ok) return;
   // Retransmit of an already-committed request: replay the stored
@@ -788,7 +651,7 @@ void ReplicaBase::reply_to_client(const ClientRequest& req,
   // req_id, result) — not the Msg preimage — so the client can fold its
   // f+1 matching replies into one O(1) transferable acceptance
   // certificate.
-  m.sig = sign_preimage(
+  m.sig = crypto_.sign(
       aggregate_certs() ? acceptance_preimage(req.client, req.req_id, result)
                         : m.preimage(),
       aggregate_certs(), "reply");

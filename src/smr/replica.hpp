@@ -1,16 +1,17 @@
-// Shared replica plumbing for every protocol implementation: signing and
-// verification with energy metering, flood-router communication, the
-// block store, the committed log, and the I/O of chain synchronization,
-// checkpointing and state transfer. Five pure-logic components decide
-// and the replica acts: RequestIntake (pool-time drops and the
-// verified-bytes cache), ExecutionLog (exactly-once execution and the
-// reply cache checkpoints snapshot), checkpoint::CheckpointManager, the
-// checkpoint agent (schedule, stable checkpoint, low-water mark,
-// snapshot serving and the requester side of state transfer), CertRules
-// (certificate validity rules and the verified-signature and
-// verified-aggregate caches), and ChainSync (the orphan pool, the
-// ancestry requests and their episode clock, the blocks a sync request
-// is served, and the parked messages). MembershipState holds the
+// Shared replica plumbing for every protocol implementation: flood-router
+// communication, the block store, the committed log, and the I/O of chain
+// synchronization, checkpointing and state transfer. Every sign, verify,
+// fold and hash goes through the replica's NodeCrypto, which charges the
+// meter, counts the op and holds the verification caches (CertRules:
+// certificate validity rules, the verified-signature and
+// verified-aggregate caches). Four pure-logic components decide and the
+// replica acts: RequestIntake (pool-time drops and the verified-bytes
+// cache), ExecutionLog (exactly-once execution and the reply cache
+// checkpoints snapshot), checkpoint::CheckpointManager, the checkpoint
+// agent (schedule, stable checkpoint, low-water mark, snapshot serving
+// and the requester side of state transfer), and ChainSync (the orphan
+// pool, the ancestry requests and their episode clock, the blocks a sync
+// request is served, and the parked messages). MembershipState holds the
 // membership rules: the recent-signer gate, certificate generation tags
 // and the commit boundary's policy check.
 #pragma once
@@ -25,7 +26,6 @@
 #include "src/checkpoint/checkpoint.hpp"
 #include "src/common/serde.hpp"
 #include "src/crypto/verify_memo.hpp"
-#include "src/energy/cost_model.hpp"
 #include "src/energy/meter.hpp"
 #include "src/net/channel.hpp"
 #include "src/net/flood.hpp"
@@ -33,13 +33,13 @@
 #include "src/obs/trace.hpp"
 #include "src/sim/scheduler.hpp"
 #include "src/smr/app.hpp"
-#include "src/smr/cert_rules.hpp"
 #include "src/smr/chain.hpp"
 #include "src/smr/chain_sync.hpp"
 #include "src/smr/execution_log.hpp"
 #include "src/smr/mempool.hpp"
 #include "src/smr/membership.hpp"
 #include "src/smr/message.hpp"
+#include "src/smr/node_crypto.hpp"
 #include "src/smr/quorum_tally.hpp"
 #include "src/smr/request.hpp"
 #include "src/smr/request_intake.hpp"
@@ -198,9 +198,9 @@ class ReplicaBase : public net::FloodClient {
     for (const auto& [height, blocks] : prof_block_cache_) n += blocks.size();
     return n;
   }
-  /// Verified-signature cache (votes / checkpoint attestations): metered
-  /// re-verifications skipped at certificate tallies.
-  [[nodiscard]] std::uint64_t sig_cache_hits() const { return certs_.hits(); }
+  /// Metered crypto and the verification caches: `certs().hits()` counts
+  /// the metered re-verifications skipped at certificate tallies.
+  [[nodiscard]] const NodeCrypto& crypto() const { return crypto_; }
   /// Sparse flood-router dedup entries currently held (seen-window
   /// tails; bounded even under adversarial duplication/reordering).
   [[nodiscard]] std::size_t flood_dedup_entries() const {
@@ -265,9 +265,7 @@ class ReplicaBase : public net::FloodClient {
   void set_withhold_snapshots(bool v) { withhold_snap_ = v; }
 
  protected:
-  // -- crypto with energy metering ------------------------------------------------
-  /// Charge `mj` of `cat` energy to the meter, if there is one.
-  void charge(energy::Category cat, double mj);
+  // -- crypto with energy metering (NodeCrypto) ------------------------------------
   /// An unsigned message from this replica in the current view, for
   /// types authenticated by an embedded signature or attestation.
   [[nodiscard]] Msg unsigned_msg(MsgType type, std::uint64_t round,
@@ -292,25 +290,31 @@ class ReplicaBase : public net::FloodClient {
   /// Verify a message signature (drops author range errors too).
   [[nodiscard]] bool verify_msg(const Msg& m);
   [[nodiscard]] bool verify_qc(const QuorumCert& qc, std::size_t quorum_size) {
-    return verify_cert(qc, qc.preimage(), quorum_size, "vote");
+    return crypto_.verify_cert(qc, qc.preimage(), cfg_.cert_scheme,
+                               quorum_size, membership_, committed_height_,
+                               "vote");
   }
   /// A checkpoint certificate needs f+1 signatures (one correct attester
   /// suffices), independent of the protocol's vote quorum (cfg_.quorum).
   [[nodiscard]] bool verify_checkpoint_cert(
       const checkpoint::CheckpointCert& cert) {
-    return verify_cert(cert, cert.id.preimage(), cfg_.f + 1, "checkpoint");
+    return crypto_.verify_cert(cert, cert.id.preimage(), cfg_.cert_scheme,
+                               cfg_.f + 1, membership_, committed_height_,
+                               "checkpoint");
   }
   /// Running the aggregate certificate scheme?
   [[nodiscard]] bool aggregate_certs() const {
     return cfg_.cert_scheme == CertScheme::kAggregate;
   }
   /// Assemble a certificate from verified matching messages under the
-  /// configured scheme: QuorumCert::combine, folded (fold_cert) when the
-  /// aggregate scheme is on. Counts the certificate's wire bytes against
-  /// the profiler's "cert" component.
+  /// configured scheme: QuorumCert::combine, folded (NodeCrypto::fold)
+  /// when the aggregate scheme is on. Counts the certificate's wire bytes
+  /// against the profiler's "cert" component.
   [[nodiscard]] QuorumCert make_cert(const std::vector<Msg>& msgs);
   /// Hash a block, charging hash energy.
-  [[nodiscard]] BlockHash hash_block(const Block& b);
+  [[nodiscard]] BlockHash hash_block(const Block& b) {
+    return crypto_.hash_block(b);
+  }
   [[nodiscard]] std::size_t quorum() const {
     return cfg_.quorum != 0 ? cfg_.quorum : cfg_.f + 1;
   }
@@ -438,8 +442,6 @@ class ReplicaBase : public net::FloodClient {
 
   // -- profiling -------------------------------------------------------------------
   // cfg_.profiler forwarders; all no-ops without a profiler attached.
-  /// Count one crypto op against this replica at `site`.
-  void prof_crypto(const char* op, const char* site);
   /// Emit a flow step (with its anchoring slice) for one sampled request.
   void prof_flow(const char* name, NodeId client, std::uint64_t req_id);
   /// Flow steps + frame-share energy attribution for every sampled
@@ -463,28 +465,13 @@ class ReplicaBase : public net::FloodClient {
 
  private:
   void handle_sync(NodeId from, const Msg& msg);
-  /// Verify `sig` by `author` over `preimage` through cfg_.memo: a
-  /// directory signature, or an aggregate-scheme share when `share`.
-  /// `fp` is crypto::fingerprint(author, preimage, sig), computed once
-  /// per check by the caller. Without `record`, the memo only answers
-  /// from a stored verdict (VerifyMemo::peek) and a miss verifies without
-  /// storing one. Pure of energy accounting — callers charge the modeled
-  /// verify.
-  [[nodiscard]] bool memo_verify(std::uint64_t fp, NodeId author,
-                                 BytesView preimage, BytesView sig,
-                                 bool share = false, bool record = true);
-  /// memo_verify plus the modeled verify charge (a one-signer aggregate
-  /// check for a share) and one prof_crypto("verify", site).
-  [[nodiscard]] bool verify_metered(std::uint64_t fp, NodeId author,
-                                    BytesView preimage, BytesView sig,
-                                    bool share, const char* site);
-  /// verify_metered for the client signature embedded in `req`.
-  [[nodiscard]] bool verify_request(const ClientRequest& req);
-  /// This replica's signature over `preimage`: an aggregate-scheme share
-  /// when `share`, else its directory signature. Charges the modeled
-  /// sign and counts it at `site` unless `metered` is false.
-  [[nodiscard]] Bytes sign_preimage(BytesView preimage, bool share,
-                                    const char* site, bool metered = true);
+  /// The committed height at which a verified signature enters the
+  /// signature cache: for a certificate-bound one (`bound`) under the
+  /// individual scheme. An aggregate certificate never reads the cache.
+  [[nodiscard]] std::optional<std::uint64_t> cache_at(bool bound) const {
+    if (!bound || aggregate_certs()) return std::nullopt;
+    return committed_height_;
+  }
   /// Encode `m` into wire_writer_ and count the bytes against `m`'s
   /// stream (broadcast/send).
   const Bytes& encode_wire(const Msg& m);
@@ -495,21 +482,6 @@ class ReplicaBase : public net::FloodClient {
   void redispatch(const std::vector<Msg>& msgs) {
     for (const Msg& m : msgs) handle(m.author, m);
   }
-  /// The one certificate check (verify_qc, verify_checkpoint_cert): the
-  /// signatures `cert` carries over `preimage`, with `quorum_size`
-  /// signers, in the configured scheme's form. An aggregate passes
-  /// CertRules::aggregate_ok, then the verified-aggregate cache or one
-  /// metered aggregate verify. An individual cert first charges one
-  /// metered verify per signature the verified-signature cache does not
-  /// answer, then passes CertRules::individual_ok, and last every
-  /// signature through memo_verify, without `record` for a cached one.
-  [[nodiscard]] bool verify_cert(const CertSignatures& cert,
-                                 const Bytes& preimage,
-                                 std::size_t quorum_size, const char* site);
-  /// Fold `cert`'s share signatures into the O(1) aggregate form, tagged
-  /// with the latest generation containing every signer. Charges the
-  /// combine.
-  void fold_cert(CertSignatures& cert);
 
   /// One typed channel per stream, opened in the constructor with the
   /// configured (or protocol-default) policy.
@@ -522,7 +494,9 @@ class ReplicaBase : public net::FloodClient {
   void maybe_checkpoint(const Block& b);
   void handle_checkpoint(const Msg& msg);
   /// Collector side of the aggregate scheme: fold a freshly assembled
-  /// share tally into the O(1) aggregate form and flood kCheckpointCert.
+  /// share tally into the O(1) aggregate form, keep that form as the
+  /// stable certificate (snapshots are served with it) and flood
+  /// kCheckpointCert.
   void broadcast_checkpoint_cert(const checkpoint::CheckpointCert& cert);
   void handle_checkpoint_cert(const Msg& msg);
   void handle_state_request(NodeId from, const Msg& msg);
@@ -549,18 +523,13 @@ class ReplicaBase : public net::FloodClient {
   bool tolerate_fork_ = false;
   ExecutionLog exec_;
   RequestIntake intake_{cfg_.client_pending_cap};
-  /// Certificate rules and the verification caches. Signatures enter
-  /// the signature cache only under the individual scheme (an aggregate
-  /// certificate never reads it). Unlike RequestIntake's verified-bytes
-  /// cache, entries are multi-use (a commitQC and a status message may
-  /// both carry the same vote) and GC'd by the same low-water-mark rule.
-  CertRules certs_{cfg_.n};
+  /// Signs, verifies, folds and hashes, charged to meter_ and counted
+  /// under "replica"; holds the verification caches.
+  NodeCrypto crypto_{cfg_.id,  "replica", cfg_.n,        cfg_.keyring,
+                     cfg_.agg, meter_,    cfg_.profiler, cfg_.memo};
   /// Reused outbound encoder (broadcast/send): clear() keeps the
   /// allocation across encodes.
   Writer wire_writer_;
-  /// Reused by verify_msg for the signing preimage; the view it hands on
-  /// does not outlive the call.
-  Writer preimage_writer_;
 
   /// Sampled requests per block, keyed by height then digest, so
   /// vote/commit flow hooks do not re-decode every command on every call.

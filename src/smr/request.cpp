@@ -1,6 +1,7 @@
 #include "src/smr/request.hpp"
 
 #include "src/common/serde.hpp"
+#include "src/smr/message.hpp"
 
 namespace eesmr::smr {
 
@@ -25,11 +26,6 @@ Bytes ClientRequest::preimage() const {
   return w.take();
 }
 
-bool ClientRequest::verify(const crypto::Keyring& keyring) const {
-  if (client >= keyring.size()) return false;
-  return keyring.verify(client, preimage(), sig);
-}
-
 Bytes ClientRequest::encode() const {
   Writer w(preimage_size(*this) + 4 + sig.size());
   preimage_into(*this, w);
@@ -51,6 +47,15 @@ std::optional<ClientRequest> ClientRequest::decode(BytesView data) {
   } catch (const SerdeError&) {
     return std::nullopt;
   }
+}
+
+Bytes request_frame(const ClientRequest& req) {
+  return Msg{.type = MsgType::kRequest,
+             .round = req.req_id,
+             .author = req.client,
+             .data = req.encode(),
+             .sig = {}}
+      .encode();
 }
 
 Bytes ClientReply::encode() const {

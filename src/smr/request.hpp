@@ -20,7 +20,6 @@
 #include "src/common/bytes.hpp"
 #include "src/common/ids.hpp"
 #include "src/crypto/agg.hpp"
-#include "src/crypto/signer.hpp"
 
 namespace eesmr::smr {
 
@@ -35,8 +34,6 @@ struct ClientRequest {
 
   /// Bytes the client signature covers (tag + ids + op).
   [[nodiscard]] Bytes preimage() const;
-  /// True when `sig` is `client`'s signature over preimage().
-  [[nodiscard]] bool verify(const crypto::Keyring& keyring) const;
 
   /// Encode as a Command payload (preimage fields + sig).
   [[nodiscard]] Bytes encode() const;
@@ -61,6 +58,11 @@ struct ClientReply {
   [[nodiscard]] Bytes encode() const;
   static std::optional<ClientReply> decode(BytesView data);
 };
+
+/// The kRequest frame that carries `req` to the replicas: a Msg authored
+/// by the client, with round = req_id. It needs no signature of its own:
+/// the one inside `req` is checked, at pooling and again at commit.
+Bytes request_frame(const ClientRequest& req);
 
 /// Domain-tagged preimage an aggregate-scheme reply signature covers:
 /// (tag, client, req_id, result) — deliberately excluding view/round so

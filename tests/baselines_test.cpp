@@ -380,7 +380,7 @@ TEST(PartialSyncGolden, ChaseLeaderViewChangesAreUnchanged) {
        "faults_duplicated=0 faults_reordered=0 msgs_withheld=0 "
        "byz_requests_sent=0 membership_changes=0 "
        "membership_generation=0 acceptance_certs=185",
-       32247072.249999981},
+       32247063.849999983},
       {Protocol::kMinBft, smr::CertScheme::kIndividual,
        "nodes=5 safety_ok=1 min_committed=455 max_committed=478 "
        "view_changes=19 transmissions=6976 bytes_transmitted=2194623 "
@@ -410,7 +410,7 @@ TEST(PartialSyncGolden, ChaseLeaderViewChangesAreUnchanged) {
        "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
        "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
        "membership_generation=0 acceptance_certs=179",
-       3869987.1250000014},
+       3869974.5250000018},
   };
   for (const GoldenCell& cell : cells) {
     SCOPED_TRACE(std::string(protocol_name(cell.protocol)) + " " +
@@ -522,7 +522,7 @@ TEST(SyncViewChangeGolden, BlameViewChangesAreUnchanged) {
        "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
        "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
        "membership_generation=0 acceptance_certs=117",
-       2628056.2899999991},
+       2628031.0899999994},
       {"eesmr-mesh", Protocol::kEesmr, 5, 0, kAgg, AttackKind::kChaseLeader,
        "nodes=7 safety_ok=1 min_committed=65 max_committed=72 "
        "view_changes=24 transmissions=9859 bytes_transmitted=2015850 "
@@ -537,7 +537,7 @@ TEST(SyncViewChangeGolden, BlameViewChangesAreUnchanged) {
        "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
        "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
        "membership_generation=0 acceptance_certs=35",
-       18729556.285000023},
+       18729539.485000022},
       {"eesmr-mesh", Protocol::kEesmr, 5, 0, kAgg, AttackKind::kEquivocate,
        "nodes=7 safety_ok=1 min_committed=122 max_committed=122 "
        "view_changes=2 transmissions=7338 bytes_transmitted=2038236 "
@@ -703,7 +703,7 @@ TEST(SyncViewChangeGolden, BlameViewChangesAreUnchanged) {
        "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
        "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
        "membership_generation=0 acceptance_certs=206",
-       63717042.104999125},
+       63716890.904999122},
       {"synchs", Protocol::kSyncHotStuff, 5, 0, kAgg, AttackKind::kChaseLeader,
        "nodes=7 safety_ok=1 min_committed=163 max_committed=193 "
        "view_changes=10 transmissions=9379 bytes_transmitted=2700195 "
@@ -718,7 +718,7 @@ TEST(SyncViewChangeGolden, BlameViewChangesAreUnchanged) {
        "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
        "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
        "membership_generation=0 acceptance_certs=43",
-       33945996.445000112},
+       33945992.245000109},
       {"synchs", Protocol::kSyncHotStuff, 5, 0, kAgg, AttackKind::kEquivocate,
        "nodes=7 safety_ok=1 min_committed=862 max_committed=862 "
        "view_changes=1 transmissions=43999 bytes_transmitted=13447210 "
@@ -793,7 +793,7 @@ TEST(SyncViewChangeGolden, BlameViewChangesAreUnchanged) {
        "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
        "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
        "membership_generation=0 acceptance_certs=206",
-       63498090.184999123},
+       63497909.584999129},
       {"optsync", Protocol::kOptSync, 5, 0, kAgg, AttackKind::kChaseLeader,
        "nodes=7 safety_ok=1 min_committed=356 max_committed=382 "
        "view_changes=22 transmissions=20235 bytes_transmitted=5637823 "
@@ -808,7 +808,7 @@ TEST(SyncViewChangeGolden, BlameViewChangesAreUnchanged) {
        "faults_dropped=0 faults_duplicated=0 faults_reordered=0 "
        "msgs_withheld=0 byz_requests_sent=0 membership_changes=0 "
        "membership_generation=0 acceptance_certs=145",
-       67002577.764999732},
+       67002560.964999735},
       {"optsync", Protocol::kOptSync, 5, 0, kAgg, AttackKind::kEquivocate,
        "nodes=7 safety_ok=1 min_committed=862 max_committed=862 "
        "view_changes=1 transmissions=50384 bytes_transmitted=14691547 "

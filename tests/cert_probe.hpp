@@ -62,11 +62,12 @@ inline ReplicaConfig probe_config(std::size_t n, std::size_t f,
   return cfg;
 }
 
-/// A QcProbe on its own scheduler and full-mesh network.
+/// A QcProbe on its own scheduler and full-mesh network, charging
+/// `meter` when one is given.
 struct ProbeNode {
-  explicit ProbeNode(const ReplicaConfig& cfg)
+  explicit ProbeNode(const ReplicaConfig& cfg, energy::Meter* meter = nullptr)
       : net(sched, net::Hypergraph::full_mesh(cfg.n), {}, nullptr),
-        replica(net, cfg, nullptr) {}
+        replica(net, cfg, meter) {}
 
   sim::Scheduler sched;
   net::Network net;

@@ -3,7 +3,8 @@
 // network or scheduler: schedule, tallies, stable checkpoint, low-water
 // step, serving budget and the state-transfer requester; the replica's
 // state-transfer path on a probe (rejected, stale and unsolicited
-// responses, and what a restore clears); bounded replica memory under
+// responses, what a restore clears, and the aggregate collector serving
+// the certificate it folded once); bounded replica memory under
 // sustained load (log truncation + dedup-set GC at the low-water mark),
 // snapshot state transfer for late joiners, and admission control
 // (mempool capacity and the per-client cap).
@@ -13,9 +14,11 @@
 
 #include "src/common/serde.hpp"
 #include "src/crypto/sha256.hpp"
+#include "src/energy/cost_model.hpp"
 #include "src/harness/cluster.hpp"
 #include "src/obs/prof.hpp"
 #include "src/smr/app.hpp"
+#include "src/smr/execution_log.hpp"
 #include "src/smr/request.hpp"
 #include "tests/cert_probe.hpp"
 
@@ -601,6 +604,97 @@ TEST(StateTransfer, RestoreClearsPoolTimeCaches) {
   p.node.replica.commit_chain(next.hash());
   ASSERT_EQ(p.node.replica.committed_height(), 65u);
   EXPECT_EQ(p.node.replica.intake().verified_hits(), 0u);
+}
+
+/// Withholds every outbound message of the probe it is installed on and
+/// keeps a copy.
+class Outbox final : public smr::OutboundPolicy {
+ public:
+  bool allow(const smr::Msg& m, NodeId) override {
+    sent.push_back(m);
+    return false;
+  }
+  /// The encoded certificate each sent message of `type` carries: a
+  /// kCheckpointCert's data, or a kStateResponse's first field.
+  std::vector<Bytes> certs(smr::MsgType type) const {
+    std::vector<Bytes> out;
+    for (const smr::Msg& m : sent) {
+      if (m.type != type) continue;
+      out.push_back(type == smr::MsgType::kStateResponse
+                        ? Reader(m.data).bytes()
+                        : m.data);
+    }
+    return out;
+  }
+  std::vector<smr::Msg> sent;
+};
+
+TEST(StateTransfer, AggregateCollectorFoldsItsCertificateOnce) {
+  // Replica 0 of n = 4 collects the shares for height 4 (the height-th
+  // signer). It folds the certificate when it floods kCheckpointCert and
+  // keeps that form as its stable certificate, so serving two peers signs
+  // two responses and folds nothing again.
+  const auto ring =
+      crypto::Keyring::simulated(crypto::SchemeId::kRsa1024, 4, 7);
+  const auto agg = crypto::AggKeyring::simulated(4, 9);
+  smr::ReplicaConfig cfg = smr::probe_config(4, 1, ring, agg);
+  cfg.checkpoint_interval = 4;
+  energy::Meter meter;
+  smr::ProbeNode node(cfg, &meter);
+  Outbox outbox;
+  node.replica.set_outbound_policy(&outbox);
+  smr::BlockHash tip = smr::genesis_hash();
+  smr::Block root;
+  for (std::uint64_t h = 1; h <= 4; ++h) {
+    root = checkpoint_block(h);
+    root.parent = tip;
+    ASSERT_TRUE(node.replica.integrate_block(root, 1));
+    tip = root.hash();
+  }
+  node.replica.commit_chain(tip);
+  // The probe executed nothing: its snapshot is an empty log's.
+  CheckpointId id;
+  id.height = 4;
+  id.block = tip;
+  id.digest = crypto::sha256(smr::ExecutionLog().snapshot().encode());
+  CheckpointMsg cp;
+  cp.id = id;
+  cp.sig = agg->share(1, id.preimage());
+  smr::Msg attest;
+  attest.type = smr::MsgType::kCheckpoint;
+  attest.view = 1;
+  attest.author = 1;
+  attest.data = cp.encode();
+  net::FloodClient& client = node.replica;
+  client.on_deliver(1, attest.encode());
+  ASSERT_EQ(node.replica.checkpoints().stable_height(), 4u);
+  ASSERT_EQ(outbox.certs(smr::MsgType::kCheckpointCert).size(), 1u);
+  // The probe's own share and one combine of two shares.
+  const double signed_mj = meter.millijoules(energy::Category::kSign);
+  EXPECT_DOUBLE_EQ(signed_mj, energy::agg_sign_energy_mj() +
+                                  energy::agg_combine_energy_mj(2));
+
+  for (NodeId peer : {2u, 3u}) {
+    Writer w;
+    w.u64(4);
+    smr::Msg ask;
+    ask.type = smr::MsgType::kStateRequest;
+    ask.view = 1;
+    ask.author = peer;
+    ask.data = w.take();
+    ask.sig = ring->signer(peer).sign(ask.preimage());
+    client.on_deliver(peer, ask.encode());
+  }
+  const std::vector<Bytes> served = outbox.certs(smr::MsgType::kStateResponse);
+  ASSERT_EQ(served.size(), 2u);
+  for (const Bytes& cert : served) {
+    EXPECT_EQ(cert, outbox.certs(smr::MsgType::kCheckpointCert)[0]);
+    EXPECT_EQ(CheckpointCert::decode(cert).scheme, smr::CertScheme::kAggregate);
+  }
+  // Two signed responses; no second combine.
+  EXPECT_DOUBLE_EQ(meter.millijoules(energy::Category::kSign),
+                   signed_mj + 2 * energy::sign_energy_mj(
+                                       crypto::SchemeId::kRsa1024));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/cluster.hpp"
+#include "src/smr/node_crypto.hpp"
 #include "src/smr/request.hpp"
 
 namespace eesmr::client {
@@ -42,17 +43,20 @@ TEST(ClientRequestWire, ForgedSignatureRejected) {
   req.req_id = 1;
   req.op = to_bytes(std::string("set a evil"));
   req.sig = to_bytes(std::string("not a real signature"));
-  EXPECT_FALSE(req.verify(*keyring));
+  // A replica's unmetered check of the embedded signature.
+  smr::NodeCrypto replica(0, "replica", 4, keyring, nullptr, nullptr, nullptr,
+                          nullptr);
+  EXPECT_FALSE(replica.verify_request(req));
 
   req.sig = keyring->signer(5).sign(req.preimage());
-  EXPECT_TRUE(req.verify(*keyring));
+  EXPECT_TRUE(replica.verify_request(req));
   // Tampering with the op after signing invalidates it.
   req.op = to_bytes(std::string("set a good"));
-  EXPECT_FALSE(req.verify(*keyring));
+  EXPECT_FALSE(replica.verify_request(req));
   // A signature from a different key does not transfer.
   req.client = 4;
   req.sig = keyring->signer(5).sign(req.preimage());
-  EXPECT_FALSE(req.verify(*keyring));
+  EXPECT_FALSE(replica.verify_request(req));
 }
 
 TEST(ClientRequestWire, UntaggedCommandIsNotARequest) {

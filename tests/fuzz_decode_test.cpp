@@ -332,7 +332,8 @@ TEST(FuzzDecode, FrameMutationsAcrossAllWireFormatsRejectCleanly) {
                     mutated);
     try {
       const auto req = smr::ClientRequest::decode(mutated);
-      if (req.has_value() && req->client < kNodes && req->verify(*ring)) {
+      if (req.has_value() && req->client < kNodes &&
+          ring->verify(req->client, req->preimage(), req->sig)) {
         EXPECT_EQ(req->preimage(), request.preimage());
       }
     } catch (const SerdeError&) {

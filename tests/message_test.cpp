@@ -246,16 +246,16 @@ TEST(ReplicaVerifyQc, ReplayedVoteSignatureOverAnotherPreimageIsRejected) {
     const Msg vote2 = signed_msg(2, MsgType::kVote, 2, block_a);
     ASSERT_TRUE(node.replica.verify_msg(vote1));
     ASSERT_TRUE(node.replica.verify_msg(vote2));
-    const std::uint64_t hits = node.replica.sig_cache_hits();
+    const std::uint64_t hits = node.replica.crypto().certs().hits();
     // The same two signatures re-carried over another block digest.
     QuorumCert replay = QuorumCert::combine({vote1, vote2});
     replay.data = Bytes(32, 0xcd);
     EXPECT_FALSE(node.replica.verify_qc(replay, 2)) << with_memo;
-    EXPECT_EQ(node.replica.sig_cache_hits(), hits) << with_memo;
+    EXPECT_EQ(node.replica.crypto().certs().hits(), hits) << with_memo;
     // The matching certificate: one cache hit per signature.
     EXPECT_TRUE(node.replica.verify_qc(QuorumCert::combine({vote1, vote2}), 2))
         << with_memo;
-    EXPECT_EQ(node.replica.sig_cache_hits(), hits + 2) << with_memo;
+    EXPECT_EQ(node.replica.crypto().certs().hits(), hits + 2) << with_memo;
   }
 }
 
